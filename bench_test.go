@@ -479,31 +479,46 @@ func BenchmarkTableStore(b *testing.B) {
 		b.ReportMetric(float64(b.N)*256/b.Elapsed().Seconds(), "tweets/sec")
 	})
 
-	b.Run("scan", func(b *testing.B) {
-		tab, err := store.Open(store.Options{Dir: b.TempDir(), Fsync: store.FsyncNone})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer tab.Close()
-		if err := tab.AppendBatch(rows); err != nil {
-			b.Fatal(err)
-		}
-		if err := tab.Flush(); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			n := 0
-			err := tab.Scan(time.Time{}, time.Time{}, 256, func(batch []value.Tuple) error {
-				n += len(batch)
-				return nil
-			})
-			if err != nil || n != len(rows) {
-				b.Fatalf("scan: n=%d err=%v", n, err)
+	// scan: the unsealed v1 row log (the active segment). scan_sealed and
+	// scan_pruned: the same rows sealed into v2 column blocks, read whole
+	// and read for 2 of the 12 columns — what `SELECT id, text … WHERE
+	// text CONTAINS …` asks of the store.
+	scan := func(opts store.Options, cols []string) func(b *testing.B) {
+		return func(b *testing.B) {
+			opts.Dir, opts.Fsync = b.TempDir(), store.FsyncNone
+			tab, err := store.Open(opts)
+			if err != nil {
+				b.Fatal(err)
 			}
+			defer tab.Close()
+			if err := tab.AppendBatch(rows); err != nil {
+				b.Fatal(err)
+			}
+			if err := tab.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			if sealed, _ := tab.Segments(); opts.Columnar && sealed == 0 {
+				b.Fatal("nothing sealed: the benchmark would read the v1 tail only")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n := 0
+				err := tab.ScanColumns(time.Time{}, time.Time{}, 256, cols, func(batch []value.Tuple) error {
+					n += len(batch)
+					return nil
+				})
+				if err != nil || n != len(rows) {
+					b.Fatalf("scan: n=%d err=%v", n, err)
+				}
+			}
+			b.ReportMetric(float64(b.N)*float64(len(rows))/b.Elapsed().Seconds(), "tweets/sec")
 		}
-		b.ReportMetric(float64(b.N)*float64(len(rows))/b.Elapsed().Seconds(), "tweets/sec")
-	})
+	}
+	sealed := store.Options{Columnar: true, SegmentMaxBytes: 256 << 10}
+	b.Run("scan", scan(store.Options{}, nil))
+	b.Run("scan_sealed", scan(sealed, nil))
+	b.Run("scan_pruned", scan(sealed, []string{"id", "text"}))
 }
 
 // BenchmarkE11PeakLabels measures TF-IDF peak labeling (Figure 1.2's

@@ -300,6 +300,19 @@ type TableBackend interface {
 	Close() error
 }
 
+// ColumnScanner is optionally implemented by table backends that can
+// read only the columns a plan references (the persistent store skips
+// the other columns' chunks undecoded). ScanColumns is Scan delivering
+// rows narrowed to cols, by value.Schema.Prune's rule; nil cols means
+// all, and Scan is ScanColumns with nil. PrunedSchema reports the exact
+// schema object such rows carry for the newest appended schema — nil
+// while empty — so expressions compiled against it resolve columns by
+// index.
+type ColumnScanner interface {
+	ScanColumns(from, to time.Time, batchHint int, cols []string, fn func([]value.Tuple) error) error
+	PrunedSchema(cols []string) *value.Schema
+}
+
 // HealthReporter is optionally implemented by table backends that can
 // degrade without failing (the persistent store flips read-only after
 // exhausted write retries). Healthy returns nil while fully writable
@@ -515,27 +528,47 @@ func (t *Table) Open(ctx context.Context, req OpenRequest) (<-chan value.Tuple, 
 	return out, &OpenInfo{Schema: t.Schema()}, nil
 }
 
+// ScanSchema reports the schema object the rows of a batched scan for
+// cols carry: the pruned schema when the backend prunes, the table's
+// full schema otherwise (nil cols, or a backend that ignores them).
+func (t *Table) ScanSchema(cols []string) *value.Schema {
+	if cs, ok := t.backend.(ColumnScanner); ok {
+		if s := cs.PrunedSchema(cols); s != nil {
+			return s
+		}
+	}
+	return t.Schema()
+}
+
 // OpenBatches implements BatchSource: the same snapshot scan, one
-// channel transfer per batch. Each delivered batch is freshly
-// allocated by the backend, so ownership passes cleanly.
+// channel transfer per batch, reading only bo.Columns when the backend
+// can prune. Each delivered batch is freshly allocated by the backend,
+// so ownership passes cleanly.
 func (t *Table) OpenBatches(ctx context.Context, req OpenRequest, bo BatchOptions) (<-chan []value.Tuple, *OpenInfo, error) {
 	if bo.Size < 1 {
 		bo.Size = 1
 	}
+	info := &OpenInfo{Schema: t.ScanSchema(bo.Columns)}
 	out := make(chan []value.Tuple, 4)
 	go func() {
 		defer close(out)
-		err := t.backend.Scan(req.From, req.To, bo.Size, func(batch []value.Tuple) error {
+		deliver := func(batch []value.Tuple) error {
 			select {
 			case out <- batch:
 				return nil
 			case <-ctx.Done():
 				return ctx.Err()
 			}
-		})
+		}
+		var err error
+		if cs, ok := t.backend.(ColumnScanner); ok {
+			err = cs.ScanColumns(req.From, req.To, bo.Size, bo.Columns, deliver)
+		} else {
+			err = t.backend.Scan(req.From, req.To, bo.Size, deliver)
+		}
 		reportScanErr(req, err)
 	}()
-	return out, &OpenInfo{Schema: t.Schema()}, nil
+	return out, info, nil
 }
 
 // reportScanErr forwards a mid-stream scan failure to the request's
@@ -844,7 +877,7 @@ func (s *TwitterSource) OpenBatches(ctx context.Context, req OpenRequest, bo Bat
 	if workers < 1 {
 		workers = 1
 	}
-	schema, colIdx := pruneTweetSchema(bo.Columns)
+	schema, colIdx := TweetSchema.Prune(bo.Columns)
 	info.Schema = schema
 	convert := func(_ context.Context, ts []*tweet.Tweet) ([]value.Tuple, error) {
 		arena := make([]value.Value, 0, len(ts)*len(colIdx))
@@ -871,35 +904,6 @@ func (s *TwitterSource) OpenBatches(ctx context.Context, req OpenRequest, bo Bat
 		}
 	}()
 	return out, info, nil
-}
-
-// pruneTweetSchema maps a requested column list onto TweetSchema,
-// returning the (possibly pruned) schema and the canonical column
-// indices to materialize, in schema order. nil requests everything;
-// names that are not tweet columns are dropped (they would evaluate to
-// NULL against the full schema too).
-func pruneTweetSchema(columns []string) (*value.Schema, []int) {
-	all := make([]int, TweetSchema.Len())
-	for i := range all {
-		all[i] = i
-	}
-	if columns == nil {
-		return TweetSchema, all
-	}
-	want := make(map[string]bool, len(columns))
-	for _, c := range columns {
-		want[strings.ToLower(c)] = true
-	}
-	var fields []value.Field
-	var idx []int
-	for i := 0; i < TweetSchema.Len(); i++ {
-		f := TweetSchema.Field(i)
-		if want[f.Name] {
-			fields = append(fields, f)
-			idx = append(idx, i)
-		}
-	}
-	return value.NewSchema(fields...), idx
 }
 
 // appendTweetCol materializes the col-th TweetSchema column of t.

@@ -70,6 +70,11 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, sql string, opts AnalyzeOpt
 	if err != nil {
 		return "", err
 	}
+	// The run opens the source in any case; resolving it before the
+	// header is rendered lets a table scan report its column pruning.
+	if _, err := e.cat.Source(stmt.From.Name); err != nil {
+		return "", err
+	}
 	header := e.explainText(stmt, p)
 
 	rctx, cancel := context.WithTimeout(ctx, opts.Timeout)

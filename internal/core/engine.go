@@ -431,7 +431,7 @@ func (e *Engine) Explain(sql string) (string, error) {
 func (e *Engine) explainText(stmt *lang.SelectStmt, p *plan.Query) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "query: %s\n", stmt)
-	fmt.Fprintf(&b, "source: %s\n", stmt.From.Name)
+	fmt.Fprintf(&b, "source: %s%s\n", stmt.From.Name, e.explainColumns(p))
 	fmt.Fprintf(&b, "scan signature: %s\n", p.Signature)
 	fmt.Fprintf(&b, "shared scan: %s\n", e.explainSharing(p))
 	if len(p.Candidates) > 0 {
@@ -454,6 +454,19 @@ func (e *Engine) explainText(stmt *lang.SelectStmt, p *plan.Query) string {
 		fmt.Fprintf(&b, "projection: %d items, async=%v\n", len(p.Proj), p.Async)
 	}
 	return b.String()
+}
+
+// explainColumns renders " columns=k/n" for a scan of an open table:
+// how many of the table's n columns the scan will decode, k < n when
+// the plan references fewer and the backend prunes. Empty for stream
+// sources, joins (never pruned), and tables not opened yet — EXPLAIN
+// must not open one (see explainSharing).
+func (e *Engine) explainColumns(p *plan.Query) string {
+	t := e.cat.OpenedTable(p.Source)
+	if _, stream := e.cat.RegisteredSource(p.Source); stream || t == nil || p.Join != nil {
+		return ""
+	}
+	return fmt.Sprintf(" columns=%d/%d", t.ScanSchema(p.Columns).Len(), t.Schema().Len())
 }
 
 // explainSharing renders the sharing status EXPLAIN reports: whether

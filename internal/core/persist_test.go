@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -261,49 +263,187 @@ func TestAliasedCreatedAtIsNotPruned(t *testing.T) {
 
 // TestCorruptSegmentSurfacesError pins mid-scan failure reporting: a
 // corrupt sealed segment must not let a FROM-table query complete as
-// if the truncated result were the whole table.
+// if the truncated result were the whole table — also when the damage
+// sits in a column the query never decodes, which only the block
+// checksum over the whole frame can catch.
 func TestCorruptSegmentSurfacesError(t *testing.T) {
-	dir := t.TempDir()
-	cfg := firehose.Config{Seed: 3, Duration: time.Hour, BaseRate: 10}
-	engA, replayA := persistEngine(t, cfg, func(o *Options) {
-		o.DataDir = dir
-		o.SegmentMaxBytes = 32 << 10 // force sealed segments
-	})
-	logStream(t, engA, replayA, `SELECT text, created_at FROM twitter INTO TABLE c`)
-	if err := engA.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the interior of a SEALED segment: its sidecar index
-	// attests the data length, so reopen trusts it (only unsealed
-	// segments are re-scanned and tail-truncated) and the damage must
-	// surface as a mid-scan error, not a silent truncation.
-	segs, _ := filepath.Glob(filepath.Join(dir, "c", "seg-*.seg"))
-	if len(segs) < 2 {
-		t.Fatalf("segments = %d, need a sealed one", len(segs))
-	}
-	sort.Strings(segs)
-	if _, err := os.Stat(strings.TrimSuffix(segs[0], ".seg") + ".idx"); err != nil {
-		t.Fatalf("first segment not sealed: %v", err)
-	}
-	f, err := os.OpenFile(segs[0], os.O_RDWR, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, _ := f.Stat()
-	if _, err := f.WriteAt([]byte{0xFF, 0xFF, 0xFF, 0xFF}, info.Size()/2); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	for _, tc := range []struct {
+		name    string
+		corrupt func(t *testing.T, seg []byte, firstText string) int // offset to damage
+		readSQL string
+	}{
+		{"mid-file", func(_ *testing.T, seg []byte, _ string) int { return len(seg) / 2 },
+			`SELECT text FROM c`},
+		{"inside an unread column", func(t *testing.T, seg []byte, firstText string) int {
+			// The first logged tweet's text sits verbatim in the text
+			// chunk (raw or as a dictionary entry) of the first block.
+			at := bytes.Index(seg, []byte(firstText))
+			if at < 0 {
+				t.Fatalf("text %q not found in the sealed segment", firstText)
+			}
+			return at + len(firstText)/2
+		}, `SELECT created_at FROM c`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := firehose.Config{Seed: 3, Duration: time.Hour, BaseRate: 10}
+			engA, replayA := persistEngine(t, cfg, func(o *Options) {
+				o.DataDir = dir
+				o.SegmentMaxBytes = 32 << 10 // force sealed segments
+			})
+			logStream(t, engA, replayA, `SELECT text, created_at FROM twitter INTO TABLE c`)
+			firstText, err := engA.Catalog().Table("c").Rows()[0].Get("text").StringVal()
+			if err != nil || len(firstText) < 8 {
+				t.Fatalf("first logged text = %q, %v", firstText, err)
+			}
+			if err := engA.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// Corrupt the interior of a SEALED segment: its sidecar index
+			// attests the data length, so reopen trusts it (only unsealed
+			// segments are re-scanned and tail-truncated) and the damage must
+			// surface as a mid-scan error, not a silent truncation.
+			segs, _ := filepath.Glob(filepath.Join(dir, "c", "seg-*.seg"))
+			if len(segs) < 2 {
+				t.Fatalf("segments = %d, need a sealed one", len(segs))
+			}
+			sort.Strings(segs)
+			if _, err := os.Stat(strings.TrimSuffix(segs[0], ".seg") + ".idx"); err != nil {
+				t.Fatalf("first segment not sealed: %v", err)
+			}
+			seg, err := os.ReadFile(segs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := tc.corrupt(t, seg, firstText)
+			for i := 0; i < 4; i++ {
+				seg[at+i] ^= 0xFF
+			}
+			if err := os.WriteFile(segs[0], seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	engB, _ := persistEngine(t, cfg, func(o *Options) { o.DataDir = dir })
-	cur, err := engB.Query(context.Background(), `SELECT text FROM c`)
+			engB, _ := persistEngine(t, cfg, func(o *Options) { o.DataDir = dir })
+			cur, err := engB.Query(context.Background(), tc.readSQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range cur.Rows() {
+			}
+			if err := cur.Stats().Err(); err == nil || !strings.Contains(err.Error(), "corrupt") {
+				t.Fatalf("corrupt segment scan reported err = %v, want a corrupt-record error", err)
+			}
+		})
+	}
+}
+
+// TestPrunedTableScan drives the column-pruned store scan through the
+// engine over every byte source one scan can meet — sealed v2 segments
+// of two schemas (a column added mid-log), the active v1 segment's
+// flushed part, and the unflushed append buffer — against an oracle
+// computed from the unpruned full-width rows.
+func TestPrunedTableScan(t *testing.T) {
+	dir := t.TempDir()
+	eng, replay := persistEngine(t, firehose.Config{Seed: 11, Duration: 2 * time.Hour, BaseRate: 8},
+		func(o *Options) {
+			o.DataDir = dir
+			o.SegmentMaxBytes = 32 << 10 // several sealed (v2) segments
+		})
+	logStream(t, eng, replay, `SELECT text, username, followers, created_at FROM twitter INTO TABLE evolve`)
+	tab := eng.Catalog().Table("evolve")
+	logged := tab.Len()
+
+	// A fifth column appears mid-log: the schema change seals the
+	// 4-column active segment and starts a 5-column one. The first batch
+	// is flushed to the new active segment; the second stays buffered.
+	wide := tab.Schema().Extend(value.Field{Name: "lang", Kind: value.KindString})
+	ts := time.Date(2011, 6, 12, 14, 30, 0, 0, time.UTC)
+	wideRow := func(i int, lang string) value.Tuple {
+		at := ts.Add(time.Duration(i) * time.Second)
+		return value.NewTuple(wide, []value.Value{
+			value.String("late goal"), value.String("user"), value.Int(int64(1000 * i)), value.Time(at), value.String(lang),
+		}, at)
+	}
+	if err := tab.AppendBatch([]value.Tuple{wideRow(0, "en"), wideRow(1, "fr")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.AppendBatch([]value.Tuple{wideRow(2, "en"), wideRow(3, "es")}); err != nil {
+		t.Fatal(err)
+	}
+	st := tab.Backend().(*store.Table)
+	if sealed, active := st.Segments(); sealed < 2 || active != 1 {
+		t.Fatalf("segments sealed=%d active=%d; need several sealed and an active tail", sealed, active)
+	}
+
+	full := tab.Rows() // unpruned: every column of every row
+	if len(full) != logged+4 {
+		t.Fatalf("full scan read %d rows, want %d", len(full), logged+4)
+	}
+	oracle := func(keep func(value.Tuple) bool, cols ...string) []string {
+		var out []string
+		for _, row := range full {
+			if !keep(row) {
+				continue
+			}
+			parts := make([]string, len(cols))
+			for i, c := range cols {
+				parts[i] = c + "=" + row.Get(c).String()
+			}
+			out = append(out, strings.Join(parts, ", "))
+		}
+		return out
+	}
+	same := func(sql string, want []string) {
+		t.Helper()
+		got := queryStrings(t, eng, sql)
+		if len(want) == 0 {
+			t.Fatalf("%s: oracle is empty, the case proves nothing", sql)
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("%s: %d rows, oracle %d rows; first got %q", sql, len(got), len(want), got[:min(1, len(got))])
+		}
+	}
+
+	c0 := st.ScanCounters()
+	same(`SELECT username, followers FROM evolve WHERE followers > 500`,
+		oracle(func(r value.Tuple) bool { n, _ := r.Get("followers").IntVal(); return n > 500 }, "username", "followers"))
+	c1 := st.ScanCounters()
+	// 2 of 4 (or 5) columns decoded in every v2 block read.
+	if dec, skip := c1.ChunksDecoded-c0.ChunksDecoded, c1.ChunksSkipped-c0.ChunksSkipped; dec == 0 || skip < dec {
+		t.Errorf("chunks decoded=%d skipped=%d for a 2-column query over 4- and 5-column blocks", dec, skip)
+	}
+	// The added column: NULL (so never equal) in rows logged before it.
+	same(`SELECT lang, text FROM evolve WHERE lang = 'en'`,
+		oracle(func(r value.Tuple) bool { return r.Get("lang").String() == "en" }, "lang", "text"))
+	// A plan that references no column at all still counts every row.
+	total := 0
+	for _, row := range queryStrings(t, eng, `SELECT COUNT(*) AS n FROM evolve WINDOW 1 HOUR`) {
+		var n int
+		if _, err := fmt.Sscanf(row[strings.Index(row, "n="):], "n=%d", &n); err != nil {
+			t.Fatalf("window row %q: %v", row, err)
+		}
+		total += n
+	}
+	if total != len(full) {
+		t.Errorf("COUNT(*) over a zero-column scan summed to %d, want %d", total, len(full))
+	}
+
+	out, err := eng.Explain(`SELECT username, followers FROM evolve WHERE followers > 500`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range cur.Rows() {
+	if !strings.Contains(out, "source: evolve columns=2/5\n") {
+		t.Errorf("explain does not report the pruned scan width:\n%s", out)
 	}
-	if err := cur.Stats().Err(); err == nil || !strings.Contains(err.Error(), "corrupt") {
-		t.Fatalf("corrupt segment scan reported err = %v, want a corrupt-record error", err)
+	out, err = eng.ExplainAnalyze(context.Background(), `SELECT * FROM evolve`, AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "source: evolve columns=5/5\n") {
+		t.Errorf("explain analyze does not report the scan width:\n%s", out)
 	}
 }
 

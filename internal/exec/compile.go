@@ -737,6 +737,11 @@ func fusedCmp(ia *identAccess, cv value.Value, opc cmpOp) CompiledExpr {
 	case cv.Kind() == value.KindString && (opc == opEQ || opc == opNE):
 		cs := cv.Str()
 		eq := opc == opEQ
+		// A time column compared with a time-literal string coerces
+		// (compareTimeString); the literal is constant, so it is parsed
+		// here once instead of once per row. An unparseable literal keeps
+		// the generic path and its result.
+		ct, isTime := ParseTimeLiteral(cs)
 		return func(_ context.Context, t value.Tuple) (value.Value, error) {
 			v := ia.load(t)
 			switch v.Kind() {
@@ -744,11 +749,16 @@ func fusedCmp(ia *identAccess, cv value.Value, opc cmpOp) CompiledExpr {
 				return value.Bool((v.Str() == cs) == eq), nil
 			case value.KindNull:
 				return value.Null(), nil
+			case value.KindTime:
+				if isTime {
+					return value.Bool(opc.holds(compareTimes(v.TimeRaw(), ct))), nil
+				}
 			}
 			return compareVals(opStr, v, cv)
 		}
 	case cv.Kind() == value.KindString:
 		cs := cv.Str()
+		ct, isTime := ParseTimeLiteral(cs) // as above
 		return func(_ context.Context, t value.Tuple) (value.Value, error) {
 			v := ia.load(t)
 			switch v.Kind() {
@@ -756,6 +766,10 @@ func fusedCmp(ia *identAccess, cv value.Value, opc cmpOp) CompiledExpr {
 				return value.Bool(opc.holds(strings.Compare(v.Str(), cs))), nil
 			case value.KindNull:
 				return value.Null(), nil
+			case value.KindTime:
+				if isTime {
+					return value.Bool(opc.holds(compareTimes(v.TimeRaw(), ct))), nil
+				}
 			}
 			return compareVals(opStr, v, cv)
 		}

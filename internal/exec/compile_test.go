@@ -201,6 +201,7 @@ func TestCompiledFilterAllocFree(t *testing.T) {
 		"n IN (5, 6, 7)",
 		"text IN ('a', 'b')",
 		"n IS NOT NULL",
+		"ts >= '2011-06-12 13:00:00'", // the time literal is parsed at compile time, not per row
 	} {
 		x := whereExpr(t, src)
 		fn, err := ev.Compile(x, schema)

@@ -341,6 +341,12 @@ var timeLayouts = []string{
 // cannot disagree on what a literal means.
 func ParseTimeLiteral(s string) (time.Time, bool) {
 	s = strings.TrimSpace(s)
+	// Every layout opens with a four-digit year and a full date; most
+	// string constants a comparison meets ('en', a username) fail that
+	// here, without time.Parse building an error per layout.
+	if len(s) < len("2006-01-02") || s[0] < '0' || s[0] > '9' {
+		return time.Time{}, false
+	}
 	for _, layout := range timeLayouts {
 		if t, err := time.Parse(layout, s); err == nil {
 			return t, true

@@ -44,6 +44,20 @@ func TestTimeStringComparisonBothPaths(t *testing.T) {
 		catalog.TweetTuple(&tweet.Tweet{ID: 2, CreatedAt: base}),
 		catalog.TweetTuple(&tweet.Tweet{ID: 3, CreatedAt: base.Add(time.Hour)}),
 	}
+	// Lanes the folded constant must not change: a zero time, and
+	// created_at drifted to a string (compares as a string) or NULL.
+	createdAt, _ := catalog.TweetSchema.Index("created_at")
+	drift := func(id int64, v value.Value) value.Tuple {
+		row := catalog.TweetTuple(&tweet.Tweet{ID: id, CreatedAt: base})
+		row.Values[createdAt] = v
+		return row
+	}
+	odd := append(append([]value.Tuple(nil), rows...),
+		catalog.TweetTuple(&tweet.Tweet{ID: 4}),
+		drift(5, value.String("2011-06-12 13:00:00")),
+		drift(6, value.String("not a time")),
+		drift(7, value.Null()),
+	)
 	exprs := []string{
 		`created_at > '2011-06-12 12:00:00'`,
 		`created_at >= '2011-06-12 12:00:00'`,
@@ -54,6 +68,8 @@ func TestTimeStringComparisonBothPaths(t *testing.T) {
 		`'2011-06-12 12:00:00' < created_at`,
 		`created_at > 'not a time'`, // unparseable: unequal kinds, op-dependent constant
 		`created_at != 'not a time'`,
+		`created_at >= '0001-01-01'`, // parses to the zero time
+		`'2011-06-12T12:00:00+02:00' >= created_at`,
 	}
 	ctx := context.Background()
 	for _, src := range exprs {
@@ -68,7 +84,23 @@ func TestTimeStringComparisonBothPaths(t *testing.T) {
 			t.Fatalf("%s: compile: %v", src, err)
 		}
 		evI := NewEvaluator(catalog.New())
-		for i, row := range rows {
+		// The vectorized kernel keeps exactly the lanes the interpreter
+		// finds true — over the all-time batch (the homogeneous loop the
+		// folded literal feeds) and over the mixed one.
+		pred := buildVecPred(evC, x, catalog.TweetSchema, &Stats{})
+		for _, batch := range [][]value.Tuple{rows, odd} {
+			var cb ColBatch
+			cb.Reset(batch, catalog.TweetSchema)
+			sel := newSel(nil, len(batch))
+			pred(ctx, &cb, sel)
+			for i, row := range batch {
+				want, _ := evI.Eval(ctx, x, row)
+				if got := sel[i/64]&(1<<uint(i%64)) != 0; got != (!want.IsNull() && want.Truthy()) {
+					t.Fatalf("%s lane %d of %d: vector keeps=%v, interpreted=%s", src, i, len(batch), got, want)
+				}
+			}
+		}
+		for i, row := range odd {
 			gotC, errC := fn(ctx, row)
 			gotI, errI := evI.Eval(ctx, x, row)
 			if (errC == nil) != (errI == nil) {

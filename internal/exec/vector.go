@@ -18,6 +18,7 @@ import (
 	"context"
 	"math/bits"
 	"strings"
+	"time"
 
 	"tweeql/internal/lang"
 	"tweeql/internal/tweet"
@@ -220,9 +221,14 @@ func vecFusedCmp(ia *identAccess, cv value.Value, opc cmpOp, lane lanePred) vecP
 	case cv.Kind() == value.KindString && (opc == opEQ || opc == opNE):
 		cs := cv.Str() // kernel: kind pre-proven
 		eq := opc == opEQ
+		timeKernel := vecTimeLiteralCmp(cs, opc)
 		return func(ctx context.Context, cb *ColBatch, sel []uint64) {
 			col := cb.col(ia)
 			andValid(sel, col.Valid())
+			if timeKernel != nil && col.Homog() == value.KindTime {
+				timeKernel(col.Times(), sel)
+				return
+			}
 			if col.Homog() == value.KindString {
 				xs := col.Strs()
 				for w, word := range sel {
@@ -248,9 +254,14 @@ func vecFusedCmp(ia *identAccess, cv value.Value, opc cmpOp, lane lanePred) vecP
 		}
 	case cv.Kind() == value.KindString:
 		cs := cv.Str() // kernel: kind pre-proven
+		timeKernel := vecTimeLiteralCmp(cs, opc)
 		return func(ctx context.Context, cb *ColBatch, sel []uint64) {
 			col := cb.col(ia)
 			andValid(sel, col.Valid())
+			if timeKernel != nil && col.Homog() == value.KindTime {
+				timeKernel(col.Times(), sel)
+				return
+			}
 			if col.Homog() == value.KindString {
 				xs := col.Strs()
 				for w, word := range sel {
@@ -275,26 +286,12 @@ func vecFusedCmp(ia *identAccess, cv value.Value, opc cmpOp, lane lanePred) vecP
 			})
 		}
 	case cv.Kind() == value.KindTime && !cv.TimeRaw().IsZero():
-		// value.Compare orders times by instant (Before/After), which is
-		// UnixNano order for every representable non-zero time; zero
-		// times are tagged kindLaneOdd and take the row path.
-		cns := cv.TimeRaw().UnixNano() // kernel: kind pre-proven
+		timeKernel := vecTimeCmp(cv.TimeRaw(), opc) // kernel: kind pre-proven
 		return func(ctx context.Context, cb *ColBatch, sel []uint64) {
 			col := cb.col(ia)
 			andValid(sel, col.Valid())
 			if col.Homog() == value.KindTime {
-				xs := col.Times()
-				for w, word := range sel {
-					var res uint64
-					for word != 0 {
-						i := bits.TrailingZeros64(word)
-						word &^= 1 << uint(i)
-						if opc.holds(threeWay64(xs[w*64+i], cns)) {
-							res |= 1 << uint(i)
-						}
-					}
-					sel[w] &= res
-				}
+				timeKernel(col.Times(), sel)
 				return
 			}
 			// Mixed lanes take the full closure: a string lane compared
@@ -307,6 +304,41 @@ func vecFusedCmp(ia *identAccess, cv value.Value, opc cmpOp, lane lanePred) vecP
 	// Bool/list constants are rare enough that the generic row closure
 	// is the kernel.
 	return nil
+}
+
+// vecTimeCmp is the lane loop of a KindTime-homogeneous column (xs its
+// UnixNano lanes) ⊗ a non-zero time constant. value.Compare orders
+// times by instant (Before/After), which is UnixNano order for every
+// representable non-zero time; zero times are tagged kindLaneOdd, so a
+// KindTime-homogeneous vector holds none.
+func vecTimeCmp(ct time.Time, opc cmpOp) func(xs []int64, sel []uint64) {
+	cns := ct.UnixNano()
+	return func(xs []int64, sel []uint64) {
+		for w, word := range sel {
+			var res uint64
+			for word != 0 {
+				i := bits.TrailingZeros64(word)
+				word &^= 1 << uint(i)
+				if opc.holds(threeWay64(xs[w*64+i], cns)) {
+					res |= 1 << uint(i)
+				}
+			}
+			sel[w] &= res
+		}
+	}
+}
+
+// vecTimeLiteralCmp is vecTimeCmp for a string constant that parses as
+// a time literal — `created_at >= '2011-06-12 13:00:00'` against a time
+// column coerces (compareTimeString), and the constant is parsed once
+// here rather than per lane on the row path. nil when the string is not
+// a (non-zero) time literal.
+func vecTimeLiteralCmp(lit string, opc cmpOp) func(xs []int64, sel []uint64) {
+	ct, ok := ParseTimeLiteral(lit)
+	if !ok || ct.IsZero() {
+		return nil
+	}
+	return vecTimeCmp(ct, opc)
 }
 
 func threeWay64(a, b int64) int {

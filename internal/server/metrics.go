@@ -228,6 +228,8 @@ func (s *Server) renderMetrics() string {
 	fam(&b, "tweeqld_table_segments_pruned_total", "counter", "Segments skipped by time-range pruning.")
 	fam(&b, "tweeqld_table_blocks_read_total", "counter", "Column blocks decoded by table scans (v2 segments).")
 	fam(&b, "tweeqld_table_blocks_skipped_total", "counter", "Column blocks skipped on zone-map time bounds (v2 segments).")
+	fam(&b, "tweeqld_table_chunks_decoded_total", "counter", "Column chunks decoded inside the blocks table scans read (v2 segments).")
+	fam(&b, "tweeqld_table_chunks_skipped_total", "counter", "Column chunks stepped over undecoded because the query does not reference the column (v2 segments).")
 	// 1 when persistent append failures flipped the table read-only
 	// (reads still serve; writers see ErrReadOnly and count degraded).
 	fam(&b, "tweeqld_table_readonly", "gauge", "1 when the table degraded to read-only after write failures.")
@@ -247,6 +249,8 @@ func (s *Server) renderMetrics() string {
 			fmt.Fprintf(&b, "tweeqld_table_segments_pruned_total%s %d\n", l, c.SegmentsPruned)
 			fmt.Fprintf(&b, "tweeqld_table_blocks_read_total%s %d\n", l, c.BlocksRead)
 			fmt.Fprintf(&b, "tweeqld_table_blocks_skipped_total%s %d\n", l, c.BlocksSkipped)
+			fmt.Fprintf(&b, "tweeqld_table_chunks_decoded_total%s %d\n", l, c.ChunksDecoded)
+			fmt.Fprintf(&b, "tweeqld_table_chunks_skipped_total%s %d\n", l, c.ChunksSkipped)
 			appendLat, scanLat := st.LatencySnapshots()
 			labels := fmt.Sprintf("table=%q", t.Name)
 			hist(&b, "tweeqld_table_append_latency_seconds", labels, appendLat)

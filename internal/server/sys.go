@@ -159,6 +159,8 @@ func (o *sysObserver) collect(now time.Time) []obs.Metric {
 			c := st.ScanCounters()
 			b.add("table_blocks_read", l, float64(c.BlocksRead))
 			b.add("table_blocks_skipped", l, float64(c.BlocksSkipped))
+			b.add("table_chunks_decoded", l, float64(c.ChunksDecoded))
+			b.add("table_chunks_skipped", l, float64(c.ChunksSkipped))
 		}
 	}
 

@@ -323,9 +323,12 @@ func nextChunk(p []byte) (tag byte, payload, rest []byte, err error) {
 }
 
 // decodeColBlock decodes one block body (the bytes inside the length
-// frame) into rows carrying schema. Every malformed shape returns
-// ErrCorrupt; no input may panic or over-allocate past the input size.
-func decodeColBlock(body []byte, schema *value.Schema) ([]value.Tuple, error) {
+// frame) into rows of proj.schema. Only the projection's columns are
+// decoded, straight into the rows' shared value arena; the other
+// columns' chunks are framed and stepped over, their payloads never
+// inspected. Every malformed shape met on the way returns ErrCorrupt;
+// no input may panic or over-allocate past the input size.
+func decodeColBlock(body []byte, proj *projection) ([]value.Tuple, error) {
 	n64, w := binary.Uvarint(body)
 	if w <= 0 || n64 == 0 {
 		return nil, errColCorrupt("bad row count")
@@ -342,175 +345,150 @@ func decodeColBlock(body []byte, schema *value.Schema) ([]value.Tuple, error) {
 		return nil, errColCorrupt("bad timestamp chunk")
 	}
 	n := int(n64)
-	tss, err := decodeTimeChunk(payload, n)
-	if err != nil {
+	// One time buffer serves the event timestamps and then, as scratch,
+	// every time-coded data column.
+	times := make([]time.Time, n)
+	if err := decodeTimeChunk(payload, times); err != nil {
 		return nil, err
 	}
-	cols := schema.Len()
-	arena := make([]value.Value, n*cols)
+	k := len(proj.idx)
+	rows := make([]value.Tuple, n)
+	arena := make([]value.Value, n*k)
+	for i := range rows {
+		rows[i] = value.Tuple{
+			Schema: proj.schema,
+			Values: arena[i*k : (i+1)*k : (i+1)*k],
+			TS:     times[i],
+		}
+	}
 	p = rest
-	for c := 0; c < cols; c++ {
+	for c, j := 0, 0; c < proj.width; c++ {
 		tag, payload, rest, err = nextChunk(p)
 		if err != nil {
 			return nil, err
 		}
-		vals, err := decodeChunk(tag, payload, n)
-		if err != nil {
+		p = rest
+		if j == k || proj.idx[j] != c {
+			continue
+		}
+		// Column j of the output: arena cells j, j+k, j+2k, …
+		if err := decodeChunk(tag, payload, arena[j:], k, times); err != nil {
 			return nil, err
 		}
-		for i := 0; i < n; i++ {
-			arena[i*cols+c] = vals[i]
-		}
-		p = rest
+		j++
 	}
 	if len(p) != 0 {
 		return nil, errColCorrupt("trailing bytes")
 	}
-	rows := make([]value.Tuple, n)
-	for i := range rows {
-		rows[i] = value.Tuple{
-			Schema: schema,
-			Values: arena[i*cols : (i+1)*cols : (i+1)*cols],
-			TS:     tss[i],
-		}
-	}
 	return rows, nil
 }
 
-// decodeChunk decodes one column chunk into n values.
-func decodeChunk(tag byte, payload []byte, n int) ([]value.Value, error) {
+// decodeChunk decodes one column chunk into dst[0], dst[stride],
+// dst[2*stride], … — one value per row, len(scratch) of them.
+func decodeChunk(tag byte, payload []byte, dst []value.Value, stride int, scratch []time.Time) error {
+	n := len(scratch)
 	switch tag {
 	case chunkRaw:
-		return decodeRawChunk(payload, n)
+		if n > len(payload) { // every encoded value is at least one byte
+			return errColCorrupt("short raw chunk")
+		}
+		off := 0
+		for i := 0; i < n; i++ {
+			v, w, err := value.DecodeValue(payload[off:])
+			if err != nil {
+				return errColCorrupt("bad raw value")
+			}
+			dst[i*stride] = v
+			off += w
+		}
+		if off != len(payload) {
+			return errColCorrupt("raw chunk length mismatch")
+		}
 	case chunkDict:
-		return decodeDictChunk(payload, n)
+		cnt, w := binary.Uvarint(payload)
+		if w <= 0 || cnt > uint64(len(payload)) {
+			return errColCorrupt("bad dictionary size")
+		}
+		p := payload[w:]
+		dict := make([]value.Value, cnt)
+		for i := range dict {
+			l, w := binary.Uvarint(p)
+			if w <= 0 || uint64(len(p)-w) < l {
+				return errColCorrupt("bad dictionary entry")
+			}
+			dict[i] = value.String(string(p[w : w+int(l)]))
+			p = p[w+int(l):]
+		}
+		for i := 0; i < n; i++ {
+			id, w := binary.Uvarint(p)
+			if w <= 0 || id >= cnt {
+				return errColCorrupt("bad dictionary index")
+			}
+			dst[i*stride] = dict[id]
+			p = p[w:]
+		}
+		if len(p) != 0 {
+			return errColCorrupt("dictionary chunk length mismatch")
+		}
 	case chunkInts:
-		return decodeIntChunk(payload, n)
+		var prev int64
+		for i := 0; i < n; i++ {
+			d, w := binary.Varint(payload)
+			if w <= 0 {
+				return errColCorrupt("bad int delta")
+			}
+			prev += d
+			dst[i*stride] = value.Int(prev)
+			payload = payload[w:]
+		}
+		if len(payload) != 0 {
+			return errColCorrupt("int chunk length mismatch")
+		}
 	case chunkTimes:
-		tss, err := decodeTimeChunk(payload, n)
-		if err != nil {
-			return nil, err
+		if err := decodeTimeChunk(payload, scratch); err != nil {
+			return err
 		}
-		out := make([]value.Value, n)
-		for i, ts := range tss {
-			out[i] = value.Time(ts)
+		for i, ts := range scratch {
+			dst[i*stride] = value.Time(ts)
 		}
-		return out, nil
 	case chunkFloats:
-		return decodeFloatChunk(payload, n)
+		if len(payload) != n*8 {
+			return errColCorrupt("bad float chunk size")
+		}
+		for i := 0; i < n; i++ {
+			dst[i*stride] = value.Float(math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:])))
+		}
 	case chunkBools:
-		return decodeBoolChunk(payload, n)
-	}
-	return nil, errColCorrupt(fmt.Sprintf("unknown chunk tag %d", tag))
-}
-
-func decodeRawChunk(payload []byte, n int) ([]value.Value, error) {
-	if n > len(payload) { // every encoded value is at least one byte
-		return nil, errColCorrupt("short raw chunk")
-	}
-	out := make([]value.Value, n)
-	off := 0
-	for i := 0; i < n; i++ {
-		v, w, err := value.DecodeValue(payload[off:])
-		if err != nil {
-			return nil, errColCorrupt("bad raw value")
+		if len(payload) != (n+7)/8 {
+			return errColCorrupt("bad bool chunk size")
 		}
-		out[i] = v
-		off += w
-	}
-	if off != len(payload) {
-		return nil, errColCorrupt("raw chunk length mismatch")
-	}
-	return out, nil
-}
-
-func decodeDictChunk(payload []byte, n int) ([]value.Value, error) {
-	cnt, w := binary.Uvarint(payload)
-	if w <= 0 || cnt > uint64(len(payload)) {
-		return nil, errColCorrupt("bad dictionary size")
-	}
-	p := payload[w:]
-	dict := make([]value.Value, cnt)
-	for i := range dict {
-		l, w := binary.Uvarint(p)
-		if w <= 0 || uint64(len(p)-w) < l {
-			return nil, errColCorrupt("bad dictionary entry")
+		for i := 0; i < n; i++ {
+			dst[i*stride] = value.Bool(payload[i/8]&(1<<uint(i%8)) != 0)
 		}
-		dict[i] = value.String(string(p[w : w+int(l)]))
-		p = p[w+int(l):]
+	default:
+		return errColCorrupt(fmt.Sprintf("unknown chunk tag %d", tag))
 	}
-	out := make([]value.Value, n)
-	for i := 0; i < n; i++ {
-		id, w := binary.Uvarint(p)
-		if w <= 0 || id >= cnt {
-			return nil, errColCorrupt("bad dictionary index")
-		}
-		out[i] = dict[id]
-		p = p[w:]
-	}
-	if len(p) != 0 {
-		return nil, errColCorrupt("dictionary chunk length mismatch")
-	}
-	return out, nil
-}
-
-func decodeIntChunk(payload []byte, n int) ([]value.Value, error) {
-	out := make([]value.Value, n)
-	var prev int64
-	for i := 0; i < n; i++ {
-		d, w := binary.Varint(payload)
-		if w <= 0 {
-			return nil, errColCorrupt("bad int delta")
-		}
-		prev += d
-		out[i] = value.Int(prev)
-		payload = payload[w:]
-	}
-	if len(payload) != 0 {
-		return nil, errColCorrupt("int chunk length mismatch")
-	}
-	return out, nil
-}
-
-func decodeFloatChunk(payload []byte, n int) ([]value.Value, error) {
-	if len(payload) != n*8 {
-		return nil, errColCorrupt("bad float chunk size")
-	}
-	out := make([]value.Value, n)
-	for i := 0; i < n; i++ {
-		out[i] = value.Float(math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:])))
-	}
-	return out, nil
-}
-
-func decodeBoolChunk(payload []byte, n int) ([]value.Value, error) {
-	if len(payload) != (n+7)/8 {
-		return nil, errColCorrupt("bad bool chunk size")
-	}
-	out := make([]value.Value, n)
-	for i := 0; i < n; i++ {
-		out[i] = value.Bool(payload[i/8]&(1<<uint(i%8)) != 0)
-	}
-	return out, nil
+	return nil
 }
 
 // decodeTimeChunk decodes a presence-bitmap + delta-of-delta varint
-// time chunk.
-func decodeTimeChunk(payload []byte, n int) ([]time.Time, error) {
+// time chunk into out, one time per row (the zero time where absent).
+func decodeTimeChunk(payload []byte, out []time.Time) error {
+	n := len(out)
 	bm := (n + 7) / 8
 	if len(payload) < bm {
-		return nil, errColCorrupt("short time bitmap")
+		return errColCorrupt("short time bitmap")
 	}
 	p := payload[bm:]
-	out := make([]time.Time, n)
 	var prev, prevDelta int64
 	for i := 0; i < n; i++ {
 		if payload[i/8]&(1<<uint(i%8)) == 0 {
+			out[i] = time.Time{}
 			continue
 		}
 		dd, w := binary.Varint(p)
 		if w <= 0 {
-			return nil, errColCorrupt("bad time delta")
+			return errColCorrupt("bad time delta")
 		}
 		prevDelta += dd
 		prev += prevDelta
@@ -518,9 +496,9 @@ func decodeTimeChunk(payload []byte, n int) ([]time.Time, error) {
 		p = p[w:]
 	}
 	if len(p) != 0 {
-		return nil, errColCorrupt("time chunk length mismatch")
+		return errColCorrupt("time chunk length mismatch")
 	}
-	return out, nil
+	return nil
 }
 
 // convertToColumnar rewrites a flushed, fsynced, closed v1 segment as a
@@ -614,7 +592,7 @@ func recoverColSegment(m *segMeta) error {
 		if !ok {
 			break
 		}
-		rows, err := decodeColBlock(body, m.schema)
+		rows, err := decodeColBlock(body, newProjection(m.schema, nil))
 		if err != nil {
 			break
 		}
@@ -676,10 +654,12 @@ func scanColFile(m *segMeta, from, to time.Time, s *scanState) error {
 		if !ok {
 			return fmt.Errorf("%w: segment %s: corrupt block frame", ErrCorrupt, m.path)
 		}
-		rows, err := decodeColBlock(body, m.schema)
+		rows, err := decodeColBlock(body, s.proj)
 		if err != nil {
 			return fmt.Errorf("%w: segment %s: %v", ErrCorrupt, m.path, err)
 		}
+		s.chunksDecoded += int64(len(s.proj.idx))
+		s.chunksSkipped += int64(s.proj.width - len(s.proj.idx))
 		for i := range rows {
 			if err := filterPush(rows[i], m.ordered, from, to, s); err != nil {
 				if err == errStopScan {

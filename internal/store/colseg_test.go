@@ -239,6 +239,64 @@ func TestColumnarBlockSkip(t *testing.T) {
 	}
 }
 
+// TestScanColumnsPrunedSchemaAndCounters pins the pruned scan's two
+// promises to the engine: every row — decoded from a v2 block, from the
+// v1 active segment, or from the append buffer — carries exactly the
+// schema object PrunedSchema reported (so compiled column indices
+// apply), and the chunk counters account for every column of every
+// block read.
+func TestScanColumnsPrunedSchemaAndCounters(t *testing.T) {
+	tab := mustOpen(t, Options{Dir: t.TempDir(), Columnar: true, ColBlockRows: 64})
+	if err := tab.AppendBatch(tweetRows(0, 256)); err != nil {
+		t.Fatal(err)
+	}
+	sealNow(t, tab) // rows 0..255: four v2 blocks
+	if err := tab.AppendBatch(tweetRows(256, 300)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Flush(); err != nil { // rows 256..299: v1 on disk
+		t.Fatal(err)
+	}
+	if err := tab.AppendBatch(tweetRows(300, 320)); err != nil { // buffered
+		t.Fatal(err)
+	}
+
+	cols := []string{"followers", "USERNAME"}
+	want := tab.PrunedSchema(cols)
+	if want.String() != "(username string, followers int)" {
+		t.Fatalf("PrunedSchema = %v", want)
+	}
+	c0 := tab.ScanCounters()
+	n := 0
+	err := tab.ScanColumns(time.Time{}, time.Time{}, 50, cols, func(batch []value.Tuple) error {
+		for _, row := range batch {
+			full := tweetRow(n)
+			if row.Schema != want {
+				t.Fatalf("row %d carries schema %p %v, PrunedSchema reported %p", n, row.Schema, row.Schema, want)
+			}
+			if len(row.Values) != 2 || row.Values[0].String() != full.Get("username").String() ||
+				row.Values[1].String() != full.Get("followers").String() || !row.TS.Equal(full.TS) {
+				t.Fatalf("row %d = %v @%v, want the projection of %v", n, row, row.TS, full)
+			}
+			n++
+		}
+		return nil
+	})
+	if err != nil || n != 320 {
+		t.Fatalf("pruned scan: %d rows, err %v", n, err)
+	}
+	c1 := tab.ScanCounters()
+	if dec, skip := c1.ChunksDecoded-c0.ChunksDecoded, c1.ChunksSkipped-c0.ChunksSkipped; dec != 4*2 || skip != 4*2 {
+		t.Errorf("chunks decoded=%d skipped=%d over 4 blocks of 4 columns, want 8 and 8", dec, skip)
+	}
+	if again := tab.PrunedSchema([]string{"username", "followers", "absent"}); again != want {
+		t.Error("the same kept columns must map to the same cached schema object")
+	}
+	if tab.PrunedSchema(nil) != tab.Schema() {
+		t.Error("PrunedSchema(nil) must be the table schema itself")
+	}
+}
+
 // TestColumnarUpgradeKeepsV1Readable pins the migration story: a table
 // full of v1 segments reopened with Columnar=true keeps reading them,
 // new seals come out v2, and the mixed table scans as one stream.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"testing"
@@ -24,14 +25,14 @@ func requireCorruptErr(t *testing.T, err error) {
 // directory: open (header decode + recovery or sidecar trust), then a
 // full scan. Every outcome other than success or ErrCorrupt — above
 // all a panic or an unbounded allocation — is a bug.
-func openAndScan(t *testing.T, dir string) {
+func openAndScan(t *testing.T, dir string, cols []string) {
 	tab, err := Open(Options{Dir: dir, Fsync: FsyncNone})
 	if err != nil {
 		requireCorruptErr(t, err)
 		return
 	}
 	defer tab.Close()
-	err = tab.Scan(time.Time{}, time.Time{}, 64, func([]value.Tuple) error { return nil })
+	err = tab.ScanColumns(time.Time{}, time.Time{}, 64, cols, func([]value.Tuple) error { return nil })
 	if err != nil {
 		requireCorruptErr(t, err)
 	}
@@ -86,7 +87,7 @@ func FuzzScanFile(f *testing.F) {
 		if err := writeIndex(m, false); err != nil {
 			t.Fatal(err)
 		}
-		openAndScan(t, sealed)
+		openAndScan(t, sealed, nil)
 
 		// Recovery path: no sidecar; the open re-scans the data file and
 		// truncates at the first undecodable record.
@@ -183,10 +184,13 @@ func sealColSeed(f *testing.F) (*Table, *segMeta) {
 
 // FuzzDecodeColBlock proves hostile v2 block bytes always surface as
 // ErrCorrupt (or a clean recovery truncation), never a panic and never
-// an unbounded allocation. Each input runs through the raw block
-// decoder and through the full open-and-scan path as the single block
-// of a sealed v2 segment whose sidecar vouches for it. The corpus is
-// seeded from a real columnar segment.
+// an unbounded allocation — decoding every column and decoding a fuzzed
+// subset (bit c of mask keeps testSchema column c). Whenever the full
+// decode succeeds the pruned decode must too, and equal its projection:
+// pruning may only ever skip work. Each input runs through the raw
+// block decoder and through the full open-and-scan path as the single
+// block of a sealed v2 segment whose sidecar vouches for it. The corpus
+// is seeded from a real columnar segment.
 func FuzzDecodeColBlock(f *testing.F) {
 	tab, m := sealColSeed(f)
 	data, err := os.ReadFile(m.path)
@@ -201,20 +205,44 @@ func FuzzDecodeColBlock(f *testing.F) {
 	if err := tab.Close(); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(append([]byte(nil), body...))               // one valid block body
-	f.Add(append([]byte(nil), frame...))              // framed (CRC'd) block
-	f.Add(append([]byte(nil), body[:len(body)/2]...)) // torn mid-chunk
+	f.Add(append([]byte(nil), body...), uint8(0b111))               // one valid block body
+	f.Add(append([]byte(nil), body...), uint8(0b010))               // ... one column of it
+	f.Add(append([]byte(nil), body...), uint8(0))                   // ... no column at all
+	f.Add(append([]byte(nil), frame...), uint8(0b101))              // framed (CRC'd) block
+	f.Add(append([]byte(nil), body[:len(body)/2]...), uint8(0b100)) // torn mid-chunk
 	flipped := append([]byte(nil), body...)
 	flipped[len(flipped)/2] ^= 0xFF // content flip inside a chunk
-	f.Add(flipped)
-	f.Add(data[m.hdrLen:]) // the whole block region
-	f.Add([]byte{})
+	f.Add(flipped, uint8(0b001))
+	f.Add(data[m.hdrLen:], uint8(0b011)) // the whole block region
+	f.Add([]byte{}, uint8(0b110))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, mask uint8) {
+		var cols []string
+		for c := 0; c < testSchema.Len(); c++ {
+			if mask&(1<<uint(c)) != 0 {
+				cols = append(cols, testSchema.Field(c).Name)
+			}
+		}
+		if cols == nil {
+			cols = []string{} // a zero-column plan, not "all columns"
+		}
+		proj := newProjection(testSchema, cols)
+
 		// Raw decoder: the sidecar and frame CRC have already been
 		// bypassed, so the decoder must bound every allocation itself.
-		if _, err := decodeColBlock(data, testSchema); err != nil {
-			requireCorruptErr(t, err)
+		full, fullErr := decodeColBlock(data, newProjection(testSchema, nil))
+		if fullErr != nil {
+			requireCorruptErr(t, fullErr)
+		}
+		part, partErr := decodeColBlock(data, proj)
+		if partErr != nil {
+			requireCorruptErr(t, partErr)
+		}
+		if fullErr == nil {
+			if partErr != nil {
+				t.Fatalf("full decode succeeded, pruned to %v failed: %v", cols, partErr)
+			}
+			requireProjection(t, full, part, proj.schema, proj.idx)
 		}
 
 		// Full path: a valid v2 header, the fuzz bytes as the data
@@ -235,8 +263,30 @@ func FuzzDecodeColBlock(f *testing.F) {
 		if err := writeIndex(m, false); err != nil {
 			t.Fatal(err)
 		}
-		openAndScan(t, dir)
+		openAndScan(t, dir, cols)
 	})
+}
+
+// requireProjection asserts part is full with every row cut down to
+// columns idx under schema: same rows, same order, same timestamps,
+// values identical by their canonical encoding.
+func requireProjection(t *testing.T, full, part []value.Tuple, schema *value.Schema, idx []int) {
+	t.Helper()
+	if len(part) != len(full) {
+		t.Fatalf("pruned decode has %d rows, full %d", len(part), len(full))
+	}
+	for r := range full {
+		if part[r].Schema != schema || len(part[r].Values) != len(idx) || !part[r].TS.Equal(full[r].TS) {
+			t.Fatalf("row %d: pruned %v (schema %v) does not project full %v onto %v", r, part[r], part[r].Schema, full[r], idx)
+		}
+		for j, c := range idx {
+			got := value.AppendValue(nil, part[r].Values[j])
+			want := value.AppendValue(nil, full[r].Values[c])
+			if !bytes.Equal(got, want) {
+				t.Fatalf("row %d column %d: pruned %v, full %v", r, c, part[r].Values[j], full[r].Values[c])
+			}
+		}
+	}
 }
 
 // FuzzReadZoneMap proves a hostile v2 sidecar (zone map included)

@@ -151,6 +151,12 @@ type Table struct {
 	pruned        atomic.Int64 // segments skipped by time-range pruning
 	blocksRead    atomic.Int64 // v2 column blocks decoded by scans
 	blocksSkipped atomic.Int64 // v2 column blocks skipped on zone bounds
+	chunksDecoded atomic.Int64 // v2 column chunks decoded by scans
+	chunksSkipped atomic.Int64 // v2 column chunks framed past undecoded
+
+	// projs caches the pruning projections, one per (segment schema
+	// structure, kept column set); see projectionLocked. Guarded by mu.
+	projs map[string]*projection
 
 	// appendLat/scanLat time whole AppendBatch and Scan calls (nil when
 	// Options.NoLatencyHist): the store's contribution to /metrics.
@@ -660,13 +666,17 @@ func (t *Table) Segments() (sealed, active int) {
 }
 
 // Counters is a snapshot of the table's cumulative scan counters: how
-// many whole segments scans read vs pruned on segment time bounds, and
-// how many v2 column blocks they decoded vs skipped on zone-map bounds.
+// many whole segments scans read vs pruned on segment time bounds, how
+// many v2 column blocks they decoded vs skipped on zone-map bounds, and
+// inside the blocks read, how many schema-column chunks they decoded vs
+// framed past because the query did not reference the column.
 type Counters struct {
 	SegmentsScanned int64
 	SegmentsPruned  int64
 	BlocksRead      int64
 	BlocksSkipped   int64
+	ChunksDecoded   int64
+	ChunksSkipped   int64
 }
 
 // ScanCounters reports cumulative scan counters across all scans, the
@@ -677,6 +687,8 @@ func (t *Table) ScanCounters() Counters {
 		SegmentsPruned:  t.pruned.Load(),
 		BlocksRead:      t.blocksRead.Load(),
 		BlocksSkipped:   t.blocksSkipped.Load(),
+		ChunksDecoded:   t.chunksDecoded.Load(),
+		ChunksSkipped:   t.chunksSkipped.Load(),
 	}
 }
 
@@ -687,14 +699,88 @@ func (t *Table) LatencySnapshots() (appendLat, scanLat obs.HistSnapshot) {
 	return t.appendLat.Snapshot(), t.scanLat.Snapshot()
 }
 
-// Scan streams every row whose event timestamp falls in [from, to]
-// (zero bounds are open; rows without an event time always match) to
-// fn in freshly allocated batches of at most batchHint rows, in append
-// order. Segments whose timestamp range cannot overlap the query's are
-// pruned without being read; ordered segments additionally seek via
-// their sparse index and stop early past the upper bound. fn owns each
-// batch; an error from fn stops the scan and is returned.
+// projection is the column subset one scan reads from segments of one
+// schema structure; every column, when the scan prunes nothing.
+type projection struct {
+	schema *value.Schema // what delivered rows carry; the segment schema itself when nothing is pruned
+	idx    []int         // the segment-schema column behind each field, ascending
+	width  int           // columns in the segment schema
+}
+
+// newProjection projects cols (nil = all) onto a segment schema by
+// value.Schema.Prune's rule.
+func newProjection(schema *value.Schema, cols []string) *projection {
+	pruned, idx := schema.Prune(cols)
+	return &projection{schema: pruned, idx: idx, width: schema.Len()}
+}
+
+// narrow cuts a freshly decoded full-width row down to the projection
+// in place: idx ascends, so each kept value moves left or stays.
+func (p *projection) narrow(rec *value.Tuple) {
+	for j, c := range p.idx {
+		rec.Values[j] = rec.Values[c]
+	}
+	k := len(p.idx)
+	rec.Values = rec.Values[:k:k]
+	rec.Schema = p.schema
+}
+
+// projectionLocked is newProjection with pruned schemas cached, so that
+// every scan asking for the same columns of the same schema structure
+// delivers rows carrying one *Schema — the one PrunedSchema reported.
+func (t *Table) projectionLocked(schema *value.Schema, key string, cols []string) *projection {
+	p := newProjection(schema, cols)
+	if p.schema == schema {
+		return p // nothing pruned: rows keep the segment's own schema
+	}
+	// Key on the kept positions, not the requested names: the cache is
+	// bounded by the subsets of a schema, whatever statements ask.
+	ck := binary.AppendUvarint(nil, uint64(len(p.idx)))
+	for _, c := range p.idx {
+		ck = binary.AppendUvarint(ck, uint64(c))
+	}
+	ck = append(ck, key...)
+	if cached, ok := t.projs[string(ck)]; ok {
+		return cached
+	}
+	if t.projs == nil {
+		t.projs = make(map[string]*projection)
+	}
+	t.projs[string(ck)] = p
+	return p
+}
+
+// PrunedSchema reports the schema object ScanColumns(…, cols, …) rows
+// carry when read from segments of the newest schema; nil for an empty
+// table.
+func (t *Table) PrunedSchema(cols []string) *value.Schema {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.schema == nil {
+		return nil
+	}
+	return t.projectionLocked(t.schema, value.SchemaKey(t.schema), cols).schema
+}
+
+// Scan is ScanColumns reading every column.
 func (t *Table) Scan(from, to time.Time, batchHint int, fn func([]value.Tuple) error) error {
+	return t.ScanColumns(from, to, batchHint, nil, fn)
+}
+
+// ScanColumns streams every row whose event timestamp falls in [from,
+// to] (zero bounds are open; rows without an event time always match)
+// to fn in freshly allocated batches of at most batchHint rows, in
+// append order. Segments whose timestamp range cannot overlap the
+// query's are pruned without being read; ordered segments additionally
+// seek via their sparse index and stop early past the upper bound. fn
+// owns each batch; an error from fn stops the scan and is returned.
+//
+// cols, when non-nil, names the only columns the caller reads: rows
+// carry the segment schema pruned to them (value.Schema.Prune), and
+// sealed v2 blocks skip the other columns' chunks without decoding
+// them — after the block's whole-frame checksum verified, so corruption
+// in an unread chunk still surfaces as ErrCorrupt.
+func (t *Table) ScanColumns(from, to time.Time, batchHint int, cols []string, fn func([]value.Tuple) error) error {
 	if batchHint < 1 {
 		batchHint = 256
 	}
@@ -719,12 +805,20 @@ func (t *Table) Scan(from, to time.Time, batchHint int, fn func([]value.Tuple) e
 		flushedEnd = t.written
 		segs = append(segs, activeCopy)
 	}
+	projs := make(map[*value.Schema]*projection) // one per distinct segment schema
+	for _, m := range segs {
+		if _, ok := projs[m.schema]; !ok {
+			projs[m.schema] = t.projectionLocked(m.schema, m.key, cols)
+		}
+	}
 	t.mu.Unlock()
 
 	s := &scanState{batchHint: batchHint, fn: fn}
 	defer func() {
 		t.blocksRead.Add(s.blocksRead)
 		t.blocksSkipped.Add(s.blocksSkipped)
+		t.chunksDecoded.Add(s.chunksDecoded)
+		t.chunksSkipped.Add(s.chunksSkipped)
 	}()
 	for _, m := range segs {
 		if !m.overlaps(from, to) {
@@ -732,6 +826,7 @@ func (t *Table) Scan(from, to time.Time, batchHint int, fn func([]value.Tuple) e
 			continue
 		}
 		t.scanned.Add(1)
+		s.proj = projs[m.schema]
 		end := m.dataEnd
 		if m == activeCopy {
 			end = flushedEnd
@@ -758,10 +853,14 @@ type scanState struct {
 	batchHint int
 	batch     []value.Tuple
 	fn        func([]value.Tuple) error
-	// Per-scan zone-map accounting, folded into the table's cumulative
-	// counters when the scan finishes.
+	// proj is the current segment's projection.
+	proj *projection
+	// Per-scan zone-map and chunk accounting, folded into the table's
+	// cumulative counters when the scan finishes.
 	blocksRead    int64
 	blocksSkipped int64
+	chunksDecoded int64
+	chunksSkipped int64
 }
 
 func (s *scanState) push(row value.Tuple) error {
@@ -864,13 +963,18 @@ func scanBytes(data []byte, schema *value.Schema, from, to time.Time, s *scanSta
 }
 
 // filterPush applies the row-level time filter (and the ordered
-// early-stop) before handing the record to the batcher.
+// early-stop) before handing the record to the batcher. v1 records
+// arrive full-width and are narrowed to the scan's projection here; v2
+// rows were decoded already pruned.
 func filterPush(rec value.Tuple, ordered bool, from, to time.Time, s *scanState) error {
 	if ordered && !to.IsZero() && !rec.TS.IsZero() && rec.TS.After(to) {
 		return errStopScan
 	}
 	if !inRange(rec.TS, from, to) {
 		return nil
+	}
+	if rec.Schema != s.proj.schema {
+		s.proj.narrow(&rec)
 	}
 	return s.push(rec)
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tweet is one microblog post. Fields mirror the subset of the 2011
@@ -53,20 +54,21 @@ func Tokenize(text string) []string {
 			tokens = append(tokens, raw)
 			continue
 		}
-		tok := strings.TrimFunc(raw, func(r rune) bool {
-			return !unicode.IsLetter(r) && !unicode.IsNumber(r) && r != '#' && r != '@' && r != '-'
-		})
+		tok := strings.TrimFunc(raw, notTokenRune)
 		// Interior punctuation like "3-0" survives; tokens without any
 		// letter or digit (bare "#", "---") drop.
-		if !strings.ContainsFunc(tok, func(r rune) bool {
-			return unicode.IsLetter(r) || unicode.IsNumber(r)
-		}) {
+		if !strings.ContainsFunc(tok, alnumRune) {
 			continue
 		}
 		tokens = append(tokens, strings.ToLower(tok))
 	}
 	return tokens
 }
+
+func alnumRune(r rune) bool { return unicode.IsLetter(r) || unicode.IsNumber(r) }
+
+// notTokenRune reports a rune Tokenize strips from a token's edges.
+func notTokenRune(r rune) bool { return !alnumRune(r) && r != '#' && r != '@' && r != '-' }
 
 func isURL(s string) bool {
 	return strings.HasPrefix(s, "http://") || strings.HasPrefix(s, "https://")
@@ -111,6 +113,11 @@ func Mentions(text string) []string {
 // substring for multi-word phrases. This is the semantics of TweeQL's
 // `text CONTAINS 'obama'` predicate and of the streaming API's track
 // filter, which both match keywords rather than raw substrings.
+//
+// Single words compare against Tokenize's tokens without building them:
+// nextToken walks the text in place and the common all-ASCII token is
+// case-folded byte by byte against the lowered keyword, so a scan's
+// per-row CONTAINS allocates nothing.
 func ContainsWord(text, word string) bool {
 	word = strings.ToLower(strings.TrimSpace(word))
 	if word == "" {
@@ -119,12 +126,143 @@ func ContainsWord(text, word string) bool {
 	if strings.ContainsRune(word, ' ') {
 		return strings.Contains(strings.ToLower(text), word)
 	}
-	for _, tok := range Tokenize(text) {
-		if tok == word || strings.TrimPrefix(tok, "#") == word {
-			return true
+	for pos := 0; ; {
+		tok, kind, next := nextToken(text, pos)
+		pos = next
+		switch kind {
+		case tokNone:
+			return false
+		case tokURL:
+			// Kept whole and case-preserved; never a hashtag.
+			if tok == word {
+				return true
+			}
+		case tokASCII:
+			if equalFoldASCII(tok, word) || (tok[0] == '#' && equalFoldASCII(tok[1:], word)) {
+				return true
+			}
+		case tokUnicode:
+			// Full Unicode lower-casing (İ, the Kelvin sign, …) exactly as
+			// Tokenize folds it.
+			low := strings.ToLower(tok)
+			if low == word || strings.TrimPrefix(low, "#") == word {
+				return true
+			}
 		}
 	}
-	return false
+}
+
+// tokenKind says how a token nextToken produced compares to Tokenize's:
+// a URL verbatim, the others after lower-casing.
+type tokenKind int
+
+const (
+	tokNone    tokenKind = iota // end of text
+	tokURL                      // http(s) URL, whole and case-preserved
+	tokASCII                    // edge-trimmed, all ASCII, not yet case-folded
+	tokUnicode                  // edge-trimmed, holds non-ASCII bytes, not yet case-folded
+)
+
+// nextToken returns the first Tokenize token of text at or after byte
+// offset pos, as a substring of text, and the offset to resume from.
+// Lower-casing the non-URL tokens yields exactly Tokenize(text), in
+// order (FuzzContainsWord pins it, invalid UTF-8 included).
+func nextToken(text string, pos int) (tok string, kind tokenKind, next int) {
+	for {
+		// strings.Fields' split, one field at a time: skip white space,
+		// then take everything up to the next white space. ASCII bytes
+		// are classified inline; only a non-ASCII byte pays for a decode.
+		for pos < len(text) {
+			c := text[pos]
+			if c < utf8.RuneSelf {
+				if !asciiSpace(c) {
+					break
+				}
+				pos++
+			} else if w, space := unicodeSpaceAt(text, pos); space {
+				pos += w
+			} else {
+				break
+			}
+		}
+		if pos == len(text) {
+			return "", tokNone, pos
+		}
+		start, ascii := pos, true
+		for pos < len(text) {
+			c := text[pos]
+			if c < utf8.RuneSelf {
+				if asciiSpace(c) {
+					break
+				}
+				pos++
+			} else if w, space := unicodeSpaceAt(text, pos); !space {
+				ascii = false
+				pos += w
+			} else {
+				break
+			}
+		}
+		raw := text[start:pos]
+		switch {
+		case isURL(raw):
+			return raw, tokURL, pos
+		case ascii:
+			lo, hi := 0, len(raw)
+			for lo < hi && !tokenByte(raw[lo]) {
+				lo++
+			}
+			for hi > lo && !tokenByte(raw[hi-1]) {
+				hi--
+			}
+			for i := lo; i < hi; i++ {
+				if alnumByte(raw[i]) {
+					return raw[lo:hi], tokASCII, pos
+				}
+			}
+		default:
+			if tok := strings.TrimFunc(raw, notTokenRune); strings.ContainsFunc(tok, alnumRune) {
+				return tok, tokUnicode, pos
+			}
+		}
+		// No letter or digit in the field: Tokenize drops it.
+	}
+}
+
+func asciiSpace(c byte) bool { return c == ' ' || ('\t' <= c && c <= '\r') }
+
+// unicodeSpaceAt decodes the non-ASCII character at text[pos:],
+// reporting its width and whether unicode.IsSpace holds for it.
+func unicodeSpaceAt(text string, pos int) (width int, space bool) {
+	r, w := utf8.DecodeRuneInString(text[pos:])
+	return w, unicode.IsSpace(r)
+}
+
+func alnumByte(c byte) bool {
+	return ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9')
+}
+
+// tokenByte reports an ASCII byte Tokenize keeps at a token's edge.
+func tokenByte(c byte) bool {
+	return alnumByte(c) || c == '#' || c == '@' || c == '-'
+}
+
+// equalFoldASCII reports whether the ASCII token equals the already
+// lower-cased word once its A–Z are folded.
+func equalFoldASCII(tok, lowered string) bool {
+	if len(tok) != len(lowered) {
+		return false
+	}
+	for i := 0; i < len(tok); i++ {
+		c := tok[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lowered[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // ContainsAnyWord reports whether the text contains any of the words,

@@ -2,6 +2,7 @@ package tweet
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -122,5 +123,98 @@ func TestClone(t *testing.T) {
 	c.Lat = 99
 	if orig.Text != "hi" || orig.Lat != 1 {
 		t.Error("Clone shares state with original")
+	}
+}
+
+// containsWordOracle is ContainsWord as it stood before the in-place
+// token scanner: tokenize the whole text, then compare. Kept as the
+// reference FuzzContainsWord holds the scanner to.
+func containsWordOracle(text, word string) bool {
+	word = strings.ToLower(strings.TrimSpace(word))
+	if word == "" {
+		return false
+	}
+	if strings.ContainsRune(word, ' ') {
+		return strings.Contains(strings.ToLower(text), word)
+	}
+	for _, tok := range Tokenize(text) {
+		if tok == word || strings.TrimPrefix(tok, "#") == word {
+			return true
+		}
+	}
+	return false
+}
+
+// scanTokens collects nextToken's stream in Tokenize's form.
+func scanTokens(text string) []string {
+	var tokens []string
+	for pos := 0; ; {
+		tok, kind, next := nextToken(text, pos)
+		if kind == tokNone {
+			return tokens
+		}
+		if kind != tokURL {
+			tok = strings.ToLower(tok)
+		}
+		tokens = append(tokens, tok)
+		pos = next
+	}
+}
+
+// FuzzContainsWord holds the in-place scanner to the tokenizing
+// implementation it replaced: the same token stream as Tokenize and the
+// same verdict, for any text and keyword — non-ASCII case folding and
+// invalid UTF-8 included.
+func FuzzContainsWord(f *testing.F) {
+	for _, s := range [][2]string{
+		{"GOAL!!! Tevez scores, 3-0.", "goal"},
+		{"Watch #obama speak @cnn http://t.co/abc", "obama"},
+		{"see HTTP://T.CO/x and http://t.co/Abc", "http://t.co/abc"},
+		{"##goal --- # @", "#goal"},
+		{"\u0130stanbul derbisi", "i\u0307stanbul"}, // dotted capital I lowers to two runes
+		{"272 \u212Aelvin", "kelvin"},               // the Kelvin sign lowers to ASCII k
+		{"\u0393\u039A\u039F\u039B! 90'", "\u03B3\u03BA\u03BF\u03BB"},
+		{"no\u00A0break\u2003space\u0085nel", "break"}, // non-ASCII white space splits fields
+		{"bad \xff\xfeutf8 go\xffal", "go\uFFFDal"},
+		{"premier league tonight", "premier league"},
+		{"tab\tin\tword", "in\tword"},
+		{"", ""},
+	} {
+		f.Add(s[0], s[1])
+	}
+	f.Fuzz(func(t *testing.T, text, word string) {
+		want := Tokenize(text)
+		if got := scanTokens(text); !reflect.DeepEqual(got, want) {
+			t.Fatalf("token stream of %q: scanner %q, Tokenize %q", text, got, want)
+		}
+		if got, want := ContainsWord(text, word), containsWordOracle(text, word); got != want {
+			t.Fatalf("ContainsWord(%q, %q) = %v, oracle %v", text, word, got, want)
+		}
+		// The fuzzer rarely guesses a keyword that matches; every token
+		// of the text is one.
+		for _, tok := range want {
+			if got, want := ContainsWord(text, tok), containsWordOracle(text, tok); got != want {
+				t.Fatalf("ContainsWord(%q, %q) = %v, oracle %v", text, tok, got, want)
+			}
+		}
+	})
+}
+
+const benchTweet = "RT @bbcsport: Tevez scores again!! Man City 3-0 up, what a #GOAL http://t.co/a1B2c3 #mcfc"
+
+var containsSink bool
+
+// BenchmarkContainsWord is the per-row cost of `text CONTAINS 'kw'` on
+// a 90-byte tweet the keyword misses (every token is compared).
+func BenchmarkContainsWord(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		containsSink = ContainsWord(benchTweet, "obama")
+	}
+}
+
+func TestContainsWordDoesNotAllocate(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { containsSink = ContainsWord(benchTweet, "obama") }); n != 0 {
+		t.Errorf("ContainsWord allocates %v times per call on ASCII text, want 0", n)
 	}
 }

@@ -96,6 +96,46 @@ func (s *Schema) Extend(fields ...Field) *Schema {
 	return NewSchema(all...)
 }
 
+// Prune maps a plan's referenced-column list onto the schema: the
+// schema holding only the fields a by-name lookup of those columns can
+// resolve to, and their positions in s, both in schema order. A field
+// is kept when its name — or, for a join-qualified "a.text", the part
+// after the first '.' — case-insensitively equals a requested column.
+// nil columns (and a list that keeps every field) returns s itself, so
+// unpruned rows keep the schema pointer expressions compiled against;
+// requested names the schema lacks are dropped (they resolve to NULL
+// against the full schema too).
+func (s *Schema) Prune(columns []string) (*Schema, []int) {
+	idx := make([]int, 0, len(s.fields))
+	if columns == nil {
+		for i := range s.fields {
+			idx = append(idx, i)
+		}
+		return s, idx
+	}
+	want := make(map[string]bool, len(columns))
+	for _, c := range columns {
+		want[strings.ToLower(c)] = true
+	}
+	for i, f := range s.fields {
+		name := strings.ToLower(f.Name)
+		if j := strings.IndexByte(name, '.'); !want[name] && j >= 0 {
+			name = name[j+1:]
+		}
+		if want[name] {
+			idx = append(idx, i)
+		}
+	}
+	if len(idx) == len(s.fields) {
+		return s, idx
+	}
+	fields := make([]Field, len(idx))
+	for j, i := range idx {
+		fields[j] = s.fields[i]
+	}
+	return NewSchema(fields...), idx
+}
+
 // String renders the schema as "(name kind, ...)".
 func (s *Schema) String() string {
 	parts := make([]string, len(s.fields))

@@ -120,3 +120,25 @@ func TestTupleArityPanics(t *testing.T) {
 	s := NewSchema(Field{"a", KindInt})
 	NewTuple(s, []Value{Int(1), Int(2)}, time.Time{})
 }
+
+func TestSchemaPrune(t *testing.T) {
+	s := NewSchema(Field{"ID", KindInt}, Field{"a.text", KindString}, Field{"b.text", KindString}, Field{"n", KindInt})
+	if p, idx := s.Prune(nil); p != s || len(idx) != 4 {
+		t.Errorf("Prune(nil) = %v %v, want the schema itself", p, idx)
+	}
+	if p, _ := s.Prune([]string{"n", "text", "id", "absent"}); p != s {
+		t.Errorf("a list keeping every field must return the schema itself, got %v", p)
+	}
+	// Case-insensitive; a bare name keeps every join-qualified column it
+	// can resolve to; schema order, not request order.
+	p, idx := s.Prune([]string{"text", "id"})
+	if p.String() != "(ID int, a.text string, b.text string)" || len(idx) != 3 || idx[0] != 0 || idx[2] != 2 {
+		t.Errorf("Prune(text, id) = %v %v", p, idx)
+	}
+	if p, idx := s.Prune([]string{"B.Text"}); p.String() != "(b.text string)" || idx[0] != 2 {
+		t.Errorf("Prune(B.Text) = %v %v", p, idx)
+	}
+	if p, idx := s.Prune([]string{}); p.Len() != 0 || len(idx) != 0 {
+		t.Errorf("Prune(no columns) = %v %v, want the empty schema", p, idx)
+	}
+}
