@@ -26,6 +26,7 @@ import (
 	"tweeql/internal/sentiment"
 	"tweeql/internal/store"
 	"tweeql/internal/terms"
+	"tweeql/internal/tweet"
 	"tweeql/internal/twitinfo"
 	"tweeql/internal/twitterapi"
 	"tweeql/internal/value"
@@ -525,16 +526,23 @@ func BenchmarkTableStore(b *testing.B) {
 // key terms).
 func BenchmarkE11PeakLabels(b *testing.B) {
 	corpus := terms.NewCorpus()
-	var peakTexts []string
+	var peak [][]uint32
 	for i, lt := range soccerStream() {
-		corpus.AddDoc(lt.Tweet.Text)
+		ids := corpus.AddDoc(nil, tweet.Tokenize(lt.Tweet.Text))
 		if lt.Burst == "goal-3" && i%2 == 0 {
-			peakTexts = append(peakTexts, lt.Tweet.Text)
+			peak = append(peak, ids)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		top := corpus.TopTerms(peakTexts, 5, firehose.SoccerKeywords)
+		counts := corpus.NewCounts()
+		counts.AddDocs(len(peak))
+		for _, ids := range peak {
+			for _, id := range ids {
+				counts.Add(id, 1)
+			}
+		}
+		top := corpus.TopTerms(counts, 5, firehose.SoccerKeywords)
 		if len(top) == 0 {
 			b.Fatal("no labels")
 		}

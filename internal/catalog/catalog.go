@@ -727,42 +727,81 @@ func AppendTweetTuple(arena []value.Value, t *tweet.Tweet) ([]value.Value, value
 // row carrying the same column names), the inverse of TweetTuple.
 // Applications like TwitInfo consume TweeQL query output as tweets.
 func TweetFromTuple(row value.Tuple) *tweet.Tweet {
+	return ResolveTweetColumns(row.Schema).Tweet(row)
+}
+
+// TweetColumns is where one schema keeps the tweet columns (-1 where it
+// lacks one), so a consumer of many rows of that schema resolves the
+// names once instead of once per row and column.
+type TweetColumns struct {
+	id, userID, username, text, createdAt, loc, hasGeo, lat, lon, followers, retweet int
+}
+
+// ResolveTweetColumns looks the tweet columns up by name in s.
+func ResolveTweetColumns(s *value.Schema) TweetColumns {
+	at := func(name string) int {
+		if i, ok := s.Index(name); ok {
+			return i
+		}
+		return -1
+	}
+	return TweetColumns{
+		id: at("id"), userID: at("user_id"), username: at("username"), text: at("text"),
+		createdAt: at("created_at"), loc: at("loc"), hasGeo: at("has_geo"), lat: at("lat"),
+		lon: at("lon"), followers: at("followers"), retweet: at("retweet"),
+	}
+}
+
+func (c TweetColumns) get(row value.Tuple, i int) value.Value {
+	if i < 0 {
+		return value.Null()
+	}
+	return row.Values[i]
+}
+
+// TextAndTime reads just the two columns an event filter tests — the
+// text and created_at (the row's own timestamp when the column is
+// absent or not a time) — without building the tweet.
+func (c TweetColumns) TextAndTime(row value.Tuple) (string, time.Time) {
+	text, _ := c.get(row, c.text).StringVal()
+	if ts, err := c.get(row, c.createdAt).TimeVal(); err == nil {
+		return text, ts
+	}
+	return text, row.TS
+}
+
+// Tweet reconstructs the whole tweet from a row of the resolved schema;
+// columns that are absent, NULL or of another kind stay zero.
+func (c TweetColumns) Tweet(row value.Tuple) *tweet.Tweet {
 	t := &tweet.Tweet{}
-	if v, err := row.Get("id").IntVal(); err == nil {
+	t.Text, t.CreatedAt = c.TextAndTime(row)
+	if v, err := c.get(row, c.id).IntVal(); err == nil {
 		t.ID = v
 	}
-	if v, err := row.Get("user_id").IntVal(); err == nil {
+	if v, err := c.get(row, c.userID).IntVal(); err == nil {
 		t.UserID = v
 	}
-	if v, err := row.Get("username").StringVal(); err == nil {
+	if v, err := c.get(row, c.username).StringVal(); err == nil {
 		t.Username = v
 	}
-	if v, err := row.Get("text").StringVal(); err == nil {
-		t.Text = v
-	}
-	if v, err := row.Get("created_at").TimeVal(); err == nil {
-		t.CreatedAt = v
-	} else {
-		t.CreatedAt = row.TS
-	}
-	if v, err := row.Get("loc").StringVal(); err == nil {
+	if v, err := c.get(row, c.loc).StringVal(); err == nil {
 		t.Location = v
 	}
-	if v, err := row.Get("has_geo").BoolVal(); err == nil {
+	if v, err := c.get(row, c.hasGeo).BoolVal(); err == nil {
 		t.HasGeo = v
 	}
 	if t.HasGeo {
-		if v, err := row.Get("lat").FloatVal(); err == nil {
+		if v, err := c.get(row, c.lat).FloatVal(); err == nil {
 			t.Lat = v
 		}
-		if v, err := row.Get("lon").FloatVal(); err == nil {
+		if v, err := c.get(row, c.lon).FloatVal(); err == nil {
 			t.Lon = v
 		}
 	}
-	if v, err := row.Get("followers").IntVal(); err == nil {
+	if v, err := c.get(row, c.followers).IntVal(); err == nil {
 		t.Followers = int(v)
 	}
-	if v, err := row.Get("retweet").BoolVal(); err == nil {
+	if v, err := c.get(row, c.retweet).BoolVal(); err == nil {
 		t.Retweet = v
 	}
 	return t

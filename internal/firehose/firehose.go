@@ -15,7 +15,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -178,10 +179,16 @@ type Generator struct {
 	cfg    Config
 	rng    *rand.Rand
 	users  []user
-	byCity map[string][]int // city name → user indices, for burst city bias
 	nextID int64
 
 	topicWeightSum float64
+	// Strings and pools every tweet of a kind shares, built once:
+	// topicURLs[ti][n] is topic ti's n-th short link, eventTopics[ei]
+	// event ei's ground-truth topic, cityPools[ei][bi] the users a
+	// city-restricted burst draws its authors from (nil: anyone).
+	topicURLs   [][5]string
+	eventTopics []string
+	cityPools   [][][]int
 
 	// mu guards rng/nextID and memoizes the generated stream: the PRNG
 	// state advances as tweets are drawn, so without memoization a
@@ -197,12 +204,25 @@ func New(cfg Config) *Generator {
 	g := &Generator{
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		byCity: make(map[string][]int),
 		nextID: 1,
 	}
-	g.makeUsers()
-	for _, t := range cfg.Topics {
+	byCity := g.makeUsers()
+	g.topicURLs = make([][5]string, len(cfg.Topics))
+	for ti, t := range cfg.Topics {
 		g.topicWeightSum += t.Weight
+		for n := range g.topicURLs[ti] {
+			g.topicURLs[ti][n] = "http://short.ly/" + t.Name + strconv.Itoa(n)
+		}
+	}
+	for _, ev := range cfg.Events {
+		g.eventTopics = append(g.eventTopics, "event:"+ev.Name)
+		pools := make([][]int, len(ev.Bursts))
+		for bi, b := range ev.Bursts {
+			for _, c := range b.Cities {
+				pools[bi] = append(pools[bi], byCity[c]...)
+			}
+		}
+		g.cityPools = append(g.cityPools, pools)
 	}
 	return g
 }
@@ -212,7 +232,10 @@ var junkLocations = []string{
 	"somewhere over the rainbow", "ur mom's house", "127.0.0.1", "",
 }
 
-func (g *Generator) makeUsers() {
+// makeUsers draws the user population and returns, for burst city
+// bias, each city's users (city name → user indices).
+func (g *Generator) makeUsers() map[string][]int {
+	byCity := make(map[string][]int)
 	zipf := rand.NewZipf(g.rng, 1.3, 1, 1_000_000)
 	g.users = make([]user, g.cfg.Users)
 	for i := range g.users {
@@ -231,8 +254,9 @@ func (g *Generator) makeUsers() {
 			u.location = aliases[g.rng.Intn(len(aliases))]
 		}
 		g.users[i] = u
-		g.byCity[city.Name] = append(g.byCity[city.Name], i)
+		byCity[city.Name] = append(byCity[city.Name], i)
 	}
+	return byCity
 }
 
 // poisson draws from Poisson(lambda) via Knuth's method with splitting
@@ -274,35 +298,98 @@ func (g *Generator) Generate() []*LabeledTweet {
 }
 
 func (g *Generator) generate() []*LabeledTweet {
-	var out []*LabeledTweet
 	seconds := int(g.cfg.Duration / time.Second)
+	// Size the stream once from the configured rates (Poisson totals
+	// this large stray well under the 1% headroom).
+	expect := float64(seconds) * g.cfg.BaseRate
+	for _, ev := range g.cfg.Events {
+		expect += float64(seconds) * ev.BaseRate
+		for _, b := range ev.Bursts {
+			expect += b.Duration.Seconds() * b.Rate
+		}
+	}
+	out := make([]*LabeledTweet, 0, int(expect*1.01)+1024)
+	a := &arena{}
 	for s := 0; s < seconds; s++ {
+		first := len(out)
 		secStart := g.cfg.Start.Add(time.Duration(s) * time.Second)
 		// Background chatter.
 		for i, n := 0, g.poisson(g.cfg.BaseRate); i < n; i++ {
-			out = append(out, g.backgroundTweet(secStart))
+			out = append(out, g.backgroundTweet(a, secStart))
 		}
 		// Event chatter and bursts.
 		for ei := range g.cfg.Events {
 			ev := &g.cfg.Events[ei]
 			for i, n := 0, g.poisson(ev.BaseRate); i < n; i++ {
-				out = append(out, g.eventTweet(secStart, ev, nil))
+				out = append(out, g.eventTweet(a, secStart, ei, -1))
 			}
 			for bi := range ev.Bursts {
 				b := &ev.Bursts[bi]
 				off := time.Duration(s) * time.Second
 				if off >= b.Offset && off < b.Offset+b.Duration {
 					for i, n := 0, g.poisson(b.Rate); i < n; i++ {
-						out = append(out, g.eventTweet(secStart, ev, b))
+						out = append(out, g.eventTweet(a, secStart, ei, bi))
 					}
 				}
 			}
 		}
+		// A tweet's jitter keeps it inside its own second, so ordering
+		// each second's tweets as they are produced orders the stream,
+		// ties staying in generation order.
+		slices.SortStableFunc(out[first:], func(x, y *LabeledTweet) int {
+			return x.Tweet.CreatedAt.Compare(y.Tweet.CreatedAt)
+		})
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].Tweet.CreatedAt.Before(out[j].Tweet.CreatedAt)
-	})
 	return out
+}
+
+// arena hands out the stream's tweets and their text from slabs — one
+// allocation per slabTweets tweets rather than three per tweet. The
+// whole stream is memoized, so slabs live exactly as long as single
+// tweets would.
+type arena struct {
+	labeled []LabeledTweet
+	tweets  []tweet.Tweet
+	text    strings.Builder
+	words   []string // the tweet being assembled; words[0] is kept for "RT"
+}
+
+const (
+	slabTweets    = 1024
+	slabTextBytes = 64 << 10
+)
+
+// next returns a zeroed tweet to fill in.
+func (a *arena) next() *LabeledTweet {
+	if len(a.labeled) == 0 {
+		a.labeled = make([]LabeledTweet, slabTweets)
+		a.tweets = make([]tweet.Tweet, slabTweets)
+	}
+	lt := &a.labeled[0]
+	lt.Tweet = &a.tweets[0]
+	a.labeled, a.tweets = a.labeled[1:], a.tweets[1:]
+	return lt
+}
+
+// join is strings.Join(words, " ") into the current text slab.
+func (a *arena) join(words []string) string {
+	need := len(words)
+	for _, w := range words {
+		need += len(w)
+	}
+	if a.text.Cap()-a.text.Len() < need {
+		// Strings already handed out keep the old slab alive.
+		a.text = strings.Builder{}
+		a.text.Grow(max(slabTextBytes, need))
+	}
+	start := a.text.Len()
+	for i, w := range words {
+		if i > 0 {
+			a.text.WriteByte(' ')
+		}
+		a.text.WriteString(w)
+	}
+	return a.text.String()[start:]
 }
 
 // Stream replays a generated stream on a channel. speedup scales virtual
@@ -393,31 +480,26 @@ func (g *Generator) StreamBatches(ctx context.Context, speedup float64, size int
 	return ch
 }
 
-func (g *Generator) pickUser(cities []string) *user {
-	if len(cities) > 0 {
-		// Restrict to fans in the requested cities; fall back to anyone if
-		// the city has no users in this population.
-		var pool []int
-		for _, c := range cities {
-			pool = append(pool, g.byCity[c]...)
-		}
-		if len(pool) > 0 {
-			return &g.users[pool[g.rng.Intn(len(pool))]]
-		}
+// pickUser draws a tweet's author: from pool when it has anyone (a
+// burst restricted to fans in some cities), else from everyone.
+func (g *Generator) pickUser(pool []int) *user {
+	if len(pool) > 0 {
+		return &g.users[pool[g.rng.Intn(len(pool))]]
 	}
 	return &g.users[g.rng.Intn(len(g.users))]
 }
 
-func (g *Generator) pickTopic() *Topic {
+// pickTopic draws a background topic's index by weight.
+func (g *Generator) pickTopic() int {
 	target := g.rng.Float64() * g.topicWeightSum
 	var acc float64
 	for i := range g.cfg.Topics {
 		acc += g.cfg.Topics[i].Weight
 		if target < acc {
-			return &g.cfg.Topics[i]
+			return i
 		}
 	}
-	return &g.cfg.Topics[len(g.cfg.Topics)-1]
+	return len(g.cfg.Topics) - 1
 }
 
 var fillers = []string{
@@ -425,26 +507,32 @@ var fillers = []string{
 	"all day", "right now", "again", "this morning", "tonight", "honestly",
 }
 
-// buildTweet assembles a tweet for the user at ts with the given words.
-func (g *Generator) buildTweet(ts time.Time, u *user, words []string, retweet bool) *tweet.Tweet {
-	jitter := time.Duration(g.rng.Int63n(int64(time.Second)))
-	t := &tweet.Tweet{
-		ID:        g.nextID,
-		UserID:    u.id,
-		Username:  u.name,
-		Text:      strings.Join(words, " "),
-		CreatedAt: ts.Add(jitter),
-		Location:  u.location,
-		Followers: u.followers,
-		Retweet:   retweet,
+// buildTweet fills in lt's tweet for the user at ts. words[0] is the
+// slot kept for the retweet mark; the text is words[1:] behind "RT"
+// when the retweet draw, which comes after the words', says so.
+func (g *Generator) buildTweet(a *arena, lt *LabeledTweet, ts time.Time, u *user, words []string) {
+	retweet := g.rng.Float64() < g.cfg.RetweetProb
+	if retweet {
+		words[0] = "RT"
+	} else {
+		words = words[1:]
 	}
+	jitter := time.Duration(g.rng.Int63n(int64(time.Second)))
+	t := lt.Tweet
+	t.ID = g.nextID
+	t.UserID = u.id
+	t.Username = u.name
+	t.Text = a.join(words)
+	t.CreatedAt = ts.Add(jitter)
+	t.Location = u.location
+	t.Followers = u.followers
+	t.Retweet = retweet
 	g.nextID++
 	if g.rng.Float64() < g.cfg.GeoTagProb && !u.junkLoc {
 		t.HasGeo = true
 		t.Lat = u.city.Lat + g.rng.NormFloat64()*0.05
 		t.Lon = u.city.Lon + g.rng.NormFloat64()*0.05
 	}
-	return t
 }
 
 // sentimentWord returns a polarity word and its label given the positive
@@ -459,13 +547,14 @@ func (g *Generator) sentimentWord(prob, posBias float64) (string, sentiment.Labe
 	return sentiment.NegativeWords[g.rng.Intn(len(sentiment.NegativeWords))], sentiment.Negative
 }
 
-func (g *Generator) backgroundTweet(ts time.Time) *LabeledTweet {
+func (g *Generator) backgroundTweet(a *arena, ts time.Time) *LabeledTweet {
 	u := g.pickUser(nil)
-	topic := g.pickTopic()
-	words := []string{
+	ti := g.pickTopic()
+	topic := &g.cfg.Topics[ti]
+	words := append(a.words[:0], "",
 		fillers[g.rng.Intn(len(fillers))],
 		topic.Words[g.rng.Intn(len(topic.Words))],
-	}
+	)
 	if g.rng.Float64() < 0.5 {
 		words = append(words, topic.Words[g.rng.Intn(len(topic.Words))])
 	}
@@ -474,34 +563,34 @@ func (g *Generator) backgroundTweet(ts time.Time) *LabeledTweet {
 		words = append(words, sw)
 	}
 	if g.rng.Float64() < g.cfg.URLProb {
-		words = append(words, fmt.Sprintf("http://short.ly/%s%d", topic.Name, g.rng.Intn(5)))
+		words = append(words, g.topicURLs[ti][g.rng.Intn(5)])
 	}
-	retweet := g.rng.Float64() < g.cfg.RetweetProb
-	if retweet {
-		words = append([]string{"RT"}, words...)
-	}
-	return &LabeledTweet{
-		Tweet:    g.buildTweet(ts, u, words, retweet),
-		Polarity: pol,
-		Topic:    topic.Name,
-	}
+	a.words = words
+	lt := a.next()
+	lt.Polarity, lt.Topic = pol, topic.Name
+	g.buildTweet(a, lt, ts, u, words)
+	return lt
 }
 
-func (g *Generator) eventTweet(ts time.Time, ev *EventScript, b *Burst) *LabeledTweet {
-	var cities []string
+// eventTweet draws one tweet about event ei: steady chatter when bi is
+// negative, else a tweet of the event's burst bi.
+func (g *Generator) eventTweet(a *arena, ts time.Time, ei, bi int) *LabeledTweet {
+	ev := &g.cfg.Events[ei]
+	var b *Burst
+	var pool []int
 	sentProb, posBias := g.cfg.SentimentProb, g.cfg.PosFraction
-	if b != nil {
-		cities = b.Cities
+	if bi >= 0 {
+		b, pool = &ev.Bursts[bi], g.cityPools[ei][bi]
 		if b.SentimentProb > 0 {
 			sentProb = b.SentimentProb
 		}
 		posBias = b.PosBias
 	}
-	u := g.pickUser(cities)
+	u := g.pickUser(pool)
 
 	// Every event tweet names at least one tracked keyword so a TwitInfo
 	// keyword query catches it.
-	words := []string{ev.Keywords[g.rng.Intn(len(ev.Keywords))]}
+	words := append(a.words[:0], "", ev.Keywords[g.rng.Intn(len(ev.Keywords))])
 	if len(ev.Keywords) > 1 && g.rng.Float64() < 0.4 {
 		words = append(words, ev.Keywords[g.rng.Intn(len(ev.Keywords))])
 	}
@@ -530,16 +619,11 @@ func (g *Generator) eventTweet(ts time.Time, ev *EventScript, b *Burst) *Labeled
 		}
 		words = append(words, ev.URLs[rank])
 	}
-	retweet := g.rng.Float64() < g.cfg.RetweetProb
-	if retweet {
-		words = append([]string{"RT"}, words...)
-	}
-	return &LabeledTweet{
-		Tweet:    g.buildTweet(ts, u, words, retweet),
-		Polarity: pol,
-		Topic:    "event:" + ev.Name,
-		Burst:    label,
-	}
+	a.words = words
+	lt := a.next()
+	lt.Polarity, lt.Topic, lt.Burst = pol, g.eventTopics[ei], label
+	g.buildTweet(a, lt, ts, u, words)
+	return lt
 }
 
 // Tweets strips labels, for callers that only need the raw stream.

@@ -36,6 +36,9 @@ func (c *Counter) AddTweet(text string) {
 // Add counts one URL directly.
 func (c *Counter) Add(url string) { c.counts[url]++ }
 
+// AddN counts n shares of one URL, for merging tallies.
+func (c *Counter) AddN(url string, n int) { c.counts[url] += n }
+
 // Distinct reports how many distinct URLs were seen.
 func (c *Counter) Distinct() int { return len(c.counts) }
 

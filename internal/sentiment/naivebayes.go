@@ -62,37 +62,53 @@ func (nb *NaiveBayes) Classes() []string { return nb.classes }
 // an empty map.
 func (nb *NaiveBayes) LogPosteriors(doc string) map[string]float64 {
 	out := make(map[string]float64, len(nb.classes))
-	if nb.totalDocs == 0 {
-		return out
+	for i, lp := range nb.logPosteriors(nil, tweet.Tokenize(doc)) {
+		out[nb.classes[i]] = lp
 	}
-	toks := tweet.Tokenize(doc)
+	return out
+}
+
+// logPosteriors appends one log posterior per class, in Classes()
+// order, to dst; nothing when untrained.
+func (nb *NaiveBayes) logPosteriors(dst []float64, toks []string) []float64 {
+	if nb.totalDocs == 0 {
+		return dst
+	}
 	v := float64(len(nb.vocab))
 	for _, class := range nb.classes {
 		lp := math.Log(float64(nb.docs[class]) / float64(nb.totalDocs))
 		denom := float64(nb.tokenCount[class]) + v
+		freq := nb.tokenFreq[class]
 		for _, tok := range toks {
 			if !nb.vocab[tok] {
 				continue // unseen tokens carry no signal for any class
 			}
-			lp += math.Log((float64(nb.tokenFreq[class][tok]) + 1) / denom)
+			lp += math.Log((float64(freq[tok]) + 1) / denom)
 		}
-		out[class] = lp
+		dst = append(dst, lp)
 	}
-	return out
+	return dst
 }
 
 // Classify returns the maximum-a-posteriori class and the posterior
 // probability mass assigned to it (normalized across classes).
 func (nb *NaiveBayes) Classify(doc string) (string, float64) {
-	lps := nb.LogPosteriors(doc)
+	return nb.ClassifyTokens(tweet.Tokenize(doc))
+}
+
+// ClassifyTokens is Classify for a caller that already holds the
+// document's tweet.Tokenize tokens.
+func (nb *NaiveBayes) ClassifyTokens(toks []string) (string, float64) {
+	var buf [4]float64
+	lps := nb.logPosteriors(buf[:0], toks)
 	if len(lps) == 0 {
 		return "", 0
 	}
 	// Normalize in log space for a stable softmax.
 	best, bestLP := "", math.Inf(-1)
-	for _, class := range nb.classes {
-		if lp := lps[class]; lp > bestLP {
-			best, bestLP = class, lp
+	for i, lp := range lps {
+		if lp > bestLP {
+			best, bestLP = nb.classes[i], lp
 		}
 	}
 	var total float64

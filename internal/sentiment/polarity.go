@@ -106,10 +106,17 @@ func expand(tpl, w string) string {
 // positive-class margin. Score feeds AVG(sentiment(text)) aggregates;
 // Label feeds TwitInfo's coloring and pie chart.
 func (a *Analyzer) Classify(text string) (Label, float64) {
-	if !a.hasSentimentToken(text) {
+	return a.ClassifyTokens(tweet.Tokenize(text))
+}
+
+// ClassifyTokens is Classify for a caller that already tokenized the
+// text with tweet.Tokenize (TwitInfo's tracker shares one token pass
+// between its matcher, this, and the term corpus).
+func (a *Analyzer) ClassifyTokens(toks []string) (Label, float64) {
+	if !a.hasSentimentToken(toks) {
 		return Neutral, 0
 	}
-	class, conf := a.nb.Classify(text)
+	class, conf := a.nb.ClassifyTokens(toks)
 	// conf is the winning posterior in [1/classes, 1]; map to a signed
 	// margin where 0 means an even split.
 	margin := 2*conf - 1
@@ -128,8 +135,8 @@ func (a *Analyzer) Score(text string) float64 {
 	return s
 }
 
-func (a *Analyzer) hasSentimentToken(text string) bool {
-	for _, tok := range tweet.Tokenize(text) {
+func (a *Analyzer) hasSentimentToken(toks []string) bool {
+	for _, tok := range toks {
 		if a.lexicon[tok] {
 			return true
 		}

@@ -48,19 +48,23 @@ func (t *Tweet) Clone() *Tweet {
 // tag as part of the token ("#goal" → "#goal"); mentions likewise; URLs
 // are kept whole. Punctuation is stripped from token edges.
 func Tokenize(text string) []string {
-	var tokens []string
-	for _, raw := range strings.Fields(text) {
-		if isURL(raw) {
-			tokens = append(tokens, raw)
-			continue
+	var tokens []string // nil when the text has none
+	fields := strings.Fields(text)
+	for i, raw := range fields {
+		tok := raw
+		if !isURL(raw) {
+			tok = strings.TrimFunc(raw, notTokenRune)
+			// Interior punctuation like "3-0" survives; tokens without any
+			// letter or digit (bare "#", "---") drop.
+			if !strings.ContainsFunc(tok, alnumRune) {
+				continue
+			}
+			tok = strings.ToLower(tok)
 		}
-		tok := strings.TrimFunc(raw, notTokenRune)
-		// Interior punctuation like "3-0" survives; tokens without any
-		// letter or digit (bare "#", "---") drop.
-		if !strings.ContainsFunc(tok, alnumRune) {
-			continue
+		if tokens == nil {
+			tokens = make([]string, 0, len(fields)-i)
 		}
-		tokens = append(tokens, strings.ToLower(tok))
+		tokens = append(tokens, tok)
 	}
 	return tokens
 }
@@ -77,6 +81,9 @@ func isURL(s string) bool {
 // URLs extracts the http(s) URLs in order of appearance, with trailing
 // punctuation trimmed.
 func URLs(text string) []string {
+	if !strings.Contains(text, "http") {
+		return nil // the usual linkless tweet: no field split
+	}
 	var urls []string
 	for _, f := range strings.Fields(text) {
 		if isURL(f) {
@@ -307,12 +314,20 @@ func ContainsAnyWord(text string, words []string) bool {
 func TermSet(text string) map[string]bool {
 	set := make(map[string]bool)
 	for _, tok := range Tokenize(text) {
-		if isURL(tok) || Stopword(tok) {
-			continue
+		if term, ok := Term(tok); ok {
+			set[term] = true
 		}
-		set[strings.TrimPrefix(tok, "#")] = true
 	}
 	return set
+}
+
+// Term maps one Tokenize token to the term TermSet keeps for it: the
+// token without its hashtag mark, and ok false for URLs and stopwords.
+func Term(tok string) (term string, ok bool) {
+	if isURL(tok) || Stopword(tok) {
+		return "", false
+	}
+	return strings.TrimPrefix(tok, "#"), true
 }
 
 // stopwords is a compact English stopword list tuned for tweet text; it

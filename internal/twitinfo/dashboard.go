@@ -63,16 +63,18 @@ func (o DashboardOptions) withDefaults() DashboardOptions {
 // Dashboard assembles the whole-event view.
 func (tr *Tracker) Dashboard(opts DashboardOptions) Dashboard {
 	opts = opts.withDefaults()
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
 	return Dashboard{
 		Event:    tr.cfg.Name,
 		Keywords: tr.cfg.Keywords,
 		Ingested: tr.ingested,
-		Timeline: tr.Timeline(),
-		Peaks:    tr.Peaks(opts.TermsPerPeak),
-		Relevant: tr.RelevantTweets(time.Time{}, time.Time{}, tr.cfg.Keywords, opts.RelevantTweets),
-		Pins:     tr.MapPins(time.Time{}, time.Time{}, opts.MaxPins),
-		Links:    tr.PopularLinks(opts.TopLinks),
-		Pie:      tr.Sentiment(),
+		Timeline: tr.detector.Bins(),
+		Peaks:    tr.labeledPeaks(opts.TermsPerPeak),
+		Relevant: tr.relevantTweets(time.Time{}, time.Time{}, tr.cfg.Keywords, opts.RelevantTweets),
+		Pins:     tr.mapPins(time.Time{}, time.Time{}, opts.MaxPins),
+		Links:    tr.links.Top(opts.TopLinks),
+		Pie:      tr.pie,
 	}
 }
 
@@ -81,7 +83,9 @@ func (tr *Tracker) Dashboard(opts DashboardOptions) Dashboard {
 // and relevant tweets rank against the peak's key terms.
 func (tr *Tracker) PeakDashboard(peakID int, opts DashboardOptions) (Dashboard, error) {
 	opts = opts.withDefaults()
-	labeled := tr.Peaks(opts.TermsPerPeak)
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
+	labeled := tr.labeledPeaks(opts.TermsPerPeak)
 	var sel *LabeledPeak
 	for i := range labeled {
 		if labeled[i].ID == peakID {
@@ -101,12 +105,12 @@ func (tr *Tracker) PeakDashboard(peakID int, opts DashboardOptions) (Dashboard, 
 		Event:    tr.cfg.Name,
 		Keywords: tr.cfg.Keywords,
 		Ingested: tr.ingested,
-		Timeline: tr.Timeline(),
+		Timeline: tr.detector.Bins(),
 		Peaks:    labeled,
-		Relevant: tr.RelevantTweets(sel.Start, sel.End, kws, opts.RelevantTweets),
-		Pins:     tr.MapPins(sel.Start, sel.End, opts.MaxPins),
-		Links:    tr.PopularLinksIn(sel.Start, sel.End, opts.TopLinks),
-		Pie:      tr.SentimentIn(sel.Start, sel.End),
+		Relevant: tr.relevantTweets(sel.Start, sel.End, kws, opts.RelevantTweets),
+		Pins:     tr.mapPins(sel.Start, sel.End, opts.MaxPins),
+		Links:    tr.popularLinksIn(sel.Start, sel.End, opts.TopLinks),
+		Pie:      tr.sentimentIn(sel.Start, sel.End),
 		Selected: &Selection{PeakID: sel.ID, Flag: sel.Flag(), Start: sel.Start, End: sel.End},
 	}, nil
 }

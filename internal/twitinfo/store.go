@@ -2,6 +2,7 @@ package twitinfo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -9,16 +10,16 @@ import (
 	"tweeql/internal/tweet"
 )
 
-// Store manages the set of tracked events for a TwitInfo deployment and
-// serializes access: ingestion happens from stream goroutines while the
-// web dashboard reads concurrently. Trackers themselves are single-
-// goroutine; the store's lock is the synchronization point.
+// Store manages the set of tracked events for a TwitInfo deployment.
+// Its lock guards only the set: ingestion happens from stream
+// goroutines while the web dashboard reads concurrently, and each
+// Tracker synchronizes its own state.
 type Store struct {
 	analyzer *sentiment.Analyzer
 
 	mu       sync.RWMutex
 	trackers map[string]*Tracker
-	order    []string
+	order    []*Tracker // creation order; append-only
 }
 
 // NewStore creates an empty event store.
@@ -47,7 +48,7 @@ func (s *Store) Create(cfg EventConfig) (*Tracker, error) {
 	}
 	tr := NewTracker(cfg, s.analyzer)
 	s.trackers[cfg.Name] = tr
-	s.order = append(s.order, cfg.Name)
+	s.order = append(s.order, tr)
 	return tr, nil
 }
 
@@ -64,17 +65,17 @@ func (s *Store) Names() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]string, len(s.order))
-	copy(out, s.order)
+	for i, tr := range s.order {
+		out[i] = tr.cfg.Name
+	}
 	return out
 }
 
 // Ingest offers the tweet to every event; each tracker keeps it only if
 // it matches. Returns how many events accepted it.
 func (s *Store) Ingest(t *tweet.Tweet) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := 0
-	for _, tr := range s.trackers {
+	for _, tr := range s.all() {
 		if tr.Ingest(t) {
 			n++
 		}
@@ -84,36 +85,39 @@ func (s *Store) Ingest(t *tweet.Tweet) int {
 
 // FinishAll flushes every tracker's timeline (end of stream).
 func (s *Store) FinishAll() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, tr := range s.trackers {
+	for _, tr := range s.all() {
 		tr.Finish()
 	}
 }
 
-// WithTracker runs fn with the named tracker under the store lock, for
-// consistent dashboard reads during live ingestion.
-func (s *Store) WithTracker(name string, fn func(*Tracker) error) error {
+// all returns the trackers in creation order. The list is append-only,
+// so the returned prefix may be walked without the lock.
+func (s *Store) all() []*Tracker {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	tr, ok := s.trackers[name]
+	return s.order
+}
+
+// WithTracker runs fn with the named tracker, or fails for an unknown
+// event. Each Tracker read is its own consistent snapshot (Dashboard
+// builds every panel under one lock), so fn may run during live
+// ingestion.
+func (s *Store) WithTracker(name string, fn func(*Tracker) error) error {
+	tr, ok := s.Get(name)
 	if !ok {
 		return fmt.Errorf("twitinfo: unknown event %q", name)
 	}
-	//tweeqlvet:ignore lockscope -- WithTracker's documented contract: fn reads the tracker under s.mu for a consistent dashboard snapshot and must not block
 	return fn(tr)
 }
 
-// Summaries returns one line per event for the index page.
+// Summaries returns one line per event for the index page, ordered by
+// event name.
 func (s *Store) Summaries() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	names := make([]string, len(s.order))
-	copy(names, s.order)
-	sort.Strings(names)
-	out := make([]string, 0, len(names))
-	for _, n := range names {
-		out = append(out, s.trackers[n].String())
+	trackers := slices.Clone(s.all())
+	sort.Slice(trackers, func(i, j int) bool { return trackers[i].cfg.Name < trackers[j].cfg.Name })
+	out := make([]string, 0, len(trackers))
+	for _, tr := range trackers {
+		out = append(out, tr.String())
 	}
 	return out
 }

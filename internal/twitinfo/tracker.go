@@ -11,8 +11,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"tweeql/internal/catalog"
@@ -71,20 +74,59 @@ type StoredTweet struct {
 	Retweet   bool            `json:"retweet"`
 }
 
-// Tracker logs one event's tweets and maintains its dashboard state.
-// Ingest is single-goroutine (feed it from one query cursor); read
-// methods may be called between ingests.
+// Tracker logs one event's tweets and maintains its dashboard state
+// incrementally: a tweet is tokenized once at ingest, its terms are
+// interned, and its contribution is folded into the partial of the
+// timeline bin its own created_at falls in, so every panel over a time
+// range merges bin partials instead of rescanning and re-tokenizing the
+// stored tweets.
+//
+// A Tracker is safe for one writer and any number of readers: Ingest,
+// IngestTuple, IngestMetric and Finish take its write lock, every read
+// method its read lock, each for the length of one call. Dashboard and
+// PeakDashboard build all their panels under a single read lock, so a
+// payload is one consistent snapshot.
 type Tracker struct {
 	cfg      EventConfig
 	analyzer *sentiment.Analyzer
+	keywords matcher
+	// binOrigin is the Unix epoch truncated to cfg.Bin, in Unix ns: the
+	// start of bin 0 (see binKey).
+	binOrigin int64
+	// tupleCols caches IngestTuple's column positions for the last
+	// schema it saw.
+	tupleCols atomic.Pointer[tupleColumns]
 
+	mu       sync.RWMutex
 	detector *peaks.Detector
 	corpus   *terms.Corpus
 	links    *links.Counter
 
-	tweets            []StoredTweet
-	ingested          int64
-	pos, neg, neutral int64
+	tweets []StoredTweet
+	// termIDs holds every stored tweet's distinct term ids back to back;
+	// tweet i's are termIDs[termEnd[i-1]:termEnd[i]].
+	termIDs []uint32
+	termEnd []uint32
+	// bins are the per-bin partials, sorted by key; unbinned holds the
+	// tweets whose timestamp has no bin key (see binKey).
+	bins     []*binPartial
+	unbinned binPartial
+	// geo lists the geo-tagged stored tweets in ingest order.
+	geo []int32
+
+	ingested int64
+	pie      Pie // whole-event totals, tweets beyond MaxTweets included
+}
+
+// binPartial is what one timeline bin's stored tweets contribute to the
+// range panels. Partials count stored tweets only: beyond MaxTweets a
+// tweet reaches the timeline and the whole-event totals but no partial.
+type binPartial struct {
+	key    int64
+	pie    Pie
+	terms  map[uint32]int32 // term id → tweets of the bin containing it
+	urls   map[string]int
+	tweets []int32 // indices into Tracker.tweets, ingest order
 }
 
 // NewTracker creates a tracker for the event.
@@ -94,69 +136,267 @@ func NewTracker(cfg EventConfig, analyzer *sentiment.Analyzer) *Tracker {
 		analyzer = sentiment.Default()
 	}
 	return &Tracker{
-		cfg:      cfg,
-		analyzer: analyzer,
-		detector: peaks.NewDetector(cfg.Peaks),
-		corpus:   terms.NewCorpus(),
-		links:    links.NewCounter(),
+		cfg:       cfg,
+		analyzer:  analyzer,
+		keywords:  newMatcher(cfg.Keywords),
+		binOrigin: time.Unix(0, 0).Truncate(cfg.Bin).UnixNano(),
+		detector:  peaks.NewDetector(cfg.Peaks),
+		corpus:    terms.NewCorpus(),
+		links:     links.NewCounter(),
 	}
 }
 
 // Config returns the event definition.
 func (tr *Tracker) Config() EventConfig { return tr.cfg }
 
+// matcher is the event's keyword query with tweet.ContainsAnyWord's
+// semantics, lowered once: single words match a token of the tweet
+// ("#tag" matching "tag" too), phrases match the lowered text by
+// substring.
+type matcher struct {
+	all     bool // no keywords: every tweet matches
+	words   map[string]bool
+	phrases []string
+}
+
+func newMatcher(keywords []string) matcher {
+	m := matcher{all: len(keywords) == 0, words: make(map[string]bool, len(keywords))}
+	for _, w := range keywords {
+		w = strings.ToLower(strings.TrimSpace(w))
+		switch {
+		case w == "":
+		case strings.ContainsRune(w, ' '):
+			m.phrases = append(m.phrases, w)
+		default:
+			m.words[w] = true
+		}
+	}
+	return m
+}
+
+// match tests the tweet text given its tweet.Tokenize tokens.
+func (m matcher) match(text string, toks []string) bool {
+	if m.all {
+		return true
+	}
+	for _, tok := range toks {
+		if m.words[tok] || (tok[0] == '#' && m.words[tok[1:]]) {
+			return true
+		}
+	}
+	if len(m.phrases) > 0 {
+		low := strings.ToLower(text)
+		for _, p := range m.phrases {
+			if strings.Contains(low, p) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Matches reports whether the tweet belongs to the event: inside the
 // time window and containing one of the keywords.
 func (tr *Tracker) Matches(t *tweet.Tweet) bool {
-	if !tr.cfg.Start.IsZero() && t.CreatedAt.Before(tr.cfg.Start) {
-		return false
-	}
-	if !tr.cfg.End.IsZero() && !t.CreatedAt.Before(tr.cfg.End) {
-		return false
-	}
-	if len(tr.cfg.Keywords) == 0 {
-		return true
-	}
-	return tweet.ContainsAnyWord(t.Text, tr.cfg.Keywords)
+	return inRange(t.CreatedAt, tr.cfg.Start, tr.cfg.End) &&
+		tr.keywords.match(t.Text, tweet.Tokenize(t.Text))
 }
 
 // Ingest logs one tweet (skipping non-matching ones) and returns
-// whether it was accepted.
+// whether it was accepted. The text is tokenized once; the matcher, the
+// sentiment classifier and the term corpus all read those tokens.
 func (tr *Tracker) Ingest(t *tweet.Tweet) bool {
-	if !tr.Matches(t) {
+	if !inRange(t.CreatedAt, tr.cfg.Start, tr.cfg.End) {
 		return false
 	}
-	tr.ingested++
-	tr.detector.Add(t.CreatedAt)
-	tr.corpus.AddDoc(t.Text)
-	tr.links.AddTweet(t.Text)
-
-	label, score := tr.analyzer.Classify(t.Text)
-	switch label {
-	case sentiment.Positive:
-		tr.pos++
-	case sentiment.Negative:
-		tr.neg++
-	default:
-		tr.neutral++
+	toks := tweet.Tokenize(t.Text)
+	if !tr.keywords.match(t.Text, toks) {
+		return false
 	}
-	if len(tr.tweets) < tr.cfg.MaxTweets {
-		st := StoredTweet{
-			ID: t.ID, Username: t.Username, Text: t.Text, CreatedAt: t.CreatedAt,
-			Sentiment: label, Score: score, HasGeo: t.HasGeo, Retweet: t.Retweet,
-		}
-		if t.HasGeo {
-			st.Lat, st.Lon = t.Lat, t.Lon
-		}
-		tr.tweets = append(tr.tweets, st)
-	}
+	tr.ingest(t, toks)
 	return true
+}
+
+// tupleColumns is the tweet columns' positions in one schema.
+type tupleColumns struct {
+	schema *value.Schema
+	cols   catalog.TweetColumns
 }
 
 // IngestTuple logs a TweeQL output row — the "TwitInfo is an
 // application written on top of the TweeQL stream processor" wiring.
+// The window and keyword test reads only the row's created_at and text;
+// the tweet is built for rows that pass.
 func (tr *Tracker) IngestTuple(row value.Tuple) bool {
-	return tr.Ingest(catalog.TweetFromTuple(row))
+	tc := tr.tupleCols.Load()
+	if tc == nil || tc.schema != row.Schema {
+		tc = &tupleColumns{schema: row.Schema, cols: catalog.ResolveTweetColumns(row.Schema)}
+		tr.tupleCols.Store(tc)
+	}
+	text, createdAt := tc.cols.TextAndTime(row)
+	if !inRange(createdAt, tr.cfg.Start, tr.cfg.End) {
+		return false
+	}
+	toks := tweet.Tokenize(text)
+	if !tr.keywords.match(text, toks) {
+		return false
+	}
+	tr.ingest(tc.cols.Tweet(row), toks)
+	return true
+}
+
+// ingest logs a tweet the event matches, given its tokens.
+func (tr *Tracker) ingest(t *tweet.Tweet, toks []string) {
+	label, score := tr.analyzer.ClassifyTokens(toks)
+	urls := tweet.URLs(t.Text)
+	st := StoredTweet{
+		ID: t.ID, Username: t.Username, Text: t.Text, CreatedAt: t.CreatedAt,
+		Sentiment: label, Score: score, HasGeo: t.HasGeo, Retweet: t.Retweet,
+	}
+	if t.HasGeo {
+		st.Lat, st.Lon = t.Lat, t.Lon
+	}
+
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	tr.ingested++
+	tr.detector.Add(t.CreatedAt)
+	for _, u := range urls {
+		tr.links.Add(u)
+	}
+	tr.pie.add(label)
+	tr.store(st, toks, urls)
+}
+
+// store adds the tweet to the corpus and, below the MaxTweets cap, to
+// the stored tweets and its bin's partial.
+func (tr *Tracker) store(st StoredTweet, toks, urls []string) {
+	start := len(tr.termIDs)
+	tr.termIDs = tr.corpus.AddDoc(tr.termIDs, toks)
+	if len(tr.tweets) >= tr.cfg.MaxTweets {
+		tr.termIDs = tr.termIDs[:start]
+		return
+	}
+	idx := int32(len(tr.tweets))
+	tr.tweets = append(tr.tweets, st)
+	tr.termEnd = append(tr.termEnd, uint32(len(tr.termIDs)))
+	if st.HasGeo {
+		tr.geo = append(tr.geo, idx)
+	}
+
+	b := tr.bin(st.CreatedAt)
+	b.pie.add(st.Sentiment)
+	for _, id := range tr.termIDs[start:] {
+		b.terms[id]++
+	}
+	for _, u := range urls {
+		b.urls[u]++
+	}
+	b.tweets = append(b.tweets, idx)
+}
+
+// maxBinSec bounds, in seconds either side of the Unix epoch, the
+// timestamps that get a bin key: inside it UnixNano is exact and a
+// bin's bounds cannot overflow for any plausible bin width.
+const maxBinSec = 1 << 32
+
+// binKey numbers the timeline bin holding ts: bin k spans
+// [binOrigin + k*Bin, binOrigin + (k+1)*Bin), so bins line up with the
+// detector's ts.Truncate(Bin) bins and therefore with every peak's
+// bounds. ok is false for a timestamp too far from the epoch to number
+// (the zero time, say); such tweets are kept in Tracker.unbinned.
+func (tr *Tracker) binKey(ts time.Time) (key int64, ok bool) {
+	if sec := ts.Unix(); sec <= -maxBinSec || sec >= maxBinSec {
+		return 0, false
+	}
+	bin := int64(tr.cfg.Bin)
+	d := ts.UnixNano() - tr.binOrigin
+	key = d / bin
+	if d%bin < 0 {
+		key--
+	}
+	return key, true
+}
+
+// bin returns the partial of the bin holding ts, creating it if this is
+// its first stored tweet. Arrivals are mostly in time order, so the bin
+// is usually the last one.
+func (tr *Tracker) bin(ts time.Time) *binPartial {
+	key, ok := tr.binKey(ts)
+	if !ok {
+		if tr.unbinned.terms == nil {
+			tr.unbinned.terms, tr.unbinned.urls = make(map[uint32]int32), make(map[string]int)
+		}
+		return &tr.unbinned
+	}
+	if n := len(tr.bins); n > 0 && tr.bins[n-1].key == key {
+		return tr.bins[n-1]
+	}
+	i := sort.Search(len(tr.bins), func(i int) bool { return tr.bins[i].key >= key })
+	if i < len(tr.bins) && tr.bins[i].key == key {
+		return tr.bins[i]
+	}
+	b := &binPartial{key: key, terms: make(map[uint32]int32), urls: make(map[string]int)}
+	tr.bins = slices.Insert(tr.bins, i, b)
+	return b
+}
+
+// termsOf returns stored tweet i's distinct term ids.
+func (tr *Tracker) termsOf(i int32) []uint32 {
+	start := uint32(0)
+	if i > 0 {
+		start = tr.termEnd[i-1]
+	}
+	return tr.termIDs[start:tr.termEnd[i]]
+}
+
+// span visits what the stored tweets in [start, end) contributed: whole
+// is called with the partial of each bin lying entirely inside the
+// range, each with the index of every in-range tweet of the bins the
+// range cuts (and of tr.unbinned). Zero bounds are open. Peak bounds are
+// bin-aligned, so a peak's span is whole bins only.
+func (tr *Tracker) span(start, end time.Time, whole func(*binPartial), each func(i int32)) {
+	walk := func(b *binPartial) {
+		for _, i := range b.tweets {
+			if inRange(tr.tweets[i].CreatedAt, start, end) {
+				each(i)
+			}
+		}
+	}
+	walk(&tr.unbinned)
+
+	bin := int64(tr.cfg.Bin)
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64) // the range in Unix ns
+	if !start.IsZero() {
+		lo = clampNano(start)
+	}
+	if !end.IsZero() {
+		hi = clampNano(end)
+	}
+	startOf := func(b *binPartial) int64 { return tr.binOrigin + b.key*bin }
+	first := sort.Search(len(tr.bins), func(i int) bool { return startOf(tr.bins[i])+bin > lo })
+	for _, b := range tr.bins[first:] {
+		switch from := startOf(b); {
+		case from >= hi:
+			return
+		case from >= lo && from+bin <= hi:
+			whole(b)
+		default:
+			walk(b)
+		}
+	}
+}
+
+// clampNano is ts in Unix nanoseconds, clamped to the range binKey
+// numbers.
+func clampNano(ts time.Time) int64 {
+	switch sec := ts.Unix(); {
+	case sec <= -maxBinSec:
+		return -maxBinSec * int64(time.Second)
+	case sec >= maxBinSec:
+		return maxBinSec * int64(time.Second)
+	}
+	return ts.UnixNano()
 }
 
 // metricScale converts a metric value into timeline counts. Seconds-
@@ -176,24 +416,26 @@ func (tr *Tracker) IngestMetric(name, labels string, v float64, ts time.Time) {
 	if !inRange(ts, tr.cfg.Start, tr.cfg.End) {
 		return
 	}
-	tr.ingested++
 	count := int(math.Round(v * metricScale))
 	if count < 0 {
 		count = 0
 	}
-	tr.detector.AddCount(ts, count)
 	text := name
 	if labels != "" {
 		text += "{" + labels + "}"
 	}
 	text += fmt.Sprintf(" %g", v)
-	tr.corpus.AddDoc(text)
-	tr.neutral++
-	if len(tr.tweets) < tr.cfg.MaxTweets {
-		tr.tweets = append(tr.tweets, StoredTweet{
-			Username: "tweeqld", Text: text, CreatedAt: ts, Sentiment: sentiment.Neutral,
-		})
-	}
+	st := StoredTweet{Username: "tweeqld", Text: text, CreatedAt: ts, Sentiment: sentiment.Neutral}
+	// A sample's links count in the range panels only, as its text
+	// never reached the whole-event link counter.
+	toks, urls := tweet.Tokenize(text), tweet.URLs(text)
+
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	tr.ingested++
+	tr.detector.AddCount(ts, count)
+	tr.pie.add(sentiment.Neutral)
+	tr.store(st, toks, urls)
 }
 
 // IngestMetricTuple logs a $sys.metrics row (name, labels, value,
@@ -219,17 +461,34 @@ func (tr *Tracker) IngestMetricTuple(row value.Tuple) {
 }
 
 // Finish flushes the timeline (closing any open peak) at end of stream.
-func (tr *Tracker) Finish() { tr.detector.Finish() }
+func (tr *Tracker) Finish() {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	tr.detector.Finish()
+}
 
 // Ingested reports how many tweets the event has logged.
-func (tr *Tracker) Ingested() int64 { return tr.ingested }
+func (tr *Tracker) Ingested() int64 {
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
+	return tr.ingested
+}
 
-// Tweets returns the stored tweets (shared slice; callers must not
-// mutate).
-func (tr *Tracker) Tweets() []StoredTweet { return tr.tweets }
+// Tweets returns the stored tweets in ingest order (shared slice;
+// callers must not mutate). The tracker only ever appends to it, so the
+// returned prefix stays valid while ingest continues.
+func (tr *Tracker) Tweets() []StoredTweet {
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
+	return tr.tweets
+}
 
 // Timeline returns the volume histogram (Figure 1.2's curve).
-func (tr *Tracker) Timeline() []peaks.Bin { return tr.detector.Bins() }
+func (tr *Tracker) Timeline() []peaks.Bin {
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
+	return tr.detector.Bins()
+}
 
 // LabeledPeak is a detected peak plus its automatic key terms.
 type LabeledPeak struct {
@@ -242,14 +501,32 @@ type LabeledPeak struct {
 // timeline). Event keywords are excluded from labels since they appear
 // in every tweet by construction.
 func (tr *Tracker) Peaks(termsPerPeak int) []LabeledPeak {
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
+	return tr.labeledPeaks(termsPerPeak)
+}
+
+func (tr *Tracker) labeledPeaks(termsPerPeak int) []LabeledPeak {
 	if termsPerPeak <= 0 {
 		termsPerPeak = 5
 	}
 	ps := tr.detector.Peaks()
 	out := make([]LabeledPeak, len(ps))
+	counts := tr.corpus.NewCounts()
 	for i, p := range ps {
-		texts := tr.textsIn(p.Start, p.End)
-		out[i] = LabeledPeak{Peak: p, Terms: tr.corpus.TopTerms(texts, termsPerPeak, tr.cfg.Keywords)}
+		counts.Reset()
+		tr.span(p.Start, p.End, func(b *binPartial) {
+			counts.AddDocs(len(b.tweets))
+			for id, n := range b.terms {
+				counts.Add(id, n)
+			}
+		}, func(i int32) {
+			counts.AddDocs(1)
+			for _, id := range tr.termsOf(i) {
+				counts.Add(id, 1)
+			}
+		})
+		out[i] = LabeledPeak{Peak: p, Terms: tr.corpus.TopTerms(counts, termsPerPeak, tr.cfg.Keywords)}
 	}
 	return out
 }
@@ -262,16 +539,6 @@ func (tr *Tracker) SearchPeaks(query string, termsPerPeak int) []LabeledPeak {
 	for _, lp := range tr.Peaks(termsPerPeak) {
 		if terms.MatchesSearch(lp.Terms, query) {
 			out = append(out, lp)
-		}
-	}
-	return out
-}
-
-func (tr *Tracker) textsIn(start, end time.Time) []string {
-	var out []string
-	for i := range tr.tweets {
-		if inRange(tr.tweets[i].CreatedAt, start, end) {
-			out = append(out, tr.tweets[i].Text)
 		}
 	}
 	return out
@@ -295,29 +562,62 @@ type RankedTweet struct {
 
 // RelevantTweets ranks tweets in [start, end) by similarity to the
 // given keywords (event keywords for the event view, peak terms for a
-// drill-down), demoting retweets as less original content. k bounds the
-// result.
+// drill-down), demoting retweets as less original content; ties go to
+// the lower id, then the earlier arrival. k bounds the result (k <= 0:
+// every tweet in the range).
 func (tr *Tracker) RelevantTweets(start, end time.Time, keywords []string, k int) []RankedTweet {
-	var out []RankedTweet
-	for i := range tr.tweets {
-		st := tr.tweets[i]
-		if !inRange(st.CreatedAt, start, end) {
-			continue
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
+	return tr.relevantTweets(start, end, keywords, k)
+}
+
+func (tr *Tracker) relevantTweets(start, end time.Time, keywords []string, k int) []RankedTweet {
+	type ranked struct {
+		sim float64
+		i   int32
+	}
+	before := func(a, b ranked) bool {
+		if a.sim != b.sim {
+			return a.sim > b.sim
 		}
-		sim := terms.Similarity(st.Text, keywords)
-		if st.Retweet {
+		if ida, idb := tr.tweets[a.i].ID, tr.tweets[b.i].ID; ida != idb {
+			return ida < idb
+		}
+		return a.i < b.i
+	}
+	kw := tr.corpus.Keywords(keywords)
+	// A small k is selected as the tweets are scored; a large one (or
+	// none) by sorting every candidate, which insertion would not beat.
+	bounded := k > 0 && k <= 256
+	var top []ranked
+	score := func(i int32) {
+		sim := kw.Similarity(tr.termsOf(i))
+		if tr.tweets[i].Retweet {
 			sim *= 0.8
 		}
-		out = append(out, RankedTweet{StoredTweet: st, Similarity: sim})
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Similarity != out[j].Similarity {
-			return out[i].Similarity > out[j].Similarity
+		if bounded {
+			top = terms.KeepTop(top, k, ranked{sim, i}, before)
+		} else {
+			top = append(top, ranked{sim, i})
 		}
-		return out[i].ID < out[j].ID
-	})
-	if k > 0 && k < len(out) {
-		out = out[:k]
+	}
+	tr.span(start, end, func(b *binPartial) {
+		for _, i := range b.tweets {
+			score(i)
+		}
+	}, score)
+	if !bounded {
+		sort.Slice(top, func(i, j int) bool { return before(top[i], top[j]) })
+		if k > 0 && k < len(top) {
+			top = top[:k]
+		}
+	}
+	if len(top) == 0 {
+		return nil
+	}
+	out := make([]RankedTweet, len(top))
+	for n, r := range top {
+		out[n] = RankedTweet{StoredTweet: tr.tweets[r.i], Similarity: r.sim}
 	}
 	return out
 }
@@ -359,43 +659,68 @@ func (p Pie) Normalized(posRecall, negRecall float64) Pie {
 	}
 }
 
+// add counts one tweet of the given polarity.
+func (p *Pie) add(l sentiment.Label) {
+	switch l {
+	case sentiment.Positive:
+		p.Positive++
+	case sentiment.Negative:
+		p.Negative++
+	default:
+		p.Neutral++
+	}
+}
+
 // Sentiment returns the whole-event pie.
 func (tr *Tracker) Sentiment() Pie {
-	return Pie{Positive: tr.pos, Negative: tr.neg, Neutral: tr.neutral}
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
+	return tr.pie
 }
 
 // SentimentIn recomputes the pie over a time range (peak drill-down).
 func (tr *Tracker) SentimentIn(start, end time.Time) Pie {
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
+	return tr.sentimentIn(start, end)
+}
+
+func (tr *Tracker) sentimentIn(start, end time.Time) Pie {
 	var p Pie
-	for i := range tr.tweets {
-		st := &tr.tweets[i]
-		if !inRange(st.CreatedAt, start, end) {
-			continue
-		}
-		switch st.Sentiment {
-		case sentiment.Positive:
-			p.Positive++
-		case sentiment.Negative:
-			p.Negative++
-		default:
-			p.Neutral++
-		}
-	}
+	tr.span(start, end, func(b *binPartial) {
+		p.Positive += b.pie.Positive
+		p.Negative += b.pie.Negative
+		p.Neutral += b.pie.Neutral
+	}, func(i int32) {
+		p.add(tr.tweets[i].Sentiment)
+	})
 	return p
 }
 
 // PopularLinks returns the top-k URLs over the whole event (Figure
 // 1.5; TwitInfo shows k=3).
-func (tr *Tracker) PopularLinks(k int) []links.URLCount { return tr.links.Top(k) }
+func (tr *Tracker) PopularLinks(k int) []links.URLCount {
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
+	return tr.links.Top(k)
+}
 
 // PopularLinksIn recomputes top links over a time range.
 func (tr *Tracker) PopularLinksIn(start, end time.Time, k int) []links.URLCount {
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
+	return tr.popularLinksIn(start, end, k)
+}
+
+func (tr *Tracker) popularLinksIn(start, end time.Time, k int) []links.URLCount {
 	c := links.NewCounter()
-	for i := range tr.tweets {
-		if inRange(tr.tweets[i].CreatedAt, start, end) {
-			c.AddTweet(tr.tweets[i].Text)
+	tr.span(start, end, func(b *binPartial) {
+		for u, n := range b.urls {
+			c.AddN(u, n)
 		}
-	}
+	}, func(i int32) {
+		c.AddTweet(tr.tweets[i].Text)
+	})
 	return c.Top(k)
 }
 
@@ -409,12 +734,18 @@ type Pin struct {
 }
 
 // MapPins returns up to max geo-tagged tweets in the range as map
-// markers.
+// markers, earliest arrivals first.
 func (tr *Tracker) MapPins(start, end time.Time, max int) []Pin {
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
+	return tr.mapPins(start, end, max)
+}
+
+func (tr *Tracker) mapPins(start, end time.Time, max int) []Pin {
 	var out []Pin
-	for i := range tr.tweets {
+	for _, i := range tr.geo {
 		st := &tr.tweets[i]
-		if !st.HasGeo || !inRange(st.CreatedAt, start, end) {
+		if !inRange(st.CreatedAt, start, end) {
 			continue
 		}
 		out = append(out, Pin{Lat: st.Lat, Lon: st.Lon, Sentiment: st.Sentiment, TweetID: st.ID, Text: st.Text})
@@ -429,22 +760,17 @@ func (tr *Tracker) MapPins(start, end time.Time, max int) []Pin {
 // the §3.3 observation that "opinion on an event differs by geographic
 // region" (Red Sox fans in Boston vs Yankees fans in New York).
 func (tr *Tracker) RegionSentiment(start, end time.Time) map[string]Pie {
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
 	out := make(map[string]Pie)
-	for i := range tr.tweets {
+	for _, i := range tr.geo {
 		st := &tr.tweets[i]
-		if !st.HasGeo || !inRange(st.CreatedAt, start, end) {
+		if !inRange(st.CreatedAt, start, end) {
 			continue
 		}
 		city := gazetteer.Nearest(st.Lat, st.Lon).Name
 		p := out[city]
-		switch st.Sentiment {
-		case sentiment.Positive:
-			p.Positive++
-		case sentiment.Negative:
-			p.Negative++
-		default:
-			p.Neutral++
-		}
+		p.add(st.Sentiment)
 		out[city] = p
 	}
 	return out
@@ -482,6 +808,8 @@ func PeakDetectUDF(cfg peaks.Config) catalog.StatefulFactory {
 
 // String renders a one-line event summary.
 func (tr *Tracker) String() string {
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
 	return fmt.Sprintf("event %q tracking [%s]: %d tweets, %d peaks",
 		tr.cfg.Name, strings.Join(tr.cfg.Keywords, ", "), tr.ingested, len(tr.detector.Peaks()))
 }

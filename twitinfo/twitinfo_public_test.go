@@ -3,6 +3,7 @@ package twitinfo_test
 import (
 	"context"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -262,4 +263,70 @@ func TestOpsEventTracksSysMetrics(t *testing.T) {
 	if len(tr.Tweets()) == 0 || tr.Tweets()[0].Username != "tweeqld" {
 		t.Errorf("metric samples not stored as timeline points: %+v", tr.Tweets())
 	}
+}
+
+// TestDashboardReadsDuringLiveIngest is tweeqld's arrangement: the
+// tracker is fed by StartTracking's goroutine while dashboard requests
+// read it. Run under -race it fails on any tracker state a read method
+// touches outside the tracker's lock.
+func TestDashboardReadsDuringLiveIngest(t *testing.T) {
+	eng, stream, err := tweeql.NewSimulated(tweeql.SimConfig{Scenario: "soccer", Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := twitinfo.NewStore()
+	tr, err := store.Create(twitinfo.CannedEvents()[0].Event)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := twitinfo.StartTracking(context.Background(), eng, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingested := make(chan error, 1)
+	go func() {
+		stream.Replay()
+		ingested <- tk.Wait()
+	}()
+
+	// A writer takes the tracker's lock once per tweet and so waits out
+	// whichever read is in flight: reading in a tight loop would pace
+	// ingest at one tweet per dashboard. Read once per 2000 tweets.
+	reads, lastIngested := 0, int64(0)
+	for done := false; !done; reads++ {
+		for waiting := true; waiting; {
+			select {
+			case err := <-ingested:
+				if err != nil {
+					t.Fatal(err)
+				}
+				done, waiting = true, false // one more pass, over the finished event
+			default:
+				waiting = tr.Ingested() < lastIngested+2000
+				runtime.Gosched()
+			}
+		}
+		err := store.WithTracker(tr.Config().Name, func(tr *twitinfo.Tracker) error {
+			d := tr.Dashboard(twitinfo.DashboardOptions{})
+			if d.Ingested < lastIngested || d.Ingested != d.Pie.Positive+d.Pie.Negative+d.Pie.Neutral {
+				t.Errorf("dashboard is not one snapshot: ingested %d (was %d), pie %+v", d.Ingested, lastIngested, d.Pie)
+			}
+			lastIngested = d.Ingested
+			for _, p := range d.Peaks {
+				if _, err := tr.PeakDashboard(p.ID, twitinfo.DashboardOptions{}); err != nil {
+					return err
+				}
+			}
+			tr.SearchPeaks("goal", 5)
+			_ = tr.String()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lastIngested == 0 || lastIngested != tr.Ingested() || int(lastIngested) != len(tr.Tweets()) {
+		t.Errorf("last dashboard saw %d tweets; tracker ingested %d, stored %d", lastIngested, tr.Ingested(), len(tr.Tweets()))
+	}
+	t.Logf("%d dashboard passes while %d tweets were ingested", reads, lastIngested)
 }
