@@ -215,9 +215,10 @@ func (d *DerivedStream) Open(ctx context.Context, _ OpenRequest) (<-chan value.T
 	go func() {
 		defer close(out)
 		defer sub.Cancel()
+		var rows []value.Tuple // reused: each tuple is copied into out
+		var err error
 		for {
-			rows, err := sub.Recv(ctx)
-			if err != nil {
+			if rows, err = sub.RecvInto(ctx, rows); err != nil {
 				return
 			}
 			for _, row := range rows {
@@ -308,14 +309,28 @@ func (s *Subscription) wake() {
 }
 
 // Recv blocks until rows are buffered, then pops and returns all of
-// them (so one SSE write+flush covers a burst). It returns
-// ErrStreamClosed once the stream ended or the subscription was
-// cancelled AND the buffer is drained, or ctx.Err() if ctx ends first.
+// them in a fresh slice the caller owns. It returns ErrStreamClosed once
+// the stream ended or the subscription was cancelled AND the buffer is
+// drained, or ctx.Err() if ctx ends first.
 func (s *Subscription) Recv(ctx context.Context) ([]value.Tuple, error) {
+	return s.RecvInto(ctx, nil)
+}
+
+// RecvInto is Recv into the caller's buffer: the popped rows overwrite
+// dst from its start (dst is reallocated only when the burst exceeds its
+// capacity), so a reader that is done with a burst before it asks for
+// the next one — an SSE pump encoding rows to bytes — receives without
+// allocating. The returned slice aliases dst and is valid only until the
+// next RecvInto with it; on error it is dst[:0], so the buffer survives
+// a timed-out wait.
+func (s *Subscription) RecvInto(ctx context.Context, dst []value.Tuple) ([]value.Tuple, error) {
 	for {
 		s.mu.Lock()
 		if s.n > 0 {
-			out := make([]value.Tuple, 0, s.n)
+			out := dst[:0]
+			if cap(out) < s.n {
+				out = make([]value.Tuple, 0, s.n)
+			}
 			for s.n > 0 {
 				out = append(out, s.buf[s.head])
 				s.buf[s.head] = value.Tuple{}
@@ -333,14 +348,14 @@ func (s *Subscription) Recv(ctx context.Context) ([]value.Tuple, error) {
 		closed := s.closed
 		s.mu.Unlock()
 		if closed {
-			return nil, ErrStreamClosed
+			return dst[:0], ErrStreamClosed
 		}
 		select {
 		case <-s.notify:
 		case <-s.done:
 			// Loop: drain anything offered before the close landed.
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return dst[:0], ctx.Err()
 		}
 	}
 }

@@ -334,6 +334,66 @@ func TestPublishOrdering(t *testing.T) {
 	}
 }
 
+// RecvInto with one reused buffer, against a concurrent Block-policy
+// publisher (run with -race): every row arrives once and in order, the
+// buffer is reallocated only to grow, a timed-out wait hands the buffer
+// back, and the stream drains to ErrStreamClosed.
+func TestRecvIntoReusesBuffer(t *testing.T) {
+	s := intSchema()
+	d := NewDerivedStream("d", s)
+	sub := d.Subscribe(SubOptions{Buffer: 16, Policy: Block})
+	defer sub.Cancel()
+
+	buf := make([]value.Tuple, 0, 16)
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	if got, err := sub.RecvInto(expired, buf); err != context.Canceled || len(got) != 0 || cap(got) != cap(buf) {
+		t.Fatalf("RecvInto on an idle stream = len %d cap %d, %v; want the empty buffer back and context.Canceled", len(got), cap(got), err)
+	}
+
+	const n = 5000
+	go func() {
+		for i := 0; i < n; i += 5 {
+			d.Publish(streamRow(s, i))
+			d.PublishBatch([]value.Tuple{streamRow(s, i+1), streamRow(s, i+2), streamRow(s, i+3), streamRow(s, i+4)})
+		}
+		d.CloseStream()
+	}()
+	want, allocated := 0, 0
+	for {
+		got, err := sub.RecvInto(context.Background(), buf)
+		if err != nil {
+			if err != ErrStreamClosed {
+				t.Fatal(err)
+			}
+			break
+		}
+		if len(got) > 0 && &got[0] != &buf[:1][0] {
+			allocated++
+		}
+		for _, row := range got {
+			if row.Values[0].Kind() != value.KindInt {
+				t.Fatalf("row kind = %v, want int", row.Values[0].Kind())
+			}
+			if v := row.Values[0].IntRaw(); v != int64(want) {
+				t.Fatalf("row = %d, want %d", v, want)
+			}
+			want++
+		}
+		buf = got
+	}
+	if want != n {
+		t.Fatalf("delivered %d rows, want %d", want, n)
+	}
+	// A burst is at most the ring, and buf starts at the ring's size.
+	if allocated != 0 {
+		t.Errorf("RecvInto left the caller's buffer %d times", allocated)
+	}
+	if st := sub.Stats(); st.Delivered != n || st.Dropped != 0 {
+		t.Errorf("stats = %+v, want %d delivered, none dropped", st, n)
+	}
+}
+
 func ExampleDerivedStream_PublishBatch() {
 	s := intSchema()
 	d := NewDerivedStream("counts", s)

@@ -11,10 +11,10 @@ import (
 	"strings"
 	"time"
 
+	"tweeql/internal/catalog"
 	"tweeql/internal/core"
 	"tweeql/internal/obs"
 	"tweeql/internal/resilience"
-	"tweeql/internal/value"
 )
 
 // Options tune the serving layer.
@@ -426,9 +426,12 @@ func (s *Server) snapshotTable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cur.Stop()
-	rows := make([]map[string]any, 0, 64)
+	// Rows go through the stream encoder, so a snapshot and a stream of
+	// the same row carry the same bytes.
+	var enc rowEncoder
+	rows := make([]json.RawMessage, 0, 64)
 	for row := range cur.Rows() {
-		rows = append(rows, rowMap(row))
+		rows = append(rows, enc.appendRow(nil, row))
 	}
 	if err := cur.Stats().Err(); err != nil {
 		s.writeError(w, http.StatusInternalServerError, err)
@@ -496,28 +499,7 @@ func (s *Server) dropAlert(w http.ResponseWriter, r *http.Request) {
 //
 //	GET /api/alerts/stream
 func (s *Server) streamAlerts(w http.ResponseWriter, r *http.Request) {
-	streamSSE(w, r, s.alerts.Broadcaster(), s.opts.StreamBuffer)
-}
-
-// rowMap converts one tuple to its JSON object form.
-func rowMap(row value.Tuple) map[string]any {
-	m := make(map[string]any, len(row.Values))
-	if row.Schema != nil {
-		for i, v := range row.Values {
-			if i < row.Schema.Len() {
-				m[row.Schema.Field(i).Name] = jsonValue(v)
-			}
-		}
-	}
-	return m
-}
-
-// jsonValue unwraps a value for JSON, rendering times as RFC3339 so
-// snapshots and streams agree with the query language's literals.
-func jsonValue(v value.Value) any {
-	if v.Kind() == value.KindTime {
-		t, _ := v.TimeVal()
-		return t.UTC().Format(time.RFC3339Nano)
-	}
-	return v.GoValue()
+	bcast := s.alerts.Broadcaster()
+	s.pump(w, r, bcast, streamSpec{name: bcast.Name(), sse: true, heartbeat: heartbeatEvery,
+		sub: catalog.SubOptions{Buffer: s.opts.StreamBuffer}})
 }

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,6 +19,7 @@ import (
 	"tweeql/internal/testutil"
 	"tweeql/internal/tweet"
 	"tweeql/internal/twitterapi"
+	"tweeql/internal/value"
 )
 
 // newTestDeployment wires a hub-fed engine (persistent when dataDir is
@@ -330,7 +332,7 @@ func TestStreamFormatsAndValidation(t *testing.T) {
 	defer srv.Close(context.Background())
 	defer hub.Close()
 
-	createQuery(t, ts.URL, "nd", `SELECT id FROM twitter`)
+	createQuery(t, ts.URL, "nd", `SELECT id, text, created_at FROM twitter`)
 	createQuery(t, ts.URL, "logger", `SELECT * FROM twitter INTO TABLE log1`)
 
 	// INTO TABLE has no live stream to fan out.
@@ -381,32 +383,182 @@ func TestStreamFormatsAndValidation(t *testing.T) {
 		t.Errorf("duplicate create: %d, want 409", dup.StatusCode)
 	}
 
-	// NDJSON: one JSON object per line.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, "GET", ts.URL+"/api/queries/nd/stream?format=ndjson", nil)
-	ndResp, err := http.DefaultClient.Do(req)
+	// A live query's wire bytes in both framings, line by line against
+	// the oracle over the very tuples the fan-out delivered.
+	q, _ := srv.Registry().Get("nd")
+	tap := q.Broadcaster().Subscribe(catalog.SubOptions{Buffer: 64, Policy: catalog.Block})
+	defer tap.Cancel()
+	nd := openStream(t, ts.URL+"/api/queries/nd/stream?format=ndjson", "application/x-ndjson")
+	sse := openStream(t, ts.URL+"/api/queries/nd/stream", "text/event-stream")
+	wantLines(t, sse, `: stream nd columns=["id","text","created_at"]`, "")
+	alerts := openStream(t, ts.URL+"/api/alerts/stream", "text/event-stream")
+	wantLines(t, alerts, `: stream $sys.alerts columns=["alert","state","value","created_at"]`, "")
+	waitFor(t, 5*time.Second, "stream subscribers", func() bool {
+		return getStatus(t, ts.URL, "nd").Subscribers == 3
+	})
+	tweets := []*tweet.Tweet{
+		mkTweet(41, `<b>"goal"</b> & more\`, 1),
+		mkTweet(42, "caf\xc3\xa9 \xf0\x9f\x98\x80 \xe2\x80\xa8 \xff\x00", 2),
+		mkTweet(43, "", 3),
+	}
+	tweets[2].CreatedAt = time.Unix(3, 120).In(time.FixedZone("", -5*3600))
+	hub.PublishBatch(tweets)
+	var rows []value.Tuple
+	for len(rows) < len(tweets) {
+		burst, err := tap.Recv(t.Context())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, burst...)
+	}
+	for _, row := range rows {
+		want, err := json.Marshal(rowMap(row))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantLines(t, nd, string(want))
+		wantLines(t, sse, "data: "+string(want), "")
+	}
+
+	// Dropping the query ends both: SSE says so, NDJSON just ends.
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/queries/nd", nil)
+	if resp, err = http.DefaultClient.Do(req); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	wantLines(t, sse, "event: end", "data: {}", "")
+	for name, r := range map[string]*bufio.Reader{"sse": sse, "ndjson": nd} {
+		if rest, err := io.ReadAll(r); err != nil || len(rest) != 0 {
+			t.Errorf("%s after the end of the stream: %q, %v", name, rest, err)
+		}
+	}
+}
+
+// openStream GETs a streaming endpoint for the length of the test, or
+// 30 s: a read of bytes that never come then fails instead of hanging.
+func openStream(t *testing.T, url, contentType string) *bufio.Reader {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(t.Context(), 30*time.Second)
+	t.Cleanup(cancel)
+	req, _ := http.NewRequestWithContext(ctx, "GET", url, nil)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ndResp.Body.Close()
-	if ct := ndResp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("ndjson content type %q", ct)
+	t.Cleanup(func() { resp.Body.Close() })
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != contentType {
+		t.Fatalf("GET %s: status %d, content type %q", url, resp.StatusCode, ct)
 	}
-	waitFor(t, 5*time.Second, "ndjson subscriber", func() bool {
-		return getStatus(t, ts.URL, "nd").Subscribers == 1
-	})
-	hub.PublishBatch([]*tweet.Tweet{mkTweet(41, "x", 1), mkTweet(42, "y", 2)})
-	sc := bufio.NewScanner(ndResp.Body)
-	var ids []float64
-	for len(ids) < 2 && sc.Scan() {
-		var m map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			t.Fatalf("bad ndjson line %q: %v", sc.Text(), err)
+	return bufio.NewReader(resp.Body)
+}
+
+// wantLines reads the stream's next lines and compares them exactly.
+func wantLines(t *testing.T, r *bufio.Reader, want ...string) {
+	t.Helper()
+	for _, w := range want {
+		got, err := r.ReadString('\n')
+		if err != nil || got != w+"\n" {
+			t.Fatalf("stream line = %q, %v; want %q", got, err, w+"\n")
 		}
-		ids = append(ids, m["id"].(float64))
 	}
-	if len(ids) != 2 || ids[0] != 41 || ids[1] != 42 {
-		t.Fatalf("ndjson ids = %v", ids)
+}
+
+// The pump's idle behaviour on a short heartbeat: SSE pings while idle,
+// before and after rows, and says goodbye; NDJSON stays silent.
+func TestPumpHeartbeatAndEnd(t *testing.T) {
+	eng, hub, srv := newTestDeployment(t, "")
+	defer eng.Close()
+	defer srv.Close(context.Background())
+	defer hub.Close()
+	schema := value.NewSchema(value.Field{Name: "n", Kind: value.KindInt})
+	ds := catalog.NewDerivedStream("beat", schema)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.pump(w, r, ds, streamSpec{name: "beat", sse: r.URL.Query().Get("format") != "ndjson",
+			heartbeat: 10 * time.Millisecond, sub: catalog.SubOptions{Buffer: 8}})
+	}))
+	defer ts.Close()
+
+	sse := openStream(t, ts.URL, "text/event-stream")
+	nd := openStream(t, ts.URL+"?format=ndjson", "application/x-ndjson")
+	waitFor(t, 5*time.Second, "subscribers", func() bool { return ds.Stats().Subscribers == 2 })
+	wantLines(t, sse, `: stream beat columns=["n"]`, "")
+	// Two pings: the heartbeat re-arms after it fires.
+	wantLines(t, sse, ": ping", "", ": ping", "")
+	ds.Publish(value.NewTuple(schema, []value.Value{value.Int(1)}, time.Time{}))
+	frame := func() string { // the next SSE frame that is not a ping
+		for {
+			var f string
+			for {
+				line, err := sse.ReadString('\n')
+				if err != nil {
+					t.Fatalf("sse: %q then %v", f, err)
+				}
+				if line == "\n" {
+					break
+				}
+				f += line
+			}
+			if f != ": ping\n" {
+				return f
+			}
+		}
+	}
+	if got := frame(); got != "data: {\"n\":1}\n" {
+		t.Fatalf("frame after publish = %q", got)
+	}
+	wantLines(t, sse, ": ping", "") // idle again after a row
+	ds.CloseStream()
+	if got := frame(); got != "event: end\ndata: {}\n" {
+		t.Fatalf("frame after close = %q", got)
+	}
+	if rest, err := io.ReadAll(sse); err != nil || len(rest) != 0 {
+		t.Errorf("sse after end: %q, %v", rest, err)
+	}
+	if all, err := io.ReadAll(nd); err != nil || string(all) != "{\"n\":1}\n" {
+		t.Errorf("ndjson stream = %q, %v; want one row and no pings", all, err)
+	}
+}
+
+// A non-finite float used to fail json.Marshal: the stream skipped the
+// row without a trace and the snapshot answered 200 with an empty body.
+// Both now deliver the row with null in the cell, through one encoder.
+func TestNonFiniteFloatIsNullNotDropped(t *testing.T) {
+	eng, hub, srv := newTestDeployment(t, t.TempDir())
+	defer eng.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Close(context.Background())
+	defer hub.Close()
+
+	// TweeQL has no exponent literals: 1e100, four times over, is +Inf.
+	googol := "1" + strings.Repeat("0", 100) + ".0"
+	inf := fmt.Sprintf("(followers + 1) * %[1]s * %[1]s * %[1]s * %[1]s AS big", googol)
+	createQuery(t, ts.URL, "live", "SELECT id, "+inf+" FROM twitter")
+	createQuery(t, ts.URL, "logged", "SELECT id, "+inf+" FROM twitter INTO TABLE inf_log")
+
+	nd := openStream(t, ts.URL+"/api/queries/live/stream?format=ndjson", "application/x-ndjson")
+	waitFor(t, 5*time.Second, "subscriber", func() bool { return getStatus(t, ts.URL, "live").Subscribers == 1 })
+	hub.PublishBatch([]*tweet.Tweet{mkTweet(1, "a", 1), mkTweet(2, "b", 2)})
+	wantLines(t, nd, `{"big":null,"id":1}`, `{"big":null,"id":2}`)
+
+	var body []byte
+	var snap snapshotResp
+	waitFor(t, 10*time.Second, "both rows in a well-formed snapshot", func() bool {
+		resp, err := http.Get(ts.URL + "/api/tables/inf_log/snapshot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ = io.ReadAll(resp.Body)
+		snap = snapshotResp{}
+		return resp.StatusCode == http.StatusOK && json.Unmarshal(body, &snap) == nil && snap.Count == 2
+	})
+	if len(snap.Rows) != 2 {
+		t.Fatalf("snapshot = %s", body)
+	}
+	for i, row := range snap.Rows {
+		if big, ok := row["big"]; !ok || big != nil || row["id"] != float64(i+1) {
+			t.Errorf("snapshot row %d = %v, want big null and id %d", i, row, i+1)
+		}
 	}
 }

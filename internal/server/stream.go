@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"tweeql/internal/catalog"
+	"tweeql/internal/value"
 )
 
 // heartbeatEvery bounds how long an idle SSE connection goes without
@@ -40,12 +40,6 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("query %q routes INTO TABLE; use /api/tables/{name}/snapshot", q.Spec().Name))
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("response writer cannot stream"))
-		return
-	}
-
 	buffer := s.opts.StreamBuffer
 	if v := r.URL.Query().Get("buffer"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -81,114 +75,91 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sub := bcast.Subscribe(catalog.SubOptions{Buffer: buffer, Policy: policy})
+	s.pump(w, r, bcast, streamSpec{name: q.Spec().Name, sse: sse, heartbeat: heartbeatEvery,
+		sub: catalog.SubOptions{Buffer: buffer, Policy: policy}})
+}
+
+// streamSpec is what distinguishes one streaming connection from
+// another: the name its SSE preamble announces, its framing, its ring,
+// and how long it may sit idle before a ping.
+type streamSpec struct {
+	name      string
+	sse       bool // false: NDJSON, which has no preamble, pings or end frame
+	sub       catalog.SubOptions
+	heartbeat time.Duration
+}
+
+// pump is the one stream loop behind /api/queries/{name}/stream and
+// /api/alerts/stream: subscribe to bcast, then turn each burst of rows
+// into a single Write+Flush until the stream closes or the client goes.
+// Rows, frame bytes and the encoder's key layout are all reused from one
+// burst to the next.
+func (s *Server) pump(w http.ResponseWriter, r *http.Request, bcast *catalog.DerivedStream, spec streamSpec) {
+	flusher, ok := w.(http.Flusher)
+	if !ok {
+		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("response writer cannot stream"))
+		return
+	}
+	sub := bcast.Subscribe(spec.sub)
 	defer sub.Cancel()
 
-	if sse {
+	head, tail := "", "\n"
+	if spec.sse {
+		head, tail = "data: ", "\n\n"
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-cache")
 		w.Header().Set("Connection", "keep-alive")
-		fmt.Fprintf(w, ": stream %s columns=%s\n\n", q.Spec().Name, mustJSON(bcast.Schema().Names()))
+		fmt.Fprintf(w, ": stream %s columns=%s\n\n", spec.name, mustJSON(bcast.Schema().Names()))
 	} else {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
 	flusher.Flush()
 
-	var buf bytes.Buffer
+	// One timer bounds every wait between two pings: it cancels idle, the
+	// context RecvInto waits under, and is re-armed before each wait. Only
+	// a wait that outlasts the heartbeat pays for a new context and timer.
+	idle, expire := context.WithCancel(r.Context())
+	timer := time.AfterFunc(spec.heartbeat, expire)
+	defer func() { timer.Stop(); expire() }()
+
+	var (
+		enc  rowEncoder
+		rows []value.Tuple
+		buf  []byte
+		err  error
+	)
 	for {
-		hb, cancel := context.WithTimeout(r.Context(), heartbeatEvery)
-		rows, err := sub.Recv(hb)
-		cancel()
-		switch {
-		case err == nil:
-		case errors.Is(err, context.DeadlineExceeded) && r.Context().Err() == nil:
-			// Idle: keep the connection visibly alive.
-			if sse {
+		timer.Reset(spec.heartbeat)
+		if rows, err = sub.RecvInto(idle, rows); err != nil {
+			switch {
+			case errors.Is(err, catalog.ErrStreamClosed):
+				// Query dropped or daemon shutting down.
+				if spec.sse {
+					fmt.Fprint(w, "event: end\ndata: {}\n\n")
+					flusher.Flush()
+				}
+				return
+			case r.Context().Err() != nil:
+				return // client gone
+			}
+			// Idle for a whole heartbeat: keep the connection visibly alive.
+			idle, expire = context.WithCancel(r.Context())
+			timer = time.AfterFunc(spec.heartbeat, expire)
+			if spec.sse {
 				if _, werr := fmt.Fprint(w, ": ping\n\n"); werr != nil {
 					return
 				}
 				flusher.Flush()
 			}
 			continue
-		default:
-			// Stream closed (query dropped / shutdown) or client gone.
-			if sse && errors.Is(err, catalog.ErrStreamClosed) {
-				fmt.Fprint(w, "event: end\ndata: {}\n\n")
-				flusher.Flush()
-			}
-			return
 		}
-		buf.Reset()
+		buf = buf[:0]
 		for _, row := range rows {
-			line, merr := json.Marshal(rowMap(row))
-			if merr != nil {
-				continue
-			}
-			if sse {
-				buf.WriteString("data: ")
-				buf.Write(line)
-				buf.WriteString("\n\n")
-			} else {
-				buf.Write(line)
-				buf.WriteByte('\n')
-			}
+			buf = append(buf, head...)
+			buf = enc.appendRow(buf, row)
+			buf = append(buf, tail...)
 		}
-		if _, werr := w.Write(buf.Bytes()); werr != nil {
-			return
-		}
-		flusher.Flush()
-	}
-}
-
-// streamSSE is the generic SSE pump behind /api/alerts/stream: one
-// DropOldest subscription on bcast, rows as data: events, ping
-// heartbeats while idle, event: end when the stream closes.
-func streamSSE(w http.ResponseWriter, r *http.Request, bcast *catalog.DerivedStream, buffer int) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, `{"error":"response writer cannot stream"}`, http.StatusInternalServerError)
-		return
-	}
-	sub := bcast.Subscribe(catalog.SubOptions{Buffer: buffer})
-	defer sub.Cancel()
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	fmt.Fprintf(w, ": stream %s columns=%s\n\n", bcast.Name(), mustJSON(bcast.Schema().Names()))
-	flusher.Flush()
-
-	var buf bytes.Buffer
-	for {
-		hb, cancel := context.WithTimeout(r.Context(), heartbeatEvery)
-		rows, err := sub.Recv(hb)
-		cancel()
-		switch {
-		case err == nil:
-		case errors.Is(err, context.DeadlineExceeded) && r.Context().Err() == nil:
-			if _, werr := fmt.Fprint(w, ": ping\n\n"); werr != nil {
-				return
-			}
-			flusher.Flush()
-			continue
-		default:
-			if errors.Is(err, catalog.ErrStreamClosed) {
-				fmt.Fprint(w, "event: end\ndata: {}\n\n")
-				flusher.Flush()
-			}
-			return
-		}
-		buf.Reset()
-		for _, row := range rows {
-			line, merr := json.Marshal(rowMap(row))
-			if merr != nil {
-				continue
-			}
-			buf.WriteString("data: ")
-			buf.Write(line)
-			buf.WriteString("\n\n")
-		}
-		if _, werr := w.Write(buf.Bytes()); werr != nil {
+		if _, werr := w.Write(buf); werr != nil {
 			return
 		}
 		flusher.Flush()
