@@ -7,6 +7,7 @@ package tweeql_test
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -478,6 +479,35 @@ func BenchmarkTableStore(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(b.N)*256/b.Elapsed().Seconds(), "tweets/sec")
+	})
+
+	// append_sealing: the production configuration, where append never
+	// is just append — columnar, a seal every 256 KiB of row log — so the
+	// per-row cost includes building and committing the v2 blocks.
+	// Retention only keeps the directory small.
+	b.Run("append_sealing", func(b *testing.B) {
+		tab, err := store.Open(store.Options{Dir: b.TempDir(), Fsync: store.FsyncNone,
+			Columnar: true, SegmentMaxBytes: 256 << 10, RetainSegments: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer tab.Close()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		allocated := ms.TotalAlloc
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lo := (i * 256) % (len(rows) - 256)
+			if err := tab.AppendBatch(rows[lo : lo+256]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		n := float64(b.N) * 256
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/row")
+		b.ReportMetric(float64(ms.TotalAlloc-allocated)/n, "B/row")
 	})
 
 	// scan: the unsealed v1 row log (the active segment). scan_sealed and

@@ -10,9 +10,10 @@
 // gains a per-block zone map (row count + timestamp bounds) so a
 // time-ranged scan skips whole blocks without reading them.
 //
-// v2 segments are only ever produced by sealing: the active segment
+// v2 segments are only ever committed by sealing: the active segment
 // stays a v1 row log (cheap single-row appends, torn-tail recovery),
-// and sealLocked transposes it once the contents are final. Corrupt or
+// while a colBuilder (colbuild.go) encodes its blocks as rows arrive
+// into a temp file that sealLocked renames over the row log. Corrupt or
 // truncated v2 bytes must surface as ErrCorrupt (or a clean recovery
 // truncation at a block boundary), never as a panic — the same
 // discipline the v1 decoders follow, fuzz-pinned by FuzzDecodeColBlock
@@ -24,7 +25,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"os"
+	"slices"
 	"time"
 
 	"tweeql/internal/value"
@@ -118,17 +121,30 @@ func (bz *blockZone) skippable(from, to time.Time) bool {
 // accelerated on the common platforms).
 var colCRC = crc32.MakeTable(crc32.Castagnoli)
 
+// colEncoder is the block encoder's scratch, reused block after block
+// so that encoding allocates nothing once warm: the block body, one
+// chunk payload at a time, and the string dictionary of the column
+// being coded.
+type colEncoder struct {
+	body    []byte
+	payload []byte
+	dict    map[string]int
+	order   []string
+	ids     []int
+}
+
 // appendColBlock appends one framed column block for rows: uvarint
 // body length, 4-byte little-endian CRC32-C of the body, body. The
 // checksum is what a compressed format owes its readers — a bit flip
 // inside dictionary bytes or a delta stream can decode into plausible
 // wrong values, so structural validation alone cannot catch it.
-func appendColBlock(buf []byte, rows []value.Tuple, schema *value.Schema) []byte {
-	body := binary.AppendUvarint(nil, uint64(len(rows)))
-	body = appendTimeChunk(body, rows)
+func (e *colEncoder) appendColBlock(buf []byte, rows []value.Tuple, schema *value.Schema) []byte {
+	body := binary.AppendUvarint(e.body[:0], uint64(len(rows)))
+	body = e.appendTimeChunk(body, rows)
 	for c := 0; c < schema.Len(); c++ {
-		body = appendColChunk(body, rows, c)
+		body = e.appendColChunk(body, rows, c)
 	}
+	e.body = body
 	buf = binary.AppendUvarint(buf, uint64(len(body)))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body, colCRC))
 	return append(buf, body...)
@@ -157,13 +173,25 @@ func appendChunk(dst []byte, tag byte, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// zeroed returns buf resized to n zero bytes (a presence bitmap to
+// fill), growing it only when it is too small.
+func zeroed(buf []byte, n int) []byte {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
+}
+
+// uvarintLen is len(binary.AppendUvarint(nil, x)).
+func uvarintLen(x uint64) int {
+	return (bits.Len64(x|1) + 6) / 7
+}
+
 // appendTimeChunk encodes the event-timestamp column: presence bitmap
 // plus delta-of-delta varints over the non-zero UnixNanos. Tweet
 // streams carry near-monotonic created_at at a near-constant cadence,
 // so the second differences hover around zero and fit one byte.
-func appendTimeChunk(dst []byte, rows []value.Tuple) []byte {
-	n := len(rows)
-	payload := make([]byte, (n+7)/8, (n+7)/8+n)
+func (e *colEncoder) appendTimeChunk(dst []byte, rows []value.Tuple) []byte {
+	payload := zeroed(e.payload, (len(rows)+7)/8)
 	var prev, prevDelta int64
 	for i := range rows {
 		ns := tsNano(rows[i].TS)
@@ -175,16 +203,17 @@ func appendTimeChunk(dst []byte, rows []value.Tuple) []byte {
 		payload = binary.AppendVarint(payload, d-prevDelta)
 		prev, prevDelta = ns, d
 	}
+	e.payload = payload
 	return appendChunk(dst, chunkTimes, payload)
 }
 
 // appendColChunk encodes one schema column of the block, picking the
 // encoding the column's kinds admit.
-func appendColChunk(dst []byte, rows []value.Tuple, col int) []byte {
+func (e *colEncoder) appendColChunk(dst []byte, rows []value.Tuple, col int) []byte {
 	homog := true
-	kind := rows[0].Values[col].Kind()
+	kind := rows[0].Values[col].KindRef()
 	for i := 1; i < len(rows); i++ {
-		if rows[i].Values[col].Kind() != kind {
+		if rows[i].Values[col].KindRef() != kind {
 			homog = false
 			break
 		}
@@ -192,18 +221,19 @@ func appendColChunk(dst []byte, rows []value.Tuple, col int) []byte {
 	if homog {
 		switch kind {
 		case value.KindInt:
-			return appendIntChunk(dst, rows, col)
+			return e.appendIntChunk(dst, rows, col)
 		case value.KindFloat:
-			return appendFloatChunk(dst, rows, col)
+			return e.appendFloatChunk(dst, rows, col)
 		case value.KindBool:
-			return appendBoolChunk(dst, rows, col)
+			return e.appendBoolChunk(dst, rows, col)
 		case value.KindString:
-			return appendStrChunk(dst, rows, col)
+			return e.appendStrChunk(dst, rows, col)
 		case value.KindTime:
-			return appendTimeColChunk(dst, rows, col)
+			return e.appendTimeColChunk(dst, rows, col)
 		}
 	}
-	return appendChunk(dst, chunkRaw, appendRawPayload(nil, rows, col))
+	e.payload = appendRawPayload(e.payload[:0], rows, col)
+	return appendChunk(dst, chunkRaw, e.payload)
 }
 
 // appendRawPayload concatenates the self-describing row encodings.
@@ -214,50 +244,51 @@ func appendRawPayload(payload []byte, rows []value.Tuple, col int) []byte {
 	return payload
 }
 
-func appendIntChunk(dst []byte, rows []value.Tuple, col int) []byte {
-	payload := make([]byte, 0, len(rows)*2)
+func (e *colEncoder) appendIntChunk(dst []byte, rows []value.Tuple, col int) []byte {
+	payload := e.payload[:0]
 	var prev int64
 	for i := range rows {
-		v := rows[i].Values[col]
+		v := &rows[i].Values[col]
 		// kernel: kind pre-proven
-		n := v.IntRaw()
+		n := v.IntRef()
 		payload = binary.AppendVarint(payload, n-prev)
 		prev = n
 	}
+	e.payload = payload
 	return appendChunk(dst, chunkInts, payload)
 }
 
-func appendFloatChunk(dst []byte, rows []value.Tuple, col int) []byte {
-	payload := make([]byte, 0, len(rows)*8)
+func (e *colEncoder) appendFloatChunk(dst []byte, rows []value.Tuple, col int) []byte {
+	payload := e.payload[:0]
 	for i := range rows {
-		v := rows[i].Values[col]
+		v := &rows[i].Values[col]
 		// kernel: kind pre-proven
-		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(v.Num()))
+		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(v.NumRef()))
 	}
+	e.payload = payload
 	return appendChunk(dst, chunkFloats, payload)
 }
 
-func appendBoolChunk(dst []byte, rows []value.Tuple, col int) []byte {
-	payload := make([]byte, (len(rows)+7)/8)
+func (e *colEncoder) appendBoolChunk(dst []byte, rows []value.Tuple, col int) []byte {
+	payload := zeroed(e.payload, (len(rows)+7)/8)
 	for i := range rows {
 		if rows[i].Values[col].Truthy() {
 			payload[i/8] |= 1 << uint(i%8)
 		}
 	}
+	e.payload = payload
 	return appendChunk(dst, chunkBools, payload)
 }
 
 // appendTimeColChunk reuses the timestamp encoding for a KindTime data
 // column (created_at stored as a value, not just the tuple TS).
-func appendTimeColChunk(dst []byte, rows []value.Tuple, col int) []byte {
-	n := len(rows)
-	payload := make([]byte, (n+7)/8, (n+7)/8+n)
+func (e *colEncoder) appendTimeColChunk(dst []byte, rows []value.Tuple, col int) []byte {
+	payload := zeroed(e.payload, (len(rows)+7)/8)
 	var prev, prevDelta int64
 	for i := range rows {
-		v := rows[i].Values[col]
+		v := &rows[i].Values[col]
 		// kernel: kind pre-proven
-		tm := v.TimeRaw()
-		ns := tsNano(tm)
+		ns := tsNano(v.TimeRef())
 		if ns == 0 {
 			continue
 		}
@@ -266,41 +297,52 @@ func appendTimeColChunk(dst []byte, rows []value.Tuple, col int) []byte {
 		payload = binary.AppendVarint(payload, d-prevDelta)
 		prev, prevDelta = ns, d
 	}
+	e.payload = payload
 	return appendChunk(dst, chunkTimes, payload)
 }
 
 // appendStrChunk dictionary-codes a string column when that is smaller
 // than the raw encoding (low-cardinality usernames, languages, repeated
-// retweet texts), raw otherwise.
-func appendStrChunk(dst []byte, rows []value.Tuple, col int) []byte {
-	idx := make(map[string]int)
-	var order []string
-	ids := make([]int, len(rows))
+// retweet texts), raw otherwise; a tie goes to raw. Both sizes are
+// counted while interning, so only the winning payload is ever built.
+func (e *colEncoder) appendStrChunk(dst []byte, rows []value.Tuple, col int) []byte {
+	if e.dict == nil {
+		e.dict = make(map[string]int)
+	}
+	clear(e.dict)
+	order, ids := e.order[:0], e.ids[:0]
+	rawLen, dictLen := 0, 0
 	for i := range rows {
-		v := rows[i].Values[col]
+		v := &rows[i].Values[col]
 		// kernel: kind pre-proven
-		s := v.Str()
-		id, ok := idx[s]
+		s := v.StrRef()
+		rawLen += 1 + uvarintLen(uint64(len(s))) + len(s)
+		id, ok := e.dict[s]
 		if !ok {
 			id = len(order)
-			idx[s] = id
+			e.dict[s] = id
 			order = append(order, s)
+			dictLen += uvarintLen(uint64(len(s))) + len(s)
 		}
-		ids[i] = id
+		ids = append(ids, id)
+		dictLen += uvarintLen(uint64(id))
 	}
-	dict := binary.AppendUvarint(nil, uint64(len(order)))
+	dictLen += uvarintLen(uint64(len(order)))
+	e.order, e.ids = order, ids
+	if dictLen >= rawLen {
+		e.payload = appendRawPayload(e.payload[:0], rows, col)
+		return appendChunk(dst, chunkRaw, e.payload)
+	}
+	payload := binary.AppendUvarint(e.payload[:0], uint64(len(order)))
 	for _, s := range order {
-		dict = binary.AppendUvarint(dict, uint64(len(s)))
-		dict = append(dict, s...)
+		payload = binary.AppendUvarint(payload, uint64(len(s)))
+		payload = append(payload, s...)
 	}
 	for _, id := range ids {
-		dict = binary.AppendUvarint(dict, uint64(id))
+		payload = binary.AppendUvarint(payload, uint64(id))
 	}
-	raw := appendRawPayload(nil, rows, col)
-	if len(dict) < len(raw) {
-		return appendChunk(dst, chunkDict, dict)
-	}
-	return appendChunk(dst, chunkRaw, raw)
+	e.payload = payload
+	return appendChunk(dst, chunkDict, payload)
 }
 
 // errColCorrupt builds the block decoders' uniform corruption error.
@@ -498,79 +540,6 @@ func decodeTimeChunk(payload []byte, out []time.Time) error {
 	if len(p) != 0 {
 		return errColCorrupt("time chunk length mismatch")
 	}
-	return nil
-}
-
-// convertToColumnar rewrites a flushed, fsynced, closed v1 segment as a
-// v2 column-major file: decode the row log, transpose into blocks,
-// write a temp file alongside, fsync, and rename over the .seg — the
-// same atomic-replace discipline the sidecar index uses. On success m
-// describes the v2 file (version, header length, data end, zones); on
-// any error m is untouched and the caller keeps the v1 seal.
-func convertToColumnar(m *segMeta, blockRows int, fsync bool) error {
-	data, err := os.ReadFile(m.path)
-	if err != nil {
-		return err
-	}
-	buf := append([]byte(segMagic), colFormatVersion)
-	buf = value.AppendSchema(buf, m.schema)
-	hdrLen := int64(len(buf))
-	var blocks []blockZone
-	var block []value.Tuple
-	flush := func() {
-		if len(block) == 0 {
-			return
-		}
-		blocks = append(blocks, zoneOf(int64(len(buf)), block))
-		buf = appendColBlock(buf, block, m.schema)
-		block = block[:0]
-	}
-	off := m.hdrLen
-	for off < int64(len(data)) {
-		rec, n, ok := decodeFrame(data[off:], m.schema)
-		if !ok {
-			// A sealed v1 segment decodes end to end; a frame that does
-			// not is corruption the caller should not paper over.
-			return fmt.Errorf("%w: segment %s: bad frame during conversion", ErrCorrupt, m.path)
-		}
-		block = append(block, rec)
-		off += int64(n)
-		if len(block) >= blockRows {
-			flush()
-		}
-	}
-	flush()
-
-	tmp := m.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if fsync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, m.path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	m.version = colFormatVersion
-	m.hdrLen = hdrLen
-	m.dataEnd = int64(len(buf))
-	m.blocks = blocks
-	m.index = nil
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -422,4 +423,125 @@ func TestColumnarCorruptBlockSurfaces(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("scan over flipped block = %v, want ErrCorrupt", err)
 	}
+}
+
+// convertToColumnar is the seal path before the column-block builder,
+// kept as the differential oracle for it (TestSealMatchesConversion,
+// FuzzSealMatchesConversion): it rewrites a flushed, fsynced, closed v1
+// segment as a v2 column-major file — decode the row log, transpose
+// into blocks, write a temp file alongside, fsync, and rename over the
+// .seg. On success m describes the v2 file (version, header length,
+// data end, zones); on any error m is untouched and the caller keeps
+// the v1 seal.
+func convertToColumnar(m *segMeta, blockRows int, fsync bool) error {
+	data, err := os.ReadFile(m.path)
+	if err != nil {
+		return err
+	}
+	buf := append([]byte(segMagic), colFormatVersion)
+	buf = value.AppendSchema(buf, m.schema)
+	hdrLen := int64(len(buf))
+	var blocks []blockZone
+	var block []value.Tuple
+	flush := func() {
+		if len(block) == 0 {
+			return
+		}
+		blocks = append(blocks, zoneOf(int64(len(buf)), block))
+		buf = appendColBlock(buf, block, m.schema)
+		block = block[:0]
+	}
+	off := m.hdrLen
+	for off < int64(len(data)) {
+		rec, n, ok := decodeFrame(data[off:], m.schema)
+		if !ok {
+			// A sealed v1 segment decodes end to end; a frame that does
+			// not is corruption the caller should not paper over.
+			return fmt.Errorf("%w: segment %s: bad frame during conversion", ErrCorrupt, m.path)
+		}
+		block = append(block, rec)
+		off += int64(n)
+		if len(block) >= blockRows {
+			flush()
+		}
+	}
+	flush()
+
+	tmp := m.path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(buf); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if fsync {
+		if err := f.Sync(); err != nil {
+			f.Close()
+			os.Remove(tmp)
+			return err
+		}
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, m.path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	m.version = colFormatVersion
+	m.hdrLen = hdrLen
+	m.dataEnd = int64(len(buf))
+	m.blocks = blocks
+	m.index = nil
+	return nil
+}
+
+// appendColBlock encodes one block with a fresh encoder, so the oracle
+// shares no scratch with the builder's reused one.
+func appendColBlock(buf []byte, rows []value.Tuple, schema *value.Schema) []byte {
+	var e colEncoder
+	return e.appendColBlock(buf, rows, schema)
+}
+
+// oracleStrChunk is appendStrChunk before the encoder kept scratch and
+// counted both sizes instead of building both payloads.
+func oracleStrChunk(dst []byte, rows []value.Tuple, col int) []byte {
+	dict, raw := oracleStrPayloads(rows, col)
+	if len(dict) < len(raw) {
+		return appendChunk(dst, chunkDict, dict)
+	}
+	return appendChunk(dst, chunkRaw, raw)
+}
+
+// oracleStrPayloads builds both candidate payloads of a string column,
+// as appendStrChunk used to on every block.
+func oracleStrPayloads(rows []value.Tuple, col int) (dict, raw []byte) {
+	idx := make(map[string]int)
+	var order []string
+	ids := make([]int, len(rows))
+	for i := range rows {
+		v := rows[i].Values[col]
+		// kernel: kind pre-proven
+		s := v.Str()
+		id, ok := idx[s]
+		if !ok {
+			id = len(order)
+			idx[s] = id
+			order = append(order, s)
+		}
+		ids[i] = id
+	}
+	dict = binary.AppendUvarint(nil, uint64(len(order)))
+	for _, s := range order {
+		dict = binary.AppendUvarint(dict, uint64(len(s)))
+		dict = append(dict, s...)
+	}
+	for _, id := range ids {
+		dict = binary.AppendUvarint(dict, uint64(id))
+	}
+	return dict, appendRawPayload(nil, rows, col)
 }

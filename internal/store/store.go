@@ -87,14 +87,16 @@ type Options struct {
 	// histograms (two clock reads per call). Benchmarks use it as the
 	// uninstrumented baseline; production tables keep them on.
 	NoLatencyHist bool
-	// Columnar converts segments to the column-major compressed format
-	// (v2) with per-block zone maps when they seal. The active segment
-	// always stays a v1 row log — appends and recovery are unchanged —
-	// and v1 sealed segments from before the option flipped remain
-	// readable alongside v2 ones.
+	// Columnar seals segments in the column-major compressed format
+	// (v2) with per-block zone maps. The active segment always stays a
+	// v1 row log — appends and recovery are unchanged — while its v2
+	// blocks are built as rows arrive and committed when it seals; v1
+	// sealed segments from before the option flipped remain readable
+	// alongside v2 ones.
 	Columnar bool
 	// ColBlockRows is the v2 block granularity (rows per column block).
-	// 0 = 4096.
+	// 0 = 4096. A columnar table stages one block of the active segment,
+	// ColBlockRows × schema-width cells.
 	ColBlockRows int
 
 	// now overrides the clock in tests.
@@ -143,9 +145,13 @@ type Table struct {
 	f       *os.File // active segment data file
 	written int64    // active data file size (bytes actually written)
 	buf     []byte   // encoded records not yet written to f
+	rec     []byte   // scratch: the record being encoded
 	openAt  time.Time
 	schema  *value.Schema // schema of the newest segment
 	closed  bool
+	// cb builds the active segment's v2 image when Options.Columnar;
+	// see colBuilderLocked.
+	cb *colBuilder
 
 	scanned       atomic.Int64 // segments read by scans
 	pruned        atomic.Int64 // segments skipped by time-range pruning
@@ -173,6 +179,10 @@ type Table struct {
 	// writeHook overrides the active data-file write in tests (fault
 	// injection for partial and failed writes); nil uses f.Write.
 	writeHook func([]byte) (int, error)
+	// scanHook runs in ScanColumns between taking the snapshot and
+	// reading any file, in tests (a seal racing the scan); nil in
+	// production.
+	scanHook func()
 }
 
 // ErrClosed is returned by operations on a closed table.
@@ -430,10 +440,15 @@ func (t *Table) appendLocked(row value.Tuple) error {
 		}
 	}
 	m := t.active
+	if t.opts.Columnar {
+		// Before the row joins the log: a recovered segment's builder
+		// replays the flushed row log first.
+		t.colBuilderLocked().add(row)
+	}
 	off := t.written + int64(len(t.buf)) // this record's file offset
-	payload := value.AppendTuple(nil, row)
-	t.buf = binary.AppendUvarint(t.buf, uint64(len(payload)))
-	t.buf = append(t.buf, payload...)
+	t.rec = value.AppendTuple(t.rec[:0], row)
+	t.buf = binary.AppendUvarint(t.buf, uint64(len(t.rec)))
+	t.buf = append(t.buf, t.rec...)
 	m.note(off, tsNano(row.TS), t.opts.IndexEvery)
 	m.dataEnd = t.written + int64(len(t.buf))
 	if m.dataEnd >= t.opts.SegmentMaxBytes ||
@@ -441,6 +456,23 @@ func (t *Table) appendLocked(row value.Tuple) error {
 		return t.sealLocked()
 	}
 	return nil
+}
+
+// colBuilderLocked returns the active segment's v2 builder, starting it
+// on first use: empty for a segment this process created, replaying the
+// flushed row log of one recovered at Open. Starting lazily keeps a
+// reopen that only reads as cheap as on a row table.
+func (t *Table) colBuilderLocked() *colBuilder {
+	if t.cb == nil {
+		t.cb = &colBuilder{blockRows: t.opts.ColBlockRows}
+	}
+	if t.cb.seg != t.active {
+		t.cb.start(t.active)
+		if t.active.rows > 0 {
+			t.cb.replay(t.written)
+		}
+	}
+	return t.cb
 }
 
 func (t *Table) newSegmentLocked(schema *value.Schema) error {
@@ -550,13 +582,14 @@ func (t *Table) Sync() error {
 		return err
 	}
 	if t.f != nil {
-		return t.f.Sync()
+		return t.syncActiveLocked()
 	}
 	return nil
 }
 
-// sealLocked flushes, fsyncs (unless the policy is none), writes the
-// sidecar index, closes the active file, and applies retention.
+// sealLocked flushes, fsyncs (unless the policy is none), closes the
+// active file, commits its v2 image on a columnar table, writes the
+// sidecar index, and applies retention.
 func (t *Table) sealLocked() error {
 	if t.active == nil {
 		return nil
@@ -565,7 +598,7 @@ func (t *Table) sealLocked() error {
 		return err
 	}
 	if t.opts.Fsync != FsyncNone {
-		if err := t.f.Sync(); err != nil {
+		if err := t.syncActiveLocked(); err != nil {
 			return err
 		}
 	}
@@ -573,10 +606,13 @@ func (t *Table) sealLocked() error {
 		return err
 	}
 	if t.opts.Columnar && t.active.rows > 0 {
-		// Transpose the sealed row log into column blocks. The v1 file
-		// is already durable, and conversion replaces it atomically, so
-		// a failure here just keeps the (perfectly valid) v1 seal.
-		_ = convertToColumnar(t.active, t.opts.ColBlockRows, t.opts.Fsync != FsyncNone)
+		// The v1 file is already durable, and the commit replaces it
+		// atomically, so a failure here just keeps the (perfectly valid)
+		// v1 seal.
+		_ = t.colBuilderLocked().commit(t.opts.Fsync != FsyncNone)
+	}
+	if t.cb != nil {
+		t.cb.stop()
 	}
 	if err := writeIndex(t.active, t.opts.Fsync != FsyncNone); err != nil {
 		return err
@@ -796,6 +832,7 @@ func (t *Table) ScanColumns(from, to time.Time, batchHint int, cols []string, fn
 	segs := make([]*segMeta, 0, len(t.sealed)+1)
 	segs = append(segs, t.sealed...)
 	var activeCopy *segMeta
+	var activeFile *os.File
 	var pending []byte
 	var flushedEnd int64
 	if t.active != nil {
@@ -804,6 +841,19 @@ func (t *Table) ScanColumns(from, to time.Time, batchHint int, cols []string, fn
 		pending = append([]byte(nil), t.buf...)
 		flushedEnd = t.written
 		segs = append(segs, activeCopy)
+		if flushedEnd > c.hdrLen && c.overlaps(from, to) {
+			// Open the row log now: once the lock is released a seal may
+			// rename the segment's v2 image over this path, and the
+			// snapshot's offsets describe the v1 bytes this descriptor
+			// keeps.
+			f, err := os.Open(c.path)
+			if err != nil {
+				t.mu.Unlock()
+				return err
+			}
+			activeFile = f
+			defer activeFile.Close()
+		}
 	}
 	projs := make(map[*value.Schema]*projection) // one per distinct segment schema
 	for _, m := range segs {
@@ -811,7 +861,11 @@ func (t *Table) ScanColumns(from, to time.Time, batchHint int, cols []string, fn
 			projs[m.schema] = t.projectionLocked(m.schema, m.key, cols)
 		}
 	}
+	hook := t.scanHook
 	t.mu.Unlock()
+	if hook != nil {
+		hook()
+	}
 
 	s := &scanState{batchHint: batchHint, fn: fn}
 	defer func() {
@@ -827,11 +881,11 @@ func (t *Table) ScanColumns(from, to time.Time, batchHint int, cols []string, fn
 		}
 		t.scanned.Add(1)
 		s.proj = projs[m.schema]
-		end := m.dataEnd
+		end, f := m.dataEnd, (*os.File)(nil)
 		if m == activeCopy {
-			end = flushedEnd
+			end, f = flushedEnd, activeFile
 		}
-		if err := scanFile(m, end, from, to, s); err != nil {
+		if err := scanFile(m, f, end, from, to, s); err != nil {
 			if os.IsNotExist(err) {
 				// Retention removed the segment between snapshot and
 				// open; its rows are gone by policy.
@@ -901,9 +955,10 @@ func inRange(ts time.Time, from, to time.Time) bool {
 var errStopScan = errors.New("store: stop scan")
 
 // scanFile streams one segment's records in [seek, end) through the
-// row-level time filter. v2 segments go block-at-a-time through the
-// zone map instead.
-func scanFile(m *segMeta, end int64, from, to time.Time, s *scanState) error {
+// row-level time filter, reading f when it is non-nil (the active
+// segment, opened under the table lock) and m.path otherwise. v2
+// segments go block-at-a-time through the zone map instead.
+func scanFile(m *segMeta, f *os.File, end int64, from, to time.Time, s *scanState) error {
 	if m.version == colFormatVersion {
 		return scanColFile(m, from, to, s)
 	}
@@ -911,11 +966,13 @@ func scanFile(m *segMeta, end int64, from, to time.Time, s *scanState) error {
 	if start >= end {
 		return nil
 	}
-	f, err := os.Open(m.path)
-	if err != nil {
-		return err
+	if f == nil {
+		var err error
+		if f, err = os.Open(m.path); err != nil {
+			return err
+		}
+		defer f.Close()
 	}
-	defer f.Close()
 	br := bufio.NewReaderSize(io.NewSectionReader(f, start, end-start), 256<<10)
 	for {
 		l, err := binary.ReadUvarint(br)
@@ -989,16 +1046,21 @@ func (t *Table) Close() error {
 		return nil
 	}
 	t.closed = true
+	if t.cb != nil {
+		t.cb.stop() // the active segment's temp image is not committed state
+	}
 	if err := t.flushLocked(); err != nil {
 		return err
 	}
 	if t.f != nil {
+		var err error
 		if t.opts.Fsync != FsyncNone {
-			if err := t.f.Sync(); err != nil {
-				return err
-			}
+			err = t.syncActiveLocked()
 		}
-		return t.f.Close()
+		if cerr := t.f.Close(); err == nil {
+			err = cerr
+		}
+		return err
 	}
 	return nil
 }

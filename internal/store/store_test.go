@@ -397,9 +397,20 @@ func TestFsyncPolicies(t *testing.T) {
 
 // TestConcurrentAppendScan drives appends and scans from many
 // goroutines; run under -race this is the synchronization gate for the
-// lock-free scan path.
+// lock-free scan path. The columnar variant is the production
+// configuration: small blocks and segments make appends write blocks
+// and seal (renaming v2 images over row logs) while scans run.
 func TestConcurrentAppendScan(t *testing.T) {
-	tab := mustOpen(t, Options{Dir: t.TempDir(), SegmentMaxBytes: 8 << 10, IndexEvery: 16})
+	t.Run("rows", func(t *testing.T) {
+		concurrentAppendScan(t, Options{Dir: t.TempDir(), SegmentMaxBytes: 8 << 10, IndexEvery: 16})
+	})
+	t.Run("columnar", func(t *testing.T) {
+		concurrentAppendScan(t, Options{Dir: t.TempDir(), SegmentMaxBytes: 8 << 10, IndexEvery: 16, Columnar: true, ColBlockRows: 16})
+	})
+}
+
+func concurrentAppendScan(t *testing.T, opts Options) {
+	tab := mustOpen(t, opts)
 	const writers, perWriter, scanners = 4, 250, 4
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
