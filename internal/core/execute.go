@@ -365,7 +365,14 @@ func (e *Engine) openSingle(ctx context.Context, cancel context.CancelFunc, ev *
 		rows = countOut(ctx, rows, stats)
 		rows = applyLimit(ctx, cancel, stmt, rows)
 	case columnar:
-		batches = exec.ColFilterProjectStage(ev, residual, p.Proj, inSchema, e.stageWorkers(projExprs...), stats)(ctx, batches)
+		// A shared row pins the cells of every row scanned beside it.
+		// That is fine for a table scan read through the cursor — the
+		// scan ends and its reader moves on — but not for an INTO target,
+		// which keeps rows, nor for a live stream, whose rows can sit in
+		// downstream window buffers for as long as the query runs.
+		_, tableScan := src.(*catalog.Table)
+		share := tableScan && (stmt.Into == nil || stmt.Into.Kind == lang.IntoStdout)
+		batches = exec.ColFilterProjectStage(ev, residual, p.Proj, inSchema, e.stageWorkers(projExprs...), share, stats)(ctx, batches)
 		limit := -1
 		if stmt.Limit >= 0 {
 			limit = stmt.Limit

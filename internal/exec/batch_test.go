@@ -261,6 +261,74 @@ func TestProjectWildcardSchemaDrift(t *testing.T) {
 	})
 }
 
+// TestColFilterProjectSharedCells pins shareCells: a select list that is
+// a contiguous run of input columns hands out the selected input rows'
+// own cells, any other list copies, and either way the rows equal the
+// copying projection's — including a row of another schema object,
+// which resolves by name.
+func TestColFilterProjectSharedCells(t *testing.T) {
+	schema := testSchema()
+	mk := func() []value.Tuple {
+		rows := make([]value.Tuple, 40)
+		for i := range rows {
+			s := schema
+			if i == 17 {
+				s = testSchema() // same columns, another object
+			}
+			rows[i] = value.NewTuple(s, []value.Value{value.String(fmt.Sprintf("t%d", i)), value.Int(int64(i)),
+				value.Float(float64(i) / 2), value.Null()}, time.Unix(int64(i), 0))
+		}
+		return rows
+	}
+	conjuncts := []lang.Expr{whereExpr(t, "n % 3 != 0")}
+	ev := NewEvaluator(catalog.New())
+	for _, tc := range []struct {
+		sel    string
+		shared int // first input column of the run; -1 = copied
+	}{
+		{"*", 0},
+		{"text, n", 0},
+		{"n, lat, lon", 1},
+		{"lon", 3},
+		{"n, text", -1},
+		{"text, lat", -1},
+		{"text, n * 2", -1},
+	} {
+		stmt, err := lang.Parse("SELECT " + tc.sel + " FROM t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var items []ProjItem
+		for _, it := range stmt.Items {
+			if it.Wildcard {
+				items = append(items, ProjItem{Name: "*", Wildcard: true})
+				continue
+			}
+			items = append(items, ProjItem{Name: it.Name(), Expr: it.Expr})
+		}
+		run := func(share bool, rows []value.Tuple) []value.Tuple {
+			stage := ColFilterProjectStage(ev, conjuncts, items, schema, 1, share, &Stats{})
+			return collectTuples(FromBatches()(context.Background(), stage(context.Background(), feedBatches(rows[:25], rows[25:]))))
+		}
+		want := run(false, mk())
+		in := mk()
+		got := run(true, append([]value.Tuple(nil), in...)) // the stage reuses its batches
+		if len(got) != len(want) {
+			t.Fatalf("%s: shared %d rows, copied %d", tc.sel, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].String() != want[i].String() || !got[i].TS.Equal(want[i].TS) || got[i].Schema.String() != want[i].Schema.String() {
+				t.Fatalf("%s row %d: shared %s, copied %s", tc.sel, i, got[i], want[i])
+			}
+			src := in[i+i/2+1] // the filter keeps rows 1, 2, 4, 5, …
+			aliased := &got[i].Values[0] == &src.Values[max(tc.shared, 0)]
+			if wantAlias := tc.shared >= 0 && src.Schema == schema; aliased != wantAlias {
+				t.Fatalf("%s row %d: aliases input cells = %v, want %v", tc.sel, i, aliased, wantAlias)
+			}
+		}
+	}
+}
+
 func TestBatchAggregateMatchesTupleAggregate(t *testing.T) {
 	// One-minute COUNT(*) windows grouped by parity over 5 minutes.
 	var rows []value.Tuple

@@ -98,12 +98,23 @@ func ColFilterStage(ev *Evaluator, conjuncts []lang.Expr, inSchema *value.Schema
 // contiguously across a pool (projection may call scalar UDFs — the
 // CPU-bound case worker sharding exists for); output order is stream
 // order either way.
-func ColFilterProjectStage(ev *Evaluator, conjuncts []lang.Expr, items []ProjItem, inSchema *value.Schema, workers int, stats *Stats) BatchStage {
+//
+// shareCells is for callers whose output rows are read, not kept (a
+// table scan read through the cursor): a select list that is a
+// contiguous run of input columns (SELECT *, or SELECT id, text over
+// id, text, created_at) then hands out each selected row's own cells,
+// resliced, instead of copying them, and reuses the batch for the
+// output rows. Cells are never written after they are built, so sharing
+// costs only retention: a kept output row pins its input's arena.
+func ColFilterProjectStage(ev *Evaluator, conjuncts []lang.Expr, items []ProjItem, inSchema *value.Schema, workers int, shareCells bool, stats *Stats) BatchStage {
 	outSchema := ProjectSchema(items, inSchema)
 	fns := bindItems(ev, items, inSchema)
 	if workers < 1 {
 		workers = 1
 	}
+	runLo, runOK := columnRun(items, inSchema)
+	share := shareCells && runOK
+	runHi := runLo + outSchema.Len()
 	sp := stats.StageProf("project", strconv.Itoa(len(items))+" items", "vec")
 	return func(ctx context.Context, in <-chan Batch) <-chan Batch {
 		out := make(chan Batch, 4)
@@ -130,7 +141,28 @@ func ColFilterProjectStage(ev *Evaluator, conjuncts []lang.Expr, items []ProjIte
 				}
 				span := sp.Enter()
 				var rows Batch
-				if workers == 1 || len(idxs) < 2*workers {
+				if share {
+					// Output row k reads input row idxs[k] >= k before
+					// overwriting slot k, so the batch serves as both.
+					rows = b[:0]
+					var arena []value.Value
+					for _, r := range idxs {
+						t := b[r]
+						if t.Schema == inSchema && len(t.Values) >= runHi {
+							rows = append(rows, value.Tuple{Schema: outSchema, Values: t.Values[runLo:runHi:runHi], TS: t.TS})
+							continue
+						}
+						// A row of another schema resolves by name.
+						var row value.Tuple
+						var err error
+						arena, row, err = projectRowAppend(ctx, items, fns, outSchema, t, arena)
+						if err != nil {
+							stats.NoteError(err)
+							continue
+						}
+						rows = append(rows, row)
+					}
+				} else if workers == 1 || len(idxs) < 2*workers {
 					arena := make([]value.Value, 0, len(idxs)*outSchema.Len())
 					rows = make(Batch, 0, len(idxs))
 					for _, r := range idxs {
@@ -188,6 +220,30 @@ func ColFilterProjectStage(ev *Evaluator, conjuncts []lang.Expr, items []ProjIte
 		}()
 		return out
 	}
+}
+
+// columnRun reports whether the select list is exactly the input
+// columns [lo, lo+n) in order — a lone wildcard, or bare column
+// references to adjacent columns — so that a projected row can be the
+// input row's cells resliced.
+func columnRun(items []ProjItem, in *value.Schema) (lo int, ok bool) {
+	if len(items) == 1 && items[0].Wildcard {
+		return 0, true
+	}
+	for j, it := range items {
+		id, isIdent := it.Expr.(*lang.Ident)
+		if it.Wildcard || !isIdent {
+			return 0, false
+		}
+		i, found := resolveIdent(in, id)
+		if !found || (j > 0 && i != lo+j) {
+			return 0, false
+		}
+		if j == 0 {
+			lo = i
+		}
+	}
+	return lo, len(items) > 0
 }
 
 // ColFilterAggStage fuses the vectorized filter with aggregation:

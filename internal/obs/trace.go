@@ -29,11 +29,12 @@ type Tracer struct {
 	n      uint64
 	offset uint64
 
-	mu      sync.Mutex
-	ring    []Event
-	next    int // next write slot
-	wrapped bool
-	dropped int64 // events overwritten after the ring filled
+	mu       sync.Mutex
+	capacity int     // ring size once full
+	ring     []Event // grows as events arrive, up to capacity
+	next     int     // next write slot
+	wrapped  bool
+	dropped  int64 // events overwritten after the ring filled
 }
 
 func newTracer(everyN int, seed int64, capacity int) *Tracer {
@@ -41,7 +42,7 @@ func newTracer(everyN int, seed int64, capacity int) *Tracer {
 		capacity = 4096
 	}
 	n := uint64(everyN)
-	return &Tracer{n: n, offset: uint64(seed) % n, ring: make([]Event, 0, capacity)}
+	return &Tracer{n: n, offset: uint64(seed) % n, capacity: capacity}
 }
 
 // sampled reports whether observation seq is in the sampled set.
@@ -53,11 +54,11 @@ func (t *Tracer) sampled(seq uint64) bool {
 // sampled observations reach here, so the mutex is off the hot path.
 func (t *Tracer) record(ev Event) {
 	t.mu.Lock()
-	if len(t.ring) < cap(t.ring) {
+	if len(t.ring) < t.capacity {
 		t.ring = append(t.ring, ev)
 	} else {
 		t.ring[t.next] = ev
-		t.next = (t.next + 1) % cap(t.ring)
+		t.next = (t.next + 1) % t.capacity
 		t.wrapped = true
 		t.dropped++
 	}

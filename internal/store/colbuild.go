@@ -2,8 +2,6 @@ package store
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"os"
 
 	"tweeql/internal/fault"
@@ -47,10 +45,6 @@ type colBuilder struct {
 	blocks []blockZone
 	failed bool
 }
-
-// errColAbandoned is what commit reports for a builder that failed
-// earlier; the caller keeps the v1 seal either way.
-var errColAbandoned = errors.New("store: column image abandoned")
 
 // start points an idle builder at a segment with no rows staged,
 // reusing the staging area when it is wide enough.
@@ -143,15 +137,16 @@ func (b *colBuilder) writeBlock() {
 // commit turns the segment into its v2 image: the partial last block is
 // written, the temp file fsynced (when fsync) and renamed over the row
 // log, and m takes the v2 layout (version, header length, data end,
-// zones). On any error m is untouched and the temp file is gone.
-func (b *colBuilder) commit(fsync bool) error {
+// zones). On any failure, now or earlier, m is untouched and the temp
+// file is gone: the segment keeps its v1 seal.
+func (b *colBuilder) commit(fsync bool) {
 	m := b.seg
 	b.writeBlock()
 	if !b.failed && (b.f == nil || b.total != m.rows) {
 		b.fail() // cannot happen: every noted row was staged
 	}
 	if b.failed {
-		return errColAbandoned
+		return
 	}
 	f := b.f
 	b.f = nil
@@ -171,12 +166,11 @@ func (b *colBuilder) commit(fsync bool) error {
 	if err != nil {
 		os.Remove(b.tmp)
 		b.failed = true
-		return fmt.Errorf("store: commit %s: %w", m.path, err)
+		return
 	}
 	m.version, m.hdrLen, m.dataEnd = colFormatVersion, b.hdrLen, b.size
 	m.blocks, b.blocks = b.blocks, nil
 	m.index = nil
-	return nil
 }
 
 // fail abandons the image: the segment will keep its v1 seal.

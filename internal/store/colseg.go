@@ -28,6 +28,7 @@ import (
 	"math/bits"
 	"os"
 	"slices"
+	"sync"
 	"time"
 
 	"tweeql/internal/value"
@@ -364,22 +365,65 @@ func nextChunk(p []byte) (tag byte, payload, rest []byte, err error) {
 	return tag, body[:l], body[l:], nil
 }
 
+// colDecoder is block-decoding scratch, reused block after block and
+// scan after scan: the framed block bytes, the timestamp column, the row
+// headers handed to the time filter (which copies the ones it keeps
+// into the delivered batches), and the string dictionary of the chunk
+// being decoded. Only the value arena is allocated per block, sized to
+// the rows the scan's time range can keep, because the delivered rows
+// keep pointing into it.
+type colDecoder struct {
+	frame []byte
+	times []time.Time
+	rows  []value.Tuple
+	dict  []string
+	cols  []byte // the open block's column chunks
+}
+
+// decoders recycles block-decoding scratch across scans, so that a
+// scan's first block does not grow it all over again.
+var decoders = sync.Pool{New: func() any { return new(colDecoder) }}
+
+// release hands d back to decoders, first dropping its references to
+// the last block's values and strings.
+func (d *colDecoder) release() {
+	clear(d.rows[:cap(d.rows)])
+	clear(d.dict[:cap(d.dict)])
+	d.cols = nil
+	decoders.Put(d)
+}
+
+// readFrame reads the n bytes at off of f into the reused frame buffer.
+func (d *colDecoder) readFrame(f *os.File, off, n int64) ([]byte, error) {
+	d.frame = slices.Grow(d.frame[:0], int(n))[:n]
+	_, err := f.ReadAt(d.frame, off)
+	return d.frame, err
+}
+
 // decodeColBlock decodes one block body (the bytes inside the length
-// frame) into rows of proj.schema. Only the projection's columns are
-// decoded, straight into the rows' shared value arena; the other
-// columns' chunks are framed and stepped over, their payloads never
-// inspected. Every malformed shape met on the way returns ErrCorrupt;
-// no input may panic or over-allocate past the input size.
-func decodeColBlock(body []byte, proj *projection) ([]value.Tuple, error) {
+// frame) into rows of proj.schema, valid until the decoder's next call.
+func (d *colDecoder) decodeColBlock(body []byte, proj *projection) ([]value.Tuple, error) {
+	times, err := d.openBlock(body)
+	if err != nil {
+		return nil, err
+	}
+	return d.decodeRows(proj, 0, len(times))
+}
+
+// openBlock decodes a block body's row count and event-time chunk into
+// d.times, which it returns, and keeps the column chunks for
+// decodeRows. Every malformed shape met here or in decodeRows returns
+// ErrCorrupt; no input may panic or over-allocate past the input size.
+func (d *colDecoder) openBlock(body []byte) ([]time.Time, error) {
+	d.cols = nil
 	n64, w := binary.Uvarint(body)
 	if w <= 0 || n64 == 0 {
 		return nil, errColCorrupt("bad row count")
 	}
-	p := body[w:]
 	// The timestamp chunk comes first, and its presence bitmap needs
 	// (n+7)/8 real bytes — that bounds the claimed row count against
 	// actual input before anything allocates proportionally to it.
-	tag, payload, rest, err := nextChunk(p)
+	tag, payload, rest, err := nextChunk(body[w:])
 	if err != nil {
 		return nil, err
 	}
@@ -387,25 +431,36 @@ func decodeColBlock(body []byte, proj *projection) ([]value.Tuple, error) {
 		return nil, errColCorrupt("bad timestamp chunk")
 	}
 	n := int(n64)
-	// One time buffer serves the event timestamps and then, as scratch,
-	// every time-coded data column.
-	times := make([]time.Time, n)
-	if err := decodeTimeChunk(payload, times); err != nil {
+	d.times = slices.Grow(d.times[:0], n)[:n]
+	if err := decodeTimeChunk(payload, d.times); err != nil {
 		return nil, err
 	}
+	d.cols = rest
+	return d.times, nil
+}
+
+// decodeRows decodes rows [lo, hi) of the block openBlock opened, a
+// non-empty window its event times picked. Only the projection's
+// columns are decoded, straight into the rows' shared value arena, which
+// holds the window's rows alone; the other columns' chunks are framed
+// and stepped over, their payloads never inspected. The decoded columns
+// are parsed whole, so their structure is checked outside the window
+// too.
+func (d *colDecoder) decodeRows(proj *projection, lo, hi int) ([]value.Tuple, error) {
 	k := len(proj.idx)
-	rows := make([]value.Tuple, n)
-	arena := make([]value.Value, n*k)
+	d.rows = slices.Grow(d.rows[:0], hi-lo)[:hi-lo]
+	rows := d.rows
+	arena := make([]value.Value, (hi-lo)*k)
 	for i := range rows {
 		rows[i] = value.Tuple{
 			Schema: proj.schema,
 			Values: arena[i*k : (i+1)*k : (i+1)*k],
-			TS:     times[i],
+			TS:     d.times[lo+i],
 		}
 	}
-	p = rest
+	p := d.cols
 	for c, j := 0, 0; c < proj.width; c++ {
-		tag, payload, rest, err = nextChunk(p)
+		tag, payload, rest, err := nextChunk(p)
 		if err != nil {
 			return nil, err
 		}
@@ -414,7 +469,7 @@ func decodeColBlock(body []byte, proj *projection) ([]value.Tuple, error) {
 			continue
 		}
 		// Column j of the output: arena cells j, j+k, j+2k, …
-		if err := decodeChunk(tag, payload, arena[j:], k, times); err != nil {
+		if err := d.decodeChunk(tag, payload, arena[j:], k, lo, hi); err != nil {
 			return nil, err
 		}
 		j++
@@ -425,9 +480,12 @@ func decodeColBlock(body []byte, proj *projection) ([]value.Tuple, error) {
 	return rows, nil
 }
 
-// decodeChunk decodes one column chunk into dst[0], dst[stride],
-// dst[2*stride], … — one value per row, len(scratch) of them.
-func decodeChunk(tag byte, payload []byte, dst []value.Value, stride int, scratch []time.Time) error {
+// decodeChunk decodes one column chunk of len(d.times) values, storing
+// rows [lo, hi) into dst[0], dst[stride], dst[2*stride], …. The block's
+// event times are already in the rows, so d.times serves a time-coded
+// column as scratch.
+func (d *colDecoder) decodeChunk(tag byte, payload []byte, dst []value.Value, stride, lo, hi int) error {
+	scratch := d.times
 	n := len(scratch)
 	switch tag {
 	case chunkRaw:
@@ -440,7 +498,9 @@ func decodeChunk(tag byte, payload []byte, dst []value.Value, stride int, scratc
 			if err != nil {
 				return errColCorrupt("bad raw value")
 			}
-			dst[i*stride] = v
+			if i >= lo && i < hi {
+				dst[(i-lo)*stride] = v
+			}
 			off += w
 		}
 		if off != len(payload) {
@@ -452,13 +512,14 @@ func decodeChunk(tag byte, payload []byte, dst []value.Value, stride int, scratc
 			return errColCorrupt("bad dictionary size")
 		}
 		p := payload[w:]
-		dict := make([]value.Value, cnt)
+		dict := slices.Grow(d.dict[:0], int(cnt))[:cnt]
+		d.dict = dict
 		for i := range dict {
 			l, w := binary.Uvarint(p)
 			if w <= 0 || uint64(len(p)-w) < l {
 				return errColCorrupt("bad dictionary entry")
 			}
-			dict[i] = value.String(string(p[w : w+int(l)]))
+			dict[i] = string(p[w : w+int(l)])
 			p = p[w+int(l):]
 		}
 		for i := 0; i < n; i++ {
@@ -466,7 +527,9 @@ func decodeChunk(tag byte, payload []byte, dst []value.Value, stride int, scratc
 			if w <= 0 || id >= cnt {
 				return errColCorrupt("bad dictionary index")
 			}
-			dst[i*stride] = dict[id]
+			if i >= lo && i < hi {
+				dst[(i-lo)*stride] = value.String(dict[id])
+			}
 			p = p[w:]
 		}
 		if len(p) != 0 {
@@ -480,7 +543,9 @@ func decodeChunk(tag byte, payload []byte, dst []value.Value, stride int, scratc
 				return errColCorrupt("bad int delta")
 			}
 			prev += d
-			dst[i*stride] = value.Int(prev)
+			if i >= lo && i < hi {
+				dst[(i-lo)*stride] = value.Int(prev)
+			}
 			payload = payload[w:]
 		}
 		if len(payload) != 0 {
@@ -490,22 +555,22 @@ func decodeChunk(tag byte, payload []byte, dst []value.Value, stride int, scratc
 		if err := decodeTimeChunk(payload, scratch); err != nil {
 			return err
 		}
-		for i, ts := range scratch {
-			dst[i*stride] = value.Time(ts)
+		for i := lo; i < hi; i++ {
+			dst[(i-lo)*stride] = value.Time(scratch[i])
 		}
 	case chunkFloats:
 		if len(payload) != n*8 {
 			return errColCorrupt("bad float chunk size")
 		}
-		for i := 0; i < n; i++ {
-			dst[i*stride] = value.Float(math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:])))
+		for i := lo; i < hi; i++ {
+			dst[(i-lo)*stride] = value.Float(math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:])))
 		}
 	case chunkBools:
 		if len(payload) != (n+7)/8 {
 			return errColCorrupt("bad bool chunk size")
 		}
-		for i := 0; i < n; i++ {
-			dst[i*stride] = value.Bool(payload[i/8]&(1<<uint(i%8)) != 0)
+		for i := lo; i < hi; i++ {
+			dst[(i-lo)*stride] = value.Bool(payload[i/8]&(1<<uint(i%8)) != 0)
 		}
 	default:
 		return errColCorrupt(fmt.Sprintf("unknown chunk tag %d", tag))
@@ -556,12 +621,14 @@ func recoverColSegment(m *segMeta) error {
 	off := m.hdrLen
 	m.rows, m.hasTS, m.ordered, m.lastTS = 0, false, true, 0
 	m.blocks = nil
+	var d colDecoder
+	proj := newProjection(m.schema, nil)
 	for off < int64(len(data)) {
 		body, rest, ok := splitColFrame(data[off:])
 		if !ok {
 			break
 		}
-		rows, err := decodeColBlock(body, newProjection(m.schema, nil))
+		rows, err := d.decodeColBlock(body, proj)
 		if err != nil {
 			break
 		}
@@ -615,32 +682,71 @@ func scanColFile(m *segMeta, from, to time.Time, s *scanState) error {
 		if end <= bz.off {
 			return fmt.Errorf("%w: segment %s: bad block offsets", ErrCorrupt, m.path)
 		}
-		frame := make([]byte, end-bz.off)
-		if _, err := f.ReadAt(frame, bz.off); err != nil {
+		if s.dec == nil {
+			s.dec = decoders.Get().(*colDecoder)
+		}
+		frame, err := s.dec.readFrame(f, bz.off, end-bz.off)
+		if err != nil {
 			return fmt.Errorf("%w: segment %s: truncated block: %v", ErrCorrupt, m.path, err)
 		}
 		body, _, ok := splitColFrame(frame)
 		if !ok {
 			return fmt.Errorf("%w: segment %s: corrupt block frame", ErrCorrupt, m.path)
 		}
-		rows, err := decodeColBlock(body, s.proj)
+		times, err := s.dec.openBlock(body)
 		if err != nil {
 			return fmt.Errorf("%w: segment %s: %v", ErrCorrupt, m.path, err)
 		}
-		s.chunksDecoded += int64(len(s.proj.idx))
-		s.chunksSkipped += int64(s.proj.width - len(s.proj.idx))
+		lo, hi, stop := blockWindow(times, m.ordered, from, to)
+		var rows []value.Tuple
+		if lo < hi {
+			if rows, err = s.dec.decodeRows(s.proj, lo, hi); err != nil {
+				return fmt.Errorf("%w: segment %s: %v", ErrCorrupt, m.path, err)
+			}
+			s.chunksDecoded += int64(len(s.proj.idx))
+			s.chunksSkipped += int64(s.proj.width - len(s.proj.idx))
+		} else {
+			s.chunksSkipped += int64(s.proj.width) // no row in range: no column decoded
+		}
 		for i := range rows {
-			if err := filterPush(rows[i], m.ordered, from, to, s); err != nil {
-				if err == errStopScan {
-					// The ordered scan crossed the upper bound mid-block;
-					// the remaining blocks were avoided, so count them
-					// with the zone-map skips.
-					s.blocksSkipped += int64(len(m.blocks) - bi - 1)
-					return nil
-				}
+			if !inRange(rows[i].TS, from, to) {
+				continue
+			}
+			if err := s.push(rows[i]); err != nil {
 				return err
 			}
 		}
+		if stop {
+			// The ordered scan crossed the upper bound mid-block; the
+			// remaining blocks were avoided, so count them with the
+			// zone-map skips.
+			s.blocksSkipped += int64(len(m.blocks) - bi - 1)
+			return nil
+		}
 	}
 	return nil
+}
+
+// blockWindow narrows a block to the rows [lo, hi) that filterPush's
+// rules could keep, from the block's event times: every row outside is
+// out of range, so only the window is decoded. On an ordered segment
+// the window also ends at the first row past the upper bound, where
+// the segment's scan stops; stop reports that.
+func blockWindow(times []time.Time, ordered bool, from, to time.Time) (lo, hi int, stop bool) {
+	hi = len(times)
+	if ordered && !to.IsZero() {
+		for i, ts := range times {
+			if !ts.IsZero() && ts.After(to) {
+				hi, stop = i, true
+				break
+			}
+		}
+	}
+	for lo < hi && !inRange(times[lo], from, to) {
+		lo++
+	}
+	for hi > lo && !inRange(times[hi-1], from, to) {
+		hi--
+	}
+	return lo, hi, stop
 }

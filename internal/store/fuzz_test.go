@@ -230,11 +230,11 @@ func FuzzDecodeColBlock(f *testing.F) {
 
 		// Raw decoder: the sidecar and frame CRC have already been
 		// bypassed, so the decoder must bound every allocation itself.
-		full, fullErr := decodeColBlock(data, newProjection(testSchema, nil))
+		full, fullErr := new(colDecoder).decodeColBlock(data, newProjection(testSchema, nil))
 		if fullErr != nil {
 			requireCorruptErr(t, fullErr)
 		}
-		part, partErr := decodeColBlock(data, proj)
+		part, partErr := new(colDecoder).decodeColBlock(data, proj)
 		if partErr != nil {
 			requireCorruptErr(t, partErr)
 		}

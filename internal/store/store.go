@@ -582,7 +582,7 @@ func (t *Table) Sync() error {
 		return err
 	}
 	if t.f != nil {
-		return t.syncActiveLocked()
+		return t.f.Sync()
 	}
 	return nil
 }
@@ -609,7 +609,7 @@ func (t *Table) sealLocked() error {
 		// The v1 file is already durable, and the commit replaces it
 		// atomically, so a failure here just keeps the (perfectly valid)
 		// v1 seal.
-		_ = t.colBuilderLocked().commit(t.opts.Fsync != FsyncNone)
+		t.colBuilderLocked().commit(t.opts.Fsync != FsyncNone)
 	}
 	if t.cb != nil {
 		t.cb.stop()
@@ -869,6 +869,9 @@ func (t *Table) ScanColumns(from, to time.Time, batchHint int, cols []string, fn
 
 	s := &scanState{batchHint: batchHint, fn: fn}
 	defer func() {
+		if s.dec != nil {
+			s.dec.release()
+		}
 		t.blocksRead.Add(s.blocksRead)
 		t.blocksSkipped.Add(s.blocksSkipped)
 		t.chunksDecoded.Add(s.chunksDecoded)
@@ -909,6 +912,9 @@ type scanState struct {
 	fn        func([]value.Tuple) error
 	// proj is the current segment's projection.
 	proj *projection
+	// dec is the v2 block decoder's scratch, shared by the scan's
+	// blocks; taken from decoders at the first block.
+	dec *colDecoder
 	// Per-scan zone-map and chunk accounting, folded into the table's
 	// cumulative counters when the scan finishes.
 	blocksRead    int64

@@ -427,12 +427,18 @@ func concurrentAppendScan(t *testing.T, opts Options) {
 		}(w)
 	}
 	for s := 0; s < scanners; s++ {
+		// Half the scanners read a time range, whose blocks decode a
+		// window of their rows.
+		var from, to time.Time
+		if s%2 == 1 {
+			from, to = row(100).TS, row(600).TS
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				n := 0
-				err := tab.Scan(time.Time{}, time.Time{}, 64, func(b []value.Tuple) error {
+				err := tab.Scan(from, to, 64, func(b []value.Tuple) error {
 					n += len(b)
 					return nil
 				})
