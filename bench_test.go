@@ -1,5 +1,5 @@
-// Benchmarks for every reproduced experiment (one per table/figure in
-// EXPERIMENTS.md, ids E1–E12). Each benchmark exercises the code path
+// Benchmarks for every reproduced experiment (ids E1–E12; `go run
+// ./cmd/experiments` prints their tables). Each benchmark exercises the code path
 // that regenerates the corresponding artifact; `go test -bench=. -benchmem`
 // reports their costs, with custom tweets/sec metrics where throughput
 // is the claim.
@@ -601,16 +601,5 @@ func BenchmarkE12DashboardBuild(b *testing.B) {
 		if len(d.Peaks) == 0 {
 			b.Fatal("dashboard lost peaks")
 		}
-	}
-}
-
-// BenchmarkTrackerIngest measures the TwitInfo ingest path per tweet
-// (supporting E12's tweets/sec column).
-func BenchmarkTrackerIngest(b *testing.B) {
-	lts := soccerStream()
-	b.ResetTimer()
-	tr := twitinfo.NewTracker(twitinfo.EventConfig{Name: "soccer", Keywords: firehose.SoccerKeywords}, nil)
-	for i := 0; i < b.N; i++ {
-		tr.Ingest(lts[i%len(lts)].Tweet)
 	}
 }

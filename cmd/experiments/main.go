@@ -1,6 +1,5 @@
 // Command experiments runs the reproduction harness: every experiment
-// in DESIGN.md's per-experiment index (E1–E12), printing the
-// paper-style tables recorded in EXPERIMENTS.md.
+// (E1–E12, see internal/experiments), printing its paper-style table.
 //
 //	experiments                 # run everything
 //	experiments -run E4         # one experiment

@@ -40,16 +40,13 @@ func main() {
 	maxRows := flag.Int("max-rows", 50, "stop printing after this many rows (0 = unlimited)")
 	batchSize := flag.Int("batch-size", 0, "tuples per pipeline batch (0 = engine default, 1 = tuple-at-a-time)")
 	batchWorkers := flag.Int("batch-workers", 0, "worker-pool width for batch filter/projection stages (0 = engine default)")
-	compileExprs := flag.Bool("compile-exprs", true, "compile expressions to closures at plan time (false = per-row AST interpreter)")
-	columnar := flag.Bool("columnar", true, "vectorized columnar execution and column-major v2 table segments (false = row batches and v1 row segments)")
-	sharedScans := flag.Bool("shared-scans", true, "share one physical source scan between queries with equal scan signatures (false = one private scan per query)")
 	dataDir := flag.String("data-dir", "", "root directory for persistent tables; INTO TABLE targets survive restarts and are queryable in FROM (empty = in-memory)")
 	segmentMaxBytes := flag.Int64("segment-max-bytes", 0, "seal a persistent table segment at this data-file size (0 = 64MiB default)")
 	fsyncPolicy := flag.String("fsync", "seal", "persistent table fsync policy: none, seal, or flush")
 	retainSegments := flag.Int("retain-segments", 0, "keep at most this many sealed segments per table (0 = unlimited)")
 	flag.Parse()
 
-	if *batchSize > 0 || *batchWorkers > 0 || !*compileExprs || !*columnar || !*sharedScans || *dataDir != "" {
+	if *batchSize > 0 || *batchWorkers > 0 || *dataDir != "" {
 		opts := tweeql.DefaultOptions()
 		if *batchSize > 0 {
 			opts.BatchSize = *batchSize
@@ -57,9 +54,6 @@ func main() {
 		if *batchWorkers > 0 {
 			opts.BatchWorkers = *batchWorkers
 		}
-		opts.CompileExprs = *compileExprs
-		opts.Columnar = *columnar
-		opts.SharedScans = *sharedScans
 		opts.DataDir = *dataDir
 		opts.SegmentMaxBytes = *segmentMaxBytes
 		opts.FsyncPolicy = *fsyncPolicy

@@ -58,7 +58,6 @@ func main() {
 	streamBuffer := flag.Int("stream-buffer", 256, "default per-subscriber ring size for /stream (override per request with ?buffer=)")
 	blockDefault := flag.Bool("stream-block", false, "default /stream backpressure to block instead of drop (override with ?policy=)")
 	maxRestarts := flag.Int("max-restarts", 5, "restart-on-error attempts per query before giving up")
-	sharedScans := flag.Bool("shared-scans", true, "share one physical source scan between registered queries with equal scan signatures")
 	withTwitinfo := flag.Bool("twitinfo", true, "track a TwitInfo event for the scenario and mount the dashboard at /twitinfo/")
 	faultSpec := flag.String("fault-spec", "", "arm deterministic fault points for chaos drills, e.g. 'scan.source.recv:error,times=3;udf.geocode.call:latency,d=2s,p=0.5' (empty = zero-cost disabled)")
 	sysStreams := flag.Bool("sys-streams", true, "register the $sys.metrics/$sys.events self-observation streams and start the sampler (false = zero overhead, no alerting inputs)")
@@ -68,8 +67,6 @@ func main() {
 	logFormat := flag.String("log-format", "text", "log format: text or json")
 	traceSample := flag.Int("trace-sample", 64, "sample every Nth batch per operator into each query's trace ring (0 = off)")
 	batchSize := flag.Int("batch-size", 0, "rows per pipeline batch (0 = engine default; 1 = per-row delivery, useful when alerting on output lag of slow queries)")
-	columnar := flag.Bool("columnar", true, "vectorized columnar execution and column-major v2 table segments (false = row batches and v1 row segments)")
-	metricsCompat := flag.Bool("metrics-compat", false, "also emit pre-rename metric families (tweeqld_query_rows_per_sec, tweeqld_query_restarts) on /metrics")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	flag.Parse()
 
@@ -90,8 +87,6 @@ func main() {
 	}
 
 	opts := tweeql.DefaultOptions()
-	opts.SharedScans = *sharedScans
-	opts.Columnar = *columnar
 	opts.DataDir = *dataDir
 	opts.FsyncPolicy = *fsyncPolicy
 	opts.TraceSampleEvery = *traceSample
@@ -108,12 +103,11 @@ func main() {
 	}
 
 	srv, err := server.New(eng.Core(), server.Options{
-		DataDir:       *dataDir,
-		Restart:       server.RestartPolicy{MaxRestarts: *maxRestarts},
-		StreamBuffer:  *streamBuffer,
-		BlockDefault:  *blockDefault,
-		Logger:        logger,
-		MetricsCompat: *metricsCompat,
+		DataDir:      *dataDir,
+		Restart:      server.RestartPolicy{MaxRestarts: *maxRestarts},
+		StreamBuffer: *streamBuffer,
+		BlockDefault: *blockDefault,
+		Logger:       logger,
 	})
 	if err != nil {
 		fatal(logger, "server start failed", err)

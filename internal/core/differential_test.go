@@ -1,13 +1,15 @@
-// Differential testing for plan-time expression compilation: every
+// Differential testing for the engine's production mechanisms: every
 // examples/ query and the representative engine shapes run end-to-end
-// through both the compiled path (Options.CompileExprs=true) and the
-// AST interpreter, and must produce identical rows in identical order —
+// with a mechanism on (compiled expressions, columnar stages) and
+// ablated back to the path it replaced (the AST interpreter, row-batch
+// stages), and must produce identical rows in identical order —
 // including NULL propagation, per-row error drops, and the
 // eddy-adaptive filter ordering under a fixed seed.
-package tweeql_test
+package core_test
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,6 +19,12 @@ import (
 	"tweeql/internal/geocode"
 	"tweeql/internal/twitterapi"
 )
+
+// soccerStream memoizes the Figure 1 soccer-match workload the
+// differentials replay a prefix of.
+var soccerStream = sync.OnceValue(func() []*firehose.LabeledTweet {
+	return firehose.New(firehose.SoccerMatch(42)).Generate()
+})
 
 // diffQueries pairs a name with the SQL it replays. The examples/
 // programs' queries (quickstart, obama volume, obama cells) appear
@@ -63,9 +71,10 @@ var diffQueries = []struct {
 	{"whole_stream_agg", `SELECT AVG(followers) AS af, STDDEV(followers) AS sf FROM twitter WHERE NOT retweet`},
 }
 
-// runForDiff replays the soccer prefix through one query under opts and
-// returns the rendered result rows in emission order.
-func runForDiff(t *testing.T, sql string, opts core.Options) []string {
+// runForDiff replays the soccer prefix through one query under opts,
+// with abl's mechanisms ablated, and returns the rendered result rows
+// in emission order.
+func runForDiff(t *testing.T, sql string, opts core.Options, abl core.Ablation) []string {
 	t.Helper()
 	all := firehose.Tweets(soccerStream()[:4000])
 	hub := twitterapi.NewHub()
@@ -76,7 +85,7 @@ func runForDiff(t *testing.T, sql string, opts core.Options) []string {
 		t.Fatal(err)
 	}
 	opts.SourceBuffer = len(all) + 16
-	eng := core.NewEngine(cat, opts)
+	eng := core.NewAblatedEngine(cat, opts, abl)
 	cur, err := eng.Query(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
@@ -90,8 +99,8 @@ func runForDiff(t *testing.T, sql string, opts core.Options) []string {
 }
 
 // TestColumnarMatchesRow is the columnar differential test: the
-// vectorized fused pipeline (Options.Columnar=true, the default) vs
-// the row-batch pipeline over identical replays. Rows must be
+// vectorized fused pipeline (production) vs the row-batch pipeline
+// over identical replays. Rows must be
 // byte-identical in identical order — the columnar filter gathers
 // surviving tuples from the original batch, so equality is by
 // construction, and this test is the tripwire for that construction.
@@ -101,10 +110,8 @@ func TestColumnarMatchesRow(t *testing.T) {
 			opts := core.DefaultOptions()
 			opts.Seed = 42
 
-			opts.Columnar = false
-			want := runForDiff(t, q.sql, opts)
-			opts.Columnar = true
-			got := runForDiff(t, q.sql, opts)
+			want := runForDiff(t, q.sql, opts, core.Ablation{RowBatches: true})
+			got := runForDiff(t, q.sql, opts, core.Ablation{})
 
 			if len(want) != len(got) {
 				t.Fatalf("row count: row=%d columnar=%d", len(want), len(got))
@@ -129,12 +136,9 @@ func TestColumnarInterpretedMatchesRow(t *testing.T) {
 		t.Run(q.name, func(t *testing.T) {
 			opts := core.DefaultOptions()
 			opts.Seed = 42
-			opts.CompileExprs = false
 
-			opts.Columnar = false
-			want := runForDiff(t, q.sql, opts)
-			opts.Columnar = true
-			got := runForDiff(t, q.sql, opts)
+			want := runForDiff(t, q.sql, opts, core.Ablation{Interpret: true, RowBatches: true})
+			got := runForDiff(t, q.sql, opts, core.Ablation{Interpret: true})
 
 			if len(want) != len(got) {
 				t.Fatalf("row count: row=%d columnar=%d", len(want), len(got))
@@ -143,6 +147,9 @@ func TestColumnarInterpretedMatchesRow(t *testing.T) {
 				if want[i] != got[i] {
 					t.Fatalf("row %d:\n row      %s\n columnar %s", i, want[i], got[i])
 				}
+			}
+			if len(want) == 0 {
+				t.Fatal("differential query produced no rows; test is vacuous")
 			}
 		})
 	}
@@ -166,10 +173,8 @@ func TestCompiledEngineMatchesInterpreted(t *testing.T) {
 				opts.BatchSize = p.batchSize
 				opts.Seed = 42
 
-				opts.CompileExprs = false
-				want := runForDiff(t, q.sql, opts)
-				opts.CompileExprs = true
-				got := runForDiff(t, q.sql, opts)
+				want := runForDiff(t, q.sql, opts, core.Ablation{Interpret: true})
+				got := runForDiff(t, q.sql, opts, core.Ablation{})
 
 				if len(want) != len(got) {
 					t.Fatalf("row count: interpreted=%d compiled=%d", len(want), len(got))

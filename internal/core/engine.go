@@ -32,9 +32,6 @@ import (
 
 // Options tune engine behaviour.
 type Options struct {
-	// AdaptiveFilters enables Eddies-style conjunct reordering (default
-	// on; disable for the E9 static baseline).
-	AdaptiveFilters bool
 	// AsyncWorkers bounds concurrent high-latency UDF calls in the async
 	// projection path. 0 disables the async path entirely (E4 baseline).
 	AsyncWorkers int
@@ -60,33 +57,6 @@ type Options struct {
 	// UDFs always run single-threaded regardless (running state needs
 	// stream order).
 	BatchWorkers int
-	// CompileExprs lowers every planned expression to a closure at
-	// query start — column indices pre-resolved, regexes compiled,
-	// constants folded, IN-lists hashed — instead of interpreting the
-	// AST per row (default on). Off keeps the tree-walking interpreter,
-	// the differential-testing oracle. Columns with dynamic (KindNull)
-	// schemas still compile but take generic, kind-checked closures.
-	CompileExprs bool
-	// Columnar runs batched single-source pipelines on the vectorized
-	// columnar path: each batch is flattened into per-column typed
-	// vectors, compiled comparison/CONTAINS/IN kernels refine a
-	// selection bitmap, and the fused projection/aggregation stage
-	// consumes survivors straight from the original batch. It also
-	// switches persistent tables to column-major compressed segments
-	// (format v2) with per-block zone maps. Results are byte-identical
-	// to the row path; default on, -columnar=false is the escape hatch.
-	// Pipelines with stateful UDFs, async projection, or tuple-at-a-time
-	// batching fall back to the row path automatically.
-	Columnar bool
-	// SharedScans lets queries with equal scan signatures (same source,
-	// same merged pushdown set, same pushed time range — see
-	// plan.Query.Signature) share one physical source subscription: one
-	// API cursor and one ingest/conversion pipeline fan out to every
-	// attached query's residual pipeline, so ingest cost stays ~O(1) in
-	// the number of registered queries instead of O(N). Default on.
-	// Only live stream sources (catalog.LiveSource) share; tables,
-	// slice replays, and join inputs always open private scans.
-	SharedScans bool
 	// ScanMaxRestarts supervises shared scans: when the physical source
 	// fails mid-stream, the scan reopens it with backoff instead of
 	// fanning a fatal error to every attached query, up to this many
@@ -175,7 +145,6 @@ type Options struct {
 // DefaultOptions returns the production defaults.
 func DefaultOptions() Options {
 	return Options{
-		AdaptiveFilters: true,
 		AsyncWorkers:    16,
 		SampleSize:      2000,
 		Seed:            1,
@@ -185,9 +154,6 @@ func DefaultOptions() Options {
 		// Sharding batches across more workers than cores only adds
 		// scheduling overhead for CPU-bound stages.
 		BatchWorkers:       min(4, runtime.GOMAXPROCS(0)),
-		CompileExprs:       true,
-		Columnar:           true,
-		SharedScans:        true,
 		ScanMaxRestarts:    5,
 		ScanRestartBackoff: 200 * time.Millisecond,
 		AsyncCallTimeout:   10 * time.Second,
@@ -197,10 +163,30 @@ func DefaultOptions() Options {
 	}
 }
 
+// ablation switches production mechanisms off, each back to the
+// simpler path it replaced, so the differential tests can pin the two
+// byte-identical. The zero value is production; only tests set it
+// (export_test.go).
+type ablation struct {
+	// Interpret evaluates expressions with the tree-walking AST
+	// interpreter instead of closures compiled at query start.
+	Interpret bool
+	// RowBatches runs batched pipelines on the row-batch stages instead
+	// of the vectorized columnar ones, and writes v1 row segments.
+	RowBatches bool
+	// PrivateScans opens one source subscription per query instead of
+	// sharing a scan between queries with equal scan signatures.
+	PrivateScans bool
+	// StaticFilters evaluates row-path conjuncts in query order instead
+	// of routing them through the eddy.
+	StaticFilters bool
+}
+
 // Engine executes TweeQL queries against a catalog.
 type Engine struct {
 	cat   *catalog.Catalog
 	opts  Options
+	abl   ablation
 	scans *scanManager
 	// qseq numbers query runs for profile/trace/log correlation IDs.
 	qseq atomic.Int64
@@ -208,6 +194,10 @@ type Engine struct {
 
 // NewEngine builds an engine over the catalog.
 func NewEngine(cat *catalog.Catalog, opts Options) *Engine {
+	return newEngine(cat, opts, ablation{})
+}
+
+func newEngine(cat *catalog.Catalog, opts Options, abl ablation) *Engine {
 	if opts.AsyncWorkers < 0 {
 		opts.AsyncWorkers = 0
 	}
@@ -217,19 +207,20 @@ func NewEngine(cat *catalog.Catalog, opts Options) *Engine {
 	if opts.BatchWorkers < 1 {
 		opts.BatchWorkers = 1
 	}
-	cat.SetTableFactory(tableFactory(opts))
+	cat.SetTableFactory(tableFactory(opts, !abl.RowBatches))
 	if opts.SysStreams {
 		cat.EnableSysStreams()
 	}
-	return &Engine{cat: cat, opts: opts, scans: newScanManager()}
+	return &Engine{cat: cat, opts: opts, abl: abl, scans: newScanManager()}
 }
 
 // tableFactory builds the table-backend factory the engine installs in
 // its catalog: the persistent store under Options.DataDir when one is
 // configured, bounded in-memory ring buffers otherwise. Factory errors
 // (bad directory, unknown fsync policy, corrupt segment) surface at
-// query start via Catalog.OpenTable.
-func tableFactory(opts Options) catalog.TableFactory {
+// query start via Catalog.OpenTable. Columnar tables seal their
+// segments as v2 column blocks; the rest keep v1 row segments.
+func tableFactory(opts Options, columnar bool) catalog.TableFactory {
 	return func(name string, create bool) (catalog.TableBackend, error) {
 		if opts.DataDir == "" {
 			if !create {
@@ -255,7 +246,7 @@ func tableFactory(opts Options) catalog.TableFactory {
 			RetainSegments:  opts.TableRetainSegments,
 			RetainMaxAge:    opts.TableRetainMaxAge,
 			RetainMaxBytes:  opts.TableRetainMaxBytes,
-			Columnar:        opts.Columnar,
+			Columnar:        columnar,
 		})
 	}
 }
@@ -442,11 +433,11 @@ func (e *Engine) explainText(stmt *lang.SelectStmt, p *plan.Query) string {
 	} else {
 		b.WriteString("pushdown candidates: none (full stream)\n")
 	}
-	fmt.Fprintf(&b, "residual conjuncts: %d (adaptive=%v)\n", len(p.Conjuncts), e.opts.AdaptiveFilters)
+	fmt.Fprintf(&b, "residual conjuncts: %d\n", len(p.Conjuncts))
 	if !p.TimeFrom.IsZero() || !p.TimeTo.IsZero() {
 		fmt.Fprintf(&b, "time range: [%s, %s]\n", fmtBound(p.TimeFrom), fmtBound(p.TimeTo))
 	}
-	fmt.Fprintf(&b, "execution: batch=%d workers=%d compile=%v columnar=%v\n", e.opts.BatchSize, e.opts.BatchWorkers, e.opts.CompileExprs, e.opts.Columnar)
+	fmt.Fprintf(&b, "execution: batch=%d workers=%d pipeline=%s\n", e.opts.BatchSize, e.opts.BatchWorkers, e.pipeline(p))
 	if p.IsAggregate {
 		fmt.Fprintf(&b, "aggregate: %d groups x %d aggs, window=%v confidence=%v\n",
 			len(p.Agg.GroupExprs), len(p.Agg.Aggs), stmt.Window != nil, stmt.Confidence != nil)
@@ -477,8 +468,8 @@ func (e *Engine) explainColumns(p *plan.Query) string {
 // live writer may hold).
 func (e *Engine) explainSharing(p *plan.Query) string {
 	switch {
-	case !e.opts.SharedScans:
-		return "off (Options.SharedScans disabled)"
+	case e.abl.PrivateScans:
+		return "off (private scans)"
 	case p.Join != nil:
 		return "off (joins open private scans)"
 	}

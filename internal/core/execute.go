@@ -18,7 +18,7 @@ import (
 // execute assembles and starts the operator pipeline for a plan.
 func (e *Engine) execute(ctx context.Context, cancel context.CancelFunc, stmt *lang.SelectStmt, p *plan.Query) (*Cursor, error) {
 	ev := exec.NewEvaluator(e.cat)
-	ev.EnableCompile(e.opts.CompileExprs)
+	ev.EnableCompile(!e.abl.Interpret)
 	// Pre-compile every literal MATCHES pattern before evaluation
 	// starts, so the interpreter path never compiles (or locks) on the
 	// hot path either.
@@ -201,7 +201,7 @@ func (e *Engine) openScanStream(ctx context.Context, src catalog.Source, p *plan
 	// Shared path: live sources join (or open) the ref-counted scan for
 	// the plan's signature. One physical subscription and one
 	// conversion pipeline serve every attached query.
-	if e.opts.SharedScans && isLiveSource(src) {
+	if !e.abl.PrivateScans && isLiveSource(src) {
 		b, i, scan, err := e.attachShared(ctx, src, p, stats)
 		if err != nil {
 			return nil, nil, nil, "", err
@@ -294,39 +294,13 @@ func (e *Engine) openSingle(ctx context.Context, cancel context.CancelFunc, ev *
 	// Residual filter: every conjunct except the one the scan pushed.
 	residual, costs := p.Residual(pushedKey)
 
-	// Columnar gate: the vectorized path fuses filter+project /
-	// filter+aggregate over column vectors. It requires batches, keeps
-	// the async per-tuple pool for high-latency UDFs, and steps aside
-	// when any stage expression calls a stateful UDF (the fused stages
-	// evaluate conjunct-at-a-time over selections, which would reorder
-	// a stateful UDF's observation stream).
-	columnar := e.opts.Columnar && batching && !p.Async
-	if columnar {
-		stageExprs := append([]lang.Expr(nil), residual...)
-		if p.IsAggregate {
-			stageExprs = append(stageExprs, p.Agg.GroupExprs...)
-			for _, a := range p.Agg.Aggs {
-				if a.Arg != nil {
-					stageExprs = append(stageExprs, a.Arg)
-				}
-			}
-		} else {
-			for _, pi := range p.Proj {
-				if pi.Expr != nil {
-					stageExprs = append(stageExprs, pi.Expr)
-				}
-			}
-		}
-		if exec.HasStateful(e.cat, stageExprs...) {
-			columnar = false
-		}
-	}
-
+	columnar := e.pipeline(p) == pipeColumnar
+	adaptive := !e.abl.StaticFilters
 	if len(residual) > 0 && !columnar {
 		if batching {
-			batches = exec.BatchFilterStage(ev, residual, inSchema, costs, e.opts.AdaptiveFilters, e.opts.Seed, e.stageWorkers(residual...), stats)(ctx, batches)
+			batches = exec.BatchFilterStage(ev, residual, inSchema, costs, adaptive, e.opts.Seed, e.stageWorkers(residual...), stats)(ctx, batches)
 		} else {
-			rows = exec.FilterStage(ev, residual, inSchema, costs, e.opts.AdaptiveFilters, e.opts.Seed, stats)(ctx, rows)
+			rows = exec.FilterStage(ev, residual, inSchema, costs, adaptive, e.opts.Seed, stats)(ctx, rows)
 		}
 	}
 
@@ -393,6 +367,51 @@ func (e *Engine) openSingle(ctx context.Context, cancel context.CancelFunc, ev *
 		rows = applyLimit(ctx, cancel, stmt, rows)
 	}
 	return rows, nil
+}
+
+// pipeColumnar is the production pipeline shape: the vectorized
+// path fusing filter+project / filter+aggregate over column vectors.
+const pipeColumnar = "columnar"
+
+// pipeline names the operator pipeline a plan runs on — "columnar",
+// "row-batch (…)", "tuple", "async" or "join". openSingle builds the
+// shape it names and EXPLAIN prints it, so the two cannot disagree.
+// The columnar path needs batches, leaves high-latency UDFs to the
+// async per-tuple pool, and steps aside when a stage expression calls a
+// stateful UDF: its fused stages evaluate conjunct-at-a-time over
+// selections, which would reorder the UDF's observation stream. The
+// conjunct a scan may push is a plain CONTAINS, box or user-id test
+// and never calls a UDF, so every conjunct is checked, pushed or not.
+func (e *Engine) pipeline(p *plan.Query) string {
+	switch {
+	case p.Join != nil:
+		return "join"
+	case p.Async:
+		return "async"
+	case e.opts.BatchSize == 1:
+		return "tuple"
+	case e.abl.RowBatches:
+		return "row-batch"
+	}
+	exprs := append([]lang.Expr(nil), p.Conjuncts...)
+	if p.IsAggregate {
+		exprs = append(exprs, p.Agg.GroupExprs...)
+		for _, a := range p.Agg.Aggs {
+			if a.Arg != nil {
+				exprs = append(exprs, a.Arg)
+			}
+		}
+	} else {
+		for _, pi := range p.Proj {
+			if pi.Expr != nil {
+				exprs = append(exprs, pi.Expr)
+			}
+		}
+	}
+	if exec.HasStateful(e.cat, exprs...) {
+		return "row-batch (stateful UDF)"
+	}
+	return pipeColumnar
 }
 
 // planExprs collects every expression the plan can evaluate, for the
@@ -475,7 +494,7 @@ func (e *Engine) openJoin(ctx context.Context, cancel context.CancelFunc, ev *ex
 	rows := exec.JoinStage(ev, leftIn, rightIn, leftSrc.Schema(), rightSrc.Schema(), cfg, stats)
 
 	if len(p.Conjuncts) > 0 {
-		rows = exec.FilterStage(ev, p.Conjuncts, joined, p.Costs, e.opts.AdaptiveFilters, e.opts.Seed, stats)(ctx, rows)
+		rows = exec.FilterStage(ev, p.Conjuncts, joined, p.Costs, !e.abl.StaticFilters, e.opts.Seed, stats)(ctx, rows)
 	}
 	cur.schema = exec.ProjectSchema(p.Proj, joined)
 	if p.Async {

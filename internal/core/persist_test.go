@@ -23,6 +23,12 @@ import (
 // given extra option tweaks (testEngine with configurable Options).
 func persistEngine(t *testing.T, cfg firehose.Config, tweak func(*Options)) (*Engine, func()) {
 	t.Helper()
+	return ablatedPersistEngine(t, cfg, Ablation{}, tweak)
+}
+
+// ablatedPersistEngine is persistEngine with abl's mechanisms off.
+func ablatedPersistEngine(t *testing.T, cfg firehose.Config, abl Ablation, tweak func(*Options)) (*Engine, func()) {
+	t.Helper()
 	tweets := firehose.Tweets(firehose.New(cfg).Generate())
 	hub := twitterapi.NewHub()
 	cat := catalog.New()
@@ -37,7 +43,7 @@ func persistEngine(t *testing.T, cfg firehose.Config, tweak func(*Options)) (*En
 	if tweak != nil {
 		tweak(&opts)
 	}
-	eng := NewEngine(cat, opts)
+	eng := NewAblatedEngine(cat, opts, abl)
 	t.Cleanup(func() { hub.Close(); eng.Close() })
 	return eng, func() { twitterapi.Replay(hub, tweets) }
 }
@@ -92,6 +98,7 @@ func TestPersistentTableDifferential(t *testing.T) {
 		if !columnar {
 			name = "row"
 		}
+		abl := Ablation{RowBatches: !columnar}
 		t.Run(name, func(t *testing.T) {
 			cfg := firehose.Config{Seed: 21, Duration: 4 * time.Hour, BaseRate: 8}
 			logSQL := `SELECT text, username, followers, created_at FROM twitter INTO TABLE logged`
@@ -101,9 +108,8 @@ func TestPersistentTableDifferential(t *testing.T) {
 			// Engine A: log through the persistent backend, then shut
 			// down. Small segments so several seal — in the columnar arm
 			// that is what produces v2 column blocks to read back.
-			engA, replayA := persistEngine(t, cfg, func(o *Options) {
+			engA, replayA := ablatedPersistEngine(t, cfg, abl, func(o *Options) {
 				o.DataDir = dir
-				o.Columnar = columnar
 				o.SegmentMaxBytes = 64 << 10
 			})
 			logStream(t, engA, replayA, logSQL)
@@ -113,14 +119,11 @@ func TestPersistentTableDifferential(t *testing.T) {
 
 			// Engine B: a fresh process image over the same data dir; the table
 			// resolves in FROM straight from disk.
-			engB, _ := persistEngine(t, cfg, func(o *Options) {
-				o.DataDir = dir
-				o.Columnar = columnar
-			})
+			engB, _ := ablatedPersistEngine(t, cfg, abl, func(o *Options) { o.DataDir = dir })
 			gotPersist := queryStrings(t, engB, readSQL)
 
 			// Engine C: same stream, in-memory backend, same queries.
-			engC, replayC := persistEngine(t, cfg, func(o *Options) { o.Columnar = columnar })
+			engC, replayC := ablatedPersistEngine(t, cfg, abl, nil)
 			logStream(t, engC, replayC, logSQL)
 			gotMem := queryStrings(t, engC, readSQL)
 

@@ -277,13 +277,15 @@ func TestSharedScanLimitSiblingIsolation(t *testing.T) {
 	}
 }
 
-// TestSharedScansDisabled pins the fallback: with the option off every
-// query opens its own subscription.
+// TestSharedScansDisabled pins the fallback: with sharing ablated
+// every query opens its own subscription.
 func TestSharedScansDisabled(t *testing.T) {
 	opts := DefaultOptions()
-	opts.SharedScans = false
 	opts.BatchFlushEvery = time.Millisecond
-	eng, src := liveEngine(t, opts)
+	cat := catalog.New()
+	src := newCountingLiveSource()
+	cat.RegisterSource("live", src)
+	eng := NewAblatedEngine(cat, opts, Ablation{PrivateScans: true})
 
 	for i := 0; i < 3; i++ {
 		cur, err := eng.Query(context.Background(), "SELECT text FROM live")

@@ -3,7 +3,7 @@
 // results whether each opens a private source scan or they coalesce
 // onto ref-counted shared scans, and ingest cost must stay ~O(1) in
 // the number of registered queries when sharing is on.
-package tweeql_test
+package core_test
 
 import (
 	"context"
@@ -37,8 +37,7 @@ func runAllForDiff(t *testing.T, shared bool) map[string][]string {
 	opts := core.DefaultOptions()
 	opts.Seed = 42
 	opts.SourceBuffer = len(all) + 16
-	opts.SharedScans = shared
-	eng := core.NewEngine(cat, opts)
+	eng := core.NewAblatedEngine(cat, opts, core.Ablation{PrivateScans: !shared})
 
 	results := make(map[string][]string, len(diffQueries))
 	var mu sync.Mutex
@@ -129,8 +128,7 @@ func BenchmarkSharedScan(b *testing.B) {
 					cat.RegisterSource("twitter", catalog.NewTwitterSource(hub, nil))
 					opts := core.DefaultOptions()
 					opts.SourceBuffer = len(all) + 16
-					opts.SharedScans = mode.shared
-					eng := core.NewEngine(cat, opts)
+					eng := core.NewAblatedEngine(cat, opts, core.Ablation{PrivateScans: !mode.shared})
 					var wg sync.WaitGroup
 					for q := 0; q < nq; q++ {
 						cur, err := eng.Query(context.Background(),

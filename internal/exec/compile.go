@@ -21,8 +21,9 @@ import (
 // evaluator lock exactly as interpreted ones do.
 type CompiledExpr func(ctx context.Context, t value.Tuple) (value.Value, error)
 
-// EnableCompile toggles plan-time compilation for Bind. The engine sets
-// it from Options.CompileExprs before any stage is built.
+// EnableCompile toggles plan-time compilation for Bind. The engine
+// turns it on before any stage is built; only its test-only ablation
+// leaves the interpreter in place.
 func (e *Evaluator) EnableCompile(on bool) { e.compileOn = on }
 
 // Bind returns the evaluation closure a stage should use for expr over

@@ -1,9 +1,8 @@
 // Package experiments implements the reproduction harness: one runner
-// per experiment in DESIGN.md's per-experiment index (E1–E12), each
-// regenerating the figure panel or prose claim it reproduces and
-// returning a printable table. cmd/experiments runs them all (the
-// source of EXPERIMENTS.md); bench_test.go wraps each in a testing.B
-// benchmark.
+// per experiment (E1–E12), each regenerating the figure panel or prose
+// claim it reproduces and returning a printable table. `go run
+// ./cmd/experiments` prints them all; bench_test.go wraps each in a
+// testing.B benchmark.
 package experiments
 
 import (

@@ -68,7 +68,8 @@ func TestFastExperimentsRun(t *testing.T) {
 }
 
 // TestExpectationsHold asserts the structural claims on a second seed,
-// so EXPERIMENTS.md's verdicts aren't a single-seed accident.
+// so the verdicts `go run ./cmd/experiments` prints aren't a
+// single-seed accident.
 func TestExpectationsHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness in -short mode")

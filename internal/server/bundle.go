@@ -68,7 +68,6 @@ func (s *Server) debugBundle(w http.ResponseWriter, _ *http.Request) {
 			"stream_buffer":  s.opts.StreamBuffer,
 			"block_default":  s.opts.BlockDefault,
 			"snapshot_limit": s.opts.SnapshotLimit,
-			"metrics_compat": s.opts.MetricsCompat,
 			"restart": map[string]any{
 				"max_restarts":  s.opts.Restart.MaxRestarts,
 				"backoff":       s.opts.Restart.Backoff.String(),

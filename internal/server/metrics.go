@@ -55,8 +55,7 @@ func hist(b *strings.Builder, name, labels string, s obs.HistSnapshot) {
 // and table observability (row counts, segment scan/prune counters,
 // append/scan latency histograms). Every family carries # HELP and
 // # TYPE and follows Prometheus naming (counters end in _total, units
-// are seconds); Options.MetricsCompat additionally re-emits the
-// pre-rename families for dashboards still reading the old names.
+// are seconds).
 func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Write([]byte(s.renderMetrics()))
@@ -141,17 +140,6 @@ func (s *Server) renderMetrics() string {
 		fmt.Fprintf(&b, "tweeqld_query_subscribers%s %d\n", l, st.Subscribers)
 		fmt.Fprintf(&b, "tweeqld_query_published_total%s %d\n", l, st.Published)
 		fmt.Fprintf(&b, "tweeqld_query_subscriber_dropped_total%s %d\n", l, st.SubscriberDrop)
-	}
-	if s.opts.MetricsCompat {
-		// Pre-PR-8 names, kept only for old dashboards: rows_per_sec
-		// (now _per_second) and restarts (now restart_streak).
-		fam(&b, "tweeqld_query_rows_per_sec", "gauge", "Deprecated alias of tweeqld_query_rows_per_second.")
-		fam(&b, "tweeqld_query_restarts", "gauge", "Deprecated alias of tweeqld_query_restart_streak.")
-		for _, st := range statuses {
-			l := fmt.Sprintf("{query=%q}", st.Name)
-			fmt.Fprintf(&b, "tweeqld_query_rows_per_sec%s %.3f\n", l, st.RowsPerSec)
-			fmt.Fprintf(&b, "tweeqld_query_restarts%s %d\n", l, st.Restarts)
-		}
 	}
 	// Degraded rows across every live query: NULL substitutions from
 	// exhausted UDF retries plus rows dropped on read-only sinks — the

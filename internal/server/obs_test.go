@@ -29,63 +29,57 @@ func scrape(t *testing.T, base, path string) (int, string) {
 
 // TestMetricsLint scrapes /metrics from a live deployment with running
 // queries and data flowing, and runs the in-repo promtool-style linter
-// over it — once with the normalized names only, once with the compat
-// aliases on. Either way the exposition must be violation-free.
+// over it. The exposition must be violation-free and carry only the
+// normalized family names.
 func TestMetricsLint(t *testing.T) {
-	for _, compat := range []bool{false, true} {
-		name := "normalized"
-		if compat {
-			name = "compat"
+	t.Run("normalized", func(t *testing.T) {
+		eng, hub, _ := newTestDeployment(t, t.TempDir())
+		defer eng.Close()
+		defer hub.Close()
+		srv, err := New(eng, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			eng, hub, _ := newTestDeployment(t, t.TempDir())
-			defer eng.Close()
-			defer hub.Close()
-			srv, err := New(eng, Options{MetricsCompat: compat})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close(t.Context())
-			ts := httptest.NewServer(srv)
-			defer ts.Close()
+		defer srv.Close(t.Context())
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
 
-			createQuery(t, ts.URL, "loud", `SELECT text FROM twitter WHERE followers > 2`)
-			createQuery(t, ts.URL, "logged", `SELECT text FROM twitter WHERE followers > 4 INTO TABLE obs_log`)
-			for i := int64(1); i <= 40; i++ {
-				hub.Publish(mkTweet(i, "observable", 1000+i))
-			}
-			waitFor(t, 5*time.Second, "rows ingested", func() bool {
-				return getStatus(t, ts.URL, "loud").RowsIn >= 40
-			})
-
-			code, body := scrape(t, ts.URL, "/metrics")
-			if code != http.StatusOK {
-				t.Fatalf("/metrics: %d", code)
-			}
-			if errs := obs.LintMetrics(body); len(errs) != 0 {
-				for _, e := range errs {
-					t.Error(e)
-				}
-				t.Fatalf("/metrics has %d lint violations", len(errs))
-			}
-			for _, want := range []string{
-				"tweeqld_stage_latency_seconds_bucket",
-				"tweeqld_query_output_lag_seconds_bucket",
-				"tweeqld_table_append_latency_seconds_bucket",
-				"tweeqld_query_rows_per_second",
-				"tweeqld_query_restart_streak",
-			} {
-				if !strings.Contains(body, want) {
-					t.Errorf("/metrics missing %s", want)
-				}
-			}
-			for _, old := range []string{"tweeqld_query_rows_per_sec{", "tweeqld_query_restarts{"} {
-				if got := strings.Contains(body, old); got != compat {
-					t.Errorf("compat=%v but old-name sample presence=%v (%s)", compat, got, old)
-				}
-			}
+		createQuery(t, ts.URL, "loud", `SELECT text FROM twitter WHERE followers > 2`)
+		createQuery(t, ts.URL, "logged", `SELECT text FROM twitter WHERE followers > 4 INTO TABLE obs_log`)
+		for i := int64(1); i <= 40; i++ {
+			hub.Publish(mkTweet(i, "observable", 1000+i))
+		}
+		waitFor(t, 5*time.Second, "rows ingested", func() bool {
+			return getStatus(t, ts.URL, "loud").RowsIn >= 40
 		})
-	}
+
+		code, body := scrape(t, ts.URL, "/metrics")
+		if code != http.StatusOK {
+			t.Fatalf("/metrics: %d", code)
+		}
+		if errs := obs.LintMetrics(body); len(errs) != 0 {
+			for _, e := range errs {
+				t.Error(e)
+			}
+			t.Fatalf("/metrics has %d lint violations", len(errs))
+		}
+		for _, want := range []string{
+			"tweeqld_stage_latency_seconds_bucket",
+			"tweeqld_query_output_lag_seconds_bucket",
+			"tweeqld_table_append_latency_seconds_bucket",
+			"tweeqld_query_rows_per_second",
+			"tweeqld_query_restart_streak",
+		} {
+			if !strings.Contains(body, want) {
+				t.Errorf("/metrics missing %s", want)
+			}
+		}
+		for _, old := range []string{"tweeqld_query_rows_per_sec{", "tweeqld_query_restarts{"} {
+			if strings.Contains(body, old) {
+				t.Errorf("/metrics still emits pre-rename family %s", old)
+			}
+		}
+	})
 }
 
 // TestProfileAndTraceEndpoints: /profile serves the per-operator JSON

@@ -39,10 +39,6 @@ type Options struct {
 	// (create/start/pause/resume/drop/restart, with query and profile
 	// IDs). nil discards them.
 	Logger *slog.Logger
-	// MetricsCompat re-emits the pre-rename metric families
-	// (tweeqld_query_rows_per_sec, tweeqld_query_restarts) alongside
-	// their normalized successors, for dashboards not yet migrated.
-	MetricsCompat bool
 }
 
 func (o Options) withDefaults() Options {

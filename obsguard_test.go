@@ -105,7 +105,6 @@ func TestObsOverheadSharedScan(t *testing.T) {
 		cat.RegisterSource("twitter", catalog.NewTwitterSource(hub, nil))
 		opts := core.DefaultOptions()
 		opts.SourceBuffer = len(all) + 16
-		opts.SharedScans = true
 		opts.Profiling = profiling
 		eng := core.NewEngine(cat, opts)
 		var wg sync.WaitGroup
@@ -134,7 +133,7 @@ func TestObsOverheadSharedScan(t *testing.T) {
 }
 
 // TestObsOverheadColumnar guards the vectorized pipeline (PR 10): the
-// shared-scan workload with Columnar on (the default), per-stage
+// shared-scan workload on the columnar pipeline, per-stage
 // profiling on vs off. The columnar stages report per-batch "vec"
 // samples through the same obs path as the row stages, and that
 // instrumentation must fit the same 3% budget.
@@ -149,8 +148,6 @@ func TestObsOverheadColumnar(t *testing.T) {
 		cat.RegisterSource("twitter", catalog.NewTwitterSource(hub, nil))
 		opts := core.DefaultOptions()
 		opts.SourceBuffer = len(all) + 16
-		opts.SharedScans = true
-		opts.Columnar = true
 		opts.Profiling = profiling
 		eng := core.NewEngine(cat, opts)
 		var wg sync.WaitGroup
@@ -243,7 +240,6 @@ func TestObsOverheadSysSampler(t *testing.T) {
 		cat.RegisterSource("twitter", catalog.NewTwitterSource(hub, nil))
 		opts := core.DefaultOptions()
 		opts.SourceBuffer = len(all) + 16
-		opts.SharedScans = true
 		opts.SysStreams = sys
 		eng := core.NewEngine(cat, opts)
 		var sampler *obs.Sampler
