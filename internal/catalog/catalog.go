@@ -584,7 +584,9 @@ func reportScanErr(req OpenRequest, err error) {
 
 // DefaultMemTableRows caps in-memory tables when no explicit cap is
 // configured, so INTO TABLE under firehose load degrades to a sliding
-// window instead of exhausting memory.
+// window instead of exhausting memory. A full tweet row there is 536
+// bytes before its strings (the tuple header and twelve 40-byte
+// cells), so the default holds ~560 MB of cells.
 const DefaultMemTableRows = 1 << 20
 
 // MemBackend is the in-memory TableBackend: a bounded ring buffer that

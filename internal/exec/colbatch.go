@@ -5,7 +5,7 @@
 // the columnar pipeline emits byte-identical rows to the row pipeline
 // by construction — and the vectors exist only so the hot kernels in
 // vector.go can stream over []int64/[]float64/[]string instead of
-// pointer-chasing through ~96-byte value.Value cells.
+// switching on the kind of every 40-byte value.Value cell.
 package exec
 
 import (
@@ -155,8 +155,9 @@ func (v *ColVec) Times() []int64 { return v.times }
 // resolve with ia.load's exact rule — schema-pointer match reads by
 // index, a foreign schema falls back to by-name resolution — applied
 // lane-by-lane exactly as on the row path, but the matching case reads
-// through a pointer into the tuple: copying the ~96-byte value.Value
-// per lane was the dominant cost of the whole columnar filter.
+// through a pointer into the tuple with the *Ref accessors: a 40-byte
+// value.Value is too big for registers, so a value-receiver accessor
+// copies the cell through the stack on every lane.
 func (v *ColVec) materialize(ia *identAccess, rows Batch) {
 	n := len(rows)
 	v.n = n

@@ -79,8 +79,9 @@ func (e *rowEncoder) appendRow(dst []byte, row value.Tuple) []byte {
 	return append(dst, '}')
 }
 
-// appendJSONValue appends one cell. v is a pointer only to spare the
-// copy of a ~100-byte Value per cell; it is not retained.
+// appendJSONValue appends one cell. v is a pointer, read through the
+// *Ref accessors, to spare a stack copy of the 40-byte Value per
+// accessor call; it is not retained.
 func appendJSONValue(dst []byte, v *value.Value) []byte {
 	switch v.KindRef() {
 	case value.KindBool:

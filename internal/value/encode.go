@@ -26,23 +26,26 @@ func AppendValue(buf []byte, v Value) []byte {
 	switch v.kind {
 	case KindNull:
 	case KindBool:
-		if v.b {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+		buf = append(buf, byte(v.w)) // 0 or 1
 	case KindInt:
-		buf = binary.AppendVarint(buf, v.i)
+		buf = binary.AppendVarint(buf, int64(v.w))
 	case KindFloat:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.f))
+		buf = binary.LittleEndian.AppendUint64(buf, v.w)
 	case KindString:
 		buf = binary.AppendUvarint(buf, uint64(len(v.s)))
 		buf = append(buf, v.s...)
 	case KindTime:
-		buf = appendTime(buf, v.t)
+		if v.x == nil {
+			// A word-held time is its own UnixNano: appendTime's
+			// non-zero form without rebuilding the time.Time.
+			buf = append(buf, 1)
+			buf = binary.AppendVarint(buf, int64(v.w))
+		} else {
+			buf = appendTime(buf, v.x.t)
+		}
 	case KindList:
-		buf = binary.AppendUvarint(buf, uint64(len(v.l)))
-		for _, e := range v.l {
+		buf = binary.AppendUvarint(buf, uint64(len(v.x.l)))
+		for _, e := range v.x.l {
 			buf = AppendValue(buf, e)
 		}
 	}

@@ -9,6 +9,7 @@
 package value
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -54,36 +55,75 @@ func (k Kind) String() string {
 
 // Value is a dynamically typed scalar (or list of scalars). The zero
 // Value is NULL, following the zero-value-is-useful convention.
+//
+// A Value is 40 bytes: the kind, one 8-byte word, a string header and
+// a pointer. The word holds a bool (0 or 1), an int64, a float64's
+// IEEE bits, or a time as UTC UnixNano; the string header holds a
+// string's content. The pointer is nil except for the rare cases the
+// word cannot hold exactly, where it points at an immutable record:
+// list elements, and any time other than an in-range UTC wall-clock
+// reading (the zero time, times outside 1678–2262, a non-UTC location,
+// a monotonic clock reading). So Int, Float, String, Bool and Time of
+// an in-range UTC time allocate nothing, and every accessor hands back
+// exactly what the constructor was given.
 type Value struct {
 	kind Kind
-	b    bool
-	i    int64
-	f    float64
+	w    uint64
 	s    string
-	t    time.Time
-	l    []Value
+	x    *rare
 }
+
+// rare is the out-of-line part of a list or of a time the word cannot
+// hold. It is never mutated after construction, so copies of a Value
+// share it.
+type rare struct {
+	t time.Time
+	l []Value
+}
+
+// zeroTime is the shared record of Time(time.Time{}): "no event time"
+// is common enough in stored rows not to cost an allocation per cell.
+var zeroTime = &rare{}
 
 // Null returns the NULL value.
 func Null() Value { return Value{} }
 
 // Bool wraps a bool.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	var w uint64
+	if b {
+		w = 1
+	}
+	return Value{kind: KindBool, w: w}
+}
 
 // Int wraps an int64.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, w: uint64(i)} }
 
 // Float wraps a float64.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, w: math.Float64bits(f)} }
 
 // String wraps a string.
 func String(s string) Value { return Value{kind: KindString, s: s} }
 
-// Time wraps a time.Time.
-func Time(t time.Time) Value { return Value{kind: KindTime, t: t} }
+// Time wraps a time.Time. A time that its UTC UnixNano reproduces
+// exactly lives in the word; any other keeps the whole time.Time in a
+// rare record.
+func Time(t time.Time) Value {
+	if ns := t.UnixNano(); unixNano(ns) == t {
+		return Value{kind: KindTime, w: uint64(ns)}
+	}
+	if t == (time.Time{}) {
+		return Value{kind: KindTime, x: zeroTime}
+	}
+	return Value{kind: KindTime, x: &rare{t: t}}
+}
+
+// unixNano is the time a word-held time stands for.
+func unixNano(ns int64) time.Time { return time.Unix(0, ns).UTC() }
 
 // List wraps a slice of values. The slice is not copied.
-func List(vs []Value) Value { return Value{kind: KindList, l: vs} }
+func List(vs []Value) Value { return Value{kind: KindList, x: &rare{l: vs}} }
 
 // Strings builds a list value from a string slice.
 func Strings(ss []string) Value {
@@ -108,7 +148,7 @@ func (v Value) BoolVal() (bool, error) {
 	if v.kind != KindBool {
 		return false, fmt.Errorf("%w: want bool, have %s", ErrType, v.kind)
 	}
-	return v.b, nil
+	return v.w != 0, nil
 }
 
 // IntVal returns the integer content; floats with integral values are
@@ -116,10 +156,10 @@ func (v Value) BoolVal() (bool, error) {
 func (v Value) IntVal() (int64, error) {
 	switch v.kind {
 	case KindInt:
-		return v.i, nil
+		return int64(v.w), nil
 	case KindFloat:
-		if v.f == math.Trunc(v.f) {
-			return int64(v.f), nil
+		if f := math.Float64frombits(v.w); f == math.Trunc(f) {
+			return int64(f), nil
 		}
 	}
 	return 0, fmt.Errorf("%w: want int, have %s", ErrType, v.kind)
@@ -129,9 +169,9 @@ func (v Value) IntVal() (int64, error) {
 func (v Value) FloatVal() (float64, error) {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i), nil
+		return float64(int64(v.w)), nil
 	case KindFloat:
-		return v.f, nil
+		return math.Float64frombits(v.w), nil
 	}
 	return 0, fmt.Errorf("%w: want float, have %s", ErrType, v.kind)
 }
@@ -149,7 +189,7 @@ func (v Value) TimeVal() (time.Time, error) {
 	if v.kind != KindTime {
 		return time.Time{}, fmt.Errorf("%w: want time, have %s", ErrType, v.kind)
 	}
-	return v.t, nil
+	return v.time(), nil
 }
 
 // Str returns the string content without StringVal's kind check and
@@ -162,29 +202,53 @@ func (v Value) Str() string { return v.s }
 // Num returns the numeric content widened to float64 for KindInt and
 // KindFloat, 0 otherwise; the same check-Kind-first contract as Str.
 func (v Value) Num() float64 {
-	if v.kind == KindInt {
-		return float64(v.i)
+	switch v.kind {
+	case KindInt:
+		return float64(int64(v.w))
+	case KindFloat:
+		return math.Float64frombits(v.w)
 	}
-	return v.f
+	return 0
 }
 
 // IntRaw returns the raw int64 content for KindInt, 0 otherwise; the
 // same check-Kind-first contract as Str.
-func (v Value) IntRaw() int64 { return v.i }
+func (v Value) IntRaw() int64 {
+	if v.kind != KindInt {
+		return 0
+	}
+	return int64(v.w)
+}
 
 // TimeRaw returns the raw time content for KindTime, the zero time
 // otherwise; the same check-Kind-first contract as Str. Columnar
 // materialization uses it to flatten time columns to int64 nanoseconds
 // without TimeVal's error path.
-func (v Value) TimeRaw() time.Time { return v.t }
+func (v Value) TimeRaw() time.Time {
+	if v.kind != KindTime {
+		return time.Time{}
+	}
+	return v.time()
+}
+
+// time is a KindTime value's content.
+func (v Value) time() time.Time {
+	if v.x != nil {
+		return v.x.t
+	}
+	return unixNano(int64(v.w))
+}
 
 // The *Ref accessors are the pointer-receiver twins of Kind, Str, Num,
-// IntRaw, and TimeRaw for per-lane loops over []Value: even when a
-// value-receiver accessor inlines, the compiler materializes a copy of
-// the whole ~96-byte Value as the receiver, and in the columnar
-// transpose (exec.ColVec.materialize) those copies dominated the
-// entire filter's profile. Reading through the pointer is a single
-// field load. The check-Kind-first contract carries over unchanged.
+// IntRaw, and TimeRaw for per-cell loops over []Value. A 40-byte Value
+// is over the 32 bytes the compiler keeps in registers, so even an
+// inlined value-receiver accessor copies the whole cell through the
+// stack. Switching the three such loops — the columnar transpose
+// (exec.ColVec.materialize), the segment column encoder and the JSON
+// row encoder — to the value-receiver accessors made the columnar
+// filter 5–42 % and the JSON encoder 20 % slower (BENCH_27.json,
+// "ref_accessors"). Reading through the pointer is a single field
+// load. The check-Kind-first contract carries over unchanged.
 
 // KindRef is Kind through the pointer.
 func (v *Value) KindRef() Kind { return v.kind }
@@ -194,24 +258,37 @@ func (v *Value) StrRef() string { return v.s }
 
 // NumRef is Num through the pointer.
 func (v *Value) NumRef() float64 {
-	if v.kind == KindInt {
-		return float64(v.i)
+	switch v.kind {
+	case KindInt:
+		return float64(int64(v.w))
+	case KindFloat:
+		return math.Float64frombits(v.w)
 	}
-	return v.f
+	return 0
 }
 
 // IntRef is IntRaw through the pointer.
-func (v *Value) IntRef() int64 { return v.i }
+func (v *Value) IntRef() int64 {
+	if v.kind != KindInt {
+		return 0
+	}
+	return int64(v.w)
+}
 
 // TimeRef is TimeRaw through the pointer.
-func (v *Value) TimeRef() time.Time { return v.t }
+func (v *Value) TimeRef() time.Time {
+	if v.kind != KindTime {
+		return time.Time{}
+	}
+	return v.time()
+}
 
 // ListVal returns the list content, or an error for non-lists.
 func (v Value) ListVal() ([]Value, error) {
 	if v.kind != KindList {
 		return nil, fmt.Errorf("%w: want list, have %s", ErrType, v.kind)
 	}
-	return v.l, nil
+	return v.x.l, nil
 }
 
 // Truthy reports whether v counts as true in a WHERE predicate: non-false
@@ -219,18 +296,17 @@ func (v Value) ListVal() ([]Value, error) {
 // (SQL three-valued logic collapses UNKNOWN to false at the filter).
 func (v Value) Truthy() bool {
 	switch v.kind {
-	case KindBool:
-		return v.b
-	case KindInt:
-		return v.i != 0
+	case KindBool, KindInt:
+		return v.w != 0
 	case KindFloat:
-		return v.f != 0
+		return math.Float64frombits(v.w) != 0 // -0.0 is false, NaN true
 	case KindString:
 		return v.s != ""
 	case KindTime:
-		return !v.t.IsZero()
+		// A word-held time is never the zero time.
+		return v.x == nil || !v.x.t.IsZero()
 	case KindList:
-		return len(v.l) > 0
+		return len(v.x.l) > 0
 	default:
 		return false
 	}
@@ -253,8 +329,8 @@ func Compare(a, b Value) (int, error) {
 		return 1, nil
 	}
 	if a.kind.numeric() && b.kind.numeric() {
-		af, _ := a.FloatVal()
-		bf, _ := b.FloatVal()
+		// kernel: kind pre-proven
+		af, bf := a.Num(), b.Num()
 		switch {
 		case af < bf:
 			return -1, nil
@@ -269,36 +345,37 @@ func Compare(a, b Value) (int, error) {
 	}
 	switch a.kind {
 	case KindBool:
-		switch {
-		case !a.b && b.b:
-			return -1, nil
-		case a.b && !b.b:
-			return 1, nil
-		default:
-			return 0, nil
-		}
+		return cmp.Compare(a.w, b.w), nil
 	case KindString:
 		return strings.Compare(a.s, b.s), nil
 	case KindTime:
+		if a.x == nil && b.x == nil {
+			return cmp.Compare(int64(a.w), int64(b.w)), nil
+		}
+		// Before/After, not UnixNano: two monotonic readings compare by
+		// the monotonic clock, and a time outside UnixNano's range has
+		// no faithful int64.
+		at, bt := a.time(), b.time()
 		switch {
-		case a.t.Before(b.t):
+		case at.Before(bt):
 			return -1, nil
-		case a.t.After(b.t):
+		case at.After(bt):
 			return 1, nil
 		default:
 			return 0, nil
 		}
 	case KindList:
-		for i := 0; i < len(a.l) && i < len(b.l); i++ {
-			c, err := Compare(a.l[i], b.l[i])
+		al, bl := a.x.l, b.x.l
+		for i := 0; i < len(al) && i < len(bl); i++ {
+			c, err := Compare(al[i], bl[i])
 			if err != nil || c != 0 {
 				return c, err
 			}
 		}
 		switch {
-		case len(a.l) < len(b.l):
+		case len(al) < len(bl):
 			return -1, nil
-		case len(a.l) > len(b.l):
+		case len(al) > len(bl):
 			return 1, nil
 		default:
 			return 0, nil
@@ -328,7 +405,7 @@ func Arith(op string, a, b Value) (Value, error) {
 		return Null(), fmt.Errorf("%w: %s %s %s", ErrType, a.kind, op, b.kind)
 	}
 	if a.kind == KindInt && b.kind == KindInt {
-		x, y := a.i, b.i
+		x, y := int64(a.w), int64(b.w)
 		switch op {
 		case "+":
 			return Int(x + y), nil
@@ -349,8 +426,8 @@ func Arith(op string, a, b Value) (Value, error) {
 		}
 		return Null(), fmt.Errorf("value: unknown operator %q", op)
 	}
-	x, _ := a.FloatVal()
-	y, _ := b.FloatVal()
+	// kernel: kind pre-proven
+	x, y := a.Num(), b.Num()
 	switch op {
 	case "+":
 		return Float(x + y), nil
@@ -378,18 +455,18 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.w != 0)
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.w), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.w), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindTime:
-		return v.t.UTC().Format(time.RFC3339)
+		return v.time().UTC().Format(time.RFC3339)
 	case KindList:
-		parts := make([]string, len(v.l))
-		for i, e := range v.l {
+		parts := make([]string, len(v.x.l))
+		for i, e := range v.x.l {
 			parts[i] = e.String()
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
@@ -403,18 +480,18 @@ func (v Value) String() string {
 func (v Value) GoValue() any {
 	switch v.kind {
 	case KindBool:
-		return v.b
+		return v.w != 0
 	case KindInt:
-		return v.i
+		return int64(v.w)
 	case KindFloat:
-		return v.f
+		return math.Float64frombits(v.w)
 	case KindString:
 		return v.s
 	case KindTime:
-		return v.t
+		return v.time()
 	case KindList:
-		out := make([]any, len(v.l))
-		for i, e := range v.l {
+		out := make([]any, len(v.x.l))
+		for i, e := range v.x.l {
 			out[i] = e.GoValue()
 		}
 		return out

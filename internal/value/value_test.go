@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -75,6 +76,8 @@ func TestTruthy(t *testing.T) {
 		{Int(3), true},
 		{Float(0), false},
 		{Float(0.1), true},
+		{Float(math.Copysign(0, -1)), false},
+		{Float(math.NaN()), true},
 		{String(""), false},
 		{String("hi"), true},
 		{Time(time.Time{}), false},
@@ -280,5 +283,69 @@ func TestArithProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+var (
+	layoutValue Value
+	layoutInt   int64
+	layoutNum   float64
+	layoutStr   string
+	layoutBool  bool
+	layoutTime  time.Time
+)
+
+// layoutRead reads v back through its checked and raw accessors.
+func layoutRead(v Value) {
+	switch v.Kind() {
+	case KindInt:
+		layoutInt, _ = v.IntVal()
+		layoutInt += v.IntRaw()
+	case KindFloat:
+		layoutNum, _ = v.FloatVal()
+		layoutNum += v.Num()
+	case KindString:
+		layoutStr, _ = v.StringVal()
+		layoutStr = v.Str()
+	case KindBool:
+		layoutBool, _ = v.BoolVal()
+	case KindTime:
+		layoutTime, _ = v.TimeVal()
+		layoutTime = v.TimeRaw()
+	}
+	layoutBool = v.Truthy()
+}
+
+// TestValueLayout pins the cell layout: at most 40 bytes, and the
+// common constructors — plus reading each value back — allocate
+// nothing. Values land in package variables so escape analysis cannot
+// keep a would-be allocation on the stack.
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got > 40 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want <= 40", got)
+	}
+	at := time.Date(2011, 6, 12, 12, 0, 0, 5, time.UTC)
+	cases := []struct {
+		name string
+		make func() Value
+	}{
+		{"Int", func() Value { return Int(42) }},
+		{"Float", func() Value { return Float(2.5) }},
+		{"String", func() Value { return String("goal") }},
+		{"Bool", func() Value { return Bool(true) }},
+		{"Time", func() Value { return Time(at) }},
+		{"ZeroTime", func() Value { return Time(time.Time{}) }},
+	}
+	for _, c := range cases {
+		n := testing.AllocsPerRun(100, func() {
+			layoutValue = c.make()
+			layoutRead(layoutValue)
+		})
+		if n != 0 {
+			t.Errorf("%s: %v allocs per construct-and-read, want 0", c.name, n)
+		}
+	}
+	if got, _ := Time(at).TimeVal(); got != at {
+		t.Errorf("Time(%v) reads back %v", at, got)
 	}
 }
