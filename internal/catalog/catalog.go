@@ -281,7 +281,14 @@ func (c *Catalog) Stateful(name string) (StatefulFactory, bool) {
 // must be safe for concurrent use and must not retain slices passed to
 // AppendBatch.
 type TableBackend interface {
-	// AppendBatch appends rows in order.
+	// AppendBatch appends rows in order. No backend retains the rows
+	// slice. A backend may keep the rows themselves, Values arrays
+	// included (MemBackend does), so a caller must not hand it cells it
+	// will overwrite or shares with rows someone else keeps. The
+	// persistent store (internal/store) instead copies every cell
+	// before AppendBatch returns: its caller may then overwrite the
+	// slice and each row's cells (TestAppendBatchDoesNotAlias), which is
+	// what lets INTO TABLE projection share cells with its input rows.
 	AppendBatch(rows []value.Tuple) error
 	// Flush makes pending appends readable and (per the backend's
 	// durability policy) durable.

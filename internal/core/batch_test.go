@@ -89,7 +89,7 @@ func TestBatchedPipelineEquivalence(t *testing.T) {
 }
 
 // TestBatchedLimitMidBatch pins the LIMIT cutoff falling inside a
-// batch: with BatchSize larger than the limit the unbatcher must trim
+// batch: with BatchSize larger than the limit the terminal stage must trim
 // mid-batch and still deliver exactly the limit.
 func TestBatchedLimitMidBatch(t *testing.T) {
 	got := runShape(t, `SELECT text FROM twitter LIMIT 5`, 256, 1)

@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -292,10 +293,29 @@ func (e *Engine) Options() Options { return e.opts }
 // is set: the active segment's buffered tail becomes durable here.
 func (e *Engine) Close() error { return e.cat.CloseTables() }
 
-// Cursor is a handle on a running query.
+// Cursor is a handle on a running query. It carries whichever stream
+// its pipeline produces: tuples from a tuple-shaped pipeline (aggregate,
+// async projection, join, BatchSize=1), already through
+// exec.TerminalRowStage, or batches from a batch-shaped one, whose
+// exec.Terminal runs in the goroutine that consumes them. Rows and
+// Batches each present the output in one form, converting lazily; a
+// consumer uses one of the two, and the other then reports an empty,
+// closed stream.
 type Cursor struct {
 	schema  *value.Schema
 	rows    <-chan value.Tuple
+	batches <-chan exec.Batch
+	limit   int
+	cut     context.CancelFunc // the LIMIT cut: cancels the pipeline only
+	// stop ends with Stop or the caller's context, but not at a LIMIT
+	// cut, so a view never drops rows the terminal stage admitted.
+	stop       context.Context
+	batchSize  int
+	flushEvery time.Duration
+	view       sync.Once
+	rowsView   <-chan value.Tuple
+	batchView  <-chan exec.Batch
+
 	stats   *exec.Stats
 	info    *catalog.OpenInfo
 	stmt    *lang.SelectStmt
@@ -305,11 +325,90 @@ type Cursor struct {
 	drained chan struct{}
 }
 
-// Rows returns the result channel; it closes when the stream ends, the
-// limit is reached, or the query is stopped. Queries with INTO STREAM or
-// INTO TABLE deliver their rows to the target instead, and Rows closes
-// immediately.
-func (c *Cursor) Rows() <-chan value.Tuple { return c.rows }
+// noRows and noBatches are the closed views: what a routed query's
+// cursor offers, and what one view offers once the other has the
+// output.
+var (
+	noRows    = func() chan value.Tuple { c := make(chan value.Tuple); close(c); return c }()
+	noBatches = func() chan exec.Batch { c := make(chan exec.Batch); close(c); return c }()
+)
+
+// Rows returns the result rows; the channel closes when the stream
+// ends, the limit is reached, or the query is stopped. Queries with
+// INTO STREAM or INTO TABLE deliver their rows to the target instead,
+// and Rows closes immediately.
+func (c *Cursor) Rows() <-chan value.Tuple {
+	c.view.Do(func() {
+		c.rowsView, c.batchView = c.rows, noBatches
+		if c.batches == nil {
+			return
+		}
+		out := make(chan value.Tuple, 64)
+		c.rowsView = out
+		go func() {
+			defer close(out)
+			c.each(func(b exec.Batch) bool {
+				for _, t := range b {
+					select {
+					case out <- t:
+					case <-c.stop.Done():
+						return false
+					}
+				}
+				return true
+			})
+		}()
+	})
+	return c.rowsView
+}
+
+// Batches returns the results as batches, with the same end-of-stream
+// rules as Rows. A batch-shaped pipeline's batches arrive as its
+// terminal stage emits them; a tuple-shaped pipeline's rows are grouped
+// into batches of up to Options.BatchSize, a partial one flushed after
+// Options.BatchFlushEvery. Each batch belongs to the receiver.
+func (c *Cursor) Batches() <-chan exec.Batch {
+	c.view.Do(func() {
+		c.rowsView = noRows
+		if c.batches == nil {
+			c.batchView = exec.ToBatches(c.batchSize, c.flushEvery)(c.stop, c.rows)
+			return
+		}
+		out := make(chan exec.Batch, 4)
+		c.batchView = out
+		go func() {
+			defer close(out)
+			c.each(func(b exec.Batch) bool {
+				select {
+				case out <- b:
+					return true
+				case <-c.stop.Done():
+					return false
+				}
+			})
+		}()
+	})
+	return c.batchView
+}
+
+// each hands the output, batch by batch, to deliver in the calling
+// goroutine, until the stream ends or deliver returns false. A
+// batch-shaped pipeline's terminal stage runs here. A tuple stream is
+// batched until it closes, even after Stop, so an INTO target keeps
+// every row the terminal stage counted.
+func (c *Cursor) each(deliver func(exec.Batch) bool) {
+	if c.batches != nil {
+		exec.Terminal(c.batches, c.limit, c.cut, c.stats, deliver)
+		return
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for b := range exec.ToBatches(c.batchSize, c.flushEvery)(ctx, c.rows) {
+		if !deliver(b) {
+			return
+		}
+	}
+}
 
 // Schema describes the result columns.
 func (c *Cursor) Schema() *value.Schema { return c.schema }

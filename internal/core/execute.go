@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"tweeql/internal/catalog"
 	"tweeql/internal/exec"
@@ -40,47 +39,53 @@ func (e *Engine) execute(ctx context.Context, cancel context.CancelFunc, stmt *l
 	ctx = exec.WithStats(ctx, stats)
 
 	cur := &Cursor{stmt: stmt, plan: p, stats: stats, cancel: cancel,
+		stop: ctx, batchSize: e.opts.BatchSize, flushEvery: e.opts.BatchFlushEvery,
 		drained: make(chan struct{})}
 
-	var rows <-chan value.Tuple
+	// INTO TABLE resolves its target first: whether the backend keeps
+	// the rows it is given decides whether projection may share cells.
+	var table *catalog.Table
+	if stmt.Into != nil && stmt.Into.Kind == lang.IntoTable {
+		var err error
+		if table, err = e.cat.OpenTable(stmt.Into.Name); err != nil {
+			return nil, err
+		}
+	}
+
+	// The pipeline runs under a child context. A LIMIT cut cancels it to
+	// unwind upstream stages; the cursor's views of the output (Rows,
+	// Batches) watch only the query context — Stop or the caller's — so
+	// rows admitted before the cut still reach the consumer.
+	pctx, cut := context.WithCancel(ctx)
 	var err error
 	if p.Join != nil {
-		rows, err = e.openJoin(ctx, cancel, ev, stmt, p, stats, cur)
+		err = e.openJoin(pctx, cut, ev, stmt, p, stats, cur)
 	} else {
-		rows, err = e.openSingle(ctx, cancel, ev, stmt, p, stats, cur)
+		err = e.openSingle(pctx, cut, ev, stmt, p, stats, cur, table)
 	}
 	if err != nil {
+		cut()
 		return nil, err
 	}
 
-	// INTO routing: results feed the named target; the cursor itself
-	// closes immediately (documented on Rows) and Drained signals when
+	// INTO routing: results feed the named target; the cursor's views
+	// close immediately (documented on Rows) and Drained signals when
 	// the target has received — and, for persistent tables, flushed —
 	// the final row. Routing errors land in Stats().Err().
-	if stmt.Into != nil && stmt.Into.Kind != lang.IntoStdout {
-		empty := make(chan value.Tuple)
-		close(empty)
-		cur.rows = empty
-		switch stmt.Into.Kind {
-		case lang.IntoStream:
+	if cur.Routed() {
+		cur.view.Do(func() { cur.rowsView, cur.batchView = noRows, noBatches })
+		if table != nil {
+			go routeToTable(cur, table, stmt.Into.Name)
+		} else {
 			ds := catalog.NewDerivedStream(stmt.Into.Name, cur.schema)
 			e.cat.RegisterSource(stmt.Into.Name, ds)
-			go e.routeToStream(rows, ds, stats, cur.drained)
-		case lang.IntoTable:
-			table, err := e.cat.OpenTable(stmt.Into.Name)
-			if err != nil {
-				cancel()
-				return nil, err
-			}
-			go e.routeToTable(rows, table, stmt.Into.Name, stats, cur.drained)
+			go routeToStream(cur, ds)
 		}
 		return cur, nil
 	}
-	// Ordinary queries deliver through Rows, whose closure is the
-	// completion signal; Drained has nothing extra to say, so it closes
-	// immediately rather than taxing the hot output path with a relay
-	// goroutine just to mirror the channel close.
-	cur.rows = rows
+	// Ordinary queries deliver through Rows or Batches, whose closure is
+	// the completion signal; Drained has nothing extra to say, so it
+	// closes immediately.
 	close(cur.drained)
 	return cur, nil
 }
@@ -94,75 +99,32 @@ func hasTimeColumn(s *value.Schema) bool {
 	return false
 }
 
-// DrainBatches accumulates rows into batches of up to size tuples and
-// hands each (never empty, reused between calls — sinks must not
-// retain it) to sink; a partial batch is delivered after flushEvery on
-// a trickling stream (0 = only full batches plus the final partial
-// one). It drains until rows closes — never bailing on context
-// cancellation — so a LIMIT cutoff (which cancels the query context
-// while its final rows are still in flight) cannot drop them. Shared
-// by INTO STREAM / INTO TABLE routing and the serving layer's fan-out
-// pump.
-func DrainBatches(rows <-chan value.Tuple, size int, flushEvery time.Duration, sink func([]value.Tuple)) {
-	if size < 1 {
-		size = 1
-	}
-	var timer *time.Timer
-	var timerC <-chan time.Time
-	if flushEvery > 0 {
-		timer = time.NewTimer(flushEvery)
-		defer timer.Stop()
-		timerC = timer.C
-	}
-	batch := make([]value.Tuple, 0, size)
-	flush := func() {
-		if len(batch) > 0 {
-			sink(batch)
-			batch = batch[:0]
-		}
-	}
-	for {
-		select {
-		case t, ok := <-rows:
-			if !ok {
-				flush()
-				return
-			}
-			batch = append(batch, t)
-			if len(batch) >= size {
-				flush()
-			}
-		case <-timerC:
-			flush()
-			timer.Reset(flushEvery)
-		}
-	}
-}
-
-// routeToStream forwards a query's result stream into a derived stream
-// in batches — one PublishBatch (one subscriber-set traversal) per
-// Options.BatchSize rows — then closes the stream (subscribers see
-// end-of-stream after draining their buffers) and signals drained.
-func (e *Engine) routeToStream(rows <-chan value.Tuple, ds *catalog.DerivedStream, stats *exec.Stats, drained chan struct{}) {
-	defer close(drained)
+// routeToStream publishes a query's result batches into a derived
+// stream — one PublishBatch (one subscriber-set traversal) per batch —
+// then closes the stream (subscribers see end-of-stream after draining
+// their buffers) and signals drained.
+func routeToStream(cur *Cursor, ds *catalog.DerivedStream) {
+	defer close(cur.drained)
 	defer ds.CloseStream()
-	sp := stats.StageProf("sink", "stream "+ds.Name(), "batch")
-	DrainBatches(rows, e.opts.BatchSize, e.opts.BatchFlushEvery, func(batch []value.Tuple) {
+	sp := cur.stats.StageProf("sink", "stream "+ds.Name(), "batch")
+	cur.each(func(batch exec.Batch) bool {
 		span := sp.Enter()
 		ds.PublishBatch(batch)
 		span.Exit(len(batch), len(batch))
+		return true
 	})
 }
 
-// routeToTable forwards a query's result stream into a table in
-// batches: one AppendBatch per Options.BatchSize rows, a final Flush
-// at end of stream, and the drained channel closed last. Append and
-// flush errors land in the query's stats — except a read-only sink
-// (the store degraded after exhausted write retries), which counts the
-// lost rows as degraded and keeps draining: the query itself is
-// healthy, its sink is not, and it must not wedge or die for it.
-func (e *Engine) routeToTable(rows <-chan value.Tuple, table *catalog.Table, name string, stats *exec.Stats, drained chan struct{}) {
-	defer close(drained)
+// routeToTable appends a query's result batches to a table, one
+// AppendBatch per batch, then a final Flush at end of stream, and
+// closes drained last. Append and flush errors land in the query's
+// stats — except a read-only sink (the store degraded after exhausted
+// write retries), which counts the lost rows as degraded and keeps
+// draining: the query itself is healthy, its sink is not, and it must
+// not wedge or die for it.
+func routeToTable(cur *Cursor, table *catalog.Table, name string) {
+	defer close(cur.drained)
+	stats := cur.stats
 	sp := stats.StageProf("sink", "table "+name, "batch")
 	// sinkDegraded covers both failure shapes: batches rejected by an
 	// already-read-only table, and the batch whose own exhausted write
@@ -171,19 +133,19 @@ func (e *Engine) routeToTable(rows <-chan value.Tuple, table *catalog.Table, nam
 	sinkDegraded := func(err error) bool {
 		return errors.Is(err, store.ErrReadOnly) || table.Healthy() != nil
 	}
-	DrainBatches(rows, e.opts.BatchSize, e.opts.BatchFlushEvery, func(batch []value.Tuple) {
+	cur.each(func(batch exec.Batch) bool {
 		span := sp.Enter()
-		err := table.AppendBatch(batch)
-		if err != nil {
+		if err := table.AppendBatch(batch); err != nil {
 			span.Exit(len(batch), 0)
 			if sinkDegraded(err) {
 				stats.Degraded.Add(int64(len(batch)))
-				return
+			} else {
+				stats.NoteError(err)
 			}
-			stats.NoteError(err)
-			return
+			return true
 		}
 		span.Exit(len(batch), len(batch))
+		return true
 	})
 	if err := table.Flush(); err != nil && !sinkDegraded(err) {
 		stats.NoteError(err)
@@ -265,19 +227,22 @@ func (e *Engine) openScanStream(ctx context.Context, src catalog.Source, p *plan
 	return batches, rows, info, pushedKey, nil
 }
 
-// openSingle builds the pipeline for a single-source query. With
-// Options.BatchSize > 1 tuples move through the hot stages (filter,
-// projection) in batches — one channel transfer per batch — and the
-// window/aggregation boundary consumes batches directly; results are
-// identical to the tuple-at-a-time path either way.
-func (e *Engine) openSingle(ctx context.Context, cancel context.CancelFunc, ev *exec.Evaluator, stmt *lang.SelectStmt, p *plan.Query, stats *exec.Stats, cur *Cursor) (<-chan value.Tuple, error) {
+// openSingle builds the pipeline for a single-source query and sets
+// the cursor's output. With Options.BatchSize > 1 tuples move through
+// the hot stages (filter, projection) in batches — one channel transfer
+// per batch — the window/aggregation boundary consumes batches
+// directly, and a projection hands its batches to exec.Terminal in the
+// consumer's goroutine; results are identical to the
+// tuple-at-a-time path either way. into is the INTO TABLE target, nil
+// for any other destination.
+func (e *Engine) openSingle(ctx context.Context, cancel context.CancelFunc, ev *exec.Evaluator, stmt *lang.SelectStmt, p *plan.Query, stats *exec.Stats, cur *Cursor, into *catalog.Table) error {
 	src, err := e.cat.Source(stmt.From.Name)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	batches, rows, info, pushedKey, err := e.openScanStream(ctx, src, p, stats, cur)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	cur.info = info
 	batching := batches != nil
@@ -303,6 +268,7 @@ func (e *Engine) openSingle(ctx context.Context, cancel context.CancelFunc, ev *
 			rows = exec.FilterStage(ev, residual, inSchema, costs, adaptive, e.opts.Seed, stats)(ctx, rows)
 		}
 	}
+	terminal := exec.TerminalRowStage(stmt.Limit, cancel, stats)
 
 	if p.IsAggregate {
 		agg := p.Agg
@@ -315,9 +281,9 @@ func (e *Engine) openSingle(ctx context.Context, cancel context.CancelFunc, ev *
 		default:
 			rows = exec.AggregateStage(ev, agg, stats)(ctx, rows)
 		}
-		rows = applyLimit(ctx, cancel, stmt, rows)
+		cur.rows = terminal(ctx, rows)
 		cur.schema = exec.AggSchema(agg)
-		return rows, nil
+		return nil
 	}
 
 	cur.schema = exec.ProjectSchema(p.Proj, inSchema)
@@ -336,37 +302,35 @@ func (e *Engine) openSingle(ctx context.Context, cancel context.CancelFunc, ev *
 			rows = exec.FromBatches()(ctx, batches)
 		}
 		rows = exec.AsyncProjectStage(ev, p.Proj, inSchema, e.opts.AsyncWorkers, e.opts.AsyncCallTimeout, stats)(ctx, rows)
-		rows = countOut(ctx, rows, stats)
-		rows = applyLimit(ctx, cancel, stmt, rows)
 	case columnar:
-		// A shared row pins the cells of every row scanned beside it.
-		// That is fine for a table scan read through the cursor — the
-		// scan ends and its reader moves on — but not for an INTO target,
-		// which keeps rows, nor for a live stream, whose rows can sit in
-		// downstream window buffers for as long as the query runs.
+		// A shared row pins the cells of every row scanned beside it, so
+		// cells are shared only where nobody keeps the rows: a table scan
+		// read through the cursor (the scan ends and its reader moves
+		// on), and an INTO TABLE whose backend copies every cell before
+		// AppendBatch returns (the persistent store; see
+		// catalog.TableBackend). The in-memory ring keeps the rows it is
+		// given, a derived stream's subscribers buffer them, and a live
+		// stream read through the cursor can park them in the consumer
+		// for as long as it likes.
 		_, tableScan := src.(*catalog.Table)
-		share := tableScan && (stmt.Into == nil || stmt.Into.Kind == lang.IntoStdout)
-		batches = exec.ColFilterProjectStage(ev, residual, p.Proj, inSchema, e.stageWorkers(projExprs...), share, stats)(ctx, batches)
-		limit := -1
-		if stmt.Limit >= 0 {
-			limit = stmt.Limit
+		var intoStore bool
+		if into != nil {
+			_, intoStore = into.Backend().(*store.Table)
 		}
-		rows = exec.UnbatchStage(limit, cancel, stats)(ctx, batches)
+		share := intoStore || tableScan && !cur.Routed()
+		batches = exec.ColFilterProjectStage(ev, residual, p.Proj, inSchema, e.stageWorkers(projExprs...), share, stats)(ctx, batches)
 	case batching:
 		batches = exec.BatchProjectStage(ev, p.Proj, inSchema, e.stageWorkers(projExprs...), stats)(ctx, batches)
-		// The unbatcher is the LIMIT cutoff in batch space: it trims
-		// the batch the limit falls inside and cancels upstream.
-		limit := -1
-		if stmt.Limit >= 0 {
-			limit = stmt.Limit
-		}
-		rows = exec.UnbatchStage(limit, cancel, stats)(ctx, batches)
 	default:
 		rows = exec.ProjectStage(ev, p.Proj, inSchema, stats)(ctx, rows)
-		rows = countOut(ctx, rows, stats)
-		rows = applyLimit(ctx, cancel, stmt, rows)
 	}
-	return rows, nil
+	if rows != nil {
+		cur.rows = terminal(ctx, rows)
+	} else {
+		// exec.Terminal runs in the consumer's goroutine (Cursor.each).
+		cur.batches, cur.limit, cur.cut = batches, stmt.Limit, cancel
+	}
+	return nil
 }
 
 // pipeColumnar is the production pipeline shape: the vectorized
@@ -446,36 +410,28 @@ func (e *Engine) stageWorkers(exprs ...lang.Expr) int {
 	return e.opts.BatchWorkers
 }
 
-// applyLimit caps rows at stmt.Limit, cancelling upstream on cutoff.
-func applyLimit(ctx context.Context, cancel context.CancelFunc, stmt *lang.SelectStmt, rows <-chan value.Tuple) <-chan value.Tuple {
-	if stmt.Limit < 0 {
-		return rows
-	}
-	return exec.LimitStage(stmt.Limit, cancel)(ctx, rows)
-}
-
 // openJoin builds the pipeline for FROM a JOIN b ON ... WINDOW w. The
 // join operator interleaves two sources tuple-at-a-time by event time,
 // so this path does not batch — and both sides stay private scans (a
 // shared fan-out has no pairing between the two sides' attach times).
-func (e *Engine) openJoin(ctx context.Context, cancel context.CancelFunc, ev *exec.Evaluator, stmt *lang.SelectStmt, p *plan.Query, stats *exec.Stats, cur *Cursor) (<-chan value.Tuple, error) {
+func (e *Engine) openJoin(ctx context.Context, cancel context.CancelFunc, ev *exec.Evaluator, stmt *lang.SelectStmt, p *plan.Query, stats *exec.Stats, cur *Cursor) error {
 	leftSrc, err := e.cat.Source(stmt.From.Name)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rightSrc, err := e.cat.Source(p.Join.Right)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	req := catalog.OpenRequest{Buffer: e.opts.SourceBuffer, OnError: stats.NoteError}
 	leftIn, info, err := leftSrc.Open(ctx, req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rightIn, _, err := rightSrc.Open(ctx, req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	cur.info = info
 
@@ -502,29 +458,6 @@ func (e *Engine) openJoin(ctx context.Context, cancel context.CancelFunc, ev *ex
 	} else {
 		rows = exec.ProjectStage(ev, p.Proj, joined, stats)(ctx, rows)
 	}
-	rows = countOut(ctx, rows, stats)
-	rows = applyLimit(ctx, cancel, stmt, rows)
-	return rows, nil
-}
-
-// countOut counts delivered rows and records each row's
-// ingest→delivery watermark lag. It terminates the tuple-at-a-time
-// pipeline shapes (project, async, join); the batched shape records
-// both in UnbatchStage, and aggregates record at window emit — so
-// every delivered row hits exactly one lag observation point.
-func countOut(ctx context.Context, in <-chan value.Tuple, stats *exec.Stats) <-chan value.Tuple {
-	out := make(chan value.Tuple, 64)
-	go func() {
-		defer close(out)
-		for t := range in {
-			stats.RowsOut.Add(1)
-			stats.ObserveLag(t.TS, 1)
-			select {
-			case out <- t:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return out
+	cur.rows = exec.TerminalRowStage(stmt.Limit, cancel, stats)(ctx, rows)
+	return nil
 }

@@ -50,51 +50,91 @@ func ToBatches(size int, flushEvery time.Duration) func(ctx context.Context, in 
 	}
 }
 
-// FromBatches flattens batches back into a tuple stream.
+// FromBatches flattens batches back into a tuple stream, in order. It
+// stops early only when ctx ends.
 func FromBatches() func(ctx context.Context, in <-chan Batch) <-chan value.Tuple {
-	return UnbatchStage(-1, nil, nil)
-}
-
-// UnbatchStage flattens batches into tuples, optionally counting rows
-// out and enforcing LIMIT. limit < 0 means unlimited; otherwise exactly
-// limit tuples are forwarded — a limit falling mid-batch trims the
-// batch — and then cancel fires so upstream stages unwind. stats may be
-// nil; when set, RowsOut ticks per forwarded tuple.
-func UnbatchStage(limit int, cancel context.CancelFunc, stats *Stats) func(ctx context.Context, in <-chan Batch) <-chan value.Tuple {
 	return func(ctx context.Context, in <-chan Batch) <-chan value.Tuple {
 		out := make(chan value.Tuple, 64)
 		go func() {
 			defer close(out)
-			if limit == 0 {
-				if cancel != nil {
-					cancel()
-				}
-				return
-			}
-			count := 0
 			for b := range in {
-				// The unbatcher is the batch pipeline's delivery boundary:
-				// record the batch's watermark lag (now minus its minimum
-				// event timestamp) against the query's profile.
-				if stats != nil {
-					stats.ObserveLag(minEventTS(b), len(b))
-				}
 				for _, t := range b {
 					select {
 					case out <- t:
-						if stats != nil {
-							stats.RowsOut.Add(1)
-						}
 					case <-ctx.Done():
 						return
 					}
-					count++
-					if limit > 0 && count >= limit {
-						if cancel != nil {
-							cancel()
-						}
-						return
-					}
+				}
+			}
+		}()
+		return out
+	}
+}
+
+// Terminal is the terminal stage of every batch-shaped pipeline, run in
+// the goroutine of whoever consumes it: it hands each batch from in to
+// deliver, whole, so a sink receives batches with no further hop. It is
+// the one place the pipeline counts RowsOut, records watermark lag (now
+// minus the batch's minimum event timestamp, weighted by its rows) and
+// enforces LIMIT. limit < 0 means unlimited. Otherwise exactly limit
+// rows are delivered: the batch the limit falls inside is trimmed, and
+// only after deliver has returned with it does Terminal call cancel, so
+// upstream stages unwind without racing the last rows. deliver returns
+// false when its consumer has gone, which ends the stage.
+func Terminal(in <-chan Batch, limit int, cancel context.CancelFunc, stats *Stats, deliver func(Batch) bool) {
+	if limit == 0 {
+		cancel()
+		return
+	}
+	left := limit
+	for b := range in {
+		cut := left >= 0 && len(b) >= left
+		if cut {
+			b = b[:left:left]
+		}
+		if !deliver(b) {
+			return
+		}
+		stats.RowsOut.Add(int64(len(b)))
+		stats.ObserveLag(minEventTS(b), len(b))
+		if cut {
+			cancel()
+			return
+		}
+		if left > 0 {
+			left -= len(b)
+		}
+	}
+}
+
+// TerminalRowStage is Terminal for the tuple-shaped pipelines
+// (aggregate, async projection, join, BatchSize=1), as a stage of its
+// own: RowsOut, one lag observation per row (an aggregate row's event
+// time is its window end, so its lag is the window's staleness) and
+// LIMIT. The cut cancels once the last row is in the output channel; a
+// consumer that reads until the channel closes, rather than until ctx
+// ends, receives every admitted row.
+func TerminalRowStage(limit int, cancel context.CancelFunc, stats *Stats) Stage {
+	return func(ctx context.Context, in <-chan value.Tuple) <-chan value.Tuple {
+		out := make(chan value.Tuple, 64)
+		go func() {
+			defer close(out)
+			if limit == 0 {
+				cancel()
+				return
+			}
+			n := 0
+			for t := range in {
+				select {
+				case out <- t:
+				case <-ctx.Done():
+					return
+				}
+				stats.RowsOut.Add(1)
+				stats.ObserveLag(t.TS, 1)
+				if n++; n == limit {
+					cancel()
+					return
 				}
 			}
 		}()
@@ -407,10 +447,6 @@ func BatchAggregateStage(ev *Evaluator, cfg AggregateConfig, stats *Stats) func(
 			emit := func(row value.Tuple) bool {
 				select {
 				case out <- row:
-					stats.RowsOut.Add(1)
-					// Aggregate rows carry their window end as event
-					// time, so this lag is the emitted window's staleness.
-					stats.ObserveLag(row.TS, 1)
 					emitted++
 					return true
 				case <-ctx.Done():

@@ -8,6 +8,7 @@ import (
 
 	"tweeql/internal/catalog"
 	"tweeql/internal/lang"
+	"tweeql/internal/obs"
 	"tweeql/internal/value"
 )
 
@@ -97,14 +98,30 @@ func TestToBatchesFlushInterval(t *testing.T) {
 	close(in)
 }
 
-func TestUnbatchOrderAndCounts(t *testing.T) {
+// profiled returns stats carrying a profile, so lag observations can
+// be counted.
+func profiled() *Stats {
+	return &Stats{Profile: obs.NewProfile("q", obs.ProfileOptions{})}
+}
+
+// runTerminal runs Terminal over batches and returns what it delivered.
+func runTerminal(limit int, cancel context.CancelFunc, stats *Stats, batches ...Batch) []Batch {
+	var got []Batch
+	Terminal(feedBatches(batches...), limit, cancel, stats, func(b Batch) bool {
+		got = append(got, b)
+		return true
+	})
+	return got
+}
+
+func TestTerminalOrderAndCounts(t *testing.T) {
 	rows := nRows(7)
-	stats := &Stats{}
-	got := collectTuples(UnbatchStage(-1, nil, stats)(context.Background(), feedBatches(rows[:3], rows[3:3], rows[3:])))
-	if len(got) != 7 {
-		t.Fatalf("rows = %d", len(got))
+	stats := profiled()
+	got := runTerminal(-1, nil, stats, rows[:3], rows[3:])
+	if len(got) != 2 || len(got[0]) != 3 || len(got[1]) != 4 {
+		t.Fatalf("batches not passed whole: %v", got)
 	}
-	for i, tup := range got {
+	for i, tup := range append(got[0], got[1]...) {
 		if n, _ := tup.Get("n").IntVal(); n != int64(i) {
 			t.Fatalf("row %d out of order: %s", i, tup)
 		}
@@ -112,25 +129,33 @@ func TestUnbatchOrderAndCounts(t *testing.T) {
 	if stats.RowsOut.Load() != 7 {
 		t.Errorf("RowsOut = %d", stats.RowsOut.Load())
 	}
+	if lag := stats.Profile.Snapshot().Lag.Count; lag != 7 {
+		t.Errorf("lag observations = %d rows, want 7", lag)
+	}
 }
 
-func TestUnbatchLimitMidBatch(t *testing.T) {
+func TestTerminalLimitMidBatch(t *testing.T) {
 	rows := nRows(10)
+	stats := profiled()
 	ctx, cancel := context.WithCancel(context.Background())
-	got := collectTuples(UnbatchStage(5, cancel, nil)(ctx, feedBatches(rows[:4], rows[4:8], rows[8:])))
-	if len(got) != 5 {
-		t.Fatalf("limit rows = %d", len(got))
+	got := runTerminal(5, cancel, stats, rows[:4], rows[4:8], rows[8:])
+	if len(got) != 2 || len(got[0]) != 4 || len(got[1]) != 1 {
+		t.Fatalf("limit 5 over 4+4+2 = %v, want batches of 4 and 1", got)
 	}
 	if ctx.Err() == nil {
 		t.Error("limit did not cancel upstream")
 	}
+	if out, lag := stats.RowsOut.Load(), stats.Profile.Snapshot().Lag.Count; out != 5 || lag != 5 {
+		t.Errorf("RowsOut = %d, lag rows = %d, want 5", out, lag)
+	}
 }
 
-func TestUnbatchLimitZero(t *testing.T) {
+func TestTerminalLimitZero(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	got := collectTuples(UnbatchStage(0, cancel, nil)(ctx, feedBatches(nRows(3))))
-	if len(got) != 0 || ctx.Err() == nil {
-		t.Fatalf("limit 0: rows=%d cancelled=%v", len(got), ctx.Err() != nil)
+	stats := profiled()
+	got := runTerminal(0, cancel, stats, nRows(3))
+	if len(got) != 0 || ctx.Err() == nil || stats.RowsOut.Load() != 0 {
+		t.Fatalf("limit 0: batches=%d cancelled=%v RowsOut=%d", len(got), ctx.Err() != nil, stats.RowsOut.Load())
 	}
 }
 

@@ -7,9 +7,9 @@
 //
 // Counter and profiling semantics mirror the row stages: Dropped ticks
 // once per batch with the filtered-away count, projection errors drop
-// the row with NoteError, aggregate emission counts RowsOut and
-// observes window-end lag, and each logical operator registers its own
+// the row with NoteError, and each logical operator registers its own
 // obs stage (unit "vec") so EXPLAIN ANALYZE profiles keep their shape.
+// RowsOut and output lag belong to the pipeline's terminal stage.
 // Conjuncts run in query order over ever-sparser selections; the eddy's
 // adaptive reordering does not apply on this path (keep/drop for a
 // stateless conjunction is order-independent, so results are
@@ -271,10 +271,6 @@ func ColFilterAggStage(ev *Evaluator, conjuncts []lang.Expr, cfg AggregateConfig
 			emit := func(row value.Tuple) bool {
 				select {
 				case out <- row:
-					stats.RowsOut.Add(1)
-					// Aggregate rows carry their window end as event
-					// time, so this lag is the emitted window's staleness.
-					stats.ObserveLag(row.TS, 1)
 					emitted++
 					return true
 				case <-ctx.Done():

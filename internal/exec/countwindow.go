@@ -74,7 +74,6 @@ func countWindowStage(ev *Evaluator, cfg AggregateConfig, stats *Stats) Stage {
 					vals = append(vals, value.Time(batchFirst), value.Time(batchLast))
 					select {
 					case out <- value.NewTuple(outSchema, vals, batchLast):
-						stats.RowsOut.Add(1)
 					case <-ctx.Done():
 						return false
 					}

@@ -8,6 +8,7 @@ import (
 
 	"tweeql/internal/catalog"
 	"tweeql/internal/lang"
+	"tweeql/internal/obs"
 	"tweeql/internal/value"
 )
 
@@ -468,7 +469,7 @@ func TestJoinStage(t *testing.T) {
 	}
 }
 
-func TestLimitStage(t *testing.T) {
+func TestTerminalRowStageLimit(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	in := make(chan value.Tuple)
 	go func() {
@@ -481,12 +482,16 @@ func TestLimitStage(t *testing.T) {
 			}
 		}
 	}()
-	out := collect(LimitStage(3, cancel)(ctx, in))
+	stats := &Stats{Profile: obs.NewProfile("q", obs.ProfileOptions{})}
+	out := collect(TerminalRowStage(3, cancel, stats)(ctx, in))
 	if len(out) != 3 {
 		t.Errorf("limit delivered %d", len(out))
 	}
 	if ctx.Err() == nil {
 		t.Error("limit should cancel the query context")
+	}
+	if n, lag := stats.RowsOut.Load(), stats.Profile.Snapshot().Lag.Count; n != 3 || lag != 3 {
+		t.Errorf("RowsOut = %d, lag rows = %d, want 3", n, lag)
 	}
 }
 

@@ -298,6 +298,11 @@ func AsyncProjectStage(ev *Evaluator, items []ProjItem, inSchema *value.Schema, 
 			defer close(out)
 			for r := range d.Run(ctx, in) {
 				if r.Err != nil {
+					if ctx.Err() != nil {
+						// The call failed because the query ended (Stop,
+						// or a LIMIT cut), not because evaluation did.
+						return
+					}
 					stats.NoteError(r.Err)
 					continue
 				}
@@ -563,11 +568,6 @@ func AggregateStage(ev *Evaluator, cfg AggregateConfig, stats *Stats) Stage {
 			emit := func(row value.Tuple) bool {
 				select {
 				case out <- row:
-					stats.RowsOut.Add(1)
-					// An aggregate row's event time is its window end (or
-					// early-emission time), so lag here is exactly how
-					// stale the emitted window is.
-					stats.ObserveLag(row.TS, 1)
 					emitted++
 					return true
 				case <-ctx.Done():
@@ -699,14 +699,7 @@ func JoinStage(ev *Evaluator, left, right <-chan value.Tuple, leftSchema, rightS
 				} else {
 					row = combine(m.t, t)
 				}
-				select {
-				case out <- row:
-					stats.RowsOut.Add(1)
-				default:
-					// Back-pressure fallback: block.
-					out <- row
-					stats.RowsOut.Add(1)
-				}
+				out <- row
 				emitted++
 			}
 			return emitted
@@ -753,35 +746,6 @@ func PrefixSchema(s *value.Schema, binding string) *value.Schema {
 		fields[i].Name = binding + "." + fields[i].Name
 	}
 	return value.NewSchema(fields...)
-}
-
-// LimitStage forwards n rows then stops, cancelling the query via the
-// provided cancel so upstream stages unwind promptly.
-func LimitStage(n int, cancel context.CancelFunc) Stage {
-	return func(ctx context.Context, in <-chan value.Tuple) <-chan value.Tuple {
-		out := make(chan value.Tuple, 64)
-		go func() {
-			defer close(out)
-			if n <= 0 {
-				cancel()
-				return
-			}
-			count := 0
-			for t := range in {
-				select {
-				case out <- t:
-				case <-ctx.Done():
-					return
-				}
-				count++
-				if count >= n {
-					cancel()
-					return
-				}
-			}
-		}()
-		return out
-	}
 }
 
 // CountStage ticks RowsIn for every tuple passing through, placed right

@@ -24,7 +24,6 @@ import (
 	"tweeql/internal/core"
 	"tweeql/internal/lang"
 	"tweeql/internal/obs"
-	"tweeql/internal/value"
 )
 
 // QueryState is a registered query's lifecycle state.
@@ -613,17 +612,16 @@ func (q *Query) pump(epoch int, cur *core.Cursor, routed bool, bcast *catalog.De
 	if routed {
 		<-cur.Drained()
 	} else {
-		opts := q.reg.eng.Options()
 		// The delivery hop is the last instrumented stage: latency of
 		// one fan-out publish (subscriber-set traversal plus any Block
 		// backpressure), closing the ingest→delivery span the profile's
 		// lag histogram measures.
 		sp := cur.Profile().Stage("deliver", "subscribers", "batch")
-		core.DrainBatches(cur.Rows(), opts.BatchSize, opts.BatchFlushEvery, func(batch []value.Tuple) {
+		for batch := range cur.Batches() {
 			span := sp.Enter()
 			bcast.PublishBatch(batch)
 			span.Exit(len(batch), len(batch))
-		})
+		}
 	}
 	q.onRunEnd(epoch, cur.Stats().Err())
 }

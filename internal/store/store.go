@@ -367,8 +367,11 @@ func tsNano(ts time.Time) int64 {
 // AppendBatch appends rows. Records are buffered and written in
 // batches; the active segment seals (and retention runs) when it
 // crosses the size or age threshold. A row whose schema differs
-// structurally from the active segment's starts a new segment. The
-// rows slice is not retained.
+// structurally from the active segment's starts a new segment. Every
+// cell is copied before AppendBatch returns (encoded into the append
+// buffer and, on a columnar table, staged in the active segment's
+// column blocks), so neither the rows slice nor any row's Values is
+// retained.
 func (t *Table) AppendBatch(rows []value.Tuple) error {
 	if len(rows) == 0 {
 		return nil

@@ -473,3 +473,66 @@ func TestClosedTableErrors(t *testing.T) {
 		t.Errorf("scan after close: %v", err)
 	}
 }
+
+// TestAppendBatchDoesNotAlias pins the contract the engine's INTO TABLE
+// path relies on when it hands the store rows whose cells it shares
+// with the scan that produced them: once AppendBatch returns, the
+// caller may overwrite the rows slice and every row's cells, and the
+// table still reads back the original rows — from a sealed segment, the
+// active segment and the unflushed append buffer alike, and after the
+// segment the rows were staged in seals.
+func TestAppendBatchDoesNotAlias(t *testing.T) {
+	for _, columnar := range []bool{true, false} {
+		t.Run(fmt.Sprintf("columnar=%v", columnar), func(t *testing.T) {
+			tab := mustOpen(t, Options{Dir: t.TempDir(), SegmentMaxBytes: 2 << 10, ColBlockRows: 8, Columnar: columnar})
+			clobber := func(batch []value.Tuple) {
+				for i := range batch {
+					for j := range batch[i].Values {
+						batch[i].Values[j] = value.String("clobbered")
+					}
+					batch[i] = value.Tuple{}
+				}
+			}
+			// The first batch spans several sealed segments and leaves
+			// its tail in the active one, which Flush writes out; the
+			// second stays in the append buffer.
+			first := rows(0, 100)
+			if err := tab.AppendBatch(first); err != nil {
+				t.Fatal(err)
+			}
+			clobber(first)
+			if err := tab.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			second := rows(100, 103)
+			if err := tab.AppendBatch(second); err != nil {
+				t.Fatal(err)
+			}
+			clobber(second)
+			if sealed, active := tab.Segments(); sealed == 0 || active != 1 {
+				t.Fatalf("segments = %d sealed, %d active; want both kinds", sealed, active)
+			}
+			check := func(n int) {
+				t.Helper()
+				got := collect(t, tab, time.Time{}, time.Time{})
+				if len(got) != n {
+					t.Fatalf("rows = %d, want %d", len(got), n)
+				}
+				for i, r := range got {
+					if r.String() != row(i).String() {
+						t.Fatalf("row %d = %s, want %s", i, r, row(i))
+					}
+				}
+			}
+			check(103)
+			// Sealing the segment those rows were staged in encodes its
+			// last, partial block only now.
+			third := rows(103, 200)
+			if err := tab.AppendBatch(third); err != nil {
+				t.Fatal(err)
+			}
+			clobber(third)
+			check(200)
+		})
+	}
+}
