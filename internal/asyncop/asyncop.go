@@ -250,6 +250,14 @@ func Map[I, O any](ctx context.Context, items []I, workers int, fn func(context.
 // receiver. The returned channel closes when in closes or ctx is
 // cancelled.
 func Chunk[T any](ctx context.Context, in <-chan T, size int, flushEvery time.Duration) <-chan []T {
+	return ChunkAcked(ctx, in, size, flushEvery, nil)
+}
+
+// ChunkAcked is Chunk calling ack (when non-nil) after every receive
+// from in: how a producer that bounds its queue by the consumer's
+// progress — a no-loss twitterapi connection — learns of it receive by
+// receive, not chunk by chunk.
+func ChunkAcked[T any](ctx context.Context, in <-chan T, size int, flushEvery time.Duration, ack func()) <-chan []T {
 	if size < 1 {
 		size = 1
 	}
@@ -282,6 +290,9 @@ func Chunk[T any](ctx context.Context, in <-chan T, size int, flushEvery time.Du
 				if !ok {
 					flush()
 					return
+				}
+				if ack != nil {
+					ack()
 				}
 				chunk = append(chunk, t)
 				if len(chunk) >= size {

@@ -835,6 +835,10 @@ func NewTwitterSource(hub *twitterapi.Hub, sample []*tweet.Tweet) *TwitterSource
 // Schema implements Source.
 func (s *TwitterSource) Schema() *value.Schema { return TweetSchema }
 
+// Hub returns the streaming endpoint the source reads, for its
+// delivery and publisher-wait counters.
+func (s *TwitterSource) Hub() *twitterapi.Hub { return s.hub }
+
 // LiveStream implements LiveSource: the twitter stream is live, so N
 // queries with one scan signature can share one API connection.
 func (s *TwitterSource) LiveStream() bool { return true }
@@ -843,7 +847,11 @@ func (s *TwitterSource) LiveStream() bool { return true }
 // OpenBatches — choose the lowest-selectivity candidate (if any) by
 // sampling, and open the streaming connection with it — so the batched
 // and tuple paths can never pick different pushed filters.
-func (s *TwitterSource) connect(req OpenRequest) (*twitterapi.Connection, *OpenInfo, error) {
+//
+// A consumer that acknowledges each tweet it takes (Connection.Took)
+// passes opts with twitterapi.WithWatermark; Open's per-tweet reader
+// does not, and stays best-effort.
+func (s *TwitterSource) connect(req OpenRequest, opts ...twitterapi.ConnectOpt) (*twitterapi.Connection, *OpenInfo, error) {
 	info := &OpenInfo{Schema: TweetSchema}
 	filter := twitterapi.Filter{SampleRate: 1} // full stream by default
 	if len(req.Candidates) > 0 {
@@ -858,7 +866,6 @@ func (s *TwitterSource) connect(req OpenRequest) (*twitterapi.Connection, *OpenI
 		info.Pushed = true
 		filter = req.Candidates[best]
 	}
-	opts := []twitterapi.ConnectOpt{}
 	if req.Buffer > 0 {
 		opts = append(opts, twitterapi.WithBuffer(req.Buffer))
 	}
@@ -906,7 +913,11 @@ func (s *TwitterSource) OpenBatches(ctx context.Context, req OpenRequest, bo Bat
 	if bo.Size < 1 {
 		bo.Size = 1
 	}
-	conn, info, err := s.connect(req)
+	// The hand-off to the chunker is bounded at one batch: with a buffer
+	// larger than that (replays size it to the whole stream), the
+	// publisher waits for this scan instead of queueing the stream in
+	// front of it, which only turns throughput into lag.
+	conn, info, err := s.connect(req, twitterapi.WithWatermark(bo.Size))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -919,7 +930,7 @@ func (s *TwitterSource) OpenBatches(ctx context.Context, req OpenRequest, bo Bat
 	// batches — on a worker pool when bo.Workers > 1, reassembled in
 	// order — with one value-cell arena per batch, so conversion costs
 	// two allocations per batch instead of one per tweet.
-	raw := asyncop.Chunk(ctx, conn.C(), bo.Size, bo.FlushEvery)
+	raw := asyncop.ChunkAcked(ctx, conn.C(), bo.Size, bo.FlushEvery, conn.Took)
 
 	workers := bo.Workers
 	if workers < 1 {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"tweeql/internal/catalog"
 	"tweeql/internal/obs"
 	"tweeql/internal/resilience"
 	"tweeql/internal/store"
@@ -191,6 +192,22 @@ func (s *Server) renderMetrics() string {
 		fmt.Fprintf(&b, "tweeqld_scan_batches_in_total%s %d\n", l, sc.Batches)
 		fmt.Fprintf(&b, "tweeqld_scan_subscriber_dropped_total%s %d\n", l, sc.Dropped)
 		fmt.Fprintf(&b, "tweeqld_scan_restarts_total%s %d\n", l, sc.Restarts)
+	}
+
+	// The streaming endpoint's back-pressure: a publisher parks when a
+	// no-loss connection (a scan reading in batches) holds a batch of
+	// undelivered tweets, so time here is ingest outrunning the engine.
+	fam(&b, "tweeqld_hub_publish_waits_total", "counter", "Times the hub's publisher parked on a full no-loss connection.")
+	fam(&b, "tweeqld_hub_publish_wait_seconds_total", "counter", "Seconds the hub's publisher spent parked on full no-loss connections.")
+	names := s.eng.Catalog().SourceNames()
+	sort.Strings(names)
+	for _, name := range names {
+		src, _ := s.eng.Catalog().RegisteredSource(name)
+		if ts, ok := src.(*catalog.TwitterSource); ok {
+			waits, waited := ts.Hub().WaitStats()
+			fmt.Fprintf(&b, "tweeqld_hub_publish_waits_total{source=%q} %d\n", name, waits)
+			fmt.Fprintf(&b, "tweeqld_hub_publish_wait_seconds_total{source=%q} %.6f\n", name, waited.Seconds())
+		}
 	}
 
 	// Circuit breakers guarding web-service UDFs: 0 closed (healthy),

@@ -62,8 +62,11 @@ func TestSysObserverCollect(t *testing.T) {
 	for i := int64(1); i <= 30; i++ {
 		hub.Publish(mkTweet(i, "observable", 1000+i))
 	}
-	waitFor(t, 10*time.Second, "rows flowed", func() bool {
-		return getStatus(t, ts.URL, "watched").RowsOut > 0
+	// All 30 rows must have reached the query before the sample: the
+	// first rows out can leave while a second source batch is still
+	// carrying the rest.
+	waitFor(t, 10*time.Second, "all rows ingested", func() bool {
+		return getStatus(t, ts.URL, "watched").RowsIn >= 30
 	})
 
 	mstream, _ := eng.Catalog().SysStreams()
@@ -245,6 +248,8 @@ func TestBuildInfoAndLint(t *testing.T) {
 		"process_start_time_seconds ",
 		`tweeqld_alert_state{alert="lag"}`,
 		`tweeqld_alert_transitions_total{alert="lag"}`,
+		`tweeqld_hub_publish_waits_total{source="twitter"} `,
+		`tweeqld_hub_publish_wait_seconds_total{source="twitter"} `,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)

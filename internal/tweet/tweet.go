@@ -122,9 +122,9 @@ func Mentions(text string) []string {
 // filter, which both match keywords rather than raw substrings.
 //
 // Single words compare against Tokenize's tokens without building them:
-// nextToken walks the text in place and the common all-ASCII token is
-// case-folded byte by byte against the lowered keyword, so a scan's
-// per-row CONTAINS allocates nothing.
+// nextToken walks the text in place, the common all-ASCII token is
+// case-folded byte by byte against the lowered keyword and any other
+// rune by rune, so a scan's per-row CONTAINS allocates nothing.
 func ContainsWord(text, word string) bool {
 	word = strings.ToLower(strings.TrimSpace(word))
 	if word == "" {
@@ -133,27 +133,47 @@ func ContainsWord(text, word string) bool {
 	if strings.ContainsRune(word, ' ') {
 		return strings.Contains(strings.ToLower(text), word)
 	}
+	return anyToken(text, []string{word}, lenBit(len(word)))
+}
+
+// anyToken reports whether a token of text is one of the lowered single
+// words; lens has lenBit set for each word's length.
+func anyToken(text string, words []string, lens uint64) bool {
 	for pos := 0; ; {
 		tok, kind, next := nextToken(text, pos)
-		pos = next
-		switch kind {
-		case tokNone:
+		if kind == tokNone {
 			return false
-		case tokURL:
-			// Kept whole and case-preserved; never a hashtag.
-			if tok == word {
-				return true
+		}
+		pos = next
+		if kind != tokUnicode {
+			// A URL or ASCII token matches only a word of its own
+			// length, or one byte shorter behind a '#'. (Unicode
+			// lower-casing can change a token's length.)
+			fit := lenBit(len(tok))
+			if tok[0] == '#' {
+				fit |= lenBit(len(tok) - 1)
 			}
-		case tokASCII:
-			if equalFoldASCII(tok, word) || (tok[0] == '#' && equalFoldASCII(tok[1:], word)) {
-				return true
+			if lens&fit == 0 {
+				continue
 			}
-		case tokUnicode:
-			// Full Unicode lower-casing (İ, the Kelvin sign, …) exactly as
-			// Tokenize folds it.
-			low := strings.ToLower(tok)
-			if low == word || strings.TrimPrefix(low, "#") == word {
-				return true
+		}
+		for _, w := range words {
+			switch kind {
+			case tokURL:
+				// Kept whole and case-preserved; never a hashtag.
+				if tok == w {
+					return true
+				}
+			case tokASCII:
+				if equalFoldASCII(tok, w) || (tok[0] == '#' && equalFoldASCII(tok[1:], w)) {
+					return true
+				}
+			default:
+				// Full Unicode lower-casing (İ, the Kelvin sign, …)
+				// exactly as Tokenize folds it.
+				if equalLower(tok, w) || (tok[0] == '#' && equalLower(tok[1:], w)) {
+					return true
+				}
 			}
 		}
 	}
@@ -272,37 +292,72 @@ func equalFoldASCII(tok, lowered string) bool {
 	return true
 }
 
-// ContainsAnyWord reports whether the text contains any of the words,
-// with ContainsWord semantics, tokenizing the text only once — the hot
-// path for track filters and event matching.
-func ContainsAnyWord(text string, words []string) bool {
-	if len(words) == 0 {
-		return false
+// equalLower reports whether strings.ToLower(tok) equals the already
+// lower-cased word, without building it: ToLower maps every rune through
+// unicode.ToLower, an invalid byte becoming U+FFFD like the RuneError it
+// decodes to.
+func equalLower(tok, lowered string) bool {
+	j := 0
+	for i := 0; i < len(tok); {
+		r, n := utf8.DecodeRuneInString(tok[i:])
+		i += n
+		r = unicode.ToLower(r)
+		if r < utf8.RuneSelf {
+			if j == len(lowered) || lowered[j] != byte(r) {
+				return false
+			}
+			j++
+			continue
+		}
+		var enc [utf8.UTFMax]byte
+		m := utf8.EncodeRune(enc[:], r)
+		if len(lowered)-j < m || lowered[j:j+m] != string(enc[:m]) {
+			return false
+		}
+		j += m
 	}
-	var tokens map[string]bool
-	lowerText := ""
+	return j == len(lowered)
+}
+
+// lenBit is a word length's bit in anyToken's length mask; every length
+// from 63 bytes up shares the top bit.
+func lenBit(n int) uint64 { return 1 << min(n, 63) }
+
+// maxStackWords is how many lowered keywords ContainsAnyWord keeps
+// without allocating; a longer list still works, on the heap.
+const maxStackWords = 16
+
+// ContainsAnyWord reports whether the text contains any of the words,
+// with ContainsWord semantics, in one pass over the text — the hot path
+// for track filters and event matching. The words are lowered once per
+// call (free when they are already lower-case); each token nextToken
+// yields is then compared in place against all of them, so an all-ASCII
+// text, or a non-ASCII one, allocates nothing. Only a phrase lowers the
+// text, to test it by substring.
+func ContainsAnyWord(text string, words []string) bool {
+	var buf [maxStackWords]string
+	single, phrases := buf[:0], false
+	var lens uint64 // bit lenBit(len(w)) set for every single word w
 	for _, w := range words {
 		w = strings.ToLower(strings.TrimSpace(w))
-		if w == "" {
-			continue
+		switch {
+		case w == "":
+		case strings.ContainsRune(w, ' '):
+			phrases = true
+		default:
+			single = append(single, w)
+			lens |= lenBit(len(w))
 		}
-		if strings.ContainsRune(w, ' ') {
-			if lowerText == "" {
-				lowerText = strings.ToLower(text)
-			}
-			if strings.Contains(lowerText, w) {
-				return true
-			}
-			continue
-		}
-		if tokens == nil {
-			tokens = make(map[string]bool)
-			for _, tok := range Tokenize(text) {
-				tokens[strings.TrimPrefix(tok, "#")] = true
-				tokens[tok] = true
-			}
-		}
-		if tokens[w] {
+	}
+	if len(single) > 0 && anyToken(text, single, lens) {
+		return true
+	}
+	if !phrases {
+		return false
+	}
+	lowerText := strings.ToLower(text)
+	for _, w := range words {
+		if w = strings.ToLower(strings.TrimSpace(w)); strings.ContainsRune(w, ' ') && strings.Contains(lowerText, w) {
 			return true
 		}
 	}

@@ -217,4 +217,115 @@ func TestContainsWordDoesNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { containsSink = ContainsWord(benchTweet, "obama") }); n != 0 {
 		t.Errorf("ContainsWord allocates %v times per call on ASCII text, want 0", n)
 	}
+	if n := testing.AllocsPerRun(100, func() { containsSink = ContainsWord(unicodeTweet, "kelvin") }); n != 0 {
+		t.Errorf("ContainsWord allocates %v times per call on non-ASCII text, want 0", n)
+	}
+}
+
+// containsAnyWordOracle is ContainsAnyWord as it stood before the
+// one-pass matcher: tokenize the whole text into a set holding every
+// token with and without its hashtag mark, then look each keyword up.
+// Kept as the reference FuzzContainsAnyWord holds the matcher to.
+func containsAnyWordOracle(text string, words []string) bool {
+	if len(words) == 0 {
+		return false
+	}
+	var tokens map[string]bool
+	lowerText := ""
+	for _, w := range words {
+		w = strings.ToLower(strings.TrimSpace(w))
+		if w == "" {
+			continue
+		}
+		if strings.ContainsRune(w, ' ') {
+			if lowerText == "" {
+				lowerText = strings.ToLower(text)
+			}
+			if strings.Contains(lowerText, w) {
+				return true
+			}
+			continue
+		}
+		if tokens == nil {
+			tokens = make(map[string]bool)
+			for _, tok := range Tokenize(text) {
+				tokens[strings.TrimPrefix(tok, "#")] = true
+				tokens[tok] = true
+			}
+		}
+		if tokens[w] {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzContainsAnyWord holds the one-pass matcher to the map-based
+// implementation it replaced, and to its definition: any ContainsWord.
+// The word list is the fuzzed string split on '|', so it covers empty
+// and space-only words, phrases, hashtags, URLs, non-ASCII case folding
+// and invalid UTF-8 together with the text.
+func FuzzContainsAnyWord(f *testing.F) {
+	for _, s := range [][2]string{
+		{"GOAL!!! Tevez scores, 3-0.", "soccer|football|GOAL"},
+		{"Watch #obama speak @cnn http://t.co/abc", "#Obama|cnn"},
+		{"see HTTP://T.CO/x and http://t.co/Abc", "http://t.co/abc|HTTP://T.CO/x"},
+		{"##goal --- # @", "#goal| |"},
+		{"\u0130stanbul derbisi", "derby|i\u0307stanbul"},
+		{"272 \u212Aelvin", "KELVIN"},
+		{"\u0393\u039A\u039F\u039B! 90'", "\u0393\u039A\u039F\u039B"},
+		{"no\u00A0break\u2003space\u0085nel", "nel|space"},
+		{"bad \xff\xfeutf8 go\xffal", "go\uFFFDal|\xff"},
+		{"the Premier League tonight", "premierleague|premier league"},
+		{"tab\tin\tword", "in\tword|  "},
+		{"", ""},
+	} {
+		f.Add(s[0], s[1])
+	}
+	f.Fuzz(func(t *testing.T, text, list string) {
+		words := strings.Split(list, "|")
+		check := func(words []string) {
+			t.Helper()
+			any := false
+			for _, w := range words {
+				any = any || ContainsWord(text, w)
+			}
+			got := ContainsAnyWord(text, words)
+			if want := containsAnyWordOracle(text, words); got != want || got != any {
+				t.Fatalf("ContainsAnyWord(%q, %q) = %v, oracle %v, any ContainsWord %v", text, words, got, want, any)
+			}
+		}
+		check(words)
+		// A random word rarely matches; every token of the text, in the
+		// case the text spells it, is one.
+		for _, tok := range strings.Fields(text) {
+			check(append(words, tok))
+		}
+		check(append(words, Tokenize(text)...))
+	})
+}
+
+// unicodeTweet misses "kelvin" only on its last, non-ASCII token.
+const unicodeTweet = "\u0130stanbul derbisi 272 \u212Aelvins \u0393\u039A\u039F\u039B"
+
+// BenchmarkContainsAnyWord is a hub connection's per-tweet match: the
+// soccer event's five track keywords against a 90-byte tweet they all
+// miss, so every token meets every keyword.
+func BenchmarkContainsAnyWord(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		containsSink = ContainsAnyWord(benchTweet, soccerKeywords)
+	}
+}
+
+// soccerKeywords mirrors firehose.SoccerKeywords (which this package
+// cannot import).
+var soccerKeywords = []string{"soccer", "football", "premierleague", "manchester", "liverpool"}
+
+func TestContainsAnyWordDoesNotAllocate(t *testing.T) {
+	for _, text := range []string{benchTweet, unicodeTweet} {
+		if n := testing.AllocsPerRun(100, func() { containsSink = ContainsAnyWord(text, soccerKeywords) }); n != 0 {
+			t.Errorf("ContainsAnyWord(%q, soccer keywords) allocates %v times per call, want 0", text, n)
+		}
+	}
 }

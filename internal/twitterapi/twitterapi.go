@@ -16,14 +16,26 @@
 //     limit notices;
 //   - server-side matching semantics: track terms match on token
 //     boundaries, location boxes require device GPS.
+//
+// One departure bounds the hand-off to consumers that want every tweet
+// (a replay, or a scan whose buffer holds the whole stream): a consumer
+// may connect WithWatermark(W) and acknowledge each tweet it takes with
+// Took. If its buffer is larger than W and it has no rate cap, the
+// connection is no-loss: once W tweets are queued for it the publisher
+// waits, holding no lock, until the consumer has drained it to W/2, the
+// connection closes or the hub closes. Such waits are counted
+// (ConnStats.Waits, Hub.WaitStats). Every other connection keeps the
+// best-effort contract and its counted drops.
 package twitterapi
 
 import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"tweeql/internal/tweet"
 )
@@ -145,6 +157,11 @@ type ConnStats struct {
 	Matched   int64 // passed the server-side filter
 	Delivered int64 // actually enqueued to the client
 	Dropped   int64 // lost to rate cap or full client buffer
+	// Waits counts the times a publisher parked on this no-loss
+	// connection's full queue (from the moment it parks), and Waited
+	// the time it spent parked.
+	Waits  int64
+	Waited time.Duration
 }
 
 // Connection is one long-running streaming request.
@@ -153,17 +170,45 @@ type Connection struct {
 	filter Filter
 	ch     chan *tweet.Tweet
 
+	// highWater is W on a no-loss connection, 0 on a best-effort one.
+	// sent counts the tweets enqueued on ch and seen the last value of
+	// taken the publisher loaded; both belong to the publisher, under
+	// hub.mu, so the common check of a queue's length touches no line
+	// the consumer writes.
+	highWater  int64
+	sent, seen int64
+
 	mu      sync.Mutex
+	space   sync.Cond // a parked publisher waits here for the queue to drain
+	waiters int       // publishers parked on space
 	stats   ConnStats
 	rateCap int // max deliveries per event-second; 0 = unlimited
 	curSec  int64
 	curCnt  int
 	closed  bool
+
+	_      [64]byte     // keep the consumer's per-tweet write off the lines above
+	taken  atomic.Int64 // tweets the consumer took off C (Took)
+	wakeAt atomic.Int64 // taken count that releases the parked publishers; 0 = none parked
 }
 
 // C returns the tweet delivery channel. It closes when the connection is
 // closed or the hub shuts down.
 func (c *Connection) C() <-chan *tweet.Tweet { return c.ch }
+
+// Took acknowledges one tweet received from C. A consumer that
+// connected WithWatermark must call it for every tweet it receives: a
+// no-loss connection's queue is the tweets sent minus the tweets taken,
+// and the receive that drains it to W/2 wakes the parked publisher —
+// one wake-up per W/2 tweets, not one per tweet.
+func (c *Connection) Took() {
+	n := c.taken.Add(1)
+	if w := c.wakeAt.Load(); w != 0 && n >= w && c.wakeAt.CompareAndSwap(w, 0) {
+		c.mu.Lock()
+		c.space.Broadcast()
+		c.mu.Unlock()
+	}
+}
 
 // Stats returns a snapshot of delivery counters.
 func (c *Connection) Stats() ConnStats {
@@ -172,12 +217,64 @@ func (c *Connection) Stats() ConnStats {
 	return c.stats
 }
 
-// Close detaches the connection from the hub and closes C.
+// Close detaches the connection from the hub and closes C, releasing a
+// publisher parked on it.
 func (c *Connection) Close() { c.hub.disconnect(c) }
+
+// full reports whether a no-loss connection holds W undelivered
+// tweets, refreshing the consumer's count only when the publisher's
+// cached one says so. Called with hub.mu held.
+func (c *Connection) full() bool {
+	if c.highWater == 0 || c.sent-c.seen < c.highWater {
+		return false
+	}
+	c.seen = c.taken.Load()
+	return c.sent-c.seen >= c.highWater
+}
+
+// park blocks the calling publisher, which holds no hub lock, until the
+// consumer has taken target tweets or the connection closed, and
+// returns how long it waited. With several publishers parked, wakeAt is
+// the largest target, so the one wake-up releases them all.
+func (c *Connection) park(target int64) time.Duration {
+	start := time.Now()
+	c.mu.Lock()
+	c.waiters++
+	c.stats.Waits++
+	for !c.closed {
+		// Publish the target before reading taken: Took adds to taken
+		// before it reads wakeAt, so one of the two sees the other.
+		if c.wakeAt.Load() < target {
+			c.wakeAt.Store(target)
+		}
+		if c.taken.Load() >= target {
+			break
+		}
+		c.space.Wait()
+	}
+	c.waiters--
+	if c.waiters == 0 {
+		c.wakeAt.Store(0)
+	}
+	waited := time.Since(start)
+	c.stats.Waited += waited
+	c.mu.Unlock()
+	return waited
+}
+
+// markClosed flips the connection to closed and wakes any publisher
+// parked on it. Called with hub.mu held, just before C is closed.
+func (c *Connection) markClosed() {
+	c.mu.Lock()
+	c.closed = true
+	c.space.Broadcast()
+	c.mu.Unlock()
+}
 
 // offer delivers t if the rate cap and buffer allow; otherwise counts a
 // drop. Called with hub lock held (serialized), so per-connection state
-// needs only the local lock.
+// needs only the local lock. A no-loss connection never finds its
+// buffer full: the publisher waited for room before this tweet.
 func (c *Connection) offer(t *tweet.Tweet) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -198,6 +295,7 @@ func (c *Connection) offer(t *tweet.Tweet) {
 	}
 	select {
 	case c.ch <- t:
+		c.sent++
 		c.stats.Delivered++
 		c.hub.delivered.Add(1)
 	default:
@@ -209,15 +307,17 @@ func (c *Connection) offer(t *tweet.Tweet) {
 // open filtered connections out of it.
 type Hub struct {
 	mu        sync.Mutex
-	conns     map[*Connection]bool
+	conns     []*Connection
 	published int64
 	delivered atomic.Int64 // rows enqueued across ALL connections, ever
+	waits     atomic.Int64 // publisher parks on full no-loss connections, ever
+	waited    atomic.Int64 // nanoseconds publishers spent parked, ever
 	closed    bool
 }
 
 // NewHub returns an empty hub.
 func NewHub() *Hub {
-	return &Hub{conns: make(map[*Connection]bool)}
+	return &Hub{}
 }
 
 // ConnectOpt tunes a connection.
@@ -234,58 +334,90 @@ func WithBuffer(n int) ConnectOpt {
 	return func(c *Connection) { c.ch = make(chan *tweet.Tweet, n) }
 }
 
+// WithWatermark declares that the consumer acknowledges every tweet it
+// receives with Took, and sets the high watermark w: the queue length
+// at which a publisher waits for this consumer instead of dropping. It
+// makes the connection no-loss only if the buffer exceeds w and there
+// is no rate cap; otherwise delivery stays best-effort.
+func WithWatermark(w int) ConnectOpt {
+	return func(c *Connection) { c.highWater = int64(w) }
+}
+
 // Connect opens a streaming connection with the filter.
 func (h *Hub) Connect(f Filter, opts ...ConnectOpt) (*Connection, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
 	c := &Connection{hub: h, filter: f, ch: make(chan *tweet.Tweet, 1024)}
+	c.space.L = &c.mu
 	for _, opt := range opts {
 		opt(c)
+	}
+	if c.highWater < 0 || c.rateCap > 0 || int64(cap(c.ch)) <= c.highWater {
+		c.highWater = 0
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return nil, errors.New("twitterapi: hub closed")
 	}
-	h.conns[c] = true
+	h.conns = append(h.conns, c)
 	return c, nil
 }
 
-// Publish pushes one firehose tweet through every connection's filter.
+// Publish pushes one firehose tweet through every connection's filter,
+// waiting first while a no-loss connection is full.
 func (h *Hub) Publish(t *tweet.Tweet) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
-		return
-	}
-	h.published++
-	for c := range h.conns {
-		if c.filter.Matches(t) {
-			c.offer(t)
-		}
-	}
+	h.publish(t)
 }
 
 // PublishBatch pushes a chunk of firehose tweets under one hub lock —
 // the publisher-side half of batched ingestion (per-tweet Publish pays
 // a lock round trip per tweet, which dominates replays of pre-generated
 // streams). Delivery order and per-connection semantics are identical
-// to calling Publish in a loop.
+// to calling Publish in a loop, waits included.
 func (h *Hub) PublishBatch(ts []*tweet.Tweet) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
-		return
-	}
-	h.published += int64(len(ts))
 	for _, t := range ts {
-		for c := range h.conns {
-			if c.filter.Matches(t) {
-				c.offer(t)
-			}
+		if !h.publish(t) {
+			return
 		}
 	}
+}
+
+// publish offers t to every matching connection once each no-loss
+// connection has room for it, and reports false if the hub closed
+// first. Called with h.mu held; it is released while parked.
+func (h *Hub) publish(t *tweet.Tweet) bool {
+	for i := 0; i < len(h.conns); {
+		c := h.conns[i]
+		if !c.full() {
+			i++
+			continue
+		}
+		// Wait for the consumer to drain to W/2, holding no hub lock, so
+		// Close, disconnects and other publishers proceed meanwhile. The
+		// set of connections may change, so look at all of them again.
+		target := c.sent - c.highWater/2
+		h.waits.Add(1)
+		h.mu.Unlock()
+		h.waited.Add(int64(c.park(target)))
+		h.mu.Lock()
+		i = 0
+	}
+	if h.closed {
+		return false
+	}
+	h.published++
+	for _, c := range h.conns {
+		if c.filter.Matches(t) {
+			c.offer(t)
+		}
+	}
+	return true
 }
 
 // Connections reports the number of currently open streaming
@@ -309,7 +441,15 @@ func (h *Hub) Published() int64 {
 // quantity shared scans exist to keep O(1) in the query count.
 func (h *Hub) Delivered() int64 { return h.delivered.Load() }
 
-// Close shuts the hub and closes every connection channel.
+// WaitStats reports how often publishers parked on a full no-loss
+// connection, counting a park as it begins, and how long the finished
+// parks lasted in total, over the hub's life.
+func (h *Hub) WaitStats() (waits int64, waited time.Duration) {
+	return h.waits.Load(), time.Duration(h.waited.Load())
+}
+
+// Close shuts the hub, closes every connection channel and releases
+// any parked publisher.
 func (h *Hub) Close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -317,25 +457,22 @@ func (h *Hub) Close() {
 		return
 	}
 	h.closed = true
-	for c := range h.conns {
-		c.mu.Lock()
-		c.closed = true
-		c.mu.Unlock()
+	for _, c := range h.conns {
+		c.markClosed()
 		close(c.ch)
-		delete(h.conns, c)
 	}
+	h.conns = nil
 }
 
 func (h *Hub) disconnect(c *Connection) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if !h.conns[c] {
+	i := slices.Index(h.conns, c)
+	if i < 0 {
 		return
 	}
-	delete(h.conns, c)
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
+	h.conns = slices.Delete(h.conns, i, i+1)
+	c.markClosed()
 	close(c.ch)
 }
 
