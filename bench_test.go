@@ -296,10 +296,9 @@ func BenchmarkE10QueryThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchAblation compares the tuple-at-a-time pipeline
-// (BatchSize=1) against batched execution and batched execution with
-// the sharded worker pool, on the same E10 shapes — the scoreboard for
-// the batching refactor.
+// BenchmarkBatchAblation compares one-row batches (BatchSize=1)
+// against 256-row batches, with and without the sharded worker pool,
+// on the same E10 shapes — the scoreboard for batching.
 func BenchmarkBatchAblation(b *testing.B) {
 	variants := []struct {
 		name               string

@@ -66,7 +66,7 @@ func main() {
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, or error")
 	logFormat := flag.String("log-format", "text", "log format: text or json")
 	traceSample := flag.Int("trace-sample", 64, "sample every Nth batch per operator into each query's trace ring (0 = off)")
-	batchSize := flag.Int("batch-size", 0, "rows per pipeline batch (0 = engine default; 1 = per-row delivery, useful when alerting on output lag of slow queries)")
+	batchSize := flag.Int("batch-size", 0, "rows per pipeline batch (0 = engine default; 1 = one-row batches, so each row is delivered as soon as it is out, useful when alerting on output lag of slow queries)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	flag.Parse()
 

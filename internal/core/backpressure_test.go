@@ -45,10 +45,10 @@ func replayWithin(t *testing.T, hub *twitterapi.Hub, tweets []*tweet.Tweet) {
 }
 
 // TestReplayPastUnreadLimitQuery: a LIMIT query nobody reads until the
-// synchronous replay returned. Its cut detaches the scan mid-stream
-// (at once on the tuple path, whose terminal stage has its own
-// goroutine), and the connection's Close must release a publisher
-// parked on it; the reader then gets exactly the limit.
+// synchronous replay returned, at one-row and 64-row batches. The
+// replay must finish without it; its cut then detaches the scan
+// mid-stream, and the connection's Close must release a publisher
+// parked on it; the reader gets exactly the limit.
 func TestReplayPastUnreadLimitQuery(t *testing.T) {
 	for _, bs := range []int{1, 64} {
 		eng, hub, tweets := replayEngine(t, bs, ablation{})

@@ -49,10 +49,10 @@ func runShape(t *testing.T, sql string, batchSize, workers int) []string {
 	return out
 }
 
-// TestBatchedPipelineEquivalence is the acceptance gate for the batch
-// refactor: for every representative query shape, the batched pipeline
+// TestBatchedPipelineEquivalence is the acceptance gate for batching:
+// for every representative query shape, the pipeline at 64-row batches
 // (with and without the parallel worker pool) must produce exactly the
-// rows, in exactly the order, of the tuple-at-a-time pipeline.
+// rows, in exactly the order, it produces at one-row batches.
 func TestBatchedPipelineEquivalence(t *testing.T) {
 	shapes := []string{
 		`SELECT text, username FROM twitter`,
@@ -80,7 +80,7 @@ func TestBatchedPipelineEquivalence(t *testing.T) {
 				}
 				for j := range got {
 					if got[j] != want[j] {
-						t.Fatalf("%s %q row %d:\n  batched: %s\n  tuple:   %s", tc.name, sql, j, got[j], want[j])
+						t.Fatalf("%s %q row %d:\n  batched: %s\n  one-row: %s", tc.name, sql, j, got[j], want[j])
 					}
 				}
 			}

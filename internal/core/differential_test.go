@@ -156,15 +156,15 @@ func TestColumnarInterpretedMatchesRow(t *testing.T) {
 }
 
 // TestCompiledEngineMatchesInterpreted is the engine-level differential
-// test: compiled vs interpreted execution over identical replays, in
-// both the batched and the tuple-at-a-time pipeline.
+// test: compiled vs interpreted execution over identical replays, at
+// 256-row and at one-row batches.
 func TestCompiledEngineMatchesInterpreted(t *testing.T) {
 	pipelines := []struct {
 		name      string
 		batchSize int
 	}{
 		{"batched", 256},
-		{"tuple_at_a_time", 1},
+		{"one_row_batches", 1},
 	}
 	for _, q := range diffQueries {
 		for _, p := range pipelines {

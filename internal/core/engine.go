@@ -44,8 +44,8 @@ type Options struct {
 	// SourceBuffer is the per-connection buffer requested from sources.
 	SourceBuffer int
 	// BatchSize is the number of tuples moved per channel transfer
-	// through the pipeline's batched stages. 1 (or 0 after
-	// DefaultOptions) disables batching: every stage is tuple-at-a-time.
+	// between the pipeline's stages. 1 (or 0) runs the same pipeline on
+	// one-row batches, so each row is delivered as soon as it is out.
 	BatchSize int
 	// BatchFlushEvery bounds the extra latency batching may add on a
 	// trickling stream: a partial batch is flushed downstream after this
@@ -293,28 +293,22 @@ func (e *Engine) Options() Options { return e.opts }
 // is set: the active segment's buffered tail becomes durable here.
 func (e *Engine) Close() error { return e.cat.CloseTables() }
 
-// Cursor is a handle on a running query. It carries whichever stream
-// its pipeline produces: tuples from a tuple-shaped pipeline (aggregate,
-// async projection, join, BatchSize=1), already through
-// exec.TerminalRowStage, or batches from a batch-shaped one, whose
-// exec.Terminal runs in the goroutine that consumes them. Rows and
-// Batches each present the output in one form, converting lazily; a
-// consumer uses one of the two, and the other then reports an empty,
-// closed stream.
+// Cursor is a handle on a running query. It carries the pipeline's
+// output stream of batches, whose exec.Terminal runs in the goroutine
+// that consumes them. Rows and Batches each present the output in one
+// form; a consumer uses one of the two, and the other then reports an
+// empty, closed stream.
 type Cursor struct {
 	schema  *value.Schema
-	rows    <-chan value.Tuple
 	batches <-chan exec.Batch
 	limit   int
 	cut     context.CancelFunc // the LIMIT cut: cancels the pipeline only
 	// stop ends with Stop or the caller's context, but not at a LIMIT
 	// cut, so a view never drops rows the terminal stage admitted.
-	stop       context.Context
-	batchSize  int
-	flushEvery time.Duration
-	view       sync.Once
-	rowsView   <-chan value.Tuple
-	batchView  <-chan exec.Batch
+	stop      context.Context
+	view      sync.Once
+	rowsView  <-chan value.Tuple
+	batchView <-chan exec.Batch
 
 	stats   *exec.Stats
 	info    *catalog.OpenInfo
@@ -339,12 +333,8 @@ var (
 // and Rows closes immediately.
 func (c *Cursor) Rows() <-chan value.Tuple {
 	c.view.Do(func() {
-		c.rowsView, c.batchView = c.rows, noBatches
-		if c.batches == nil {
-			return
-		}
 		out := make(chan value.Tuple, 64)
-		c.rowsView = out
+		c.rowsView, c.batchView = out, noBatches
 		go func() {
 			defer close(out)
 			c.each(func(b exec.Batch) bool {
@@ -362,20 +352,13 @@ func (c *Cursor) Rows() <-chan value.Tuple {
 	return c.rowsView
 }
 
-// Batches returns the results as batches, with the same end-of-stream
-// rules as Rows. A batch-shaped pipeline's batches arrive as its
-// terminal stage emits them; a tuple-shaped pipeline's rows are grouped
-// into batches of up to Options.BatchSize, a partial one flushed after
-// Options.BatchFlushEvery. Each batch belongs to the receiver.
+// Batches returns the results as batches, as the pipeline's terminal
+// stage emits them, with the same end-of-stream rules as Rows. Each
+// batch belongs to the receiver.
 func (c *Cursor) Batches() <-chan exec.Batch {
 	c.view.Do(func() {
-		c.rowsView = noRows
-		if c.batches == nil {
-			c.batchView = exec.ToBatches(c.batchSize, c.flushEvery)(c.stop, c.rows)
-			return
-		}
 		out := make(chan exec.Batch, 4)
-		c.batchView = out
+		c.rowsView, c.batchView = noRows, out
 		go func() {
 			defer close(out)
 			c.each(func(b exec.Batch) bool {
@@ -391,23 +374,11 @@ func (c *Cursor) Batches() <-chan exec.Batch {
 	return c.batchView
 }
 
-// each hands the output, batch by batch, to deliver in the calling
-// goroutine, until the stream ends or deliver returns false. A
-// batch-shaped pipeline's terminal stage runs here. A tuple stream is
-// batched until it closes, even after Stop, so an INTO target keeps
-// every row the terminal stage counted.
+// each runs the pipeline's terminal stage in the calling goroutine: it
+// hands the output, batch by batch, to deliver until the stream ends or
+// deliver returns false.
 func (c *Cursor) each(deliver func(exec.Batch) bool) {
-	if c.batches != nil {
-		exec.Terminal(c.batches, c.limit, c.cut, c.stats, deliver)
-		return
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	for b := range exec.ToBatches(c.batchSize, c.flushEvery)(ctx, c.rows) {
-		if !deliver(b) {
-			return
-		}
-	}
+	exec.Terminal(c.batches, c.limit, c.cut, c.stats, deliver)
 }
 
 // Schema describes the result columns.

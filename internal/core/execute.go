@@ -39,8 +39,7 @@ func (e *Engine) execute(ctx context.Context, cancel context.CancelFunc, stmt *l
 	ctx = exec.WithStats(ctx, stats)
 
 	cur := &Cursor{stmt: stmt, plan: p, stats: stats, cancel: cancel,
-		stop: ctx, batchSize: e.opts.BatchSize, flushEvery: e.opts.BatchFlushEvery,
-		drained: make(chan struct{})}
+		stop: ctx, drained: make(chan struct{})}
 
 	// INTO TABLE resolves its target first: whether the backend keeps
 	// the rows it is given decides whether projection may share cells.
@@ -57,13 +56,7 @@ func (e *Engine) execute(ctx context.Context, cancel context.CancelFunc, stmt *l
 	// Batches) watch only the query context — Stop or the caller's — so
 	// rows admitted before the cut still reach the consumer.
 	pctx, cut := context.WithCancel(ctx)
-	var err error
-	if p.Join != nil {
-		err = e.openJoin(pctx, cut, ev, stmt, p, stats, cur)
-	} else {
-		err = e.openSingle(pctx, cut, ev, stmt, p, stats, cur, table)
-	}
-	if err != nil {
+	if err := e.openSingle(pctx, cut, ev, stmt, p, stats, cur, table); err != nil {
 		cut()
 		return nil, err
 	}
@@ -153,27 +146,20 @@ func routeToTable(cur *Cursor, table *catalog.Table, name string) {
 }
 
 // openScanStream opens the physical (or shared) scan for a
-// single-source plan: the batch/tuple stream, the open info, and the
-// stable key of the conjunct the scan's pushed filter already
-// enforces (""= nothing pushed). Exactly one of batches/rows is
-// non-nil, matching the engine's batching mode.
-func (e *Engine) openScanStream(ctx context.Context, src catalog.Source, p *plan.Query, stats *exec.Stats, cur *Cursor) (batches <-chan exec.Batch, rows <-chan value.Tuple, info *catalog.OpenInfo, pushedKey string, err error) {
-	batching := e.opts.BatchSize > 1
-
+// single-source plan: the batch stream, the open info, and the stable
+// key of the conjunct the scan's pushed filter already enforces (""=
+// nothing pushed).
+func (e *Engine) openScanStream(ctx context.Context, src catalog.Source, p *plan.Query, stats *exec.Stats, cur *Cursor) (batches <-chan exec.Batch, info *catalog.OpenInfo, pushedKey string, err error) {
 	// Shared path: live sources join (or open) the ref-counted scan for
 	// the plan's signature. One physical subscription and one
 	// conversion pipeline serve every attached query.
 	if !e.abl.PrivateScans && isLiveSource(src) {
 		b, i, scan, err := e.attachShared(ctx, src, p, stats)
 		if err != nil {
-			return nil, nil, nil, "", err
+			return nil, nil, "", err
 		}
 		cur.scan = scan
-		b = exec.BatchCountStage(stats)(ctx, b)
-		if !batching {
-			return nil, exec.FromBatches()(ctx, b), i, scan.pushedKey, nil
-		}
-		return b, nil, i, scan.pushedKey, nil
+		return exec.BatchCountStage(stats)(ctx, b), i, scan.pushedKey, nil
 	}
 
 	// Private path: this query owns the source subscription.
@@ -191,97 +177,98 @@ func (e *Engine) openScanStream(ctx context.Context, src catalog.Source, p *plan
 	for _, c := range p.Candidates {
 		req.Candidates = append(req.Candidates, c.Filter)
 	}
-
-	if batching {
-		// Sources that can pre-batch skip the per-tuple source channel
-		// entirely; the rest get batched right at the boundary.
-		if bs, ok := src.(catalog.BatchSource); ok {
-			batches, info, err = bs.OpenBatches(ctx, req, catalog.BatchOptions{
-				Size:       e.opts.BatchSize,
-				FlushEvery: e.opts.BatchFlushEvery,
-				Workers:    e.opts.BatchWorkers,
-				Columns:    p.Columns,
-			})
-		} else {
-			var in <-chan value.Tuple
-			in, info, err = src.Open(ctx, req)
-			if err == nil {
-				batches = exec.ToBatches(e.opts.BatchSize, e.opts.BatchFlushEvery)(ctx, in)
-			}
-		}
-		if err != nil {
-			return nil, nil, nil, "", err
-		}
-		batches = exec.BatchCountStage(stats)(ctx, batches)
-	} else {
-		var in <-chan value.Tuple
-		in, info, err = src.Open(ctx, req)
-		if err != nil {
-			return nil, nil, nil, "", err
-		}
-		rows = exec.CountStage(stats)(ctx, in)
+	batches, info, err = e.openBatches(ctx, src, req, p.Columns)
+	if err != nil {
+		return nil, nil, "", err
 	}
 	if info != nil && info.Pushed && info.ChosenIdx >= 0 && info.ChosenIdx < len(p.Candidates) {
 		pushedKey = p.CandidateKey(info.ChosenIdx)
 	}
-	return batches, rows, info, pushedKey, nil
+	return exec.BatchCountStage(stats)(ctx, batches), info, pushedKey, nil
 }
 
-// openSingle builds the pipeline for a single-source query and sets
-// the cursor's output. With Options.BatchSize > 1 tuples move through
-// the hot stages (filter, projection) in batches — one channel transfer
-// per batch — the window/aggregation boundary consumes batches
-// directly, and a projection hands its batches to exec.Terminal in the
-// consumer's goroutine; results are identical to the
-// tuple-at-a-time path either way. into is the INTO TABLE target, nil
+// openBatches opens one private subscription of src as batches of up to
+// Options.BatchSize rows. A source that can batch itself does, pruned
+// to cols (nil = every column); any other source's tuples are batched at
+// the boundary.
+func (e *Engine) openBatches(ctx context.Context, src catalog.Source, req catalog.OpenRequest, cols []string) (<-chan exec.Batch, *catalog.OpenInfo, error) {
+	if bs, ok := src.(catalog.BatchSource); ok {
+		return bs.OpenBatches(ctx, req, catalog.BatchOptions{
+			Size:       e.opts.BatchSize,
+			FlushEvery: e.opts.BatchFlushEvery,
+			Workers:    e.opts.BatchWorkers,
+			Columns:    cols,
+		})
+	}
+	return e.openChunked(ctx, src, req)
+}
+
+// openChunked opens src's tuple stream and batches it at the boundary.
+func (e *Engine) openChunked(ctx context.Context, src catalog.Source, req catalog.OpenRequest) (<-chan exec.Batch, *catalog.OpenInfo, error) {
+	in, info, err := src.Open(ctx, req)
+	if err != nil {
+		return nil, nil, err
+	}
+	return exec.ToBatches(e.opts.BatchSize, e.opts.BatchFlushEvery)(ctx, in), info, nil
+}
+
+// openSingle builds the pipeline for a query and sets the cursor's
+// output: the scan (or, for a join, the joined stream of two scans),
+// the residual filter, and the aggregation or projection, whose batches
+// exec.Terminal hands to the consumer in its own goroutine. The stage
+// shapes are the ones pipeline names. into is the INTO TABLE target, nil
 // for any other destination.
 func (e *Engine) openSingle(ctx context.Context, cancel context.CancelFunc, ev *exec.Evaluator, stmt *lang.SelectStmt, p *plan.Query, stats *exec.Stats, cur *Cursor, into *catalog.Table) error {
-	src, err := e.cat.Source(stmt.From.Name)
-	if err != nil {
-		return err
+	var (
+		batches   <-chan exec.Batch
+		inSchema  *value.Schema
+		residual  []lang.Expr
+		costs     []float64
+		tableScan bool
+	)
+	if p.Join != nil {
+		var err error
+		if batches, inSchema, err = e.openJoin(ctx, ev, stmt, p, stats, cur); err != nil {
+			return err
+		}
+		residual, costs = p.Conjuncts, p.Costs
+	} else {
+		src, err := e.cat.Source(stmt.From.Name)
+		if err != nil {
+			return err
+		}
+		var pushedKey string
+		batches, cur.info, pushedKey, err = e.openScanStream(ctx, src, p, stats, cur)
+		if err != nil {
+			return err
+		}
+		// The schema expressions compile against must be the exact
+		// object the delivered tuples carry — the pruned one when the
+		// batched source honored column pruning — so pre-resolved
+		// indices hit the compiled fast path on every row.
+		inSchema = src.Schema()
+		if cur.info != nil && cur.info.Schema != nil {
+			inSchema = cur.info.Schema
+		}
+		// Residual filter: every conjunct except the one the scan pushed.
+		residual, costs = p.Residual(pushedKey)
+		_, tableScan = src.(*catalog.Table)
 	}
-	batches, rows, info, pushedKey, err := e.openScanStream(ctx, src, p, stats, cur)
-	if err != nil {
-		return err
-	}
-	cur.info = info
-	batching := batches != nil
-
-	// The schema expressions compile against must be the exact object
-	// the delivered tuples carry — the pruned one when the batched
-	// source honored column pruning — so pre-resolved indices hit the
-	// compiled fast path on every row.
-	inSchema := src.Schema()
-	if info != nil && info.Schema != nil {
-		inSchema = info.Schema
-	}
-
-	// Residual filter: every conjunct except the one the scan pushed.
-	residual, costs := p.Residual(pushedKey)
+	cur.batches, cur.limit, cur.cut = batches, stmt.Limit, cancel
 
 	columnar := e.pipeline(p) == pipeColumnar
-	adaptive := !e.abl.StaticFilters
 	if len(residual) > 0 && !columnar {
-		if batching {
-			batches = exec.BatchFilterStage(ev, residual, inSchema, costs, adaptive, e.opts.Seed, e.stageWorkers(residual...), stats)(ctx, batches)
-		} else {
-			rows = exec.FilterStage(ev, residual, inSchema, costs, adaptive, e.opts.Seed, stats)(ctx, rows)
-		}
+		cur.batches = exec.BatchFilterStage(ev, residual, inSchema, costs, !e.abl.StaticFilters, e.opts.Seed, e.stageWorkers(residual...), stats)(ctx, cur.batches)
 	}
-	terminal := exec.TerminalRowStage(stmt.Limit, cancel, stats)
 
 	if p.IsAggregate {
 		agg := p.Agg
 		agg.InSchema = inSchema
-		switch {
-		case columnar:
-			rows = exec.ColFilterAggStage(ev, residual, agg, inSchema, stats)(ctx, batches)
-		case batching:
-			rows = exec.BatchAggregateStage(ev, agg, stats)(ctx, batches)
-		default:
-			rows = exec.AggregateStage(ev, agg, stats)(ctx, rows)
+		if columnar {
+			cur.batches = exec.ColFilterAggStage(ev, residual, agg, inSchema, stats)(ctx, cur.batches)
+		} else {
+			cur.batches = exec.BatchAggregateStage(ev, agg, stats)(ctx, cur.batches)
 		}
-		cur.rows = terminal(ctx, rows)
 		cur.schema = exec.AggSchema(agg)
 		return nil
 	}
@@ -295,13 +282,9 @@ func (e *Engine) openSingle(ctx context.Context, cancel context.CancelFunc, ev *
 	}
 	switch {
 	case p.Async:
-		// High-latency UDFs stay on the asynchronous per-tuple worker
-		// pool: latency hiding, not channel amortization, is the win
-		// there.
-		if batching {
-			rows = exec.FromBatches()(ctx, batches)
-		}
-		rows = exec.AsyncProjectStage(ev, p.Proj, inSchema, e.opts.AsyncWorkers, e.opts.AsyncCallTimeout, stats)(ctx, rows)
+		// High-latency UDFs run on the asynchronous worker pool: latency
+		// hiding, not channel amortization, is the win there.
+		cur.batches = exec.AsyncProjectStage(ev, p.Proj, inSchema, e.opts.AsyncWorkers, e.opts.AsyncCallTimeout, stats)(ctx, cur.batches)
 	case columnar:
 		// A shared row pins the cells of every row scanned beside it, so
 		// cells are shared only where nobody keeps the rows: a table scan
@@ -312,23 +295,14 @@ func (e *Engine) openSingle(ctx context.Context, cancel context.CancelFunc, ev *
 		// given, a derived stream's subscribers buffer them, and a live
 		// stream read through the cursor can park them in the consumer
 		// for as long as it likes.
-		_, tableScan := src.(*catalog.Table)
 		var intoStore bool
 		if into != nil {
 			_, intoStore = into.Backend().(*store.Table)
 		}
 		share := intoStore || tableScan && !cur.Routed()
-		batches = exec.ColFilterProjectStage(ev, residual, p.Proj, inSchema, e.stageWorkers(projExprs...), share, stats)(ctx, batches)
-	case batching:
-		batches = exec.BatchProjectStage(ev, p.Proj, inSchema, e.stageWorkers(projExprs...), stats)(ctx, batches)
+		cur.batches = exec.ColFilterProjectStage(ev, residual, p.Proj, inSchema, e.stageWorkers(projExprs...), share, stats)(ctx, cur.batches)
 	default:
-		rows = exec.ProjectStage(ev, p.Proj, inSchema, stats)(ctx, rows)
-	}
-	if rows != nil {
-		cur.rows = terminal(ctx, rows)
-	} else {
-		// exec.Terminal runs in the consumer's goroutine (Cursor.each).
-		cur.batches, cur.limit, cur.cut = batches, stmt.Limit, cancel
+		cur.batches = exec.BatchProjectStage(ev, p.Proj, inSchema, e.stageWorkers(projExprs...), stats)(ctx, cur.batches)
 	}
 	return nil
 }
@@ -338,10 +312,10 @@ func (e *Engine) openSingle(ctx context.Context, cancel context.CancelFunc, ev *
 const pipeColumnar = "columnar"
 
 // pipeline names the operator pipeline a plan runs on — "columnar",
-// "row-batch (…)", "tuple", "async" or "join". openSingle builds the
-// shape it names and EXPLAIN prints it, so the two cannot disagree.
-// The columnar path needs batches, leaves high-latency UDFs to the
-// async per-tuple pool, and steps aside when a stage expression calls a
+// "row-batch (…)", "async" or "join" — at any batch size. openSingle
+// builds the shape it names and EXPLAIN prints it, so the two cannot
+// disagree. The columnar path leaves high-latency UDFs to the async
+// worker pool, and steps aside when a stage expression calls a
 // stateful UDF: its fused stages evaluate conjunct-at-a-time over
 // selections, which would reorder the UDF's observation stream. The
 // conjunct a scan may push is a plain CONTAINS, box or user-id test
@@ -352,8 +326,6 @@ func (e *Engine) pipeline(p *plan.Query) string {
 		return "join"
 	case p.Async:
 		return "async"
-	case e.opts.BatchSize == 1:
-		return "tuple"
 	case e.abl.RowBatches:
 		return "row-batch"
 	}
@@ -410,28 +382,31 @@ func (e *Engine) stageWorkers(exprs ...lang.Expr) int {
 	return e.opts.BatchWorkers
 }
 
-// openJoin builds the pipeline for FROM a JOIN b ON ... WINDOW w. The
-// join operator interleaves two sources tuple-at-a-time by event time,
-// so this path does not batch — and both sides stay private scans (a
-// shared fan-out has no pairing between the two sides' attach times).
-func (e *Engine) openJoin(ctx context.Context, cancel context.CancelFunc, ev *exec.Evaluator, stmt *lang.SelectStmt, p *plan.Query, stats *exec.Stats, cur *Cursor) error {
+// openJoin opens both sides of FROM a JOIN b ON ... WINDOW w and
+// returns the joined stream with its schema; openSingle adds the filter
+// and projection. Both sides are private scans (a shared fan-out has no
+// pairing between the two sides' attach times), never pruned, and
+// batched at the boundary rather than by the source: a batching live
+// source parks the hub's publisher on a connection a batch behind, so a
+// join stalled on its consumer would stall every other scan of the hub.
+func (e *Engine) openJoin(ctx context.Context, ev *exec.Evaluator, stmt *lang.SelectStmt, p *plan.Query, stats *exec.Stats, cur *Cursor) (<-chan exec.Batch, *value.Schema, error) {
 	leftSrc, err := e.cat.Source(stmt.From.Name)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	rightSrc, err := e.cat.Source(p.Join.Right)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 
 	req := catalog.OpenRequest{Buffer: e.opts.SourceBuffer, OnError: stats.NoteError}
-	leftIn, info, err := leftSrc.Open(ctx, req)
+	left, info, err := e.openChunked(ctx, leftSrc, req)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	rightIn, _, err := rightSrc.Open(ctx, req)
+	right, _, err := e.openChunked(ctx, rightSrc, req)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	cur.info = info
 
@@ -445,19 +420,6 @@ func (e *Engine) openJoin(ctx context.Context, cancel context.CancelFunc, ev *ex
 	// Build the joined schema once and hand the same object to the join
 	// and every downstream stage: compiled column indices stay on the
 	// fast path because output tuples carry this exact pointer.
-	joined := exec.JoinSchema(leftSrc.Schema(), rightSrc.Schema(), cfg)
-	cfg.OutSchema = joined
-	rows := exec.JoinStage(ev, leftIn, rightIn, leftSrc.Schema(), rightSrc.Schema(), cfg, stats)
-
-	if len(p.Conjuncts) > 0 {
-		rows = exec.FilterStage(ev, p.Conjuncts, joined, p.Costs, !e.abl.StaticFilters, e.opts.Seed, stats)(ctx, rows)
-	}
-	cur.schema = exec.ProjectSchema(p.Proj, joined)
-	if p.Async {
-		rows = exec.AsyncProjectStage(ev, p.Proj, joined, e.opts.AsyncWorkers, e.opts.AsyncCallTimeout, stats)(ctx, rows)
-	} else {
-		rows = exec.ProjectStage(ev, p.Proj, joined, stats)(ctx, rows)
-	}
-	cur.rows = exec.TerminalRowStage(stmt.Limit, cancel, stats)(ctx, rows)
-	return nil
+	cfg.OutSchema = exec.JoinSchema(leftSrc.Schema(), rightSrc.Schema(), cfg)
+	return exec.JoinStage(ctx, ev, left, right, leftSrc.Schema(), rightSrc.Schema(), cfg, stats), cfg.OutSchema, nil
 }

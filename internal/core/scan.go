@@ -12,7 +12,6 @@ import (
 	"tweeql/internal/fault"
 	"tweeql/internal/plan"
 	"tweeql/internal/resilience"
-	"tweeql/internal/value"
 )
 
 // Shared-scan execution: the paper's premise is many continuous queries
@@ -223,34 +222,13 @@ func (e *Engine) openScan(p *plan.Query, src catalog.Source) (*SharedScan, error
 	for _, c := range p.Candidates {
 		req.Candidates = append(req.Candidates, c.Filter)
 	}
-	size := e.opts.BatchSize
-	if size < 1 {
-		size = 1
-	}
-
 	var firstInfo *catalog.OpenInfo
 	s.reopen = func() (<-chan exec.Batch, context.CancelFunc, error) {
 		cctx, ccancel := context.WithCancel(sctx)
-		var batches <-chan exec.Batch
-		var info *catalog.OpenInfo
-		var err error
-		if bs, ok := src.(catalog.BatchSource); ok {
-			// Columns stays nil: the scan serves every query shape with
-			// this signature, including ones registered later, so the
-			// source must materialize full rows. Pruning is a private-scan
-			// optimization.
-			batches, info, err = bs.OpenBatches(cctx, req, catalog.BatchOptions{
-				Size:       size,
-				FlushEvery: e.opts.BatchFlushEvery,
-				Workers:    e.opts.BatchWorkers,
-			})
-		} else {
-			var in <-chan value.Tuple
-			in, info, err = src.Open(cctx, req)
-			if err == nil {
-				batches = exec.ToBatches(size, e.opts.BatchFlushEvery)(cctx, in)
-			}
-		}
+		// No column pruning: the scan serves every query shape with this
+		// signature, including ones registered later, so the source must
+		// materialize full rows. Pruning is a private-scan optimization.
+		batches, info, err := e.openBatches(cctx, src, req, nil)
 		if err != nil {
 			ccancel()
 			return nil, nil, err

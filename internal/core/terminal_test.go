@@ -25,8 +25,9 @@ type terminalShape struct {
 var terminalShapes = []terminalShape{
 	{"columnar", `SELECT * FROM twitter WHERE followers > 10`, 64, "columnar"},
 	{"row_batch", `SELECT running_n(text) AS n, text FROM twitter`, 64, "row-batch (stateful UDF)"},
-	{"tuple", `SELECT text, followers FROM twitter WHERE followers > 10`, 1, "tuple"},
+	{"one_row_batches", `SELECT text, followers FROM twitter WHERE followers > 10`, 1, "columnar"},
 	{"aggregate", `SELECT COUNT(*) AS n FROM twitter GROUP BY has_geo WINDOW 1 MINUTE`, 64, "columnar"},
+	{"sliding", `SELECT COUNT(*) AS n FROM twitter GROUP BY has_geo WINDOW 2 MINUTES EVERY 1 MINUTE`, 64, "columnar"},
 	{"count_window", `SELECT COUNT(*) AS n FROM twitter WINDOW 50 TWEETS`, 64, "columnar"},
 	{"async", `SELECT latitude(loc) AS lat, text FROM twitter`, 64, "async"},
 	{"join", `SELECT a.text FROM twitter AS a JOIN twitter AS b ON a.id = b.id WINDOW 1 MINUTE`, 64, "join"},
@@ -137,7 +138,7 @@ func TestLimitEveryConsumer(t *testing.T) {
 		// 150 falls inside the third 64-row batch; the aggregates emit
 		// only a few dozen rows in all.
 		n := 150
-		if shape.name == "aggregate" || shape.name == "count_window" {
+		if shape.name == "aggregate" || shape.name == "sliding" || shape.name == "count_window" {
 			n = 3
 		}
 		for _, consumer := range terminalConsumers {
@@ -172,9 +173,9 @@ func TestOneLagObservationPerRow(t *testing.T) {
 	}
 }
 
-// TestRowsStopEndsReader: Stop still ends a reader of a batch-shaped
-// pipeline's flattened rows; only a LIMIT cut is kept from cutting the
-// reader short.
+// TestRowsStopEndsReader: Stop still ends a reader of the pipeline's
+// flattened rows; only a LIMIT cut is kept from cutting the reader
+// short.
 func TestRowsStopEndsReader(t *testing.T) {
 	eng, _ := terminalEngine(t, 64, false)
 	cur, err := eng.Query(context.Background(), `SELECT text FROM twitter`)

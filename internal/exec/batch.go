@@ -17,27 +17,17 @@ import (
 // transfer. It is an alias (not a defined type) so sources in other
 // packages can produce batches without importing exec.
 //
-// Tuple order within a batch is the stream order; batch-aware stages
-// preserve it, so a batched pipeline emits exactly the rows, in exactly
-// the order, of its tuple-at-a-time equivalent.
+// Batches are the only stream between stages: a single row travels as
+// a batch of one. Tuple order within a batch is the stream order and
+// every single-input stage preserves it, so such a pipeline emits the
+// same rows, in the same order, at any batch size (JoinStage documents
+// its own order).
 type Batch = []value.Tuple
 
-// BatchStage is a channel-to-channel operator over batches, the batched
-// counterpart of Stage. One channel transfer per batch instead of one
-// per tuple is what buys the throughput (the per-send synchronization
-// amortizes over the batch).
+// BatchStage is a channel-to-channel operator over batches. One channel
+// transfer per batch instead of one per tuple is what buys the
+// throughput (the per-send synchronization amortizes over the batch).
 type BatchStage func(ctx context.Context, in <-chan Batch) <-chan Batch
-
-// ChainBatches composes batch stages left to right.
-func ChainBatches(stages ...BatchStage) BatchStage {
-	return func(ctx context.Context, in <-chan Batch) <-chan Batch {
-		cur := in
-		for _, s := range stages {
-			cur = s(ctx, cur)
-		}
-		return cur
-	}
-}
 
 // ToBatches groups a tuple stream into batches of up to size tuples.
 // flushEvery bounds how long a partial batch may wait before being
@@ -50,28 +40,7 @@ func ToBatches(size int, flushEvery time.Duration) func(ctx context.Context, in 
 	}
 }
 
-// FromBatches flattens batches back into a tuple stream, in order. It
-// stops early only when ctx ends.
-func FromBatches() func(ctx context.Context, in <-chan Batch) <-chan value.Tuple {
-	return func(ctx context.Context, in <-chan Batch) <-chan value.Tuple {
-		out := make(chan value.Tuple, 64)
-		go func() {
-			defer close(out)
-			for b := range in {
-				for _, t := range b {
-					select {
-					case out <- t:
-					case <-ctx.Done():
-						return
-					}
-				}
-			}
-		}()
-		return out
-	}
-}
-
-// Terminal is the terminal stage of every batch-shaped pipeline, run in
+// Terminal is the terminal stage of every pipeline, run in
 // the goroutine of whoever consumes it: it hands each batch from in to
 // deliver, whole, so a sink receives batches with no further hop. It is
 // the one place the pipeline counts RowsOut, records watermark lag (now
@@ -107,43 +76,8 @@ func Terminal(in <-chan Batch, limit int, cancel context.CancelFunc, stats *Stat
 	}
 }
 
-// TerminalRowStage is Terminal for the tuple-shaped pipelines
-// (aggregate, async projection, join, BatchSize=1), as a stage of its
-// own: RowsOut, one lag observation per row (an aggregate row's event
-// time is its window end, so its lag is the window's staleness) and
-// LIMIT. The cut cancels once the last row is in the output channel; a
-// consumer that reads until the channel closes, rather than until ctx
-// ends, receives every admitted row.
-func TerminalRowStage(limit int, cancel context.CancelFunc, stats *Stats) Stage {
-	return func(ctx context.Context, in <-chan value.Tuple) <-chan value.Tuple {
-		out := make(chan value.Tuple, 64)
-		go func() {
-			defer close(out)
-			if limit == 0 {
-				cancel()
-				return
-			}
-			n := 0
-			for t := range in {
-				select {
-				case out <- t:
-				case <-ctx.Done():
-					return
-				}
-				stats.RowsOut.Add(1)
-				stats.ObserveLag(t.TS, 1)
-				if n++; n == limit {
-					cancel()
-					return
-				}
-			}
-		}()
-		return out
-	}
-}
-
 // BatchCountStage ticks RowsIn for every tuple inside each passing
-// batch, the batched counterpart of CountStage. Its obs stage is the
+// batch, placed right after the source. Its obs stage is the
 // pipeline's "scan" operator: each span times the wait for the source
 // (or shared-scan fan-out) to produce the next batch, so a
 // scan-dominated profile reads as ingest-bound rather than CPU-bound.
@@ -212,9 +146,11 @@ func shardBatch(b Batch, workers int, outs []Batch) []shard {
 	return shards
 }
 
-// BatchFilterStage is the batch-aware FilterStage: one channel transfer
-// per batch, with the same conjunction semantics (including the
-// eddy-routed adaptive order when adaptive is set). workers > 1 shards
+// BatchFilterStage applies a conjunction of predicates, one channel
+// transfer per batch. With two or more conjuncts and adaptive set it
+// routes rows through an eddy, so the evaluation order tracks observed
+// selectivities; otherwise conjuncts run in query order. costs must
+// parallel conjuncts (see CostOf). workers > 1 shards
 // each batch across a worker pool for CPU-bound predicates and UDFs;
 // each worker owns its own eddy (seeded seed+worker) so adaptive
 // routing needs no locking, and survivors reassemble in stream order.
@@ -344,10 +280,9 @@ func BatchFilterStage(ev *Evaluator, conjuncts []lang.Expr, inSchema *value.Sche
 	}
 }
 
-// BatchProjectStage is the batch-aware ProjectStage: evaluates the
-// select list over whole batches, sharding across workers when workers
-// > 1. Rows that fail to evaluate drop (with the error noted), exactly
-// as in the tuple path; output order matches input order.
+// BatchProjectStage evaluates the select list over whole batches,
+// sharding across workers when workers > 1. Rows that fail to evaluate
+// drop, with the error noted; output order matches input order.
 func BatchProjectStage(ev *Evaluator, items []ProjItem, inSchema *value.Schema, workers int, stats *Stats) BatchStage {
 	outSchema := ProjectSchema(items, inSchema)
 	fns := bindItems(ev, items, inSchema)
@@ -423,53 +358,15 @@ func BatchProjectStage(ev *Evaluator, items []ProjItem, inSchema *value.Schema, 
 	}
 }
 
-// BatchAggregateStage consumes batches at the window/aggregation
-// boundary, folding each batch's tuples in stream order through the
-// same aggState as the tuple path — so windowing, confidence-triggered
-// early emission, and flush-at-end semantics are identical. Output is a
-// tuple stream (aggregate output rates are low; batching it buys
-// nothing). Count windows delegate through an internal unbatcher since
-// their batching is the window itself.
-func BatchAggregateStage(ev *Evaluator, cfg AggregateConfig, stats *Stats) func(ctx context.Context, in <-chan Batch) <-chan value.Tuple {
-	if cfg.Window != nil && cfg.Window.Count > 0 {
-		inner := countWindowStage(ev, cfg, stats)
-		return func(ctx context.Context, in <-chan Batch) <-chan value.Tuple {
-			return inner(ctx, FromBatches()(ctx, in))
-		}
-	}
-	sp := stats.StageProf("aggregate", aggLabel(cfg), "batch")
-	return func(ctx context.Context, in <-chan Batch) <-chan value.Tuple {
-		out := make(chan value.Tuple, 64)
-		go func() {
-			defer close(out)
-			st := newAggState(ev, cfg, stats)
-			emitted := 0
-			emit := func(row value.Tuple) bool {
-				select {
-				case out <- row:
-					emitted++
-					return true
-				case <-ctx.Done():
-					return false
-				}
-			}
-			for b := range in {
-				if ctx.Err() != nil {
-					return
-				}
-				span := sp.Enter()
-				emitted = 0
-				for _, t := range b {
-					if !st.observe(ctx, t, emit) {
-						return
-					}
-				}
-				span.Exit(len(b), emitted)
-			}
-			st.flush(emit)
-		}()
-		return out
-	}
+// BatchAggregateStage implements windowed grouped aggregation on the
+// row-batch path. Tuples fold into per-(window, group) buckets; buckets
+// emit when event time passes the window end, when the confidence
+// trigger fires (early), or at stream end. Count windows (WINDOW n
+// TWEETS) emit every n input rows instead — the §2 alternative whose
+// staleness E3's ablation measures. The fold and emit loop is
+// ColFilterAggStage's, without its filter.
+func BatchAggregateStage(ev *Evaluator, cfg AggregateConfig, stats *Stats) BatchStage {
+	return aggregateStage(ev, nil, cfg, cfg.InSchema, "batch", stats)
 }
 
 // HasStateful reports whether any expression calls a stateful UDF.

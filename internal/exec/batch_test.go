@@ -32,18 +32,22 @@ func feedTuples(ts ...value.Tuple) <-chan value.Tuple {
 	return ch
 }
 
+// chunk sends copies of rows in batches of up to size rows and closes
+// the channel. The copies matter: a stage owns the batches it receives
+// and may reuse them (a filter compacts survivors in place).
+func chunk(size int, rows []value.Tuple) <-chan Batch {
+	ch := make(chan Batch, len(rows)/size+1)
+	for lo := 0; lo < len(rows); lo += size {
+		ch <- append(Batch(nil), rows[lo:min(lo+size, len(rows))]...)
+	}
+	close(ch)
+	return ch
+}
+
 func nRows(n int) []value.Tuple {
 	out := make([]value.Tuple, n)
 	for i := range out {
 		out[i] = row(fmt.Sprintf("t%d", i), int64(i), value.Null(), value.Null(), time.Unix(int64(i), 0))
-	}
-	return out
-}
-
-func collectTuples(ch <-chan value.Tuple) []value.Tuple {
-	var out []value.Tuple
-	for t := range ch {
-		out = append(out, t)
 	}
 	return out
 }
@@ -106,8 +110,13 @@ func profiled() *Stats {
 
 // runTerminal runs Terminal over batches and returns what it delivered.
 func runTerminal(limit int, cancel context.CancelFunc, stats *Stats, batches ...Batch) []Batch {
+	return runTerminalOn(feedBatches(batches...), limit, cancel, stats)
+}
+
+// runTerminalOn runs Terminal over in and returns what it delivered.
+func runTerminalOn(in <-chan Batch, limit int, cancel context.CancelFunc, stats *Stats) []Batch {
 	var got []Batch
-	Terminal(feedBatches(batches...), limit, cancel, stats, func(b Batch) bool {
+	Terminal(in, limit, cancel, stats, func(b Batch) bool {
 		got = append(got, b)
 		return true
 	})
@@ -168,8 +177,9 @@ func TestBatchCountStage(t *testing.T) {
 	}
 }
 
-// batchVsTupleFilter runs the same conjuncts through FilterStage and
-// BatchFilterStage and asserts identical surviving rows in order.
+// batchVsTupleFilter runs the same conjuncts through the row-at-a-time
+// oracle and BatchFilterStage and asserts identical surviving rows in
+// order.
 func batchVsTupleFilter(t *testing.T, adaptive bool, workers int) {
 	t.Helper()
 	rows := make([]value.Tuple, 0, 100)
@@ -184,23 +194,22 @@ func batchVsTupleFilter(t *testing.T, adaptive bool, workers int) {
 	costs := []float64{1, 1}
 	ev := NewEvaluator(catalog.New())
 
-	tupleStats := &Stats{}
-	want := collectTuples(FilterStage(ev, conjuncts, testSchema(), costs, adaptive, 1, tupleStats)(context.Background(), feedTuples(rows...)))
+	oracle := newRowOracle(ev)
+	want := oracle.filter(conjuncts, testSchema(), rows)
 
 	batchStats := &Stats{}
-	gotBatches := BatchFilterStage(ev, conjuncts, testSchema(), costs, adaptive, 1, workers, batchStats)(context.Background(), feedBatches(rows[:33], rows[33:66], rows[66:]))
-	got := collectTuples(FromBatches()(context.Background(), gotBatches))
+	got := collect(BatchFilterStage(ev, conjuncts, testSchema(), costs, adaptive, 1, workers, batchStats)(context.Background(), feedBatches(rows[:33], rows[33:66], rows[66:])))
 
 	if len(got) != len(want) {
-		t.Fatalf("batch filter rows = %d, tuple filter rows = %d", len(got), len(want))
+		t.Fatalf("batch filter rows = %d, oracle rows = %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i].String() != want[i].String() {
-			t.Fatalf("row %d: batch %s != tuple %s", i, got[i], want[i])
+			t.Fatalf("row %d: batch %s != oracle %s", i, got[i], want[i])
 		}
 	}
-	if batchStats.Dropped.Load() != tupleStats.Dropped.Load() {
-		t.Errorf("dropped: batch %d, tuple %d", batchStats.Dropped.Load(), tupleStats.Dropped.Load())
+	if batchStats.Dropped.Load() != oracle.stats.Dropped.Load() {
+		t.Errorf("dropped: batch %d, oracle %d", batchStats.Dropped.Load(), oracle.stats.Dropped.Load())
 	}
 }
 
@@ -226,10 +235,9 @@ func TestBatchProjectMatchesTupleProject(t *testing.T) {
 		{Name: "n2", Expr: expr(t, "n * 2")},
 	}
 	ev := NewEvaluator(catalog.New())
-	want := collectTuples(ProjectStage(ev, items, testSchema(), &Stats{})(context.Background(), feedTuples(rows...)))
+	want := newRowOracle(ev).project(items, testSchema(), rows)
 	for _, workers := range []int{1, 4} {
-		gotB := BatchProjectStage(ev, items, testSchema(), workers, &Stats{})(context.Background(), feedBatches(rows[:20], rows[20:]))
-		got := collectTuples(FromBatches()(context.Background(), gotB))
+		got := collect(BatchProjectStage(ev, items, testSchema(), workers, &Stats{})(context.Background(), feedBatches(rows[:20], rows[20:])))
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: rows %d != %d", workers, len(got), len(want))
 		}
@@ -254,7 +262,7 @@ func TestProjectWildcardSchemaDrift(t *testing.T) {
 
 	t.Run("tuple", func(t *testing.T) {
 		stats := &Stats{}
-		got := collectTuples(ProjectStage(ev, items, empty, stats)(context.Background(), feedTuples(rows...)))
+		got := collect(BatchProjectStage(ev, items, empty, 1, stats)(context.Background(), feedRows(rows...)))
 		if len(got) != 0 {
 			t.Fatalf("drifted rows delivered: %d", len(got))
 		}
@@ -266,7 +274,7 @@ func TestProjectWildcardSchemaDrift(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			stats := &Stats{}
 			out := BatchProjectStage(ev, items, empty, workers, stats)(context.Background(), feedBatches(rows[:5], rows[5:]))
-			if got := collectTuples(FromBatches()(context.Background(), out)); len(got) != 0 {
+			if got := collect(out); len(got) != 0 {
 				t.Fatalf("workers=%d: drifted rows delivered: %d", workers, len(got))
 			}
 			if n := stats.EvalErrors.Load(); n != int64(len(rows)) {
@@ -276,7 +284,7 @@ func TestProjectWildcardSchemaDrift(t *testing.T) {
 	})
 	t.Run("async", func(t *testing.T) {
 		stats := &Stats{}
-		got := collectTuples(AsyncProjectStage(ev, items, empty, 4, 0, stats)(context.Background(), feedTuples(rows...)))
+		got := collect(AsyncProjectStage(ev, items, empty, 4, 0, stats)(context.Background(), feedBatches(rows[:5], rows[5:])))
 		if len(got) != 0 {
 			t.Fatalf("drifted rows delivered: %d", len(got))
 		}
@@ -333,7 +341,7 @@ func TestColFilterProjectSharedCells(t *testing.T) {
 		}
 		run := func(share bool, rows []value.Tuple) []value.Tuple {
 			stage := ColFilterProjectStage(ev, conjuncts, items, schema, 1, share, &Stats{})
-			return collectTuples(FromBatches()(context.Background(), stage(context.Background(), feedBatches(rows[:25], rows[25:]))))
+			return collect(stage(context.Background(), feedBatches(rows[:25], rows[25:])))
 		}
 		want := run(false, mk())
 		in := mk()
@@ -371,10 +379,10 @@ func TestBatchAggregateMatchesTupleAggregate(t *testing.T) {
 		Window: &lang.WindowSpec{Size: time.Minute},
 	}
 	ev := NewEvaluator(catalog.New())
-	want := collectTuples(AggregateStage(ev, cfg, &Stats{})(context.Background(), feedTuples(rows...)))
-	got := collectTuples(BatchAggregateStage(ev, cfg, &Stats{})(context.Background(), feedBatches(rows[:100], rows[100:250], rows[250:])))
+	want := newRowOracle(ev).aggregate(cfg, rows)
+	got := collect(BatchAggregateStage(ev, cfg, &Stats{})(context.Background(), feedBatches(rows[:100], rows[100:250], rows[250:])))
 	if len(got) != len(want) {
-		t.Fatalf("agg rows: batch %d != tuple %d", len(got), len(want))
+		t.Fatalf("agg rows: batch %d != oracle %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i].String() != want[i].String() {
@@ -394,7 +402,7 @@ func TestBatchAggregateCountWindow(t *testing.T) {
 		Window: &lang.WindowSpec{Count: 4},
 	}
 	ev := NewEvaluator(catalog.New())
-	got := collectTuples(BatchAggregateStage(ev, cfg, &Stats{})(context.Background(), feedBatches(rows[:7], rows[7:])))
+	got := collect(BatchAggregateStage(ev, cfg, &Stats{})(context.Background(), feedBatches(rows[:7], rows[7:])))
 	// 10 rows in count-4 windows: 4, 4, final partial 2.
 	if len(got) != 3 {
 		t.Fatalf("count windows = %d", len(got))
@@ -412,4 +420,47 @@ func batchSizes(bs []Batch) []int {
 		out[i] = len(b)
 	}
 	return out
+}
+
+// TestAggregateBatchPerWindowClose: an input batch spanning three
+// one-minute windows leaves both windowed aggregate stages as one
+// output batch per window close, each holding rows of a single event
+// time, so Terminal's per-batch minimum is every row's own window end.
+// A sliding window, which closes several windows per slide, and a
+// count window cut the same way.
+func TestAggregateBatchPerWindowClose(t *testing.T) {
+	var rows []value.Tuple
+	for i := 0; i < 200; i += 5 {
+		rows = append(rows, row("x", int64(i%2), value.Null(), value.Null(), time.Unix(int64(i), 0)))
+	}
+	ev := NewEvaluator(catalog.New())
+	for _, tc := range []struct {
+		name    string
+		win     lang.WindowSpec
+		batches int // output batches: one per window close
+	}{
+		{"tumbling", lang.WindowSpec{Size: time.Minute, Every: time.Minute}, 4},
+		{"sliding", lang.WindowSpec{Size: 2 * time.Minute, Every: time.Minute}, 5},
+		{"count", lang.WindowSpec{Count: 15}, 3},
+	} {
+		win := tc.win
+		cfg := aggCfg(t, "n", "COUNT(*)", &win, nil)
+		cfg.InSchema = testSchema()
+		for name, stage := range map[string]BatchStage{
+			"batch":    BatchAggregateStage(ev, cfg, &Stats{}),
+			"columnar": ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{}),
+		} {
+			got := collectBatches(stage(context.Background(), chunk(len(rows), rows)))
+			if len(got) != tc.batches {
+				t.Errorf("%s/%s: %d output batches %v, want %d", tc.name, name, len(got), batchSizes(got), tc.batches)
+			}
+			for i, b := range got {
+				for _, r := range b {
+					if !r.TS.Equal(b[0].TS) {
+						t.Errorf("%s/%s: batch %d mixes event times %v and %v", tc.name, name, i, b[0].TS, r.TS)
+					}
+				}
+			}
+		}
+	}
 }

@@ -247,56 +247,9 @@ func columnRun(items []ProjItem, in *value.Schema) (lo int, ok bool) {
 }
 
 // ColFilterAggStage fuses the vectorized filter with aggregation:
-// selected lanes fold into the same aggState as the row paths, in
+// selected lanes fold into the same aggState as the row-batch path, in
 // stream order, so windowing, early emission, and flush-at-end are
-// identical. Count windows (WINDOW n TWEETS) gather survivors and
-// delegate to the count-window operator, whose batching is the window
-// itself.
-func ColFilterAggStage(ev *Evaluator, conjuncts []lang.Expr, cfg AggregateConfig, inSchema *value.Schema, stats *Stats) func(ctx context.Context, in <-chan Batch) <-chan value.Tuple {
-	if cfg.Window != nil && cfg.Window.Count > 0 {
-		filter := ColFilterStage(ev, conjuncts, inSchema, stats)
-		inner := countWindowStage(ev, cfg, stats)
-		return func(ctx context.Context, in <-chan Batch) <-chan value.Tuple {
-			return inner(ctx, FromBatches()(ctx, filter(ctx, in)))
-		}
-	}
-	sp := stats.StageProf("aggregate", aggLabel(cfg), "vec")
-	return func(ctx context.Context, in <-chan Batch) <-chan value.Tuple {
-		out := make(chan value.Tuple, 64)
-		go func() {
-			defer close(out)
-			f := newColFilter(ev, conjuncts, inSchema, stats)
-			st := newAggState(ev, cfg, stats)
-			emitted := 0
-			emit := func(row value.Tuple) bool {
-				select {
-				case out <- row:
-					emitted++
-					return true
-				case <-ctx.Done():
-					return false
-				}
-			}
-			for b := range in {
-				if ctx.Err() != nil {
-					return
-				}
-				sel, kept := f.apply(ctx, b, inSchema)
-				span := sp.Enter()
-				emitted = 0
-				for w, word := range sel {
-					for word != 0 {
-						i := bits.TrailingZeros64(word)
-						word &^= 1 << uint(i)
-						if !st.observe(ctx, b[w*64+i], emit) {
-							return
-						}
-					}
-				}
-				span.Exit(kept, emitted)
-			}
-			st.flush(emit)
-		}()
-		return out
-	}
+// identical (see aggregateStage).
+func ColFilterAggStage(ev *Evaluator, conjuncts []lang.Expr, cfg AggregateConfig, inSchema *value.Schema, stats *Stats) BatchStage {
+	return aggregateStage(ev, conjuncts, cfg, inSchema, "vec", stats)
 }

@@ -220,9 +220,9 @@ func TestCompiledFilterAllocFree(t *testing.T) {
 }
 
 // TestCompiledStagesMatchInterpretedStages runs the same rows through
-// compiled and interpreted FilterStage/ProjectStage/AggregateStage —
-// including the eddy-adaptive filter order under a fixed seed — and
-// requires identical outputs in identical order.
+// compiled and interpreted BatchFilterStage/BatchProjectStage/
+// BatchAggregateStage — including the eddy-adaptive filter order under
+// a fixed seed — and requires identical outputs in identical order.
 func TestCompiledStagesMatchInterpretedStages(t *testing.T) {
 	rows := make([]value.Tuple, 0, 200)
 	base := time.Date(2011, 6, 12, 15, 0, 0, 0, time.UTC)
@@ -247,8 +247,7 @@ func TestCompiledStagesMatchInterpretedStages(t *testing.T) {
 		ev.EnableCompile(compile)
 		var filtered, projected, aggregated []string
 		stats := &Stats{}
-		out := FilterStage(ev, conjuncts, testSchema(), costs, true, 42, stats)(context.Background(), feedRows(rows...))
-		for r := range out {
+		for _, r := range collect(BatchFilterStage(ev, conjuncts, testSchema(), costs, true, 42, 1, stats)(context.Background(), chunk(90, rows))) {
 			filtered = append(filtered, r.String())
 		}
 		items := []ProjItem{
@@ -256,8 +255,7 @@ func TestCompiledStagesMatchInterpretedStages(t *testing.T) {
 			{Name: "m", Expr: expr(t, "n * 2 + 1")},
 			{Name: "w", Wildcard: true},
 		}
-		out = ProjectStage(ev, items, testSchema(), &Stats{})(context.Background(), feedRows(rows...))
-		for r := range out {
+		for _, r := range collect(BatchProjectStage(ev, items, testSchema(), 1, &Stats{})(context.Background(), chunk(90, rows))) {
 			projected = append(projected, r.String())
 		}
 		cfg := AggregateConfig{
@@ -274,8 +272,7 @@ func TestCompiledStagesMatchInterpretedStages(t *testing.T) {
 			Window:   &lang.WindowSpec{Size: time.Minute, Every: time.Minute},
 			InSchema: testSchema(),
 		}
-		out = AggregateStage(ev, cfg, &Stats{})(context.Background(), feedRows(rows...))
-		for r := range out {
+		for _, r := range collect(BatchAggregateStage(ev, cfg, &Stats{})(context.Background(), chunk(90, rows))) {
 			aggregated = append(aggregated, r.String())
 		}
 		return filtered, projected, aggregated

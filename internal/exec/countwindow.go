@@ -16,14 +16,15 @@ import (
 // times of the batch's first and last rows, which is exactly how the
 // paper critiques the design — a sparse group's batch can span hours,
 // so its "current" aggregate includes stale tweets.
-func countWindowStage(ev *Evaluator, cfg AggregateConfig, stats *Stats) Stage {
+func countWindowStage(ev *Evaluator, cfg AggregateConfig, stats *Stats) BatchStage {
 	outSchema := AggSchema(cfg)
 	groupFns, argFns := bindAggExprs(ev, cfg)
 	n := cfg.Window.Count
-	return func(ctx context.Context, in <-chan value.Tuple) <-chan value.Tuple {
-		out := make(chan value.Tuple, 64)
+	return func(ctx context.Context, in <-chan Batch) <-chan Batch {
+		out := make(chan Batch, 4)
 		go func() {
 			defer close(out)
+			o := &aggOut{ctx: ctx, out: out}
 			type bucket struct {
 				key       window.Key
 				groupVals []value.Value
@@ -72,9 +73,7 @@ func countWindowStage(ev *Evaluator, cfg AggregateConfig, stats *Stats) Stage {
 						}
 					}
 					vals = append(vals, value.Time(batchFirst), value.Time(batchLast))
-					select {
-					case out <- value.NewTuple(outSchema, vals, batchLast):
-					case <-ctx.Done():
+					if !o.emit(value.NewTuple(outSchema, vals, batchLast)) {
 						return false
 					}
 				}
@@ -82,10 +81,9 @@ func countWindowStage(ev *Evaluator, cfg AggregateConfig, stats *Stats) Stage {
 				return true
 			}
 
-			for t := range in {
-				if ctx.Err() != nil {
-					return
-				}
+			// fold adds one row to its group's bucket, emitting the window
+			// when it holds n rows; false means the query ended.
+			fold := func(t value.Tuple) bool {
 				groupVals := make([]value.Value, len(cfg.GroupExprs))
 				bad := false
 				for i, fn := range groupFns {
@@ -98,7 +96,7 @@ func countWindowStage(ev *Evaluator, cfg AggregateConfig, stats *Stats) Stage {
 					groupVals[i] = v
 				}
 				if bad {
-					continue
+					return true
 				}
 				key := window.Encode(groupVals)
 				b := buckets[key]
@@ -123,13 +121,24 @@ func countWindowStage(ev *Evaluator, cfg AggregateConfig, stats *Stats) Stage {
 				}
 				batchLast = t.TS
 				batchRows++
-				if batchRows >= n {
-					if !flush() {
+				return batchRows < n || flush()
+			}
+			for b := range in {
+				if ctx.Err() != nil {
+					return
+				}
+				for _, t := range b {
+					if !fold(t) {
 						return
 					}
 				}
+				if !o.send() {
+					return
+				}
 			}
-			flush()
+			if flush() {
+				o.send()
+			}
 		}()
 		return out
 	}

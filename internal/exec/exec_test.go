@@ -8,7 +8,6 @@ import (
 
 	"tweeql/internal/catalog"
 	"tweeql/internal/lang"
-	"tweeql/internal/obs"
 	"tweeql/internal/value"
 )
 
@@ -258,19 +257,21 @@ func TestEvalStatefulUDF(t *testing.T) {
 	}
 }
 
-func feedRows(rows ...value.Tuple) <-chan value.Tuple {
-	ch := make(chan value.Tuple, len(rows))
+// feedRows sends rows as one-row batches: a tuple is a batch of one.
+func feedRows(rows ...value.Tuple) <-chan Batch {
+	ch := make(chan Batch, len(rows))
 	for _, r := range rows {
-		ch <- r
+		ch <- Batch{r}
 	}
 	close(ch)
 	return ch
 }
 
-func collect(ch <-chan value.Tuple) []value.Tuple {
+// collect drains a batch stream into its rows, in order.
+func collect(ch <-chan Batch) []value.Tuple {
 	var out []value.Tuple
-	for t := range ch {
-		out = append(out, t)
+	for b := range ch {
+		out = append(out, b...)
 	}
 	return out
 }
@@ -280,7 +281,7 @@ func TestFilterStage(t *testing.T) {
 	stats := &Stats{}
 	conjuncts := []lang.Expr{whereExpr(t, "n > 2"), whereExpr(t, "text CONTAINS 'keep'")}
 	for _, adaptive := range []bool{false, true} {
-		stage := FilterStage(ev, conjuncts, testSchema(), []float64{1, 1}, adaptive, 1, stats)
+		stage := BatchFilterStage(ev, conjuncts, testSchema(), []float64{1, 1}, adaptive, 1, 1, stats)
 		out := collect(stage(context.Background(), feedRows(
 			row("keep me", 3, value.Null(), value.Null(), time.Unix(1, 0)),
 			row("keep me", 1, value.Null(), value.Null(), time.Unix(2, 0)),
@@ -317,7 +318,7 @@ func TestProjectStageSyncAsyncAgree(t *testing.T) {
 	for i := int64(0); i < 20; i++ {
 		rows = append(rows, row("r", i, value.Null(), value.Null(), time.Unix(i, 0)))
 	}
-	sync := collect(ProjectStage(ev, items, testSchema(), &Stats{})(context.Background(), feedRows(rows...)))
+	sync := collect(BatchProjectStage(ev, items, testSchema(), 1, &Stats{})(context.Background(), feedRows(rows...)))
 	async := collect(AsyncProjectStage(ev, items, testSchema(), 8, 0, &Stats{})(context.Background(), feedRows(rows...)))
 	if len(sync) != 20 || len(async) != 20 {
 		t.Fatalf("lens: %d %d", len(sync), len(async))
@@ -332,7 +333,7 @@ func TestProjectStageSyncAsyncAgree(t *testing.T) {
 func TestProjectWildcard(t *testing.T) {
 	ev := NewEvaluator(catalog.New())
 	items := []ProjItem{{Wildcard: true}, {Name: "n2", Expr: expr(t, "n * 2")}}
-	out := collect(ProjectStage(ev, items, testSchema(), &Stats{})(context.Background(), feedRows(
+	out := collect(BatchProjectStage(ev, items, testSchema(), 1, &Stats{})(context.Background(), feedRows(
 		row("a", 2, value.Null(), value.Null(), time.Unix(0, 0)),
 	)))
 	if len(out) != 1 {
@@ -367,7 +368,7 @@ func TestAggregateStageTumbling(t *testing.T) {
 	ev := NewEvaluator(catalog.New())
 	cfg := aggCfg(t, "text", "COUNT(*)", &lang.WindowSpec{Size: time.Minute, Every: time.Minute}, nil)
 	base := time.Unix(0, 0).UTC()
-	out := collect(AggregateStage(ev, cfg, &Stats{})(context.Background(), feedRows(
+	out := collect(BatchAggregateStage(ev, cfg, &Stats{})(context.Background(), feedRows(
 		row("a", 1, value.Null(), value.Null(), base.Add(10*time.Second)),
 		row("a", 2, value.Null(), value.Null(), base.Add(20*time.Second)),
 		row("b", 3, value.Null(), value.Null(), base.Add(30*time.Second)),
@@ -397,7 +398,7 @@ func TestAggregateStageTumbling(t *testing.T) {
 func TestAggregateStageWholeStream(t *testing.T) {
 	ev := NewEvaluator(catalog.New())
 	cfg := aggCfg(t, "", "AVG(n)", nil, nil)
-	out := collect(AggregateStage(ev, cfg, &Stats{})(context.Background(), feedRows(
+	out := collect(BatchAggregateStage(ev, cfg, &Stats{})(context.Background(), feedRows(
 		row("a", 2, value.Null(), value.Null(), time.Unix(100, 0)),
 		row("a", 4, value.Null(), value.Null(), time.Unix(200, 0)),
 	)))
@@ -423,7 +424,7 @@ func TestAggregateStageConfidenceEarly(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		rows = append(rows, row("dense", 5, value.Null(), value.Null(), base.Add(time.Duration(i)*time.Second)))
 	}
-	out := collect(AggregateStage(ev, cfg, &Stats{})(context.Background(), feedRows(rows...)))
+	out := collect(BatchAggregateStage(ev, cfg, &Stats{})(context.Background(), feedRows(rows...)))
 	if len(out) != 1 {
 		t.Fatalf("rows = %d", len(out))
 	}
@@ -455,7 +456,7 @@ func TestJoinStage(t *testing.T) {
 	}
 	left := feedRows(mkL(1, "l1", 0), mkL(2, "l2", 5), mkL(1, "l3", 100))
 	right := feedRows(mkR(1, "r1", 10), mkR(3, "r3", 11), mkR(1, "r4", 200))
-	out := collect(JoinStage(ev, left, right, ls, rs, cfg, &Stats{}))
+	out := collect(JoinStage(context.Background(), ev, left, right, ls, rs, cfg, &Stats{}))
 	// Matches: (l1,r1) within 10s; l3 vs r1 is 90s apart (out of window);
 	// r4 vs l3 is 100s apart (out). So exactly 1 row.
 	if len(out) != 1 {
@@ -469,23 +470,26 @@ func TestJoinStage(t *testing.T) {
 	}
 }
 
-func TestTerminalRowStageLimit(t *testing.T) {
+// TestTerminalOneRowBatchesLimit: LIMIT over one-row batches from an
+// endless source delivers exactly the limit, cancels upstream, and
+// counts and lag-observes each delivered row once.
+func TestTerminalOneRowBatchesLimit(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan value.Tuple)
+	in := make(chan Batch)
 	go func() {
 		defer close(in)
-		for i := int64(0); i < 1000; i++ {
+		for i := int64(0); ; i++ {
 			select {
-			case in <- row("x", i, value.Null(), value.Null(), time.Unix(i, 0)):
+			case in <- Batch{row("x", i, value.Null(), value.Null(), time.Unix(i, 0))}:
 			case <-ctx.Done():
 				return
 			}
 		}
 	}()
-	stats := &Stats{Profile: obs.NewProfile("q", obs.ProfileOptions{})}
-	out := collect(TerminalRowStage(3, cancel, stats)(ctx, in))
-	if len(out) != 3 {
-		t.Errorf("limit delivered %d", len(out))
+	stats := profiled()
+	got := runTerminalOn(in, 3, cancel, stats)
+	if len(got) != 3 {
+		t.Errorf("limit delivered %d batches", len(got))
 	}
 	if ctx.Err() == nil {
 		t.Error("limit should cancel the query context")
@@ -498,10 +502,9 @@ func TestTerminalRowStageLimit(t *testing.T) {
 func TestChainAndCount(t *testing.T) {
 	ev := NewEvaluator(catalog.New())
 	stats := &Stats{}
-	stage := Chain(
-		CountStage(stats),
-		FilterStage(ev, []lang.Expr{whereExpr(t, "n > 1")}, testSchema(), []float64{1}, false, 1, stats),
-	)
+	count := BatchCountStage(stats)
+	filter := BatchFilterStage(ev, []lang.Expr{whereExpr(t, "n > 1")}, testSchema(), []float64{1}, false, 1, 1, stats)
+	stage := func(ctx context.Context, in <-chan Batch) <-chan Batch { return filter(ctx, count(ctx, in)) }
 	out := collect(stage(context.Background(), feedRows(
 		row("a", 1, value.Null(), value.Null(), time.Unix(0, 0)),
 		row("b", 2, value.Null(), value.Null(), time.Unix(1, 0)),
@@ -515,7 +518,7 @@ func TestStatsErrors(t *testing.T) {
 	ev := NewEvaluator(catalog.New())
 	stats := &Stats{}
 	// Unknown function inside filter: rows drop, error recorded, stream continues.
-	stage := FilterStage(ev, []lang.Expr{whereExpr(t, "nosuchfn(n) > 0")}, testSchema(), []float64{1}, false, 1, stats)
+	stage := BatchFilterStage(ev, []lang.Expr{whereExpr(t, "nosuchfn(n) > 0")}, testSchema(), []float64{1}, false, 1, 1, stats)
 	out := collect(stage(context.Background(), feedRows(
 		row("a", 1, value.Null(), value.Null(), time.Unix(0, 0)),
 	)))

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 	"sync"
@@ -11,7 +12,6 @@ import (
 
 	"tweeql/internal/agg"
 	"tweeql/internal/asyncop"
-	"tweeql/internal/eddy"
 	"tweeql/internal/lang"
 	"tweeql/internal/obs"
 	"tweeql/internal/value"
@@ -98,93 +98,6 @@ func NoteDegraded(ctx context.Context) {
 	}
 }
 
-// Stage is a channel-to-channel operator.
-type Stage func(ctx context.Context, in <-chan value.Tuple) <-chan value.Tuple
-
-// Chain composes stages left to right.
-func Chain(stages ...Stage) Stage {
-	return func(ctx context.Context, in <-chan value.Tuple) <-chan value.Tuple {
-		cur := in
-		for _, s := range stages {
-			cur = s(ctx, cur)
-		}
-		return cur
-	}
-}
-
-// FilterStage applies a conjunction of predicates. With two or more
-// conjuncts and adaptive=true it routes tuples through an Eddy, so the
-// evaluation order tracks observed selectivities; otherwise conjuncts
-// run in query order. costs must parallel conjuncts (see CostOf).
-// Conjuncts are compiled against inSchema at stage construction (see
-// Bind); the eddy's per-conjunct predicates wrap the compiled closures.
-func FilterStage(ev *Evaluator, conjuncts []lang.Expr, inSchema *value.Schema, costs []float64, adaptive bool, seed int64, stats *Stats) Stage {
-	fns := ev.BindAll(conjuncts, inSchema)
-	sp := stats.StageProf("filter", filterLabel(len(conjuncts)), "row")
-	return func(ctx context.Context, in <-chan value.Tuple) <-chan value.Tuple {
-		out := make(chan value.Tuple, 64)
-		go func() {
-			defer close(out)
-			var pass func(value.Tuple) bool
-			mkPred := func(i int) func(value.Tuple) bool {
-				fn := fns[i]
-				return func(t value.Tuple) bool {
-					v, err := fn(ctx, t)
-					if err != nil {
-						stats.NoteError(err)
-						return false
-					}
-					return !v.IsNull() && v.Truthy()
-				}
-			}
-			if adaptive && len(conjuncts) > 1 {
-				filters := make([]eddy.Filter[value.Tuple], len(conjuncts))
-				for i := range conjuncts {
-					cost := 1.0
-					if i < len(costs) {
-						cost = costs[i]
-					}
-					filters[i] = eddy.Filter[value.Tuple]{Name: conjuncts[i].String(), Pred: mkPred(i), Cost: cost}
-				}
-				ed := eddy.New(filters, eddy.WithSeed[value.Tuple](seed))
-				pass = ed.Process
-			} else {
-				preds := make([]func(value.Tuple) bool, len(conjuncts))
-				for i := range conjuncts {
-					preds[i] = mkPred(i)
-				}
-				pass = func(t value.Tuple) bool {
-					for _, p := range preds {
-						if !p(t) {
-							return false
-						}
-					}
-					return true
-				}
-			}
-			for t := range in {
-				if ctx.Err() != nil {
-					return
-				}
-				span := sp.EnterSampled()
-				ok := pass(t)
-				if ok {
-					span.Exit(1, 1)
-					select {
-					case out <- t:
-					case <-ctx.Done():
-						return
-					}
-				} else {
-					span.Exit(1, 0)
-					stats.Dropped.Add(1)
-				}
-			}
-		}()
-		return out
-	}
-}
-
 // filterLabel names a filter stage by its conjunct count.
 func filterLabel(n int) string {
 	if n == 1 {
@@ -240,49 +153,53 @@ func bindItems(ev *Evaluator, items []ProjItem, inSchema *value.Schema) []Compil
 	return fns
 }
 
-// ProjectStage evaluates the select list synchronously.
-func ProjectStage(ev *Evaluator, items []ProjItem, inSchema *value.Schema, stats *Stats) Stage {
-	outSchema := ProjectSchema(items, inSchema)
-	fns := bindItems(ev, items, inSchema)
-	sp := stats.StageProf("project", strconv.Itoa(len(items))+" items", "row")
-	return func(ctx context.Context, in <-chan value.Tuple) <-chan value.Tuple {
-		out := make(chan value.Tuple, 64)
-		go func() {
-			defer close(out)
-			for t := range in {
-				span := sp.EnterSampled()
-				row, err := projectRow(ctx, items, fns, outSchema, t)
-				if err != nil {
-					span.Exit(1, 0)
-					stats.NoteError(err)
-					continue
-				}
-				span.Exit(1, 1)
-				select {
-				case out <- row:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-		return out
-	}
-}
-
 // AsyncProjectStage evaluates the select list on a bounded worker pool,
 // preserving input order — the §2 "asynchronous iteration" treatment for
 // select lists that call high-latency web-service UDFs. workers bounds
 // in-flight web requests; callTimeout (0 = none) bounds each row's
 // evaluation so a hung web-service call cannot pin a worker slot.
-func AsyncProjectStage(ev *Evaluator, items []ProjItem, inSchema *value.Schema, workers int, callTimeout time.Duration, stats *Stats) Stage {
+//
+// Every row of every batch goes through one ordered dispatcher, so rows
+// of the next batch are in flight while the current one finishes:
+// latency hiding does not stop at batch boundaries. Results regroup per
+// input batch; a row that fails to evaluate drops with its error noted,
+// and a batch none of whose rows survive emits nothing.
+func AsyncProjectStage(ev *Evaluator, items []ProjItem, inSchema *value.Schema, workers int, callTimeout time.Duration, stats *Stats) BatchStage {
 	outSchema := ProjectSchema(items, inSchema)
 	fns := bindItems(ev, items, inSchema)
 	// Each worker call is a full select-list evaluation including the
 	// high-latency web-service UDFs — exactly the latency worth a span
-	// per call, so no sampling here.
+	// per call.
 	sp := stats.StageProf("async-project", strconv.Itoa(len(items))+" items", "call")
-	return func(ctx context.Context, in <-chan value.Tuple) <-chan value.Tuple {
-		out := make(chan value.Tuple, 64)
+	return func(ctx context.Context, in <-chan Batch) <-chan Batch {
+		// The feeder sends each batch's row count ahead of its rows, so
+		// the collector knows where to cut. sizes holds more batches than
+		// the dispatcher can hold rows, so it never holds the feeder back.
+		sizes := make(chan int, 64+2*workers)
+		// A quarter batch of rows in hand lets the feeder run ahead of
+		// the dispatcher instead of meeting it once per row.
+		rows := make(chan value.Tuple, 64)
+		go func() {
+			defer close(rows)
+			defer close(sizes)
+			for b := range in {
+				if len(b) == 0 {
+					continue
+				}
+				select {
+				case sizes <- len(b):
+				case <-ctx.Done():
+					return
+				}
+				for _, t := range b {
+					select {
+					case rows <- t:
+					case <-ctx.Done():
+						return
+					}
+				}
+			}
+		}()
 		d := asyncop.New(func(ctx context.Context, t value.Tuple) (value.Tuple, error) {
 			span := sp.Enter()
 			row, err := projectRow(ctx, items, fns, outSchema, t)
@@ -294,20 +211,33 @@ func AsyncProjectStage(ev *Evaluator, items []ProjItem, inSchema *value.Schema, 
 			return row, err
 		}, asyncop.WithWorkers(workers), asyncop.WithOrderPreserved(),
 			asyncop.WithPerCallTimeout(callTimeout))
+		out := make(chan Batch, 4)
 		go func() {
 			defer close(out)
-			for r := range d.Run(ctx, in) {
-				if r.Err != nil {
-					if ctx.Err() != nil {
-						// The call failed because the query ended (Stop,
-						// or a LIMIT cut), not because evaluation did.
+			results := d.Run(ctx, rows)
+			for n := range sizes {
+				batch := make(Batch, 0, n)
+				for ; n > 0; n-- {
+					r, ok := <-results
+					if !ok {
 						return
 					}
-					stats.NoteError(r.Err)
+					if r.Err != nil {
+						if ctx.Err() != nil {
+							// The call failed because the query ended (Stop,
+							// or a LIMIT cut), not because evaluation did.
+							return
+						}
+						stats.NoteError(r.Err)
+						continue
+					}
+					batch = append(batch, r.Out)
+				}
+				if len(batch) == 0 {
 					continue
 				}
 				select {
-				case out <- r.Out:
+				case out <- batch:
 				case <-ctx.Done():
 					return
 				}
@@ -375,7 +305,8 @@ type OutCol struct {
 	MetaKind string
 }
 
-// AggregateConfig drives AggregateStage.
+// AggregateConfig drives the aggregate stages (BatchAggregateStage,
+// ColFilterAggStage).
 type AggregateConfig struct {
 	GroupExprs []lang.Expr
 	Aggs       []AggItem
@@ -409,10 +340,10 @@ func AggSchema(cfg AggregateConfig) *value.Schema {
 	return value.NewSchema(fields...)
 }
 
-// aggState folds tuples into per-(window, group) buckets. It is the
-// shared core of the tuple-at-a-time AggregateStage and the batched
-// BatchAggregateStage: both drive observe/flush against an emit
-// callback, so the two paths cannot drift semantically.
+// aggState folds tuples into per-(window, group) buckets. aggregateStage
+// drives observe/flush against an emit callback for both aggregate
+// stages, so the row-batch and columnar paths cannot drift
+// semantically.
 type aggState struct {
 	ev        *Evaluator
 	cfg       AggregateConfig
@@ -549,46 +480,96 @@ func (s *aggState) flush(emit func(value.Tuple) bool) bool {
 	return true
 }
 
-// AggregateStage implements windowed grouped aggregation. Tuples fold
-// into per-(window, group) buckets; buckets emit when event time passes
-// the window end, when the confidence trigger fires (early), or at
-// stream end. Count windows (WINDOW n TWEETS) batch every n input rows
-// instead — the §2 alternative whose staleness E3's ablation measures.
-func AggregateStage(ev *Evaluator, cfg AggregateConfig, stats *Stats) Stage {
+// aggregateStage is the emit loop both aggregate stages share: the rows
+// of each input batch that pass conjuncts (none on the row-batch path)
+// fold, in stream order, into one aggState, and what it emits leaves
+// through an aggOut. Count windows (WINDOW n TWEETS) filter first and
+// hand the survivors to the count-window operator, whose batching is
+// the window itself.
+func aggregateStage(ev *Evaluator, conjuncts []lang.Expr, cfg AggregateConfig, inSchema *value.Schema, unit string, stats *Stats) BatchStage {
 	if cfg.Window != nil && cfg.Window.Count > 0 {
-		return countWindowStage(ev, cfg, stats)
+		count := countWindowStage(ev, cfg, stats)
+		if len(conjuncts) == 0 {
+			return count
+		}
+		filter := ColFilterStage(ev, conjuncts, inSchema, stats)
+		return func(ctx context.Context, in <-chan Batch) <-chan Batch {
+			return count(ctx, filter(ctx, in))
+		}
 	}
-	sp := stats.StageProf("aggregate", aggLabel(cfg), "row")
-	return func(ctx context.Context, in <-chan value.Tuple) <-chan value.Tuple {
-		out := make(chan value.Tuple, 64)
+	sp := stats.StageProf("aggregate", aggLabel(cfg), unit)
+	return func(ctx context.Context, in <-chan Batch) <-chan Batch {
+		out := make(chan Batch, 4)
 		go func() {
 			defer close(out)
+			f := newColFilter(ev, conjuncts, inSchema, stats)
 			st := newAggState(ev, cfg, stats)
-			emitted := 0
-			emit := func(row value.Tuple) bool {
-				select {
-				case out <- row:
-					emitted++
-					return true
-				case <-ctx.Done():
-					return false
-				}
-			}
-			for t := range in {
+			o := &aggOut{ctx: ctx, out: out}
+			for b := range in {
 				if ctx.Err() != nil {
 					return
 				}
-				span := sp.EnterSampled()
-				emitted = 0
-				ok := st.observe(ctx, t, emit)
-				span.Exit(1, emitted)
-				if !ok {
+				sel, kept := f.apply(ctx, b, inSchema)
+				span := sp.Enter()
+				o.n = 0
+				for w, word := range sel {
+					for word != 0 {
+						i := bits.TrailingZeros64(word)
+						word &^= 1 << uint(i)
+						if !st.observe(ctx, b[w*64+i], o.emit) {
+							return
+						}
+					}
+				}
+				span.Exit(kept, o.n)
+				if !o.send() {
 					return
 				}
 			}
-			st.flush(emit)
+			if st.flush(o.emit) {
+				o.send()
+			}
 		}()
 		return out
+	}
+}
+
+// aggOut gathers an aggregate stage's output rows into batches, cut
+// wherever the event time changes and after every input batch. A batch
+// thus holds the rows of one window close (or one early emission), so
+// Terminal's per-batch minimum event time is each row's own window end:
+// a batch closing two windows would report the later window's rows as
+// up to one window staler than they are.
+type aggOut struct {
+	ctx  context.Context
+	out  chan<- Batch
+	rows Batch
+	n    int // rows emitted, for the stage's profile
+}
+
+// emit adds one output row, first sending the pending batch when the
+// row's event time differs from it. It returns false once the query
+// has ended.
+func (o *aggOut) emit(row value.Tuple) bool {
+	if len(o.rows) > 0 && !o.rows[0].TS.Equal(row.TS) && !o.send() {
+		return false
+	}
+	o.rows = append(o.rows, row)
+	o.n++
+	return true
+}
+
+// send hands the pending batch downstream, if there is one.
+func (o *aggOut) send() bool {
+	if len(o.rows) == 0 {
+		return true
+	}
+	select {
+	case o.out <- o.rows:
+		o.rows = nil
+		return true
+	case <-o.ctx.Done():
+		return false
 	}
 }
 
@@ -629,16 +610,30 @@ func JoinSchema(left, right *value.Schema, cfg JoinConfig) *value.Schema {
 
 // JoinStage consumes both inputs and emits combined tuples whose keys
 // are equal and whose event times are within the window — a symmetric
-// hash join with time-based eviction.
-func JoinStage(ev *Evaluator, left, right <-chan value.Tuple, leftSchema, rightSchema *value.Schema, cfg JoinConfig, stats *Stats) <-chan value.Tuple {
+// hash join with time-based eviction. It joins each input batch row by
+// row, in order, and emits that batch's matches as one output batch
+// (none when it matched nothing). Eviction runs once per input batch:
+// a buffered row outside the window never matches anyway, and a pass
+// over the other side's buffer per row would cost that buffer's size
+// for every row.
+//
+// Output order is set at batch granularity. Output batches follow the
+// order the join receives its input batches, which interleaves the two
+// sides as they arrive, not deterministically. Within an output batch,
+// rows follow their input rows' order, and one row's matches follow the
+// other side's buffer (arrival order per key). When each side arrives
+// in event-time order, the output multiset does not depend on the
+// interleaving: of two rows within the window, whichever is joined
+// second finds the other still buffered.
+func JoinStage(ctx context.Context, ev *Evaluator, left, right <-chan Batch, leftSchema, rightSchema *value.Schema, cfg JoinConfig, stats *Stats) <-chan Batch {
 	outSchema := cfg.OutSchema
 	if outSchema == nil {
 		outSchema = JoinSchema(leftSchema, rightSchema, cfg)
 	}
 	leftKeyFn := ev.Bind(cfg.LeftKey, leftSchema)
 	rightKeyFn := ev.Bind(cfg.RightKey, rightSchema)
-	sp := stats.StageProf("join", cfg.LeftBinding+"⋈"+cfg.RightBinding, "row")
-	out := make(chan value.Tuple, 64)
+	sp := stats.StageProf("join", cfg.LeftBinding+"⋈"+cfg.RightBinding, "batch")
+	out := make(chan Batch, 4)
 
 	type buffered struct {
 		key value.Value
@@ -646,7 +641,6 @@ func JoinStage(ev *Evaluator, left, right <-chan value.Tuple, leftSchema, rightS
 	}
 	go func() {
 		defer close(out)
-		ctx := context.Background()
 		leftBuf := make(map[string][]buffered)
 		rightBuf := make(map[string][]buffered)
 		var leftWM, rightWM time.Time
@@ -677,123 +671,74 @@ func JoinStage(ev *Evaluator, left, right <-chan value.Tuple, leftSchema, rightS
 			}
 			return value.NewTuple(outSchema, vals, ts)
 		}
-		process := func(t value.Tuple, keyFn CompiledExpr, own, other map[string][]buffered, isLeft bool) int {
+		process := func(t value.Tuple, keyFn CompiledExpr, own, other map[string][]buffered, isLeft bool, rows Batch) Batch {
 			kv, err := keyFn(ctx, t)
 			if err != nil {
 				stats.NoteError(err)
-				return 0
+				return rows
 			}
 			if kv.IsNull() {
-				return 0 // NULL keys never join
+				return rows // NULL keys never join
 			}
-			emitted := 0
 			k := kv.Kind().String() + ":" + kv.String()
 			own[k] = append(own[k], buffered{key: kv, t: t})
 			for _, m := range other[k] {
 				if d := t.TS.Sub(m.t.TS); d < 0 && -d > cfg.Window || d > cfg.Window {
 					continue
 				}
-				var row value.Tuple
 				if isLeft {
-					row = combine(t, m.t)
+					rows = append(rows, combine(t, m.t))
 				} else {
-					row = combine(m.t, t)
+					rows = append(rows, combine(m.t, t))
 				}
-				out <- row
-				emitted++
 			}
-			return emitted
+			return rows
+		}
+		// join folds one input batch into its side, evicts what its
+		// watermark moved out of the other side's window, and sends its
+		// matches; false means the query ended.
+		join := func(b Batch, keyFn CompiledExpr, own, other map[string][]buffered, wm *time.Time, isLeft bool) bool {
+			stats.RowsIn.Add(int64(len(b)))
+			span := sp.Enter()
+			var rows Batch
+			for _, t := range b {
+				if t.TS.After(*wm) {
+					*wm = t.TS
+				}
+				rows = process(t, keyFn, own, other, isLeft, rows)
+			}
+			evict(other, *wm)
+			span.Exit(len(b), len(rows))
+			if len(rows) == 0 {
+				return true
+			}
+			select {
+			case out <- rows:
+				return true
+			case <-ctx.Done():
+				return false
+			}
 		}
 
 		l, r := left, right
 		for l != nil || r != nil {
 			select {
-			case t, ok := <-l:
+			case b, ok := <-l:
 				if !ok {
 					l = nil
-					continue
+				} else if !join(b, leftKeyFn, leftBuf, rightBuf, &leftWM, true) {
+					return
 				}
-				stats.RowsIn.Add(1)
-				if t.TS.After(leftWM) {
-					leftWM = t.TS
-				}
-				span := sp.EnterSampled()
-				span.Exit(1, process(t, leftKeyFn, leftBuf, rightBuf, true))
-				evict(rightBuf, leftWM)
-			case t, ok := <-r:
+			case b, ok := <-r:
 				if !ok {
 					r = nil
-					continue
+				} else if !join(b, rightKeyFn, rightBuf, leftBuf, &rightWM, false) {
+					return
 				}
-				stats.RowsIn.Add(1)
-				if t.TS.After(rightWM) {
-					rightWM = t.TS
-				}
-				span := sp.EnterSampled()
-				span.Exit(1, process(t, rightKeyFn, rightBuf, leftBuf, false))
-				evict(leftBuf, rightWM)
 			}
 		}
 	}()
 	return out
-}
-
-// PrefixSchema renames every column of s to "<binding>.<name>", used to
-// expose join inputs under their aliases.
-func PrefixSchema(s *value.Schema, binding string) *value.Schema {
-	fields := s.Fields()
-	for i := range fields {
-		fields[i].Name = binding + "." + fields[i].Name
-	}
-	return value.NewSchema(fields...)
-}
-
-// CountStage ticks RowsIn for every tuple passing through, placed right
-// after the source. Its obs stage is the pipeline's "scan" operator:
-// the sampled latency is the time spent waiting on the source for the
-// next tuple, so a scan-dominated profile reads as ingest-bound.
-func CountStage(stats *Stats) Stage {
-	sp := stats.StageProf("scan", "source", "row")
-	return func(ctx context.Context, in <-chan value.Tuple) <-chan value.Tuple {
-		out := make(chan value.Tuple, 64)
-		go func() {
-			defer close(out)
-			for {
-				span := sp.EnterSampled()
-				t, ok := <-in
-				if !ok {
-					return
-				}
-				span.Exit(1, 1)
-				stats.RowsIn.Add(1)
-				select {
-				case out <- t:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-		return out
-	}
-}
-
-// RenameSchema gives a tuple stream a new schema with identical arity
-// (used to expose window metadata columns under user aliases, etc.).
-func RenameSchema(newSchema *value.Schema) Stage {
-	return func(ctx context.Context, in <-chan value.Tuple) <-chan value.Tuple {
-		out := make(chan value.Tuple, 64)
-		go func() {
-			defer close(out)
-			for t := range in {
-				select {
-				case out <- value.NewTuple(newSchema, t.Values, t.TS):
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-		return out
-	}
 }
 
 // NormalizeAggName upper-cases aggregate names for display.

@@ -62,7 +62,7 @@ func NewProfile(id string, opts ProfileOptions) *Profile {
 // Stage registers (or returns the existing) stage with the given kind
 // and name. Registration order is pipeline order, which is how EXPLAIN
 // ANALYZE renders the operator tree. Unit documents what one latency
-// observation covers: "batch", "row", or "call". Nil-safe: a nil
+// observation covers: "batch", "vec" (a columnar batch), or "call". Nil-safe: a nil
 // profile returns a nil stage, whose methods are all free no-ops.
 func (p *Profile) Stage(kind, name, unit string) *Stage {
 	if p == nil {
@@ -104,7 +104,7 @@ func (p *Profile) Tracer() *Tracer {
 type Stage struct {
 	Kind string // operator family: scan, filter, project, aggregate, ...
 	Name string // instance label (stage detail, UDF name, sink name)
-	Unit string // what one latency observation covers: batch, row, call
+	Unit string // what one latency observation covers: batch, vec, call
 
 	prof    *Profile
 	lat     *Histogram
@@ -113,16 +113,11 @@ type Stage struct {
 	rowsOut atomic.Int64
 }
 
-// sampleEveryRow is the per-row timing decimation used by
-// tuple-at-a-time stages: rows are counted exactly, but only one call
-// in sampleEveryRow pays the two clock reads for a latency sample.
-const sampleEveryRow = 64
-
 // Span is an in-flight stage observation handed out by Enter.
 type Span struct {
 	stage *Stage
 	seq   uint64
-	start int64 // unix nanos; 0 = untimed sample
+	start int64 // unix nanos
 }
 
 // Enter opens a timed observation: use at batch or call granularity,
@@ -134,26 +129,9 @@ func (s *Stage) Enter() Span {
 	return Span{stage: s, seq: s.seq.Add(1), start: time.Now().UnixNano()}
 }
 
-// EnterSampled opens an observation that is only timed (and only
-// trace-eligible) once every sampleEveryRow calls — the per-row
-// variant for tuple-at-a-time stages, where unconditional clock reads
-// would tax the path being measured. Rows are still counted exactly on
-// every Exit. Nil-safe.
-func (s *Stage) EnterSampled() Span {
-	if s == nil {
-		return Span{}
-	}
-	seq := s.seq.Add(1)
-	sp := Span{stage: s, seq: seq}
-	if seq%sampleEveryRow == 0 {
-		sp.start = time.Now().UnixNano()
-	}
-	return sp
-}
-
-// Exit closes the observation: rows in/out always count; the latency
-// sample and the trace event record only when the span was timed.
-// Safe on the zero Span.
+// Exit closes the observation: it counts rows in/out and records the
+// latency sample and, when sampled, the trace event. Safe on the zero
+// Span.
 func (sp Span) Exit(rowsIn, rowsOut int) {
 	s := sp.stage
 	if s == nil {
@@ -164,9 +142,6 @@ func (sp Span) Exit(rowsIn, rowsOut int) {
 	}
 	if rowsOut != 0 {
 		s.rowsOut.Add(int64(rowsOut))
-	}
-	if sp.start == 0 {
-		return
 	}
 	end := time.Now().UnixNano()
 	d := time.Duration(end - sp.start)

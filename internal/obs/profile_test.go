@@ -107,27 +107,6 @@ func TestObserveLagFakeClock(t *testing.T) {
 	}
 }
 
-// TestEnterSampledCountsExactly: per-row decimation may skip clock
-// reads but must never skip row accounting.
-func TestEnterSampledCountsExactly(t *testing.T) {
-	p := NewProfile("q", ProfileOptions{})
-	st := p.Stage("filter", "x", "row")
-	const rows = 1000
-	for i := 0; i < rows; i++ {
-		st.EnterSampled().Exit(1, i%2)
-	}
-	snap := p.Snapshot().Stages[0]
-	if snap.RowsIn != rows || snap.RowsOut != rows/2 {
-		t.Fatalf("rows in/out = %d/%d, want %d/%d", snap.RowsIn, snap.RowsOut, rows, rows/2)
-	}
-	if snap.Observations != rows {
-		t.Fatalf("Observations = %d, want %d", snap.Observations, rows)
-	}
-	if want := int64(rows / sampleEveryRow); snap.Latency.Count != want {
-		t.Fatalf("timed samples = %d, want %d (1 in %d)", snap.Latency.Count, want, sampleEveryRow)
-	}
-}
-
 // TestNilSafety: the disabled state is a nil pointer at every level;
 // none of it may allocate work or panic.
 func TestNilSafety(t *testing.T) {
@@ -137,7 +116,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil profile returned non-nil stage")
 	}
 	st.Enter().Exit(1, 1)
-	st.EnterSampled().Exit(1, 1)
 	p.ObserveLag(time.Now(), 1)
 	if p.Tracer() != nil {
 		t.Fatal("nil profile returned non-nil tracer")

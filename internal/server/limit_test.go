@@ -31,7 +31,7 @@ func TestLimitThroughNDJSON(t *testing.T) {
 	}{
 		{"columnar", `SELECT id, text FROM twitter`, 64, 150},
 		{"row_batch", `SELECT running_n(text) AS n, id FROM twitter`, 64, 150},
-		{"tuple", `SELECT id, text FROM twitter`, 1, 150},
+		{"one_row_batches", `SELECT id, text FROM twitter`, 1, 150},
 		{"aggregate", `SELECT COUNT(*) AS n FROM twitter WINDOW 1 MINUTE`, 64, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
