@@ -387,10 +387,11 @@ func BenchmarkExprCompileAblation(b *testing.B) {
 
 // BenchmarkColumnarAblation is the scoreboard for the vectorized
 // filter path: the same conjunct over the same 4096-row batches of
-// real tweet rows, through the row-at-a-time BatchFilterStage and the
-// columnar ColFilterStage (transpose + fused kernel + gather). Both
-// arms run single-worker so the ratio isolates vectorization. The
-// fast-pathed shapes (str_eq, int_cmp, arith_cmp) must hold >= 2x.
+// real tweet rows, through a row-at-a-time loop over the compiled
+// conjunct closures and through the columnar ColFilterStage (transpose
+// + fused kernel + gather). Both arms are one single-worker stage
+// goroutine, so the ratio isolates vectorization. The fast-pathed
+// shapes (str_eq, int_cmp, arith_cmp) must hold >= 2x.
 func BenchmarkColumnarAblation(b *testing.B) {
 	tweets := firehose.Tweets(soccerStream()[:8192])
 	rows := make([]value.Tuple, len(tweets))
@@ -438,9 +439,8 @@ func BenchmarkColumnarAblation(b *testing.B) {
 			ev := exec.NewEvaluator(catalog.New())
 			ev.EnableCompile(true)
 			ev.PrepareRegexes(stmt.Where)
-			run(b, func() exec.BatchStage {
-				return exec.BatchFilterStage(ev, conjuncts, catalog.TweetSchema, nil, false, 1, 1, &exec.Stats{})
-			})
+			fns := ev.BindAll(conjuncts, catalog.TweetSchema)
+			run(b, func() exec.BatchStage { return rowFilterStage(fns) })
 		})
 		b.Run(sh.name+"/col", func(b *testing.B) {
 			ev := exec.NewEvaluator(catalog.New())
@@ -450,6 +450,32 @@ func BenchmarkColumnarAblation(b *testing.B) {
 				return exec.ColFilterStage(ev, conjuncts, catalog.TweetSchema, &exec.Stats{})
 			})
 		})
+	}
+}
+
+// rowFilterStage is BenchmarkColumnarAblation's row arm: each row runs
+// the bound conjuncts in order until one fails, and survivors compact
+// in place, as the columnar arm's do.
+func rowFilterStage(fns []exec.CompiledExpr) exec.BatchStage {
+	return func(ctx context.Context, in <-chan exec.Batch) <-chan exec.Batch {
+		out := make(chan exec.Batch, 4)
+		go func() {
+			defer close(out)
+			for b := range in {
+				kept := b[:0]
+			rows:
+				for _, t := range b {
+					for _, fn := range fns {
+						if v, err := fn(ctx, t); err != nil || v.IsNull() || !v.Truthy() {
+							continue rows
+						}
+					}
+					kept = append(kept, t)
+				}
+				out <- kept
+			}
+		}()
+		return out
 	}
 }
 

@@ -39,7 +39,7 @@ func main() {
 	explain := flag.Bool("explain", false, "explain instead of execute")
 	maxRows := flag.Int("max-rows", 50, "stop printing after this many rows (0 = unlimited)")
 	batchSize := flag.Int("batch-size", 0, "tuples per pipeline batch (0 = engine default, 1 = one-row batches, each row delivered as soon as it is out)")
-	batchWorkers := flag.Int("batch-workers", 0, "worker-pool width for batch filter/projection stages (0 = engine default)")
+	batchWorkers := flag.Int("batch-workers", 0, "worker-pool width for source conversion and projection (0 = engine default)")
 	dataDir := flag.String("data-dir", "", "root directory for persistent tables; INTO TABLE targets survive restarts and are queryable in FROM (empty = in-memory)")
 	segmentMaxBytes := flag.Int64("segment-max-bytes", 0, "seal a persistent table segment at this data-file size (0 = 64MiB default)")
 	fsyncPolicy := flag.String("fsync", "seal", "persistent table fsync policy: none, seal, or flush")

@@ -1,14 +1,20 @@
 // Differential testing for the engine's production mechanisms: every
-// examples/ query and the representative engine shapes run end-to-end
-// with a mechanism on (compiled expressions, columnar stages) and
-// ablated back to the path it replaced (the AST interpreter, row-batch
-// stages), and must produce identical rows in identical order —
-// including NULL propagation, per-row error drops, and the
-// eddy-adaptive filter ordering under a fixed seed.
+// examples/ query and the representative engine shapes run end-to-end,
+// compiled and interpreted, at 256-row and one-row batches, and must
+// produce identical rows in identical order — including NULL
+// propagation and per-row error drops — both to each other and to the
+// rows the deleted row-batch pipeline returned, which
+// testdata/diff_rows_seed42.sha256 keeps as one hash per query.
 package core_test
 
 import (
+	"bufio"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +24,7 @@ import (
 	"tweeql/internal/firehose"
 	"tweeql/internal/geocode"
 	"tweeql/internal/twitterapi"
+	"tweeql/internal/value"
 )
 
 // soccerStream memoizes the Figure 1 soccer-match workload the
@@ -29,8 +36,9 @@ var soccerStream = sync.OnceValue(func() []*firehose.LabeledTweet {
 // diffQueries pairs a name with the SQL it replays. The examples/
 // programs' queries (quickstart, obama volume, obama cells) appear
 // with their keyword adapted to the replayed soccer scenario so every
-// predicate actually selects rows; the rest are the E10 shapes plus
-// expression-heavy coverage.
+// predicate actually selects rows; the rest are the E10 shapes,
+// expression-heavy coverage, and a residual conjunct ahead of a join,
+// of an async select list, and of nothing but a stateful UDF.
 var diffQueries = []struct {
 	name string
 	sql  string
@@ -69,12 +77,15 @@ var diffQueries = []struct {
 	{"groupby_window", `SELECT COUNT(*) AS n FROM twitter GROUP BY has_geo WINDOW 5 MINUTES`},
 	{"count_window", `SELECT COUNT(*) AS n, MIN(followers) AS lo FROM twitter GROUP BY retweet WINDOW 500 TWEETS`},
 	{"whole_stream_agg", `SELECT AVG(followers) AS af, STDDEV(followers) AS sf FROM twitter WHERE NOT retweet`},
+	{"join_residual", `SELECT a.text, b.followers FROM twitter AS a JOIN twitter AS b ON a.id = b.id WHERE a.followers > 100 WINDOW 1 MINUTE`},
+	{"async_residual", `SELECT latitude(loc) AS lat, text FROM twitter WHERE followers > 100 AND text CONTAINS 'goal'`},
+	{"stateful_conjunct", `SELECT text, followers FROM twitter WHERE running_n(text) % 3 = 0`},
 }
 
-// runForDiff replays the soccer prefix through one query under opts,
-// with abl's mechanisms ablated, and returns the rendered result rows
-// in emission order.
-func runForDiff(t *testing.T, sql string, opts core.Options, abl core.Ablation) []string {
+// diffEngine builds an engine over a hub-fed twitter source with the
+// standard UDFs and running_n, a stateful UDF counting its calls, for
+// replaying the soccer prefix all through diffQueries.
+func diffEngine(t *testing.T, opts core.Options, abl core.Ablation) (*core.Engine, func()) {
 	t.Helper()
 	all := firehose.Tweets(soccerStream()[:4000])
 	hub := twitterapi.NewHub()
@@ -84,13 +95,30 @@ func runForDiff(t *testing.T, sql string, opts core.Options, abl core.Ablation) 
 	if err := core.RegisterStandardUDFs(cat, core.Deps{Geocoder: geocode.NewCachedClient(svc, 10_000, 0)}); err != nil {
 		t.Fatal(err)
 	}
+	if err := cat.RegisterStateful("running_n", func() catalog.ScalarFn {
+		n := int64(0)
+		return func(context.Context, []value.Value) (value.Value, error) {
+			n++
+			return value.Int(n), nil
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
 	opts.SourceBuffer = len(all) + 16
-	eng := core.NewAblatedEngine(cat, opts, abl)
+	return core.NewAblatedEngine(cat, opts, abl), func() { twitterapi.Replay(hub, all) }
+}
+
+// runForDiff replays the soccer prefix through one query under opts,
+// with abl's mechanisms ablated, and returns the rendered result rows
+// in emission order.
+func runForDiff(t *testing.T, sql string, opts core.Options, abl core.Ablation) []string {
+	t.Helper()
+	eng, replay := diffEngine(t, opts, abl)
 	cur, err := eng.Query(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	twitterapi.Replay(hub, all)
+	replay()
 	var rows []string
 	for r := range cur.Rows() {
 		rows = append(rows, r.String())
@@ -98,61 +126,72 @@ func runForDiff(t *testing.T, sql string, opts core.Options, abl core.Ablation) 
 	return rows
 }
 
-// TestColumnarMatchesRow is the columnar differential test: the
-// vectorized fused pipeline (production) vs the row-batch pipeline
-// over identical replays. Rows must be
-// byte-identical in identical order — the columnar filter gathers
-// surviving tuples from the original batch, so equality is by
-// construction, and this test is the tripwire for that construction.
-func TestColumnarMatchesRow(t *testing.T) {
+// diffManifest reads testdata/diff_rows_seed42.sha256: per diffQueries
+// entry, the sha256 of its rows (each rendered with String, joined by
+// newlines) as the row-batch pipeline returned them at Seed 42 and
+// 256-row batches, recorded before that pipeline was deleted.
+func diffManifest(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open("testdata/diff_rows_seed42.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		sum, name, ok := strings.Cut(sc.Text(), "  ")
+		if !ok {
+			t.Fatalf("bad manifest line %q", sc.Text())
+		}
+		want[name] = sum
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(diffQueries) {
+		t.Fatalf("manifest has %d entries for %d queries", len(want), len(diffQueries))
+	}
+	return want
+}
+
+// matchManifest runs every diffQueries entry under abl at 256-row and
+// one-row batches and checks its rows against the manifest.
+func matchManifest(t *testing.T, abl core.Ablation) {
+	want := diffManifest(t)
 	for _, q := range diffQueries {
 		t.Run(q.name, func(t *testing.T) {
-			opts := core.DefaultOptions()
-			opts.Seed = 42
-
-			want := runForDiff(t, q.sql, opts, core.Ablation{RowBatches: true})
-			got := runForDiff(t, q.sql, opts, core.Ablation{})
-
-			if len(want) != len(got) {
-				t.Fatalf("row count: row=%d columnar=%d", len(want), len(got))
-			}
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("row %d:\n row      %s\n columnar %s", i, want[i], got[i])
-				}
-			}
-			if len(want) == 0 {
-				t.Fatal("differential query produced no rows; test is vacuous")
+			for _, size := range []int{256, 1} {
+				t.Run(fmt.Sprintf("batch_%d", size), func(t *testing.T) {
+					opts := core.DefaultOptions()
+					opts.BatchSize = size
+					opts.Seed = 42
+					rows := runForDiff(t, q.sql, opts, abl)
+					if len(rows) == 0 {
+						t.Fatal("differential query produced no rows; test is vacuous")
+					}
+					sum := sha256.Sum256([]byte(strings.Join(rows, "\n")))
+					if got := hex.EncodeToString(sum[:]); got != want[q.name] {
+						t.Fatalf("%d rows hash to %s, the row-batch pipeline's to %s", len(rows), got, want[q.name])
+					}
+				})
 			}
 		})
 	}
 }
 
-// TestColumnarInterpretedMatchesRow closes the oracle square: columnar
-// with compilation off (every vector lane evaluated by the AST
-// interpreter closure) against the interpreted row pipeline.
+// TestColumnarMatchesRow: production (compiled, columnar) returns the
+// row-batch pipeline's rows, byte for byte, in its order.
+func TestColumnarMatchesRow(t *testing.T) {
+	matchManifest(t, core.Ablation{})
+}
+
+// TestColumnarInterpretedMatchesRow closes the oracle square: with
+// compilation off (every vector lane evaluated by the AST interpreter
+// closure) the columnar stages still return the row-batch pipeline's
+// rows.
 func TestColumnarInterpretedMatchesRow(t *testing.T) {
-	for _, q := range diffQueries {
-		t.Run(q.name, func(t *testing.T) {
-			opts := core.DefaultOptions()
-			opts.Seed = 42
-
-			want := runForDiff(t, q.sql, opts, core.Ablation{Interpret: true, RowBatches: true})
-			got := runForDiff(t, q.sql, opts, core.Ablation{Interpret: true})
-
-			if len(want) != len(got) {
-				t.Fatalf("row count: row=%d columnar=%d", len(want), len(got))
-			}
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("row %d:\n row      %s\n columnar %s", i, want[i], got[i])
-				}
-			}
-			if len(want) == 0 {
-				t.Fatal("differential query produced no rows; test is vacuous")
-			}
-		})
-	}
+	matchManifest(t, core.Ablation{Interpret: true})
 }
 
 // TestCompiledEngineMatchesInterpreted is the engine-level differential

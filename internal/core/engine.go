@@ -3,8 +3,9 @@
 // conjuncts, streaming-API pushdown candidates scored by sampled
 // selectivity (§2 "Uncertain Selectivities"), event-time range, and the
 // canonical scan signature — then assembles the operator pipeline
-// (adaptive filters, async projection for high-latency UDFs,
-// confidence-triggered windowed aggregation) over either a private
+// (fused columnar filter+project or filter+aggregate stages, async
+// projection for high-latency UDFs, confidence-triggered windowed
+// aggregation, windowed joins) over either a private
 // source scan or a ref-counted shared scan serving every query with
 // the same signature, and exposes results as a cursor or routes them
 // INTO derived streams and tables.
@@ -39,7 +40,8 @@ type Options struct {
 	// SampleSize bounds the tweets used to estimate candidate filter
 	// selectivities at plan time.
 	SampleSize int
-	// Seed makes eddy lotteries reproducible.
+	// Seed seeds trace sampling (see TraceSampleEvery); query results
+	// do not depend on it.
 	Seed int64
 	// SourceBuffer is the per-connection buffer requested from sources.
 	SourceBuffer int
@@ -52,11 +54,10 @@ type Options struct {
 	// long even if not full. 0 means partial batches flush only at end
 	// of stream.
 	BatchFlushEvery time.Duration
-	// BatchWorkers shards each batch across a worker pool in the filter
-	// and projection stages, for CPU-bound predicates and UDFs. 0 or 1
-	// keeps those stages single-threaded. Stages evaluating stateful
-	// UDFs always run single-threaded regardless (running state needs
-	// stream order).
+	// BatchWorkers shards a batching source's conversion and the
+	// projection stage's select list (CPU-bound UDFs) across a worker
+	// pool. 0 or 1 keeps both single-threaded. A stage whose
+	// expressions call a stateful UDF never shards: it runs row-major.
 	BatchWorkers int
 	// ScanMaxRestarts supervises shared scans: when the physical source
 	// fails mid-stream, the scan reopens it with backoff instead of
@@ -172,15 +173,12 @@ type ablation struct {
 	// Interpret evaluates expressions with the tree-walking AST
 	// interpreter instead of closures compiled at query start.
 	Interpret bool
-	// RowBatches runs batched pipelines on the row-batch stages instead
-	// of the vectorized columnar ones, and writes v1 row segments.
-	RowBatches bool
+	// RowSegments makes persistent tables seal v1 row segments instead
+	// of v2 column blocks.
+	RowSegments bool
 	// PrivateScans opens one source subscription per query instead of
 	// sharing a scan between queries with equal scan signatures.
 	PrivateScans bool
-	// StaticFilters evaluates row-path conjuncts in query order instead
-	// of routing them through the eddy.
-	StaticFilters bool
 }
 
 // Engine executes TweeQL queries against a catalog.
@@ -208,7 +206,7 @@ func newEngine(cat *catalog.Catalog, opts Options, abl ablation) *Engine {
 	if opts.BatchWorkers < 1 {
 		opts.BatchWorkers = 1
 	}
-	cat.SetTableFactory(tableFactory(opts, !abl.RowBatches))
+	cat.SetTableFactory(tableFactory(opts, !abl.RowSegments))
 	if opts.SysStreams {
 		cat.EnableSysStreams()
 	}

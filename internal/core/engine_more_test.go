@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"slices"
 	"testing"
 	"time"
 
@@ -149,43 +148,6 @@ func TestAsyncDisabledStillCorrect(t *testing.T) {
 		if sync[i] != async[i] {
 			t.Fatalf("row %d differs:\n sync  %s\n async %s", i, sync[i], async[i])
 		}
-	}
-}
-
-// TestAdaptiveFiltersDisabled pins the eddy against the static
-// conjunct order it replaced, on the row-batch path — the columnar path
-// never consults the eddy. The filter keeps the same rows either way.
-func TestAdaptiveFiltersDisabled(t *testing.T) {
-	run := func(abl Ablation) []string {
-		tweets := firehose.Tweets(firehose.New(firehose.Config{Seed: 13, Duration: 2 * time.Minute, BaseRate: 20}).Generate())
-		hub := twitterapi.NewHub()
-		cat := catalog.New()
-		cat.RegisterSource("twitter", catalog.NewTwitterSource(hub, tweets[:500]))
-		opts := DefaultOptions()
-		opts.SourceBuffer = len(tweets) + 16
-		eng := NewAblatedEngine(cat, opts, abl)
-		cur, err := eng.Query(context.Background(),
-			"SELECT text FROM twitter WHERE followers > 5 AND NOT retweet AND text MATCHES 'ba+nd'")
-		if err != nil {
-			t.Fatal(err)
-		}
-		twitterapi.Replay(hub, tweets)
-		var rows []string
-		for r := range cur.Rows() {
-			rows = append(rows, r.String())
-		}
-		if err := cur.Stats().Err(); err != nil {
-			t.Fatal(err)
-		}
-		return rows
-	}
-	adaptive := run(Ablation{RowBatches: true})
-	static := run(Ablation{RowBatches: true, StaticFilters: true})
-	if len(adaptive) == 0 {
-		t.Fatal("query kept no rows; test is vacuous")
-	}
-	if !slices.Equal(adaptive, static) {
-		t.Fatalf("adaptive and static filters disagree: %d vs %d rows", len(adaptive), len(static))
 	}
 }
 

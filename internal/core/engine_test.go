@@ -387,21 +387,14 @@ func TestExplain(t *testing.T) {
 
 // TestExplainPipeline pins EXPLAIN's pipeline= line to the shape
 // openSingle/openJoin actually build, not to engine defaults: an async
-// UDF projection and a stateful UDF both leave the columnar path.
+// UDF projection leaves the columnar path, a stateful UDF stays on it
+// (its stage runs row-major).
 func TestExplainPipeline(t *testing.T) {
 	eng, _ := testEngine(t, firehose.Config{Seed: 1, Duration: time.Minute, BaseRate: 5})
-	if err := eng.cat.RegisterStateful("running_n", func() catalog.ScalarFn {
-		n := int64(0)
-		return func(context.Context, []value.Value) (value.Value, error) {
-			n++
-			return value.Int(n), nil
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	registerRunningN(t, eng)
 	for sql, want := range map[string]string{
 		`SELECT text FROM twitter WHERE followers > 10`:                                    "pipeline=columnar\n",
-		`SELECT running_n(text) AS n FROM twitter`:                                         "pipeline=row-batch (stateful UDF)\n",
+		`SELECT running_n(text) AS n FROM twitter`:                                         "pipeline=columnar\n",
 		`SELECT latitude(loc) FROM twitter`:                                                "pipeline=async\n",
 		`SELECT a.text FROM twitter AS a JOIN twitter AS b ON a.id = b.id WINDOW 1 MINUTE`: "pipeline=join\n",
 	} {

@@ -214,16 +214,16 @@ func (e *Engine) openChunked(ctx context.Context, src catalog.Source, req catalo
 
 // openSingle builds the pipeline for a query and sets the cursor's
 // output: the scan (or, for a join, the joined stream of two scans),
-// the residual filter, and the aggregation or projection, whose batches
-// exec.Terminal hands to the consumer in its own goroutine. The stage
-// shapes are the ones pipeline names. into is the INTO TABLE target, nil
-// for any other destination.
+// then one fused stage that filters the residual conjuncts and
+// aggregates or projects, whose batches exec.Terminal hands to the
+// consumer in its own goroutine. An async plan filters first and
+// projects on the async worker pool. into is the INTO TABLE target,
+// nil for any other destination.
 func (e *Engine) openSingle(ctx context.Context, cancel context.CancelFunc, ev *exec.Evaluator, stmt *lang.SelectStmt, p *plan.Query, stats *exec.Stats, cur *Cursor, into *catalog.Table) error {
 	var (
 		batches   <-chan exec.Batch
 		inSchema  *value.Schema
 		residual  []lang.Expr
-		costs     []float64
 		tableScan bool
 	)
 	if p.Join != nil {
@@ -231,7 +231,7 @@ func (e *Engine) openSingle(ctx context.Context, cancel context.CancelFunc, ev *
 		if batches, inSchema, err = e.openJoin(ctx, ev, stmt, p, stats, cur); err != nil {
 			return err
 		}
-		residual, costs = p.Conjuncts, p.Costs
+		residual = p.Conjuncts
 	} else {
 		src, err := e.cat.Source(stmt.From.Name)
 		if err != nil {
@@ -251,103 +251,61 @@ func (e *Engine) openSingle(ctx context.Context, cancel context.CancelFunc, ev *
 			inSchema = cur.info.Schema
 		}
 		// Residual filter: every conjunct except the one the scan pushed.
-		residual, costs = p.Residual(pushedKey)
+		residual = p.Residual(pushedKey)
 		_, tableScan = src.(*catalog.Table)
 	}
 	cur.batches, cur.limit, cur.cut = batches, stmt.Limit, cancel
 
-	columnar := e.pipeline(p) == pipeColumnar
-	if len(residual) > 0 && !columnar {
-		cur.batches = exec.BatchFilterStage(ev, residual, inSchema, costs, !e.abl.StaticFilters, e.opts.Seed, e.stageWorkers(residual...), stats)(ctx, cur.batches)
-	}
-
 	if p.IsAggregate {
 		agg := p.Agg
 		agg.InSchema = inSchema
-		if columnar {
-			cur.batches = exec.ColFilterAggStage(ev, residual, agg, inSchema, stats)(ctx, cur.batches)
-		} else {
-			cur.batches = exec.BatchAggregateStage(ev, agg, stats)(ctx, cur.batches)
-		}
+		cur.batches = exec.ColFilterAggStage(ev, residual, agg, inSchema, stats)(ctx, cur.batches)
 		cur.schema = exec.AggSchema(agg)
 		return nil
 	}
 
 	cur.schema = exec.ProjectSchema(p.Proj, inSchema)
-	projExprs := make([]lang.Expr, 0, len(p.Proj))
-	for _, pi := range p.Proj {
-		if pi.Expr != nil {
-			projExprs = append(projExprs, pi.Expr)
-		}
-	}
-	switch {
-	case p.Async:
+	if p.Async {
 		// High-latency UDFs run on the asynchronous worker pool: latency
 		// hiding, not channel amortization, is the win there.
-		cur.batches = exec.AsyncProjectStage(ev, p.Proj, inSchema, e.opts.AsyncWorkers, e.opts.AsyncCallTimeout, stats)(ctx, cur.batches)
-	case columnar:
-		// A shared row pins the cells of every row scanned beside it, so
-		// cells are shared only where nobody keeps the rows: a table scan
-		// read through the cursor (the scan ends and its reader moves
-		// on), and an INTO TABLE whose backend copies every cell before
-		// AppendBatch returns (the persistent store; see
-		// catalog.TableBackend). The in-memory ring keeps the rows it is
-		// given, a derived stream's subscribers buffer them, and a live
-		// stream read through the cursor can park them in the consumer
-		// for as long as it likes.
-		var intoStore bool
-		if into != nil {
-			_, intoStore = into.Backend().(*store.Table)
+		if len(residual) > 0 {
+			cur.batches = exec.ColFilterStage(ev, residual, inSchema, stats)(ctx, cur.batches)
 		}
-		share := intoStore || tableScan && !cur.Routed()
-		cur.batches = exec.ColFilterProjectStage(ev, residual, p.Proj, inSchema, e.stageWorkers(projExprs...), share, stats)(ctx, cur.batches)
-	default:
-		cur.batches = exec.BatchProjectStage(ev, p.Proj, inSchema, e.stageWorkers(projExprs...), stats)(ctx, cur.batches)
+		cur.batches = exec.AsyncProjectStage(ev, p.Proj, inSchema, e.opts.AsyncWorkers, e.opts.AsyncCallTimeout, stats)(ctx, cur.batches)
+		return nil
 	}
+	// A shared row pins the cells of every row scanned beside it, so
+	// cells are shared only where nobody keeps the rows: a table scan
+	// read through the cursor (the scan ends and its reader moves on),
+	// and an INTO TABLE whose backend copies every cell before
+	// AppendBatch returns (the persistent store; see
+	// catalog.TableBackend). The in-memory ring keeps the rows it is
+	// given, a derived stream's subscribers buffer them, and a live
+	// stream read through the cursor can park them in the consumer for
+	// as long as it likes.
+	var intoStore bool
+	if into != nil {
+		_, intoStore = into.Backend().(*store.Table)
+	}
+	share := intoStore || tableScan && !cur.Routed()
+	cur.batches = exec.ColFilterProjectStage(ev, residual, p.Proj, inSchema, e.opts.BatchWorkers, share, stats)(ctx, cur.batches)
 	return nil
 }
 
-// pipeColumnar is the production pipeline shape: the vectorized
-// path fusing filter+project / filter+aggregate over column vectors.
-const pipeColumnar = "columnar"
-
 // pipeline names the operator pipeline a plan runs on — "columnar",
-// "row-batch (…)", "async" or "join" — at any batch size. openSingle
-// builds the shape it names and EXPLAIN prints it, so the two cannot
-// disagree. The columnar path leaves high-latency UDFs to the async
-// worker pool, and steps aside when a stage expression calls a
-// stateful UDF: its fused stages evaluate conjunct-at-a-time over
-// selections, which would reorder the UDF's observation stream. The
-// conjunct a scan may push is a plain CONTAINS, box or user-id test
-// and never calls a UDF, so every conjunct is checked, pushed or not.
+// "async" or "join" — at any batch size. openSingle builds the shape it
+// names and EXPLAIN prints it, so the two cannot disagree. Every shape
+// ends in the columnar stages except an async plan's select list, which
+// runs on the async worker pool; a plan calling a stateful UDF runs its
+// columnar stage row-major (see internal/exec/colstage.go).
 func (e *Engine) pipeline(p *plan.Query) string {
 	switch {
 	case p.Join != nil:
 		return "join"
 	case p.Async:
 		return "async"
-	case e.abl.RowBatches:
-		return "row-batch"
 	}
-	exprs := append([]lang.Expr(nil), p.Conjuncts...)
-	if p.IsAggregate {
-		exprs = append(exprs, p.Agg.GroupExprs...)
-		for _, a := range p.Agg.Aggs {
-			if a.Arg != nil {
-				exprs = append(exprs, a.Arg)
-			}
-		}
-	} else {
-		for _, pi := range p.Proj {
-			if pi.Expr != nil {
-				exprs = append(exprs, pi.Expr)
-			}
-		}
-	}
-	if exec.HasStateful(e.cat, exprs...) {
-		return "row-batch (stateful UDF)"
-	}
-	return pipeColumnar
+	return "columnar"
 }
 
 // planExprs collects every expression the plan can evaluate, for the
@@ -370,16 +328,6 @@ func planExprs(stmt *lang.SelectStmt, p *plan.Query) []lang.Expr {
 		exprs = append(exprs, stmt.Join.On)
 	}
 	return exprs
-}
-
-// stageWorkers decides the worker-pool width for one batch stage:
-// Options.BatchWorkers, unless the stage's expressions call a stateful
-// UDF (whose running state requires stream-ordered evaluation).
-func (e *Engine) stageWorkers(exprs ...lang.Expr) int {
-	if e.opts.BatchWorkers > 1 && exec.HasStateful(e.cat, exprs...) {
-		return 1
-	}
-	return e.opts.BatchWorkers
 }
 
 // openJoin opens both sides of FROM a JOIN b ON ... WINDOW w and

@@ -90,15 +90,15 @@ const persistScenarioMid = "2011-06-12 14:00:00"
 // TestPersistentTableDifferential is the acceptance gate for the
 // store: the same stream logged INTO TABLE through the persistent
 // backend (with a restart in between) and through the in-memory
-// backend must answer a time-predicated SELECT identically — with
-// columnar execution and v2 segments on (the default) and off.
+// backend must answer a time-predicated SELECT identically — with v2
+// column segments (the default) and with v1 row segments.
 func TestPersistentTableDifferential(t *testing.T) {
 	for _, columnar := range []bool{true, false} {
 		name := "columnar"
 		if !columnar {
 			name = "row"
 		}
-		abl := Ablation{RowBatches: !columnar}
+		abl := Ablation{RowSegments: !columnar}
 		t.Run(name, func(t *testing.T) {
 			cfg := firehose.Config{Seed: 21, Duration: 4 * time.Hour, BaseRate: 8}
 			logSQL := `SELECT text, username, followers, created_at FROM twitter INTO TABLE logged`

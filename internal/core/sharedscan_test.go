@@ -8,14 +8,13 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"tweeql/internal/catalog"
 	"tweeql/internal/core"
 	"tweeql/internal/firehose"
-	"tweeql/internal/geocode"
 	"tweeql/internal/twitterapi"
 )
 
@@ -26,23 +25,20 @@ import (
 // both execution modes.
 func runAllForDiff(t *testing.T, shared bool) map[string][]string {
 	t.Helper()
-	all := firehose.Tweets(soccerStream()[:4000])
-	hub := twitterapi.NewHub()
-	cat := catalog.New()
-	cat.RegisterSource("twitter", catalog.NewTwitterSource(hub, all[:1000]))
-	svc := geocode.NewService(geocode.ServiceConfig{Sleep: func(d time.Duration) {}})
-	if err := core.RegisterStandardUDFs(cat, core.Deps{Geocoder: geocode.NewCachedClient(svc, 10_000, 0)}); err != nil {
-		t.Fatal(err)
-	}
 	opts := core.DefaultOptions()
 	opts.Seed = 42
-	opts.SourceBuffer = len(all) + 16
-	eng := core.NewAblatedEngine(cat, opts, core.Ablation{PrivateScans: !shared})
+	eng, replay := diffEngine(t, opts, core.Ablation{PrivateScans: !shared})
 
 	results := make(map[string][]string, len(diffQueries))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
+	// A join opens a private scan for each side: it attaches to no
+	// shared scan.
+	attached := 0
 	for _, q := range diffQueries {
+		if !strings.Contains(q.sql, " JOIN ") {
+			attached++
+		}
 		cur, err := eng.Query(context.Background(), q.sql)
 		if err != nil {
 			t.Fatal(err)
@@ -68,15 +64,15 @@ func runAllForDiff(t *testing.T, shared bool) map[string][]string {
 		for _, sc := range scans {
 			total += sc.Queries
 		}
-		if total != len(diffQueries) {
-			t.Fatalf("scans carry %d queries, want %d", total, len(diffQueries))
+		if total != attached {
+			t.Fatalf("scans carry %d queries, want %d", total, attached)
 		}
 		if len(scans) >= len(diffQueries) {
 			t.Fatalf("%d scans for %d queries: nothing coalesced", len(scans), len(diffQueries))
 		}
 	}
 
-	twitterapi.Replay(hub, all)
+	replay()
 	wg.Wait()
 	return results
 }

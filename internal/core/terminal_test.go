@@ -24,7 +24,7 @@ type terminalShape struct {
 
 var terminalShapes = []terminalShape{
 	{"columnar", `SELECT * FROM twitter WHERE followers > 10`, 64, "columnar"},
-	{"row_batch", `SELECT running_n(text) AS n, text FROM twitter`, 64, "row-batch (stateful UDF)"},
+	{"stateful", `SELECT running_n(text) AS n, text FROM twitter`, 64, "columnar"},
 	{"one_row_batches", `SELECT text, followers FROM twitter WHERE followers > 10`, 1, "columnar"},
 	{"aggregate", `SELECT COUNT(*) AS n FROM twitter GROUP BY has_geo WINDOW 1 MINUTE`, 64, "columnar"},
 	{"sliding", `SELECT COUNT(*) AS n FROM twitter GROUP BY has_geo WINDOW 2 MINUTES EVERY 1 MINUTE`, 64, "columnar"},
@@ -50,15 +50,7 @@ func terminalEngine(t *testing.T, batchSize int, persistent bool) (*Engine, func
 			o.SegmentMaxBytes = 64 << 10
 		}
 	})
-	if err := eng.cat.RegisterStateful("running_n", func() catalog.ScalarFn {
-		n := int64(0)
-		return func(context.Context, []value.Value) (value.Value, error) {
-			n++
-			return value.Int(n), nil
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	registerRunningN(t, eng)
 	return eng, replay
 }
 

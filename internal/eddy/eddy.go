@@ -9,6 +9,10 @@
 // the effective order. Ticket counts decay, so when stream selectivities
 // drift mid-stream (a keyword goes viral, a region wakes up) the order
 // adapts within a few hundred tuples.
+//
+// The package is an experiment fixture: experiment E9 and
+// BenchmarkE9EddyAdaptation measure it against a static order. Queries
+// do not use it; their filters evaluate conjuncts in query order.
 package eddy
 
 import (
@@ -123,23 +127,6 @@ func (e *Eddy[T]) Process(t T) bool {
 		}
 	}
 	return true
-}
-
-// ProcessBatch routes every tuple of a batch through the filters,
-// writing each tuple's survival into keep (which must be at least
-// len(batch) long) and returning the number kept. Routing, rewards,
-// and decay are identical to calling Process in a loop — the batch
-// form exists so batched operators move one call (not one per tuple)
-// across the operator boundary.
-func (e *Eddy[T]) ProcessBatch(batch []T, keep []bool) int {
-	n := 0
-	for i, t := range batch {
-		keep[i] = e.Process(t)
-		if keep[i] {
-			n++
-		}
-	}
-	return n
 }
 
 // lottery picks an un-applied filter with probability proportional to

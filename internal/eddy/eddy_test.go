@@ -141,40 +141,3 @@ func TestSingleFilter(t *testing.T) {
 		t.Error("single-filter eddy wrong")
 	}
 }
-
-func TestProcessBatchMatchesProcess(t *testing.T) {
-	mk := func() []Filter[int] {
-		return []Filter[int]{
-			{Name: "A", Pred: func(x int) bool { return x%2 == 0 }, Cost: 1},
-			{Name: "B", Pred: func(x int) bool { return x%3 != 0 }, Cost: 1},
-			{Name: "C", Pred: func(x int) bool { return x < 900 }, Cost: 2},
-		}
-	}
-	one := New(mk(), WithSeed[int](7))
-	batch := New(mk(), WithSeed[int](7))
-	items := make([]int, 1000)
-	for i := range items {
-		items[i] = i
-	}
-	want := make([]bool, len(items))
-	for i, x := range items {
-		want[i] = one.Process(x)
-	}
-	keep := make([]bool, len(items))
-	kept := batch.ProcessBatch(items, keep)
-	n := 0
-	for i := range items {
-		if keep[i] != want[i] {
-			t.Fatalf("item %d: batch %v != single %v", i, keep[i], want[i])
-		}
-		if want[i] {
-			n++
-		}
-	}
-	if kept != n {
-		t.Errorf("kept = %d, want %d", kept, n)
-	}
-	if one.Evaluations() != batch.Evaluations() {
-		t.Errorf("evaluations: single %d, batch %d", one.Evaluations(), batch.Evaluations())
-	}
-}

@@ -177,11 +177,10 @@ func TestBatchCountStage(t *testing.T) {
 	}
 }
 
-// batchVsTupleFilter runs the same conjuncts through the row-at-a-time
-// oracle and BatchFilterStage and asserts identical surviving rows in
-// order.
-func batchVsTupleFilter(t *testing.T, adaptive bool, workers int) {
-	t.Helper()
+// TestBatchFilterMatchesTupleFilter runs the same conjuncts through the
+// row-at-a-time oracle and ColFilterStage, fed in batches and in
+// one-row batches, and asserts identical surviving rows in order.
+func TestBatchFilterMatchesTupleFilter(t *testing.T) {
 	rows := make([]value.Tuple, 0, 100)
 	for i := 0; i < 100; i++ {
 		txt := "background noise"
@@ -191,40 +190,25 @@ func batchVsTupleFilter(t *testing.T, adaptive bool, workers int) {
 		rows = append(rows, row(txt, int64(i), value.Null(), value.Null(), time.Unix(int64(i), 0)))
 	}
 	conjuncts := []lang.Expr{whereExpr(t, "text CONTAINS 'goal'"), whereExpr(t, "n < 80")}
-	costs := []float64{1, 1}
 	ev := NewEvaluator(catalog.New())
-
 	oracle := newRowOracle(ev)
 	want := oracle.filter(conjuncts, testSchema(), rows)
-
-	batchStats := &Stats{}
-	got := collect(BatchFilterStage(ev, conjuncts, testSchema(), costs, adaptive, 1, workers, batchStats)(context.Background(), feedBatches(rows[:33], rows[33:66], rows[66:])))
-
-	if len(got) != len(want) {
-		t.Fatalf("batch filter rows = %d, oracle rows = %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].String() != want[i].String() {
-			t.Fatalf("row %d: batch %s != oracle %s", i, got[i], want[i])
-		}
-	}
-	if batchStats.Dropped.Load() != oracle.stats.Dropped.Load() {
-		t.Errorf("dropped: batch %d, oracle %d", batchStats.Dropped.Load(), oracle.stats.Dropped.Load())
-	}
-}
-
-func TestBatchFilterMatchesTupleFilter(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		adaptive bool
-		workers  int
-	}{
-		{"static_seq", false, 1},
-		{"static_parallel", false, 4},
-		{"adaptive_seq", true, 1},
-		{"adaptive_parallel", true, 4},
-	} {
-		t.Run(tc.name, func(t *testing.T) { batchVsTupleFilter(t, tc.adaptive, tc.workers) })
+	for name, size := range map[string]int{"batches": 33, "one_row_batches": 1} {
+		t.Run(name, func(t *testing.T) {
+			stats := &Stats{}
+			got := collect(ColFilterStage(ev, conjuncts, testSchema(), stats)(context.Background(), chunk(size, rows)))
+			if len(got) != len(want) {
+				t.Fatalf("filter rows = %d, oracle rows = %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i].String() != want[i].String() {
+					t.Fatalf("row %d: stage %s != oracle %s", i, got[i], want[i])
+				}
+			}
+			if stats.Dropped.Load() != oracle.stats.Dropped.Load() {
+				t.Errorf("dropped: stage %d, oracle %d", stats.Dropped.Load(), oracle.stats.Dropped.Load())
+			}
+		})
 	}
 }
 
@@ -237,7 +221,7 @@ func TestBatchProjectMatchesTupleProject(t *testing.T) {
 	ev := NewEvaluator(catalog.New())
 	want := newRowOracle(ev).project(items, testSchema(), rows)
 	for _, workers := range []int{1, 4} {
-		got := collect(BatchProjectStage(ev, items, testSchema(), workers, &Stats{})(context.Background(), feedBatches(rows[:20], rows[20:])))
+		got := collect(ColFilterProjectStage(ev, nil, items, testSchema(), workers, false, &Stats{})(context.Background(), feedBatches(rows[:20], rows[20:])))
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: rows %d != %d", workers, len(got), len(want))
 		}
@@ -262,7 +246,7 @@ func TestProjectWildcardSchemaDrift(t *testing.T) {
 
 	t.Run("tuple", func(t *testing.T) {
 		stats := &Stats{}
-		got := collect(BatchProjectStage(ev, items, empty, 1, stats)(context.Background(), feedRows(rows...)))
+		got := collect(ColFilterProjectStage(ev, nil, items, empty, 1, false, stats)(context.Background(), feedRows(rows...)))
 		if len(got) != 0 {
 			t.Fatalf("drifted rows delivered: %d", len(got))
 		}
@@ -273,7 +257,7 @@ func TestProjectWildcardSchemaDrift(t *testing.T) {
 	t.Run("batch", func(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			stats := &Stats{}
-			out := BatchProjectStage(ev, items, empty, workers, stats)(context.Background(), feedBatches(rows[:5], rows[5:]))
+			out := ColFilterProjectStage(ev, nil, items, empty, workers, false, stats)(context.Background(), feedBatches(rows[:5], rows[5:]))
 			if got := collect(out); len(got) != 0 {
 				t.Fatalf("workers=%d: drifted rows delivered: %d", workers, len(got))
 			}
@@ -380,7 +364,7 @@ func TestBatchAggregateMatchesTupleAggregate(t *testing.T) {
 	}
 	ev := NewEvaluator(catalog.New())
 	want := newRowOracle(ev).aggregate(cfg, rows)
-	got := collect(BatchAggregateStage(ev, cfg, &Stats{})(context.Background(), feedBatches(rows[:100], rows[100:250], rows[250:])))
+	got := collect(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{})(context.Background(), feedBatches(rows[:100], rows[100:250], rows[250:])))
 	if len(got) != len(want) {
 		t.Fatalf("agg rows: batch %d != oracle %d", len(got), len(want))
 	}
@@ -402,7 +386,7 @@ func TestBatchAggregateCountWindow(t *testing.T) {
 		Window: &lang.WindowSpec{Count: 4},
 	}
 	ev := NewEvaluator(catalog.New())
-	got := collect(BatchAggregateStage(ev, cfg, &Stats{})(context.Background(), feedBatches(rows[:7], rows[7:])))
+	got := collect(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{})(context.Background(), feedBatches(rows[:7], rows[7:])))
 	// 10 rows in count-4 windows: 4, 4, final partial 2.
 	if len(got) != 3 {
 		t.Fatalf("count windows = %d", len(got))
@@ -423,8 +407,8 @@ func batchSizes(bs []Batch) []int {
 }
 
 // TestAggregateBatchPerWindowClose: an input batch spanning three
-// one-minute windows leaves both windowed aggregate stages as one
-// output batch per window close, each holding rows of a single event
+// one-minute windows leaves the aggregate stage as one output batch per
+// window close, each holding rows of a single event
 // time, so Terminal's per-batch minimum is every row's own window end.
 // A sliding window, which closes several windows per slide, and a
 // count window cut the same way.
@@ -446,19 +430,14 @@ func TestAggregateBatchPerWindowClose(t *testing.T) {
 		win := tc.win
 		cfg := aggCfg(t, "n", "COUNT(*)", &win, nil)
 		cfg.InSchema = testSchema()
-		for name, stage := range map[string]BatchStage{
-			"batch":    BatchAggregateStage(ev, cfg, &Stats{}),
-			"columnar": ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{}),
-		} {
-			got := collectBatches(stage(context.Background(), chunk(len(rows), rows)))
-			if len(got) != tc.batches {
-				t.Errorf("%s/%s: %d output batches %v, want %d", tc.name, name, len(got), batchSizes(got), tc.batches)
-			}
-			for i, b := range got {
-				for _, r := range b {
-					if !r.TS.Equal(b[0].TS) {
-						t.Errorf("%s/%s: batch %d mixes event times %v and %v", tc.name, name, i, b[0].TS, r.TS)
-					}
+		got := collectBatches(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{})(context.Background(), chunk(len(rows), rows)))
+		if len(got) != tc.batches {
+			t.Errorf("%s: %d output batches %v, want %d", tc.name, len(got), batchSizes(got), tc.batches)
+		}
+		for i, b := range got {
+			for _, r := range b {
+				if !r.TS.Equal(b[0].TS) {
+					t.Errorf("%s: batch %d mixes event times %v and %v", tc.name, i, b[0].TS, r.TS)
 				}
 			}
 		}

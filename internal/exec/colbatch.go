@@ -1,11 +1,11 @@
-// Columnar batch representation for the vectorized execution path (PR
-// 10). A ColBatch wraps a row Batch and materializes per-column typed
-// vectors on demand: the original tuples stay the source of truth —
-// survivors of a vectorized filter are gathered straight from them, so
-// the columnar pipeline emits byte-identical rows to the row pipeline
-// by construction — and the vectors exist only so the hot kernels in
-// vector.go can stream over []int64/[]float64/[]string instead of
-// switching on the kind of every 40-byte value.Value cell.
+// Columnar batch representation for the vectorized pipeline stages. A
+// ColBatch wraps a row Batch and materializes per-column typed vectors
+// on demand: the original tuples stay the source of truth — survivors
+// of a vectorized filter are gathered straight from them, so a stage
+// passes on exactly the tuples it kept, untouched — and the vectors
+// exist only so the hot kernels in vector.go can stream over
+// []int64/[]float64/[]string instead of switching on the kind of every
+// 40-byte value.Value cell.
 package exec
 
 import (
@@ -82,22 +82,6 @@ func (cb *ColBatch) col(ia *identAccess) *ColVec {
 	vec.materialize(ia, cb.rows)
 	cb.cols = append(cb.cols, colEntry{ia: ia, gen: cb.gen, vec: vec})
 	return vec
-}
-
-// Gather compacts the selected rows to the front of the wrapped batch
-// (the batch is the stage's to mutate once received, exactly as in
-// BatchFilterStage's in-place path) and returns the survivor prefix in
-// stream order.
-func (cb *ColBatch) Gather(sel []uint64) Batch {
-	kept := cb.rows[:0]
-	for w, word := range sel {
-		for word != 0 {
-			i := bits.TrailingZeros64(word)
-			word &^= 1 << uint(i)
-			kept = append(kept, cb.rows[w*64+i])
-		}
-	}
-	return kept
 }
 
 // ColVec is one column flattened into typed lanes. kinds is always
@@ -277,6 +261,19 @@ func newSel(dst []uint64, n int) []uint64 {
 	}
 	if r := n & 63; r != 0 && words > 0 {
 		dst[words-1] = 1<<uint(r) - 1
+	}
+	return dst
+}
+
+// appendSel appends the index of every selected lane to dst, in lane
+// order.
+func appendSel(dst []int, sel []uint64) []int {
+	for w, word := range sel {
+		for word != 0 {
+			i := bits.TrailingZeros64(word)
+			word &^= 1 << uint(i)
+			dst = append(dst, w*64+i)
+		}
 	}
 	return dst
 }

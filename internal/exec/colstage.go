@@ -1,24 +1,25 @@
-// Columnar pipeline stages (PR 10): the vectorized counterparts of
-// BatchFilterStage / BatchProjectStage / BatchAggregateStage. The
-// filter produces a selection bitmap over a ColBatch; projection and
-// aggregation consume the selection directly — surviving rows feed the
-// select list or the window fold straight from the original batch, so
-// no intermediate survivor batch is ever materialized between stages.
+// The pipeline's filter, projection and aggregation stages, over column
+// vectors. The filter produces a selection bitmap over a ColBatch;
+// projection and aggregation consume the selection directly — surviving
+// rows feed the select list or the window fold straight from the
+// original batch, so no intermediate survivor batch is ever
+// materialized between stages.
 //
-// Counter and profiling semantics mirror the row stages: Dropped ticks
-// once per batch with the filtered-away count, projection errors drop
-// the row with NoteError, and each logical operator registers its own
-// obs stage (unit "vec") so EXPLAIN ANALYZE profiles keep their shape.
-// RowsOut and output lag belong to the pipeline's terminal stage.
-// Conjuncts run in query order over ever-sparser selections; the eddy's
-// adaptive reordering does not apply on this path (keep/drop for a
-// stateless conjunction is order-independent, so results are
-// identical).
+// Dropped ticks with each filtered part's filtered-away count,
+// projection errors drop the row with NoteError, and each logical
+// operator registers its own obs stage (unit "vec"). RowsOut and output
+// lag belong to the pipeline's terminal stage. Conjuncts run in query
+// order over ever-sparser selections; nothing reorders them.
+//
+// A stage whose expressions call a stateful UDF runs row-major: it takes
+// each batch one row at a time, and each row runs the conjuncts in query
+// order and then the select list or fold before the next row starts. The
+// UDF thus sees the rows in stream order, each row's WHERE calls before
+// its SELECT calls, at any batch size.
 package exec
 
 import (
 	"context"
-	"math/bits"
 	"strconv"
 	"sync"
 
@@ -35,14 +36,29 @@ type colFilter struct {
 	stats *Stats
 	cb    ColBatch
 	sel   []uint64
+	// rowMajor is set when the conjuncts or the stage's other
+	// expressions call a stateful UDF (see stride).
+	rowMajor bool
 }
 
-func newColFilter(ev *Evaluator, conjuncts []lang.Expr, inSchema *value.Schema, stats *Stats) *colFilter {
-	f := &colFilter{preds: buildVecPreds(ev, conjuncts, inSchema, stats), stats: stats}
+// newColFilter builds the filter for a stage whose other expressions
+// (select list, group keys, aggregate arguments) are stageExprs.
+func newColFilter(ev *Evaluator, conjuncts []lang.Expr, inSchema *value.Schema, stats *Stats, stageExprs []lang.Expr) *colFilter {
+	f := &colFilter{preds: buildVecPreds(ev, conjuncts, inSchema, stats), stats: stats,
+		rowMajor: hasStateful(ev.cat, conjuncts...) || hasStateful(ev.cat, stageExprs...)}
 	if len(conjuncts) > 0 {
 		f.sp = stats.StageProf("filter", filterLabel(len(conjuncts)), "vec")
 	}
 	return f
+}
+
+// stride is how many rows of an n-row batch the stage filters before it
+// projects or folds them: all n, or one at a time when row-major.
+func (f *colFilter) stride(n int) int {
+	if f.rowMajor {
+		return 1
+	}
+	return n
 }
 
 // apply filters one batch, returning the selection bitmap (valid until
@@ -63,26 +79,35 @@ func (f *colFilter) apply(ctx context.Context, b Batch, inSchema *value.Schema) 
 	return f.sel, kept
 }
 
-// ColFilterStage is the standalone vectorized filter: survivors gather
-// in place (the batch is the stage's once received) and flow on as a
-// row batch. The fused stages below are preferred in pipelines; this
-// form serves filter-only plans and the row-vs-columnar benchmark.
+// ColFilterStage is the standalone vectorized filter: survivors compact
+// in place (the batch is the stage's once received, and no survivor
+// lands after its own slot) and flow on as a row batch. It serves plans
+// whose select list runs on AsyncProjectStage.
 func ColFilterStage(ev *Evaluator, conjuncts []lang.Expr, inSchema *value.Schema, stats *Stats) BatchStage {
 	return func(ctx context.Context, in <-chan Batch) <-chan Batch {
 		out := make(chan Batch, 4)
 		go func() {
 			defer close(out)
-			f := newColFilter(ev, conjuncts, inSchema, stats)
+			f := newColFilter(ev, conjuncts, inSchema, stats, nil)
+			var idxs []int
 			for b := range in {
 				if ctx.Err() != nil {
 					return
 				}
-				sel, kept := f.apply(ctx, b, inSchema)
-				if kept == 0 {
+				kept := b[:0]
+				for lo, step := 0, f.stride(len(b)); lo < len(b); lo += step {
+					part := b[lo : lo+step]
+					sel, _ := f.apply(ctx, part, inSchema)
+					idxs = appendSel(idxs[:0], sel)
+					for _, r := range idxs {
+						kept = append(kept, part[r])
+					}
+				}
+				if len(kept) == 0 {
 					continue
 				}
 				select {
-				case out <- f.cb.Gather(sel):
+				case out <- kept:
 				case <-ctx.Done():
 					return
 				}
@@ -96,8 +121,8 @@ func ColFilterStage(ev *Evaluator, conjuncts []lang.Expr, inSchema *value.Schema
 // selected lanes evaluate the select list straight out of the original
 // batch into one arena per batch. workers > 1 shards the selected lanes
 // contiguously across a pool (projection may call scalar UDFs — the
-// CPU-bound case worker sharding exists for); output order is stream
-// order either way.
+// CPU-bound case worker sharding exists for), except on a row-major
+// stage; output order is stream order either way.
 //
 // shareCells is for callers whose output rows are read, not kept (a
 // table scan read through the cursor): a select list that is a
@@ -109,8 +134,11 @@ func ColFilterStage(ev *Evaluator, conjuncts []lang.Expr, inSchema *value.Schema
 func ColFilterProjectStage(ev *Evaluator, conjuncts []lang.Expr, items []ProjItem, inSchema *value.Schema, workers int, shareCells bool, stats *Stats) BatchStage {
 	outSchema := ProjectSchema(items, inSchema)
 	fns := bindItems(ev, items, inSchema)
-	if workers < 1 {
-		workers = 1
+	var itemExprs []lang.Expr
+	for _, it := range items {
+		if !it.Wildcard {
+			itemExprs = append(itemExprs, it.Expr)
+		}
 	}
 	runLo, runOK := columnRun(items, inSchema)
 	share := shareCells && runOK
@@ -120,94 +148,85 @@ func ColFilterProjectStage(ev *Evaluator, conjuncts []lang.Expr, items []ProjIte
 		out := make(chan Batch, 4)
 		go func() {
 			defer close(out)
-			f := newColFilter(ev, conjuncts, inSchema, stats)
+			f := newColFilter(ev, conjuncts, inSchema, stats, itemExprs)
+			ws := max(workers, 1)
+			if f.rowMajor {
+				ws = 1
+			}
+			// project appends t's projected row to rows and its cells to
+			// arena; a row that fails to evaluate drops with its error
+			// noted.
+			project := func(rows Batch, arena []value.Value, t value.Tuple) (Batch, []value.Value) {
+				arena, row, err := projectRowAppend(ctx, items, fns, outSchema, t, arena)
+				if err != nil {
+					stats.NoteError(err)
+					return rows, arena
+				}
+				return append(rows, row), arena
+			}
 			var idxs []int
-			scratch := make([]Batch, workers)
+			scratch := make([]Batch, ws)
 			for b := range in {
 				if ctx.Err() != nil {
 					return
 				}
-				sel, kept := f.apply(ctx, b, inSchema)
-				if kept == 0 {
-					continue
-				}
-				idxs = idxs[:0]
-				for w, word := range sel {
-					for word != 0 {
-						i := bits.TrailingZeros64(word)
-						word &^= 1 << uint(i)
-						idxs = append(idxs, w*64+i)
-					}
-				}
-				span := sp.Enter()
 				var rows Batch
+				var arena []value.Value
 				if share {
-					// Output row k reads input row idxs[k] >= k before
+					// Output row k reads input row >= k before
 					// overwriting slot k, so the batch serves as both.
 					rows = b[:0]
-					var arena []value.Value
-					for _, r := range idxs {
-						t := b[r]
-						if t.Schema == inSchema && len(t.Values) >= runHi {
-							rows = append(rows, value.Tuple{Schema: outSchema, Values: t.Values[runLo:runHi:runHi], TS: t.TS})
-							continue
-						}
-						// A row of another schema resolves by name.
-						var row value.Tuple
-						var err error
-						arena, row, err = projectRowAppend(ctx, items, fns, outSchema, t, arena)
-						if err != nil {
-							stats.NoteError(err)
-							continue
-						}
-						rows = append(rows, row)
-					}
-				} else if workers == 1 || len(idxs) < 2*workers {
-					arena := make([]value.Value, 0, len(idxs)*outSchema.Len())
-					rows = make(Batch, 0, len(idxs))
-					for _, r := range idxs {
-						var row value.Tuple
-						var err error
-						arena, row, err = projectRowAppend(ctx, items, fns, outSchema, b[r], arena)
-						if err != nil {
-							stats.NoteError(err)
-							continue
-						}
-						rows = append(rows, row)
-					}
-				} else {
-					n := len(idxs)
-					ws := workers
-					if ws > n {
-						ws = n
-					}
-					var wg sync.WaitGroup
-					for w := 0; w < ws; w++ {
-						lo, hi := w*n/ws, (w+1)*n/ws
-						scratch[w] = scratch[w][:0]
-						wg.Add(1)
-						go func(w int, part []int) {
-							defer wg.Done()
-							arena := make([]value.Value, 0, len(part)*outSchema.Len())
-							for _, r := range part {
-								var row value.Tuple
-								var err error
-								arena, row, err = projectRowAppend(ctx, items, fns, outSchema, b[r], arena)
-								if err != nil {
-									stats.NoteError(err)
-									continue
-								}
-								scratch[w] = append(scratch[w], row)
-							}
-						}(w, idxs[lo:hi])
-					}
-					wg.Wait()
-					rows = make(Batch, 0, len(idxs))
-					for w := 0; w < ws; w++ {
-						rows = append(rows, scratch[w]...)
-					}
 				}
-				span.Exit(len(idxs), len(rows))
+				for lo, step := 0, f.stride(len(b)); lo < len(b); lo += step {
+					part := b[lo : lo+step]
+					sel, kept := f.apply(ctx, part, inSchema)
+					if kept == 0 {
+						continue
+					}
+					idxs = appendSel(idxs[:0], sel)
+					span := sp.Enter()
+					before := len(rows)
+					switch n := len(idxs); {
+					case share:
+						for _, r := range idxs {
+							t := part[r]
+							if t.Schema == inSchema && len(t.Values) >= runHi {
+								rows = append(rows, value.Tuple{Schema: outSchema, Values: t.Values[runLo:runHi:runHi], TS: t.TS})
+								continue
+							}
+							// A row of another schema resolves by name.
+							rows, arena = project(rows, arena, t)
+						}
+					case ws == 1 || n < 2*ws:
+						if rows == nil {
+							rows = make(Batch, 0, n)
+							arena = make([]value.Value, 0, n*outSchema.Len())
+						}
+						for _, r := range idxs {
+							rows, arena = project(rows, arena, part[r])
+						}
+					default:
+						shards := min(ws, n)
+						var wg sync.WaitGroup
+						for w := 0; w < shards; w++ {
+							wg.Add(1)
+							go func(w int, sh []int) {
+								defer wg.Done()
+								arena := make([]value.Value, 0, len(sh)*outSchema.Len())
+								scratch[w] = scratch[w][:0]
+								for _, r := range sh {
+									scratch[w], arena = project(scratch[w], arena, part[r])
+								}
+							}(w, idxs[w*n/shards:(w+1)*n/shards])
+						}
+						wg.Wait()
+						rows = make(Batch, 0, n)
+						for w := 0; w < shards; w++ {
+							rows = append(rows, scratch[w]...)
+						}
+					}
+					span.Exit(len(idxs), len(rows)-before)
+				}
 				if len(rows) == 0 {
 					continue
 				}
@@ -246,10 +265,57 @@ func columnRun(items []ProjItem, in *value.Schema) (lo int, ok bool) {
 	return lo, len(items) > 0
 }
 
-// ColFilterAggStage fuses the vectorized filter with aggregation:
-// selected lanes fold into the same aggState as the row-batch path, in
-// stream order, so windowing, early emission, and flush-at-end are
-// identical (see aggregateStage).
+// ColFilterAggStage fuses the vectorized filter with aggregation: the
+// rows of each input batch that pass conjuncts fold, in stream order,
+// into one folder — the time-window aggState, or the count-window
+// countState for WINDOW n TWEETS — and what it emits leaves through an
+// aggOut. Windows close when event time passes their end, early when
+// the confidence trigger fires, every n rows for a count window, and at
+// stream end.
 func ColFilterAggStage(ev *Evaluator, conjuncts []lang.Expr, cfg AggregateConfig, inSchema *value.Schema, stats *Stats) BatchStage {
-	return aggregateStage(ev, conjuncts, cfg, inSchema, "vec", stats)
+	stageExprs := append([]lang.Expr(nil), cfg.GroupExprs...)
+	for _, a := range cfg.Aggs {
+		if a.Arg != nil {
+			stageExprs = append(stageExprs, a.Arg)
+		}
+	}
+	sp := stats.StageProf("aggregate", aggLabel(cfg), "vec")
+	return func(ctx context.Context, in <-chan Batch) <-chan Batch {
+		out := make(chan Batch, 4)
+		go func() {
+			defer close(out)
+			f := newColFilter(ev, conjuncts, inSchema, stats, stageExprs)
+			st := newFolder(ev, cfg, stats)
+			o := &aggOut{ctx: ctx, out: out}
+			// One method value for the whole stream: passed through the
+			// folder interface it escapes, once instead of once a row.
+			emit := o.emit
+			var idxs []int
+			for b := range in {
+				if ctx.Err() != nil {
+					return
+				}
+				for lo, step := 0, f.stride(len(b)); lo < len(b); lo += step {
+					part := b[lo : lo+step]
+					sel, kept := f.apply(ctx, part, inSchema)
+					span := sp.Enter()
+					o.n = 0
+					idxs = appendSel(idxs[:0], sel)
+					for _, r := range idxs {
+						if !st.observe(ctx, part[r], emit) {
+							return
+						}
+					}
+					span.Exit(kept, o.n)
+				}
+				if !o.send() {
+					return
+				}
+			}
+			if st.flush(emit) {
+				o.send()
+			}
+		}()
+		return out
+	}
 }

@@ -220,9 +220,9 @@ func TestCompiledFilterAllocFree(t *testing.T) {
 }
 
 // TestCompiledStagesMatchInterpretedStages runs the same rows through
-// compiled and interpreted BatchFilterStage/BatchProjectStage/
-// BatchAggregateStage — including the eddy-adaptive filter order under
-// a fixed seed — and requires identical outputs in identical order.
+// compiled and interpreted ColFilterStage/ColFilterProjectStage/
+// ColFilterAggStage — native vector kernels against interpreted lanes —
+// and requires identical outputs in identical order.
 func TestCompiledStagesMatchInterpretedStages(t *testing.T) {
 	rows := make([]value.Tuple, 0, 200)
 	base := time.Date(2011, 6, 12, 15, 0, 0, 0, time.UTC)
@@ -240,14 +240,13 @@ func TestCompiledStagesMatchInterpretedStages(t *testing.T) {
 		whereExpr(t, "n < 8"),
 		whereExpr(t, "lat >= 0"),
 	}
-	costs := []float64{1, 1, 1}
 
 	run := func(compile bool) ([]string, []string, []string) {
 		ev := NewEvaluator(catalog.New())
 		ev.EnableCompile(compile)
 		var filtered, projected, aggregated []string
 		stats := &Stats{}
-		for _, r := range collect(BatchFilterStage(ev, conjuncts, testSchema(), costs, true, 42, 1, stats)(context.Background(), chunk(90, rows))) {
+		for _, r := range collect(ColFilterStage(ev, conjuncts, testSchema(), stats)(context.Background(), chunk(90, rows))) {
 			filtered = append(filtered, r.String())
 		}
 		items := []ProjItem{
@@ -255,7 +254,7 @@ func TestCompiledStagesMatchInterpretedStages(t *testing.T) {
 			{Name: "m", Expr: expr(t, "n * 2 + 1")},
 			{Name: "w", Wildcard: true},
 		}
-		for _, r := range collect(BatchProjectStage(ev, items, testSchema(), 1, &Stats{})(context.Background(), chunk(90, rows))) {
+		for _, r := range collect(ColFilterProjectStage(ev, nil, items, testSchema(), 1, false, &Stats{})(context.Background(), chunk(90, rows))) {
 			projected = append(projected, r.String())
 		}
 		cfg := AggregateConfig{
@@ -272,7 +271,7 @@ func TestCompiledStagesMatchInterpretedStages(t *testing.T) {
 			Window:   &lang.WindowSpec{Size: time.Minute, Every: time.Minute},
 			InSchema: testSchema(),
 		}
-		for _, r := range collect(BatchAggregateStage(ev, cfg, &Stats{})(context.Background(), chunk(90, rows))) {
+		for _, r := range collect(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{})(context.Background(), chunk(90, rows))) {
 			aggregated = append(aggregated, r.String())
 		}
 		return filtered, projected, aggregated

@@ -25,7 +25,7 @@ func TestCountWindowBatches(t *testing.T) {
 	for i, txt := range texts {
 		rows = append(rows, row(txt, int64(i), value.Null(), value.Null(), base.Add(time.Duration(i)*time.Minute)))
 	}
-	out := collect(BatchAggregateStage(ev, countCfg(t, 3), &Stats{})(context.Background(), feedRows(rows...)))
+	out := collect(ColFilterAggStage(ev, nil, countCfg(t, 3), testSchema(), &Stats{})(context.Background(), feedRows(rows...)))
 	// Batch 1 → a=2, b=1; batch 2 → a=1, b=2; batch 3 (partial) → a=1.
 	if len(out) != 5 {
 		t.Fatalf("rows = %d: %v", len(out), out)
@@ -62,7 +62,7 @@ func TestCountWindowStalenessShape(t *testing.T) {
 		rows = append(rows, row("dense", 1, value.Null(), value.Null(), base.Add(time.Duration(i)*600*time.Millisecond)))
 	}
 	rows = append(rows, row("sparse", 1, value.Null(), value.Null(), base.Add(6*time.Hour)))
-	out := collect(BatchAggregateStage(ev, countCfg(t, 100), &Stats{})(context.Background(), feedRows(rows...)))
+	out := collect(ColFilterAggStage(ev, nil, countCfg(t, 100), testSchema(), &Stats{})(context.Background(), feedRows(rows...)))
 	if len(out) != 2 {
 		t.Fatalf("rows = %d", len(out))
 	}
@@ -79,7 +79,7 @@ func TestCountWindowAggregatesValues(t *testing.T) {
 	ev := NewEvaluator(catalog.New())
 	cfg := aggCfg(t, "", "AVG(n)", &lang.WindowSpec{Count: 2}, nil)
 	base := time.Unix(0, 0).UTC()
-	out := collect(BatchAggregateStage(ev, cfg, &Stats{})(context.Background(), feedRows(
+	out := collect(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{})(context.Background(), feedRows(
 		row("x", 2, value.Null(), value.Null(), base),
 		row("x", 4, value.Null(), value.Null(), base.Add(time.Second)),
 		row("x", 10, value.Null(), value.Null(), base.Add(2*time.Second)),

@@ -1,8 +1,8 @@
 // Package exec implements TweeQL's streaming operators: expression
-// evaluation, filtering (with Eddies-style adaptive conjunct ordering),
-// projection (with the asynchronous path for high-latency UDFs),
-// windowed grouped aggregation (with CONTROL-style confidence triggers),
-// windowed stream joins, and limits. Operators are composable
+// evaluation, vectorized filtering fused with projection (with the
+// asynchronous path for high-latency UDFs) or with windowed grouped
+// aggregation (with CONTROL-style confidence triggers), windowed stream
+// joins, and limits. Operators are composable
 // channel-to-channel stages; the core engine assembles them into plans.
 package exec
 
@@ -613,42 +613,36 @@ func timePart(pick func(h, m, d int) int) func([]value.Value) (value.Value, erro
 	}
 }
 
-// IsBuiltin reports whether name is an engine builtin function.
-func IsBuiltin(name string) bool {
-	_, ok := builtins[strings.ToLower(name)]
-	return ok
-}
-
 // HasHighLatency reports whether the expression tree calls any UDF the
 // catalog marks HighLatency — the trigger for the asynchronous
 // projection path.
 func HasHighLatency(cat *catalog.Catalog, exprs ...lang.Expr) bool {
+	return callsAny(exprs, func(name string) bool {
+		udf, ok := cat.Scalar(name)
+		return ok && udf.HighLatency
+	})
+}
+
+// hasStateful reports whether any expression calls a stateful UDF — the
+// trigger for a row-major stage (see colFilter).
+func hasStateful(cat *catalog.Catalog, exprs ...lang.Expr) bool {
+	return callsAny(exprs, func(name string) bool {
+		_, ok := cat.Stateful(name)
+		return ok
+	})
+}
+
+// callsAny reports whether any expression calls a function match
+// accepts.
+func callsAny(exprs []lang.Expr, match func(name string) bool) bool {
 	found := false
 	for _, expr := range exprs {
 		lang.Walk(expr, func(n lang.Expr) bool {
-			if c, ok := n.(*lang.Call); ok {
-				if udf, ok := cat.Scalar(c.Name); ok && udf.HighLatency {
-					found = true
-					return false
-				}
+			if c, ok := n.(*lang.Call); ok && match(c.Name) {
+				found = true
 			}
-			return true
+			return !found
 		})
 	}
 	return found
-}
-
-// CostOf estimates a relative evaluation cost for eddy ordering: 1 for
-// plain predicates, 100 per high-latency UDF call in the tree.
-func CostOf(cat *catalog.Catalog, expr lang.Expr) float64 {
-	cost := 1.0
-	lang.Walk(expr, func(n lang.Expr) bool {
-		if c, ok := n.(*lang.Call); ok {
-			if udf, ok := cat.Scalar(c.Name); ok && udf.HighLatency {
-				cost += 100
-			}
-		}
-		return true
-	})
-	return cost
 }

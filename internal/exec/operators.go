@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"strconv"
 	"strings"
 	"sync"
@@ -305,8 +304,7 @@ type OutCol struct {
 	MetaKind string
 }
 
-// AggregateConfig drives the aggregate stages (BatchAggregateStage,
-// ColFilterAggStage).
+// AggregateConfig drives the aggregate stage (ColFilterAggStage).
 type AggregateConfig struct {
 	GroupExprs []lang.Expr
 	Aggs       []AggItem
@@ -340,10 +338,8 @@ func AggSchema(cfg AggregateConfig) *value.Schema {
 	return value.NewSchema(fields...)
 }
 
-// aggState folds tuples into per-(window, group) buckets. aggregateStage
-// drives observe/flush against an emit callback for both aggregate
-// stages, so the row-batch and columnar paths cannot drift
-// semantically.
+// aggState folds tuples into per-(window, group) buckets: the folder of
+// every aggregation but count windows.
 type aggState struct {
 	ev        *Evaluator
 	cfg       AggregateConfig
@@ -386,9 +382,12 @@ func bindAggExprs(ev *Evaluator, cfg AggregateConfig) (groupFns, argFns []Compil
 	return groupFns, argFns
 }
 
-func (s *aggState) mkAggs() []agg.Func {
-	fs := make([]agg.Func, len(s.cfg.Aggs))
-	for i, a := range s.cfg.Aggs {
+func (s *aggState) mkAggs() []agg.Func { return newAggs(s.cfg.Aggs) }
+
+// newAggs makes one fresh accumulator per aggregate item.
+func newAggs(items []AggItem) []agg.Func {
+	fs := make([]agg.Func, len(items))
+	for i, a := range items {
 		f, err := agg.New(a.AggName, a.Star)
 		if err != nil {
 			// Planner validates names; reaching here is a bug.
@@ -480,58 +479,22 @@ func (s *aggState) flush(emit func(value.Tuple) bool) bool {
 	return true
 }
 
-// aggregateStage is the emit loop both aggregate stages share: the rows
-// of each input batch that pass conjuncts (none on the row-batch path)
-// fold, in stream order, into one aggState, and what it emits leaves
-// through an aggOut. Count windows (WINDOW n TWEETS) filter first and
-// hand the survivors to the count-window operator, whose batching is
-// the window itself.
-func aggregateStage(ev *Evaluator, conjuncts []lang.Expr, cfg AggregateConfig, inSchema *value.Schema, unit string, stats *Stats) BatchStage {
+// folder is the state an aggregate stage folds rows into: observe
+// folds one row, flush closes what is open at stream end, and both hand
+// the rows they emit to emit, returning false once it reports the query
+// has ended.
+type folder interface {
+	observe(ctx context.Context, t value.Tuple, emit func(value.Tuple) bool) bool
+	flush(emit func(value.Tuple) bool) bool
+}
+
+// newFolder is the count-window state for WINDOW n TWEETS and the
+// time-window state for any other aggregation.
+func newFolder(ev *Evaluator, cfg AggregateConfig, stats *Stats) folder {
 	if cfg.Window != nil && cfg.Window.Count > 0 {
-		count := countWindowStage(ev, cfg, stats)
-		if len(conjuncts) == 0 {
-			return count
-		}
-		filter := ColFilterStage(ev, conjuncts, inSchema, stats)
-		return func(ctx context.Context, in <-chan Batch) <-chan Batch {
-			return count(ctx, filter(ctx, in))
-		}
+		return newCountState(ev, cfg, stats)
 	}
-	sp := stats.StageProf("aggregate", aggLabel(cfg), unit)
-	return func(ctx context.Context, in <-chan Batch) <-chan Batch {
-		out := make(chan Batch, 4)
-		go func() {
-			defer close(out)
-			f := newColFilter(ev, conjuncts, inSchema, stats)
-			st := newAggState(ev, cfg, stats)
-			o := &aggOut{ctx: ctx, out: out}
-			for b := range in {
-				if ctx.Err() != nil {
-					return
-				}
-				sel, kept := f.apply(ctx, b, inSchema)
-				span := sp.Enter()
-				o.n = 0
-				for w, word := range sel {
-					for word != 0 {
-						i := bits.TrailingZeros64(word)
-						word &^= 1 << uint(i)
-						if !st.observe(ctx, b[w*64+i], o.emit) {
-							return
-						}
-					}
-				}
-				span.Exit(kept, o.n)
-				if !o.send() {
-					return
-				}
-			}
-			if st.flush(o.emit) {
-				o.send()
-			}
-		}()
-		return out
-	}
+	return newAggState(ev, cfg, stats)
 }
 
 // aggOut gathers an aggregate stage's output rows into batches, cut

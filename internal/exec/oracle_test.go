@@ -8,8 +8,8 @@ import (
 )
 
 // rowOracle is the reference the batch stages are checked against. It
-// folds rows one at a time — no goroutine, no channel — through the
-// same compiled closures and aggState the stages use, so a difference
+// takes rows one at a time — no goroutine, no channel — through the
+// same compiled closures and folders the stages use, so a difference
 // in output is the stages' batching, sharding or vectorizing at fault.
 type rowOracle struct {
 	ev    *Evaluator
@@ -58,18 +58,34 @@ func (o rowOracle) project(items []ProjItem, schema *value.Schema, rows []value.
 	return out
 }
 
-// aggregate folds every row into one aggState and flushes it at the
-// end (time windows and whole-stream aggregation; count windows have
-// their own operator).
+// filterProject runs each row through the conjuncts and then the select
+// list before the next row starts: the order a row-major stage keeps.
+func (o rowOracle) filterProject(conjuncts []lang.Expr, items []ProjItem, schema *value.Schema, rows []value.Tuple) []value.Tuple {
+	var out []value.Tuple
+	for _, t := range rows {
+		out = append(out, o.project(items, schema, o.filter(conjuncts, schema, []value.Tuple{t}))...)
+	}
+	return out
+}
+
+// aggregate folds every row into one folder and flushes it at the end.
 func (o rowOracle) aggregate(cfg AggregateConfig, rows []value.Tuple) []value.Tuple {
-	st := newAggState(o.ev, cfg, o.stats)
+	return o.filterAggregate(nil, cfg, rows)
+}
+
+// filterAggregate runs each row through the conjuncts and, if it
+// passes, folds it before the next row starts.
+func (o rowOracle) filterAggregate(conjuncts []lang.Expr, cfg AggregateConfig, rows []value.Tuple) []value.Tuple {
+	st := newFolder(o.ev, cfg, o.stats)
 	var out []value.Tuple
 	emit := func(t value.Tuple) bool {
 		out = append(out, t)
 		return true
 	}
 	for _, t := range rows {
-		st.observe(context.Background(), t, emit)
+		for _, k := range o.filter(conjuncts, cfg.InSchema, []value.Tuple{t}) {
+			st.observe(context.Background(), k, emit)
+		}
 	}
 	st.flush(emit)
 	return out

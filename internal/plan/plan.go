@@ -63,10 +63,8 @@ type Query struct {
 	// Source is the FROM source name.
 	Source string
 
-	// Conjuncts are all WHERE conjuncts, pre-pushdown, with Costs their
-	// per-conjunct cost estimates for eddy normalization.
+	// Conjuncts are all WHERE conjuncts, pre-pushdown, in query order.
 	Conjuncts []lang.Expr
-	Costs     []float64
 	// Candidates are the API-eligible pushdown filters.
 	Candidates []Candidate
 
@@ -107,15 +105,15 @@ func (q *Query) CandidateKey(i int) string {
 	return lang.Key(q.Conjuncts[q.Candidates[i].ConjunctIdx])
 }
 
-// Residual returns the conjuncts (and their costs) still to be
-// evaluated after the scan pushed down the candidate whose conjunct key
-// is pushedKey; "" means nothing was pushed and the full conjunct list
-// comes back. The pushed conjunct is matched by key, not index, so a
-// query attaching to a scan another query opened resolves the same
-// residual even if its candidate order differs.
-func (q *Query) Residual(pushedKey string) ([]lang.Expr, []float64) {
+// Residual returns the conjuncts still to be evaluated after the scan
+// pushed down the candidate whose conjunct key is pushedKey; "" means
+// nothing was pushed and the full conjunct list comes back. The pushed
+// conjunct is matched by key, not index, so a query attaching to a scan
+// another query opened resolves the same residual even if its candidate
+// order differs.
+func (q *Query) Residual(pushedKey string) []lang.Expr {
 	if pushedKey == "" {
-		return q.Conjuncts, q.Costs
+		return q.Conjuncts
 	}
 	for i := range q.Candidates {
 		if q.CandidateKey(i) != pushedKey {
@@ -123,16 +121,14 @@ func (q *Query) Residual(pushedKey string) ([]lang.Expr, []float64) {
 		}
 		idx := q.Candidates[i].ConjunctIdx
 		conj := make([]lang.Expr, 0, len(q.Conjuncts)-1)
-		costs := make([]float64, 0, len(q.Conjuncts)-1)
 		for j := range q.Conjuncts {
 			if j != idx {
 				conj = append(conj, q.Conjuncts[j])
-				costs = append(costs, q.Costs[j])
 			}
 		}
-		return conj, costs
+		return conj
 	}
-	return q.Conjuncts, q.Costs
+	return q.Conjuncts
 }
 
 // computeSignature builds the canonical scan signature. Candidate
@@ -181,9 +177,6 @@ func Analyze(stmt *lang.SelectStmt, cat *catalog.Catalog, opts Options) (*Query,
 
 	if stmt.Where != nil {
 		q.Conjuncts = SplitConjuncts(stmt.Where)
-		for _, c := range q.Conjuncts {
-			q.Costs = append(q.Costs, exec.CostOf(cat, c))
-		}
 		for i, c := range q.Conjuncts {
 			if f, ok := ConjunctToFilter(c); ok {
 				q.Candidates = append(q.Candidates, Candidate{Filter: f, ConjunctIdx: i})

@@ -27,8 +27,8 @@ func TestAnalyzePushdownAndResidual(t *testing.T) {
 	if q.Source != "twitter" {
 		t.Fatalf("source = %q", q.Source)
 	}
-	if len(q.Conjuncts) != 2 || len(q.Costs) != 2 {
-		t.Fatalf("conjuncts = %d, costs = %d", len(q.Conjuncts), len(q.Costs))
+	if len(q.Conjuncts) != 2 {
+		t.Fatalf("conjuncts = %d", len(q.Conjuncts))
 	}
 	if len(q.Candidates) != 1 {
 		t.Fatalf("candidates = %+v, want the CONTAINS track filter", q.Candidates)
@@ -39,20 +39,20 @@ func TestAnalyzePushdownAndResidual(t *testing.T) {
 
 	// Residual by the pushed conjunct's key drops exactly that conjunct.
 	key := q.CandidateKey(0)
-	res, costs := q.Residual(key)
-	if len(res) != 1 || len(costs) != 1 {
+	res := q.Residual(key)
+	if len(res) != 1 {
 		t.Fatalf("residual = %d conjuncts", len(res))
 	}
 	if lang.Key(res[0]) == key {
 		t.Fatal("residual still contains the pushed conjunct")
 	}
 	// Nothing pushed: the full list comes back.
-	if res, _ := q.Residual(""); len(res) != 2 {
+	if res := q.Residual(""); len(res) != 2 {
 		t.Fatalf("residual with no pushdown = %d conjuncts", len(res))
 	}
 	// An unknown key changes nothing (a scan pushed by a foreign plan
 	// shape must not silently drop a conjunct).
-	if res, _ := q.Residual("no such conjunct"); len(res) != 2 {
+	if res := q.Residual("no such conjunct"); len(res) != 2 {
 		t.Fatalf("residual with foreign key = %d conjuncts", len(res))
 	}
 }

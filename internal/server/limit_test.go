@@ -30,7 +30,7 @@ func TestLimitThroughNDJSON(t *testing.T) {
 		n         int
 	}{
 		{"columnar", `SELECT id, text FROM twitter`, 64, 150},
-		{"row_batch", `SELECT running_n(text) AS n, id FROM twitter`, 64, 150},
+		{"stateful", `SELECT running_n(text) AS n, id FROM twitter`, 64, 150},
 		{"one_row_batches", `SELECT id, text FROM twitter`, 1, 150},
 		{"aggregate", `SELECT COUNT(*) AS n FROM twitter WINDOW 1 MINUTE`, 64, 3},
 	} {

@@ -3,9 +3,10 @@
 // TwitInfo", Marcus et al., SIGMOD 2011). It offers a SQL-like query
 // language over a (simulated) Twitter streaming API, with UDFs for
 // sentiment classification, geocoding, and entity extraction;
-// selectivity-sampled filter pushdown; Eddies-style adaptive filtering;
-// asynchronous execution of high-latency web-service operators; and
-// confidence-triggered windowed aggregation.
+// selectivity-sampled filter pushdown; asynchronous execution of
+// high-latency web-service operators; and confidence-triggered windowed
+// aggregation. The paper's Eddies-style adaptive filter ordering is
+// reproduced as experiment E9 (internal/eddy), not run by queries.
 //
 // Quick start:
 //
@@ -44,7 +45,7 @@ type (
 	Schema = value.Schema
 	// Cursor is a handle on a running query.
 	Cursor = core.Cursor
-	// Options tune engine behaviour (adaptive filters, async workers...).
+	// Options tune engine behaviour (batching, async workers...).
 	Options = core.Options
 	// AnalyzeOptions bound an ExplainAnalyze run (rows and wall clock).
 	AnalyzeOptions = core.AnalyzeOptions
@@ -138,7 +139,12 @@ func (e *Engine) RegisterUDF(name string, arity int, highLatency bool,
 
 // RegisterStatefulUDF adds a stateful UDF: factory is invoked once per
 // query, and the returned function carries state across calls (the
-// paper's peak detector is such a UDF).
+// paper's peak detector is such a UDF). Calls run in stream order, one
+// row at a time: each row's WHERE calls, in conjunct order, come before
+// its SELECT (or aggregate) calls, and all of them before any call for
+// the next row, so a query returns the same rows at any batch size. The
+// exception is a select list that also calls a high-latency UDF: it
+// runs on the async worker pool, which overlaps rows.
 func (e *Engine) RegisterStatefulUDF(name string,
 	factory func() func(ctx context.Context, args []Value) (Value, error)) error {
 	return e.inner.Catalog().RegisterStateful(name, func() catalog.ScalarFn {
