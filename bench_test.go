@@ -388,10 +388,11 @@ func BenchmarkExprCompileAblation(b *testing.B) {
 // BenchmarkColumnarAblation is the scoreboard for the vectorized
 // filter path: the same conjunct over the same 4096-row batches of
 // real tweet rows, through a row-at-a-time loop over the compiled
-// conjunct closures and through the columnar ColFilterStage (transpose
-// + fused kernel + gather). Both arms are one single-worker stage
-// goroutine, so the ratio isolates vectorization. The fast-pathed
-// shapes (str_eq, int_cmp, arith_cmp) must hold >= 2x.
+// conjunct closures and through the columnar fused stage as a filter
+// (transpose + fused kernel + gather, under a SELECT * that shares its
+// input's cells). Both arms are one single-worker call per batch, so
+// the ratio isolates vectorization. The fast-pathed shapes (str_eq,
+// int_cmp, arith_cmp) must hold >= 2x.
 func BenchmarkColumnarAblation(b *testing.B) {
 	tweets := firehose.Tweets(soccerStream()[:8192])
 	rows := make([]value.Tuple, len(tweets))
@@ -404,24 +405,24 @@ func BenchmarkColumnarAblation(b *testing.B) {
 		batches = append(batches, rows[lo:lo+batchRows])
 	}
 	ablated := map[string]bool{"str_eq": true, "int_cmp": true, "arith_cmp": true, "contains": true, "in_list": true}
-	// One iteration = one stage invocation over many batches, as in a
-	// real query: per-stage state (vector buffers, compiled preds)
-	// amortizes over the stream, not per batch. Both arms compact
-	// batches in place and keep identical survivors, so resending the
-	// same backing arrays keeps the two arms' inputs identical.
+	// One iteration = one stage over many batches, as in a real query:
+	// per-stage state (vector buffers, compiled preds) amortizes over
+	// the stream, not per batch. Both arms compact batches in place, so
+	// each iteration refills its inputs from batches off the clock.
 	const cycles = 8
-	run := func(b *testing.B, mk func() exec.BatchStage) {
+	run := func(b *testing.B, mk func() exec.Map) {
 		b.ReportAllocs()
+		in := make([]exec.Batch, cycles*len(batches))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			in := make(chan exec.Batch, cycles*len(batches))
-			for c := 0; c < cycles; c++ {
-				for _, bt := range batches {
-					in <- bt
-				}
+			b.StopTimer()
+			for j := range in {
+				in[j] = append(in[j][:0], batches[j%len(batches)]...)
 			}
-			close(in)
-			for range mk()(context.Background(), in) {
+			b.StartTimer()
+			stage := mk()
+			for _, bt := range in {
+				stage(context.Background(), bt)
 			}
 		}
 		b.ReportMetric(float64(b.N)*float64(cycles*len(batches)*batchRows)/b.Elapsed().Seconds(), "rows/sec")
@@ -440,14 +441,15 @@ func BenchmarkColumnarAblation(b *testing.B) {
 			ev.EnableCompile(true)
 			ev.PrepareRegexes(stmt.Where)
 			fns := ev.BindAll(conjuncts, catalog.TweetSchema)
-			run(b, func() exec.BatchStage { return rowFilterStage(fns) })
+			run(b, func() exec.Map { return rowFilterStage(fns) })
 		})
 		b.Run(sh.name+"/col", func(b *testing.B) {
 			ev := exec.NewEvaluator(catalog.New())
 			ev.EnableCompile(true)
 			ev.PrepareRegexes(stmt.Where)
-			run(b, func() exec.BatchStage {
-				return exec.ColFilterStage(ev, conjuncts, catalog.TweetSchema, &exec.Stats{})
+			run(b, func() exec.Map {
+				return exec.ColFilterProjectStage(ev, conjuncts, []exec.ProjItem{{Name: "*", Wildcard: true}},
+					catalog.TweetSchema, 1, true, &exec.Stats{})
 			})
 		})
 	}
@@ -456,26 +458,19 @@ func BenchmarkColumnarAblation(b *testing.B) {
 // rowFilterStage is BenchmarkColumnarAblation's row arm: each row runs
 // the bound conjuncts in order until one fails, and survivors compact
 // in place, as the columnar arm's do.
-func rowFilterStage(fns []exec.CompiledExpr) exec.BatchStage {
-	return func(ctx context.Context, in <-chan exec.Batch) <-chan exec.Batch {
-		out := make(chan exec.Batch, 4)
-		go func() {
-			defer close(out)
-			for b := range in {
-				kept := b[:0]
-			rows:
-				for _, t := range b {
-					for _, fn := range fns {
-						if v, err := fn(ctx, t); err != nil || v.IsNull() || !v.Truthy() {
-							continue rows
-						}
-					}
-					kept = append(kept, t)
+func rowFilterStage(fns []exec.CompiledExpr) exec.Map {
+	return func(ctx context.Context, b exec.Batch) exec.Batch {
+		kept := b[:0]
+	rows:
+		for _, t := range b {
+			for _, fn := range fns {
+				if v, err := fn(ctx, t); err != nil || v.IsNull() || !v.Truthy() {
+					continue rows
 				}
-				out <- kept
 			}
-		}()
-		return out
+			kept = append(kept, t)
+		}
+		return kept
 	}
 }
 

@@ -556,7 +556,12 @@ func (t *Table) OpenBatches(ctx context.Context, req OpenRequest, bo BatchOption
 		bo.Size = 1
 	}
 	info := &OpenInfo{Schema: t.ScanSchema(bo.Columns)}
-	out := make(chan []value.Tuple, 4)
+	// The store decodes a column block at a time (4 096 rows, sixteen
+	// 256-row batches, by default) and the query reads this channel in
+	// its consumer's goroutine: room for a block's batches lets the
+	// decoder finish one without waiting on the reader, so decode and
+	// query overlap.
+	out := make(chan []value.Tuple, 16)
 	go func() {
 		defer close(out)
 		deliver := func(batch []value.Tuple) error {

@@ -73,6 +73,9 @@ type DerivedStream struct {
 	dropped   atomic.Int64
 	nextShard atomic.Uint32
 	closed    atomic.Bool
+	// seq numbers publishes: a subscription receives only those that
+	// began after it subscribed (see Subscription.from).
+	seq atomic.Uint64
 
 	shards [streamShards]subShard
 }
@@ -135,6 +138,9 @@ func (d *DerivedStream) Subscribe(opts SubOptions) *Subscription {
 		close(s.done)
 		return s
 	}
+	// A publish numbered up to here began before this subscription
+	// existed; one still walking the shards must not reach it.
+	s.from = d.seq.Load() + 1
 	var next []*Subscription
 	if cur := sh.subs.Load(); cur != nil {
 		next = append(next, *cur...)
@@ -151,25 +157,37 @@ func (d *DerivedStream) Publish(row value.Tuple) {
 	d.PublishBatch([]value.Tuple{row})
 }
 
-// PublishBatch broadcasts rows, in order, to all subscribers. The slice
-// is not retained: rows are copied into each subscriber's ring before
-// returning (Block-policy subscribers may make that wait). Publishing
-// to a closed stream is a no-op.
+// PublishBatch broadcasts rows, in order, to all subscribers that
+// subscribed before it began. The slice is not retained: rows are
+// copied into each subscriber's ring before returning (Block-policy
+// subscribers may make that wait). Publishing to a closed stream is a
+// no-op.
 func (d *DerivedStream) PublishBatch(rows []value.Tuple) {
 	if len(rows) == 0 || d.closed.Load() {
 		return
 	}
 	d.published.Add(int64(len(rows)))
+	seq := d.seq.Add(1)
 	for i := range d.shards {
+		if i > 0 && betweenShards != nil {
+			betweenShards()
+		}
 		ptr := d.shards[i].subs.Load()
 		if ptr == nil {
 			continue
 		}
 		for _, s := range *ptr {
-			s.offer(rows)
+			if s.from <= seq {
+				s.offer(rows)
+			}
 		}
 	}
 }
+
+// betweenShards, when set, runs as a publish moves on to the next
+// shard: a test's handle on the moment a publish is partway through
+// the subscriber set. nil outside tests.
+var betweenShards func()
 
 // CloseStream ends the stream: every subscription reaches end-of-stream
 // once its buffered rows are drained, and later subscribers see an
@@ -246,6 +264,9 @@ type Subscription struct {
 	d      *DerivedStream
 	shard  int
 	policy BackpressurePolicy
+	// from is the sequence number of the first publish delivered here,
+	// fixed before the subscription joins its shard.
+	from uint64
 
 	mu        sync.Mutex
 	space     sync.Cond // Block-policy publishers wait here for ring room

@@ -404,3 +404,52 @@ func ExampleDerivedStream_PublishBatch() {
 	d.CloseStream()
 	// Output: 2
 }
+
+// TestPublishSkipsLaterSubscriber is the deterministic reproducer of a
+// stale delivery: a subscriber that attaches while a publish is partway
+// through the shards must not receive that publish, only what is
+// published after it subscribed. The hook parks the publish between its
+// first two shards and subscribes there, into a shard the publish has
+// not walked yet.
+func TestPublishSkipsLaterSubscriber(t *testing.T) {
+	d := NewDerivedStream("s", intSchema())
+	early := d.Subscribe(SubOptions{Buffer: 16})
+	defer early.Cancel()
+	var late *Subscription
+	betweenShards = func() {
+		if late == nil {
+			late = d.Subscribe(SubOptions{Buffer: 16})
+		}
+	}
+	d.PublishBatch([]value.Tuple{streamRow(d.Schema(), 1)})
+	betweenShards = nil
+	if late == nil {
+		t.Fatal("hook never ran; test is vacuous")
+	}
+	defer late.Cancel()
+	if late.shard <= early.shard {
+		t.Fatalf("late subscriber in shard %d, not after shard %d the publish had reached", late.shard, early.shard)
+	}
+	d.PublishBatch([]value.Tuple{streamRow(d.Schema(), 2)})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for _, tc := range []struct {
+		name string
+		sub  *Subscription
+		want string
+	}{{"early", early, "[1 2]"}, {"late", late, "[2]"}} {
+		rows, err := tc.sub.Recv(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var xs []int64
+		for _, r := range rows {
+			x, _ := r.Get("x").IntVal()
+			xs = append(xs, x)
+		}
+		if got := fmt.Sprint(xs); got != tc.want {
+			t.Errorf("%s subscriber got rows %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}

@@ -87,24 +87,14 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, sql string, opts AnalyzeOpt
 	if opts.OnStart != nil {
 		opts.OnStart()
 	}
+	// The timeout ends the loop through the query's context; leaving it
+	// at MaxRows stops the query.
 	delivered := 0
-consume:
-	for delivered < opts.MaxRows {
-		select {
-		case _, ok := <-cur.Rows():
-			if !ok {
-				break consume
-			}
-			delivered++
-		case <-rctx.Done():
-			break consume
+	for range cur.Rows() {
+		if delivered++; delivered >= opts.MaxRows {
+			break
 		}
 	}
-	cur.Stop()
-	// Drain the tail so every stage settles before the snapshot.
-	for range cur.Rows() {
-	}
-	<-cur.Drained()
 	elapsed := time.Since(start)
 
 	var b strings.Builder

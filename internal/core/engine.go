@@ -7,19 +7,20 @@
 // projection for high-latency UDFs, confidence-triggered windowed
 // aggregation, windowed joins) over either a private
 // source scan or a ref-counted shared scan serving every query with
-// the same signature, and exposes results as a cursor or routes them
-// INTO derived streams and tables.
+// the same signature, and exposes results as a cursor whose iterators
+// run the query as they are read, or routes them INTO derived streams
+// and tables.
 package core
 
 import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"iter"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -45,9 +46,10 @@ type Options struct {
 	Seed int64
 	// SourceBuffer is the per-connection buffer requested from sources.
 	SourceBuffer int
-	// BatchSize is the number of tuples moved per channel transfer
-	// between the pipeline's stages. 1 (or 0) runs the same pipeline on
-	// one-row batches, so each row is delivered as soon as it is out.
+	// BatchSize is the number of tuples per batch: what a source hands
+	// off at once and each operator call takes. 1 (or 0) runs the same
+	// pipeline on one-row batches, so each row is delivered as soon as
+	// it is out.
 	BatchSize int
 	// BatchFlushEvery bounds the extra latency batching may add on a
 	// trickling stream: a partial batch is flushed downstream after this
@@ -291,22 +293,23 @@ func (e *Engine) Options() Options { return e.opts }
 // is set: the active segment's buffered tail becomes durable here.
 func (e *Engine) Close() error { return e.cat.CloseTables() }
 
-// Cursor is a handle on a running query. It carries the pipeline's
-// output stream of batches, whose exec.Terminal runs in the goroutine
-// that consumes them. Rows and Batches each present the output in one
-// form; a consumer uses one of the two, and the other then reports an
-// empty, closed stream.
+// Cursor is a handle on a running query. The query runs in the
+// goroutine that reads it: Rows and Batches are iterators, each pull
+// takes the next input batch from the scan (or the join, or the async
+// pool), runs the query's operator on it and exec.Terminal on what that
+// emits. A cursor has one view: the first Rows or Batches loop gets the
+// output, and any later one is empty. Breaking out of the loop stops
+// the query.
 type Cursor struct {
-	schema  *value.Schema
-	batches <-chan exec.Batch
-	limit   int
-	cut     context.CancelFunc // the LIMIT cut: cancels the pipeline only
-	// stop ends with Stop or the caller's context, but not at a LIMIT
-	// cut, so a view never drops rows the terminal stage admitted.
-	stop      context.Context
-	view      sync.Once
-	rowsView  <-chan value.Tuple
-	batchView <-chan exec.Batch
+	schema *value.Schema
+	// ctx is the pipeline's context: Stop, the caller's context and a
+	// LIMIT cut (cut) all end it.
+	ctx    context.Context
+	cut    context.CancelFunc
+	next   func() (exec.Batch, bool)
+	op     exec.Operator
+	limit  int
+	viewed atomic.Bool
 
 	stats   *exec.Stats
 	info    *catalog.OpenInfo
@@ -317,66 +320,42 @@ type Cursor struct {
 	drained chan struct{}
 }
 
-// noRows and noBatches are the closed views: what a routed query's
-// cursor offers, and what one view offers once the other has the
-// output.
-var (
-	noRows    = func() chan value.Tuple { c := make(chan value.Tuple); close(c); return c }()
-	noBatches = func() chan exec.Batch { c := make(chan exec.Batch); close(c); return c }()
-)
-
-// Rows returns the result rows; the channel closes when the stream
-// ends, the limit is reached, or the query is stopped. Queries with
-// INTO STREAM or INTO TABLE deliver their rows to the target instead,
-// and Rows closes immediately.
-func (c *Cursor) Rows() <-chan value.Tuple {
-	c.view.Do(func() {
-		out := make(chan value.Tuple, 64)
-		c.rowsView, c.batchView = out, noBatches
-		go func() {
-			defer close(out)
-			c.each(func(b exec.Batch) bool {
-				for _, t := range b {
-					select {
-					case out <- t:
-					case <-c.stop.Done():
-						return false
-					}
-				}
-				return true
-			})
-		}()
-	})
-	return c.rowsView
-}
-
-// Batches returns the results as batches, as the pipeline's terminal
-// stage emits them, with the same end-of-stream rules as Rows. Each
-// batch belongs to the receiver.
-func (c *Cursor) Batches() <-chan exec.Batch {
-	c.view.Do(func() {
-		out := make(chan exec.Batch, 4)
-		c.rowsView, c.batchView = noRows, out
-		go func() {
-			defer close(out)
-			c.each(func(b exec.Batch) bool {
-				select {
-				case out <- b:
-					return true
-				case <-c.stop.Done():
+// Rows returns the result rows, in order. The loop ends when the stream
+// ends, the limit is reached or the query is stopped; breaking out of it
+// stops the query. Queries with INTO STREAM or INTO TABLE deliver their
+// rows to the target instead, and Rows yields nothing.
+func (c *Cursor) Rows() iter.Seq[value.Tuple] {
+	return func(yield func(value.Tuple) bool) {
+		c.each(func(b exec.Batch) bool {
+			for _, t := range b {
+				if !yield(t) {
 					return false
 				}
-			})
-		}()
-	})
-	return c.batchView
+			}
+			return true
+		})
+	}
 }
 
-// each runs the pipeline's terminal stage in the calling goroutine: it
-// hands the output, batch by batch, to deliver until the stream ends or
-// deliver returns false.
+// Batches returns the results as batches, as exec.Terminal hands them
+// on, with the same rules as Rows. Each batch belongs to the receiver.
+func (c *Cursor) Batches() iter.Seq[exec.Batch] {
+	return func(yield func(exec.Batch) bool) { c.each(yield) }
+}
+
+// each claims the cursor's one view and runs the query into deliver.
 func (c *Cursor) each(deliver func(exec.Batch) bool) {
-	exec.Terminal(c.batches, c.limit, c.cut, c.stats, deliver)
+	if !c.viewed.Swap(true) {
+		c.run(deliver)
+	}
+}
+
+// run runs the query in the calling goroutine, handing its output batch
+// by batch to deliver until the stream ends or deliver returns false,
+// and then ends the query.
+func (c *Cursor) run(deliver func(exec.Batch) bool) {
+	defer c.cancel()
+	exec.Terminal(c.ctx, c.next, c.op, c.limit, c.cut, c.stats, deliver)
 }
 
 // Schema describes the result columns.
@@ -420,20 +399,21 @@ func (c *Cursor) ScanShared() bool { return c.scan != nil }
 // Drained returns a channel that closes once an INTO STREAM/INTO
 // TABLE query's results have been fully delivered to the target (and,
 // for persistent tables, flushed). This is the completion/sync hook
-// routed queries need — their Rows channel closes immediately, so
-// without it a caller cannot tell when the table is complete. Errors
+// routed queries need — their Rows loop ends at once, so without it a
+// caller cannot tell when the table is complete. Errors
 // encountered while routing land in Stats().Err(). For ordinary
-// queries Rows itself is the completion signal and Drained is already
-// closed.
+// queries the end of the Rows loop is the completion signal and Drained
+// is already closed.
 func (c *Cursor) Drained() <-chan struct{} { return c.drained }
 
 // Routed reports whether results feed a named target (INTO STREAM or
-// INTO TABLE) rather than the cursor's Rows channel.
+// INTO TABLE) rather than the cursor's Rows.
 func (c *Cursor) Routed() bool {
 	return c.stmt.Into != nil && c.stmt.Into.Kind != lang.IntoStdout
 }
 
-// Stop cancels the query.
+// Stop cancels the query, read or not: a loop over Rows or Batches
+// ends, and a shared scan loses the query's reference.
 func (c *Cursor) Stop() { c.cancel() }
 
 // Query parses and runs a TweeQL statement.

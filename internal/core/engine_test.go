@@ -356,18 +356,22 @@ func TestStopCancelsQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	go replay()
-	<-cur.Rows()
-	cur.Stop()
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case _, ok := <-cur.Rows():
-			if !ok {
-				return
+	first, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		n := 0
+		for range cur.Rows() {
+			if n++; n == 1 {
+				close(first)
 			}
-		case <-deadline:
-			t.Fatal("rows did not close after Stop")
 		}
+	}()
+	<-first
+	cur.Stop()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("rows did not end after Stop")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"tweeql/internal/asyncop"
 	"tweeql/internal/catalog"
 	"tweeql/internal/exec"
 	"tweeql/internal/lang"
@@ -39,7 +40,7 @@ func (e *Engine) execute(ctx context.Context, cancel context.CancelFunc, stmt *l
 	ctx = exec.WithStats(ctx, stats)
 
 	cur := &Cursor{stmt: stmt, plan: p, stats: stats, cancel: cancel,
-		stop: ctx, drained: make(chan struct{})}
+		drained: make(chan struct{})}
 
 	// INTO TABLE resolves its target first: whether the backend keeps
 	// the rows it is given decides whether projection may share cells.
@@ -51,22 +52,21 @@ func (e *Engine) execute(ctx context.Context, cancel context.CancelFunc, stmt *l
 		}
 	}
 
-	// The pipeline runs under a child context. A LIMIT cut cancels it to
-	// unwind upstream stages; the cursor's views of the output (Rows,
-	// Batches) watch only the query context — Stop or the caller's — so
-	// rows admitted before the cut still reach the consumer.
+	// The pipeline runs under a child context, which a LIMIT cut cancels
+	// to unwind the producers once Terminal has delivered the last row.
 	pctx, cut := context.WithCancel(ctx)
-	if err := e.openSingle(pctx, cut, ev, stmt, p, stats, cur, table); err != nil {
+	cur.ctx, cur.cut = pctx, cut
+	if err := e.openSingle(pctx, ev, stmt, p, stats, cur, table); err != nil {
 		cut()
 		return nil, err
 	}
 
 	// INTO routing: results feed the named target; the cursor's views
-	// close immediately (documented on Rows) and Drained signals when
-	// the target has received — and, for persistent tables, flushed —
-	// the final row. Routing errors land in Stats().Err().
+	// are empty (documented on Rows) and Drained signals when the target
+	// has received — and, for persistent tables, flushed — the final row.
+	// Routing errors land in Stats().Err().
 	if cur.Routed() {
-		cur.view.Do(func() { cur.rowsView, cur.batchView = noRows, noBatches })
+		cur.viewed.Store(true)
 		if table != nil {
 			go routeToTable(cur, table, stmt.Into.Name)
 		} else {
@@ -76,8 +76,8 @@ func (e *Engine) execute(ctx context.Context, cancel context.CancelFunc, stmt *l
 		}
 		return cur, nil
 	}
-	// Ordinary queries deliver through Rows or Batches, whose closure is
-	// the completion signal; Drained has nothing extra to say, so it
+	// Ordinary queries deliver through Rows or Batches, whose end is the
+	// completion signal; Drained has nothing extra to say, so it
 	// closes immediately.
 	close(cur.drained)
 	return cur, nil
@@ -100,7 +100,7 @@ func routeToStream(cur *Cursor, ds *catalog.DerivedStream) {
 	defer close(cur.drained)
 	defer ds.CloseStream()
 	sp := cur.stats.StageProf("sink", "stream "+ds.Name(), "batch")
-	cur.each(func(batch exec.Batch) bool {
+	cur.run(func(batch exec.Batch) bool {
 		span := sp.Enter()
 		ds.PublishBatch(batch)
 		span.Exit(len(batch), len(batch))
@@ -126,7 +126,7 @@ func routeToTable(cur *Cursor, table *catalog.Table, name string) {
 	sinkDegraded := func(err error) bool {
 		return errors.Is(err, store.ErrReadOnly) || table.Healthy() != nil
 	}
-	cur.each(func(batch exec.Batch) bool {
+	cur.run(func(batch exec.Batch) bool {
 		span := sp.Enter()
 		if err := table.AppendBatch(batch); err != nil {
 			span.Exit(len(batch), 0)
@@ -146,20 +146,20 @@ func routeToTable(cur *Cursor, table *catalog.Table, name string) {
 }
 
 // openScanStream opens the physical (or shared) scan for a
-// single-source plan: the batch stream, the open info, and the stable
-// key of the conjunct the scan's pushed filter already enforces (""=
-// nothing pushed).
-func (e *Engine) openScanStream(ctx context.Context, src catalog.Source, p *plan.Query, stats *exec.Stats, cur *Cursor) (batches <-chan exec.Batch, info *catalog.OpenInfo, pushedKey string, err error) {
+// single-source plan: the query's read of it, the open info, and the
+// stable key of the conjunct the scan's pushed filter already enforces
+// (""= nothing pushed).
+func (e *Engine) openScanStream(ctx context.Context, src catalog.Source, p *plan.Query, stats *exec.Stats, cur *Cursor) (next func() (exec.Batch, bool), info *catalog.OpenInfo, pushedKey string, err error) {
 	// Shared path: live sources join (or open) the ref-counted scan for
 	// the plan's signature. One physical subscription and one
 	// conversion pipeline serve every attached query.
 	if !e.abl.PrivateScans && isLiveSource(src) {
-		b, i, scan, err := e.attachShared(ctx, src, p, stats)
+		next, i, scan, err := e.attachShared(ctx, src, p, stats)
 		if err != nil {
 			return nil, nil, "", err
 		}
 		cur.scan = scan
-		return exec.BatchCountStage(stats)(ctx, b), i, scan.pushedKey, nil
+		return next, i, scan.pushedKey, nil
 	}
 
 	// Private path: this query owns the source subscription.
@@ -177,14 +177,27 @@ func (e *Engine) openScanStream(ctx context.Context, src catalog.Source, p *plan
 	for _, c := range p.Candidates {
 		req.Candidates = append(req.Candidates, c.Filter)
 	}
-	batches, info, err = e.openBatches(ctx, src, req, p.Columns)
+	batches, info, err := e.openBatches(ctx, src, req, p.Columns)
 	if err != nil {
 		return nil, nil, "", err
 	}
 	if info != nil && info.Pushed && info.ChosenIdx >= 0 && info.ChosenIdx < len(p.Candidates) {
 		pushedKey = p.CandidateKey(info.ChosenIdx)
 	}
-	return exec.BatchCountStage(stats)(ctx, batches), info, pushedKey, nil
+	return recv(ctx, batches), info, pushedKey, nil
+}
+
+// recv is the read of a producer goroutine's batch channel: the next
+// batch, or false once the channel closes or ctx ends.
+func recv(ctx context.Context, ch <-chan exec.Batch) func() (exec.Batch, bool) {
+	return func() (exec.Batch, bool) {
+		select {
+		case b, ok := <-ch:
+			return b, ok
+		case <-ctx.Done():
+			return nil, false
+		}
+	}
 }
 
 // openBatches opens one private subscription of src as batches of up to
@@ -209,26 +222,25 @@ func (e *Engine) openChunked(ctx context.Context, src catalog.Source, req catalo
 	if err != nil {
 		return nil, nil, err
 	}
-	return exec.ToBatches(e.opts.BatchSize, e.opts.BatchFlushEvery)(ctx, in), info, nil
+	return asyncop.Chunk(ctx, in, e.opts.BatchSize, e.opts.BatchFlushEvery), info, nil
 }
 
-// openSingle builds the pipeline for a query and sets the cursor's
-// output: the scan (or, for a join, the joined stream of two scans),
-// then one fused stage that filters the residual conjuncts and
-// aggregates or projects, whose batches exec.Terminal hands to the
-// consumer in its own goroutine. An async plan filters first and
-// projects on the async worker pool. into is the INTO TABLE target,
-// nil for any other destination.
-func (e *Engine) openSingle(ctx context.Context, cancel context.CancelFunc, ev *exec.Evaluator, stmt *lang.SelectStmt, p *plan.Query, stats *exec.Stats, cur *Cursor, into *catalog.Table) error {
+// openSingle builds the query the cursor runs: its input (the scan, or
+// for a join the joined stream of two scans) and one fused operator
+// that filters the residual conjuncts and aggregates or projects, which
+// exec.Terminal runs in the consumer's goroutine. An async plan instead
+// filters and projects on the async worker pool, whose output is the
+// input. into is the INTO TABLE target, nil for any other destination.
+func (e *Engine) openSingle(ctx context.Context, ev *exec.Evaluator, stmt *lang.SelectStmt, p *plan.Query, stats *exec.Stats, cur *Cursor, into *catalog.Table) error {
 	var (
-		batches   <-chan exec.Batch
+		next      func() (exec.Batch, bool)
 		inSchema  *value.Schema
 		residual  []lang.Expr
 		tableScan bool
 	)
 	if p.Join != nil {
 		var err error
-		if batches, inSchema, err = e.openJoin(ctx, ev, stmt, p, stats, cur); err != nil {
+		if next, inSchema, err = e.openJoin(ctx, ev, stmt, p, stats, cur); err != nil {
 			return err
 		}
 		residual = p.Conjuncts
@@ -238,10 +250,11 @@ func (e *Engine) openSingle(ctx context.Context, cancel context.CancelFunc, ev *
 			return err
 		}
 		var pushedKey string
-		batches, cur.info, pushedKey, err = e.openScanStream(ctx, src, p, stats, cur)
+		next, cur.info, pushedKey, err = e.openScanStream(ctx, src, p, stats, cur)
 		if err != nil {
 			return err
 		}
+		next = exec.ScanInput(stats, next)
 		// The schema expressions compile against must be the exact
 		// object the delivered tuples carry — the pruned one when the
 		// batched source honored column pruning — so pre-resolved
@@ -254,12 +267,12 @@ func (e *Engine) openSingle(ctx context.Context, cancel context.CancelFunc, ev *
 		residual = p.Residual(pushedKey)
 		_, tableScan = src.(*catalog.Table)
 	}
-	cur.batches, cur.limit, cur.cut = batches, stmt.Limit, cancel
+	cur.next, cur.limit = next, stmt.Limit
 
 	if p.IsAggregate {
 		agg := p.Agg
 		agg.InSchema = inSchema
-		cur.batches = exec.ColFilterAggStage(ev, residual, agg, inSchema, stats)(ctx, cur.batches)
+		cur.op = exec.ColFilterAggStage(ev, residual, agg, inSchema, stats)
 		cur.schema = exec.AggSchema(agg)
 		return nil
 	}
@@ -267,11 +280,9 @@ func (e *Engine) openSingle(ctx context.Context, cancel context.CancelFunc, ev *
 	cur.schema = exec.ProjectSchema(p.Proj, inSchema)
 	if p.Async {
 		// High-latency UDFs run on the asynchronous worker pool: latency
-		// hiding, not channel amortization, is the win there.
-		if len(residual) > 0 {
-			cur.batches = exec.ColFilterStage(ev, residual, inSchema, stats)(ctx, cur.batches)
-		}
-		cur.batches = exec.AsyncProjectStage(ev, p.Proj, inSchema, e.opts.AsyncWorkers, e.opts.AsyncCallTimeout, stats)(ctx, cur.batches)
+		// hiding is the win there.
+		out := exec.AsyncProjectStage(ev, residual, p.Proj, inSchema, e.opts.AsyncWorkers, e.opts.AsyncCallTimeout, stats)(ctx, next)
+		cur.next = recv(ctx, out)
 		return nil
 	}
 	// A shared row pins the cells of every row scanned beside it, so
@@ -288,7 +299,7 @@ func (e *Engine) openSingle(ctx context.Context, cancel context.CancelFunc, ev *
 		_, intoStore = into.Backend().(*store.Table)
 	}
 	share := intoStore || tableScan && !cur.Routed()
-	cur.batches = exec.ColFilterProjectStage(ev, residual, p.Proj, inSchema, e.opts.BatchWorkers, share, stats)(ctx, cur.batches)
+	cur.op = exec.ColFilterProjectStage(ev, residual, p.Proj, inSchema, e.opts.BatchWorkers, share, stats)
 	return nil
 }
 
@@ -331,13 +342,14 @@ func planExprs(stmt *lang.SelectStmt, p *plan.Query) []lang.Expr {
 }
 
 // openJoin opens both sides of FROM a JOIN b ON ... WINDOW w and
-// returns the joined stream with its schema; openSingle adds the filter
-// and projection. Both sides are private scans (a shared fan-out has no
-// pairing between the two sides' attach times), never pruned, and
-// batched at the boundary rather than by the source: a batching live
-// source parks the hub's publisher on a connection a batch behind, so a
-// join stalled on its consumer would stall every other scan of the hub.
-func (e *Engine) openJoin(ctx context.Context, ev *exec.Evaluator, stmt *lang.SelectStmt, p *plan.Query, stats *exec.Stats, cur *Cursor) (<-chan exec.Batch, *value.Schema, error) {
+// returns the read of the joined stream with its schema; openSingle
+// adds the filter and projection. Both sides are private scans (a
+// shared fan-out has no pairing between the two sides' attach times),
+// never pruned, and batched at the boundary rather than by the source:
+// a batching live source parks the hub's publisher on a connection a
+// batch behind, so a join stalled on its consumer would stall every
+// other scan of the hub.
+func (e *Engine) openJoin(ctx context.Context, ev *exec.Evaluator, stmt *lang.SelectStmt, p *plan.Query, stats *exec.Stats, cur *Cursor) (func() (exec.Batch, bool), *value.Schema, error) {
 	leftSrc, err := e.cat.Source(stmt.From.Name)
 	if err != nil {
 		return nil, nil, err
@@ -369,5 +381,5 @@ func (e *Engine) openJoin(ctx context.Context, ev *exec.Evaluator, stmt *lang.Se
 	// and every downstream stage: compiled column indices stay on the
 	// fast path because output tuples carry this exact pointer.
 	cfg.OutSchema = exec.JoinSchema(leftSrc.Schema(), rightSrc.Schema(), cfg)
-	return exec.JoinStage(ctx, ev, left, right, leftSrc.Schema(), rightSrc.Schema(), cfg, stats), cfg.OutSchema, nil
+	return recv(ctx, exec.JoinStage(ctx, ev, left, right, leftSrc.Schema(), rightSrc.Schema(), cfg, stats)), cfg.OutSchema, nil
 }

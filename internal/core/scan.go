@@ -175,10 +175,10 @@ func (e *Engine) Scans() []ScanStatus {
 
 // attachShared resolves the query onto a shared scan: joining the live
 // scan with its plan's signature, or opening a new one. It returns the
-// query's private batch stream off the scan's fan-out, the scan's open
-// info (pushdown decision — made once, by whichever query opened the
-// scan), and the scan handle.
-func (e *Engine) attachShared(ctx context.Context, src catalog.Source, p *plan.Query, stats *exec.Stats) (<-chan exec.Batch, *catalog.OpenInfo, *SharedScan, error) {
+// query's read of its own subscription to the scan's fan-out, the
+// scan's open info (pushdown decision — made once, by whichever query
+// opened the scan), and the scan handle.
+func (e *Engine) attachShared(ctx context.Context, src catalog.Source, p *plan.Query, stats *exec.Stats) (func() (exec.Batch, bool), *catalog.OpenInfo, *SharedScan, error) {
 	m := e.scans
 	m.mu.Lock()
 	s := m.scans[p.Signature]
@@ -348,60 +348,47 @@ func (s *SharedScan) err() error {
 	return nil
 }
 
-// attach subscribes one query to the scan's fan-out and bridges the
-// subscription onto a batch channel. The subscription ring holds
-// Options.SourceBuffer rows with drop-oldest backpressure — the same
-// best-effort contract a private streaming connection gives a slow
-// consumer, and what guarantees one stalled query can never block its
-// siblings or the scan. The bridge owns the query's scan reference:
-// it detaches (and, when it is the last, closes the physical scan)
-// when the query's context ends or the stream closes.
-func (s *SharedScan) attach(ctx context.Context, opts Options, stats *exec.Stats) <-chan exec.Batch {
+// attach subscribes one query to the scan's fan-out and returns the
+// query's read of the subscription, re-cut to Options.BatchSize. The
+// subscription ring holds Options.SourceBuffer rows with drop-oldest
+// backpressure — the same best-effort contract a private streaming
+// connection gives a slow consumer, and what guarantees one stalled
+// query can never block its siblings or the scan. It is the only buffer
+// between the scan and the query, which reads it in its consumer's
+// goroutine. The query's scan reference ends with ctx (Stop, a LIMIT
+// cut, the end of its cursor, or the caller's context), read or not:
+// then it detaches and, when it is the last, closes the physical scan.
+func (s *SharedScan) attach(ctx context.Context, opts Options, stats *exec.Stats) func() (exec.Batch, bool) {
 	buffer := opts.SourceBuffer
 	if buffer <= 0 {
 		buffer = 4096
 	}
-	size := opts.BatchSize
-	if size < 1 {
-		size = 1
-	}
+	size := max(opts.BatchSize, 1)
 	sub := s.ds.Subscribe(catalog.SubOptions{Buffer: buffer, Policy: catalog.DropOldest})
-	out := make(chan exec.Batch, 4)
-	// The fan-out hop is this query's view of the shared scan: the span
-	// opens before Recv, so its latency is time spent waiting on the
-	// shared ring — an ingest-bound query shows up here, not in its
-	// residual stages.
-	sp := stats.StageProf("fanout", "scan "+s.source, "batch")
-	go func() {
-		defer s.mgr.detach(s)
-		defer close(out)
-		defer sub.Cancel()
-		for {
-			span := sp.Enter()
-			rows, err := sub.Recv(ctx)
-			if err != nil {
-				if err == catalog.ErrStreamClosed && stats != nil {
+	context.AfterFunc(ctx, func() {
+		sub.Cancel()
+		s.mgr.detach(s)
+	})
+	var rows exec.Batch
+	return func() (exec.Batch, bool) {
+		if len(rows) == 0 {
+			var err error
+			if rows, err = sub.Recv(ctx); err != nil {
+				if err == catalog.ErrStreamClosed && ctx.Err() == nil {
 					if serr := s.err(); serr != nil {
 						stats.NoteError(serr)
 					}
 				}
-				return
-			}
-			span.Exit(len(rows), len(rows))
-			// Recv drains the whole ring; re-chunk to the engine's batch
-			// size. Sub-slices are disjoint and rows is freshly allocated
-			// per Recv, so batch ownership passes cleanly downstream.
-			for lo := 0; lo < len(rows); lo += size {
-				hi := min(lo+size, len(rows))
-				select {
-				case out <- rows[lo:hi:hi]:
-				case <-ctx.Done():
-					return
-				}
+				return nil, false
 			}
 		}
-	}()
-	return out
+		// Recv drains the whole ring into a fresh slice; its disjoint
+		// sub-slices pass to the query as batches.
+		n := min(size, len(rows))
+		b := rows[:n:n]
+		rows = rows[n:]
+		return b, true
+	}
 }
 
 // detach drops one query's reference; the last reference closes the

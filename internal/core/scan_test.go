@@ -334,19 +334,25 @@ func TestSharedScanAttachDetachRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				cur, err := eng.Query(context.Background(), "SELECT n FROM live")
+				ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+				cur, err := eng.Query(ctx, "SELECT n FROM live")
 				if err != nil {
+					cancel()
 					t.Error(err)
 					return
 				}
-				// Read a little, then walk away mid-stream.
-				for j := 0; j < 3; j++ {
-					select {
-					case <-cur.Rows():
-					case <-time.After(100 * time.Millisecond):
+				// Read a little, then walk away mid-stream; every other
+				// query walks away without reading at all.
+				if i%2 == 0 {
+					n := 0
+					for range cur.Rows() {
+						if n++; n == 3 {
+							break
+						}
 					}
 				}
 				cur.Stop()
+				cancel()
 			}
 		}()
 	}

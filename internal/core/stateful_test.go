@@ -46,6 +46,10 @@ func TestStatefulPlansAreDeterministic(t *testing.T) {
 			"12ecbb5f0b321a1bbc98f8114e4e675a8fc2c85ec337d9712dcb879616cdc1de"},
 		{"where_and_select", `SELECT running_n(text) AS n, text FROM twitter WHERE running_n(text) % 2 = 0`, ""},
 		{"where_under_group_by_window", `SELECT COUNT(*) AS n FROM twitter WHERE running_n(text) % 2 = 0 GROUP BY has_geo WINDOW 1 MINUTE`, ""},
+		// A high-latency UDF beside the stateful one: the select list
+		// stays off the async pool, whose overlapping calls would hand
+		// running_n the rows out of order.
+		{"async_and_stateful_select", `SELECT latitude(loc) AS lat, running_n(text) AS n, text FROM twitter`, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			first := tc.want
@@ -69,6 +73,10 @@ func TestStatefulPlansAreDeterministic(t *testing.T) {
 							// SELECT call takes the next count.
 							if n, _ := r.Get("n").IntVal(); tc.name == "where_and_select" && n != int64(2*len(rows)+3) {
 								t.Fatalf("row %d: n = %d, want %d", len(rows), n, 2*len(rows)+3)
+							}
+							// With no WHERE, row k is the k-th call.
+							if n, _ := r.Get("n").IntVal(); tc.name == "async_and_stateful_select" && n != int64(len(rows)+1) {
+								t.Fatalf("row %d: n = %d, want %d", len(rows), n, len(rows)+1)
 							}
 							rows = append(rows, r.String())
 						}

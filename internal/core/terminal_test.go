@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"iter"
 	"strings"
 	"testing"
 	"time"
@@ -165,9 +166,8 @@ func TestOneLagObservationPerRow(t *testing.T) {
 	}
 }
 
-// TestRowsStopEndsReader: Stop still ends a reader of the pipeline's
-// flattened rows; only a LIMIT cut is kept from cutting the reader
-// short.
+// TestRowsStopEndsReader: Stop ends a reader of the query's rows that
+// had not started reading when it came.
 func TestRowsStopEndsReader(t *testing.T) {
 	eng, _ := terminalEngine(t, 64, false)
 	cur, err := eng.Query(context.Background(), `SELECT text FROM twitter`)
@@ -179,11 +179,11 @@ func TestRowsStopEndsReader(t *testing.T) {
 	select {
 	case <-drainDone(rows):
 	case <-time.After(10 * time.Second):
-		t.Fatal("Rows did not close after Stop")
+		t.Fatal("Rows did not end after Stop")
 	}
 }
 
-func drainDone(rows <-chan value.Tuple) <-chan struct{} {
+func drainDone(rows iter.Seq[value.Tuple]) <-chan struct{} {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

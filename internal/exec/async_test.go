@@ -64,9 +64,9 @@ func TestAsyncProjectOverBatches(t *testing.T) {
 		peak.Store(0)
 		stats := &Stats{}
 		ctx := WithStats(context.Background(), stats)
-		stage := AsyncProjectStage(NewEvaluator(cat), items, testSchema(), workers, 0, stats)
+		stage := AsyncProjectStage(NewEvaluator(cat), nil, items, testSchema(), workers, 0, stats)
 		var got []value.Tuple
-		for b := range stage(ctx, chunk(size, rows)) {
+		for b := range stage(ctx, pull(chunk(size, rows))) {
 			if len(b) == 0 {
 				t.Fatalf("batch size %d: empty output batch", size)
 			}

@@ -4,101 +4,118 @@ import (
 	"context"
 	"time"
 
-	"tweeql/internal/asyncop"
 	"tweeql/internal/value"
 )
 
-// Batch is a chunk of tuples moved through the pipeline in one channel
-// transfer. It is an alias (not a defined type) so sources in other
-// packages can produce batches without importing exec.
+// Batch is a chunk of tuples moved through the pipeline in one step. It
+// is an alias (not a defined type) so sources in other packages can
+// produce batches without importing exec.
 //
-// Batches are the only stream between stages: a single row travels as
-// a batch of one. Tuple order within a batch is the stream order and
-// every single-input stage preserves it, so such a pipeline emits the
-// same rows, in the same order, at any batch size (JoinStage documents
-// its own order). That holds for plans calling a stateful UDF too:
-// their stages take each batch one row at a time (see colFilter).
+// Batches are the only stream between operators: a single row travels
+// as a batch of one. Tuple order within a batch is the stream order and
+// every single-input operator preserves it, so such a pipeline emits
+// the same rows, in the same order, at any batch size (JoinStage
+// documents its own order). That holds for plans calling a stateful UDF
+// too: their operators take each batch one row at a time (see
+// colFilter).
 type Batch = []value.Tuple
 
-// BatchStage is a channel-to-channel operator over batches. One channel
-// transfer per batch instead of one per tuple is what buys the
-// throughput (the per-send synchronization amortizes over the batch).
-type BatchStage func(ctx context.Context, in <-chan Batch) <-chan Batch
+// Operator is a query's tail between its input and Terminal, called in
+// the consumer's goroutine. Push takes one input batch and hands what it
+// emits to emit; Flush emits what is still open at end of stream. Both
+// return false once emit has: the query has ended and the operator
+// stops.
+type Operator interface {
+	Push(ctx context.Context, b Batch, emit func(Batch) bool) bool
+	Flush(emit func(Batch) bool) bool
+}
 
-// ToBatches groups a tuple stream into batches of up to size tuples.
-// flushEvery bounds how long a partial batch may wait before being
-// delivered downstream (0 = deliver only full batches and the final
-// partial batch at stream end). The final partial batch always flushes
-// on input close; empty batches are never emitted.
-func ToBatches(size int, flushEvery time.Duration) func(ctx context.Context, in <-chan value.Tuple) <-chan Batch {
-	return func(ctx context.Context, in <-chan value.Tuple) <-chan Batch {
-		return asyncop.Chunk(ctx, in, size, flushEvery)
+// Map is a stateless Operator: each input batch maps to one output
+// batch, and an empty one emits nothing.
+type Map func(ctx context.Context, b Batch) Batch
+
+// Push implements Operator.
+func (m Map) Push(ctx context.Context, b Batch, emit func(Batch) bool) bool {
+	if out := m(ctx, b); len(out) > 0 {
+		return emit(out)
+	}
+	return true
+}
+
+// Flush implements Operator: a Map holds nothing back.
+func (Map) Flush(func(Batch) bool) bool { return true }
+
+// ScanInput wraps next, a query's read of its scan, so that each batch
+// it yields counts toward RowsIn and each wait is timed as the query's
+// one "scan" stage: a scan-dominated profile thus reads as ingest-bound
+// rather than CPU-bound. A join counts its own two inputs instead.
+func ScanInput(stats *Stats, next func() (Batch, bool)) func() (Batch, bool) {
+	sp := stats.StageProf("scan", "source", "batch")
+	return func() (Batch, bool) {
+		span := sp.Enter()
+		b, ok := next()
+		if ok {
+			span.Exit(len(b), len(b))
+			stats.RowsIn.Add(int64(len(b)))
+		}
+		return b, ok
 	}
 }
 
-// Terminal is the terminal stage of every pipeline, run in
-// the goroutine of whoever consumes it: it hands each batch from in to
-// deliver, whole, so a sink receives batches with no further hop. It is
-// the one place the pipeline counts RowsOut, records watermark lag (now
-// minus the batch's minimum event timestamp, weighted by its rows) and
-// enforces LIMIT. limit < 0 means unlimited. Otherwise exactly limit
-// rows are delivered: the batch the limit falls inside is trimmed, and
-// only after deliver has returned with it does Terminal call cancel, so
-// upstream stages unwind without racing the last rows. deliver returns
-// false when its consumer has gone, which ends the stage.
-func Terminal(in <-chan Batch, limit int, cancel context.CancelFunc, stats *Stats, deliver func(Batch) bool) {
+// Terminal runs a query in the goroutine of whoever consumes it: it
+// pulls each input batch through next (false = end of stream, or the
+// query ended), passes it through op (nil passes batches on as they
+// are), and hands what op emits to deliver, whole, so a sink receives
+// batches with no further hop. At end of stream it flushes op, unless
+// ctx has ended. It is the one place the pipeline counts RowsOut,
+// records watermark lag (now minus the batch's minimum event timestamp,
+// weighted by its rows) and enforces LIMIT. limit < 0 means unlimited.
+// Otherwise exactly limit rows are delivered: the batch the limit falls
+// inside is trimmed, and only after deliver has returned with it does
+// Terminal call cancel, so producers unwind without racing the last
+// rows. deliver returns false when its consumer has gone, which ends
+// the query.
+func Terminal(ctx context.Context, next func() (Batch, bool), op Operator, limit int, cancel context.CancelFunc, stats *Stats, deliver func(Batch) bool) {
 	if limit == 0 {
 		cancel()
 		return
 	}
 	left := limit
-	for b := range in {
+	emit := func(b Batch) bool {
 		cut := left >= 0 && len(b) >= left
 		if cut {
 			b = b[:left:left]
 		}
 		if !deliver(b) {
-			return
+			return false
 		}
 		stats.RowsOut.Add(int64(len(b)))
 		stats.ObserveLag(minEventTS(b), len(b))
 		if cut {
 			cancel()
-			return
+			return false
 		}
 		if left > 0 {
 			left -= len(b)
 		}
+		return true
 	}
-}
-
-// BatchCountStage ticks RowsIn for every tuple inside each passing
-// batch, placed right after the source. Its obs stage is the
-// pipeline's "scan" operator: each span times the wait for the source
-// (or shared-scan fan-out) to produce the next batch, so a
-// scan-dominated profile reads as ingest-bound rather than CPU-bound.
-func BatchCountStage(stats *Stats) BatchStage {
-	sp := stats.StageProf("scan", "source", "batch")
-	return func(ctx context.Context, in <-chan Batch) <-chan Batch {
-		out := make(chan Batch, 4)
-		go func() {
-			defer close(out)
-			for {
-				span := sp.Enter()
-				b, ok := <-in
-				if !ok {
-					return
-				}
-				span.Exit(len(b), len(b))
-				stats.RowsIn.Add(int64(len(b)))
-				select {
-				case out <- b:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-		return out
+	for {
+		b, ok := next()
+		if !ok {
+			break
+		}
+		if op == nil {
+			ok = emit(b)
+		} else {
+			ok = op.Push(ctx, b, emit)
+		}
+		if !ok {
+			return
+		}
+	}
+	if op != nil && ctx.Err() == nil {
+		op.Flush(emit)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"tweeql/internal/asyncop"
 	"tweeql/internal/catalog"
 	"tweeql/internal/lang"
 	"tweeql/internal/obs"
@@ -52,6 +53,26 @@ func nRows(n int) []value.Tuple {
 	return out
 }
 
+// pull reads ch as Terminal's next.
+func pull(ch <-chan Batch) func() (Batch, bool) {
+	return func() (Batch, bool) {
+		b, ok := <-ch
+		return b, ok
+	}
+}
+
+// runOp drives op over in through Terminal, unlimited, and returns the
+// batches it emitted as a closed channel.
+func runOp(op Operator, in <-chan Batch) <-chan Batch {
+	return feedBatches(runTerminalOn(op, in, -1, func() {}, &Stats{})...)
+}
+
+// filterStage is a filter alone: the fused stage under a wildcard select
+// list that shares its input rows' cells.
+func filterStage(ev *Evaluator, conjuncts []lang.Expr, inSchema *value.Schema, stats *Stats) Operator {
+	return ColFilterProjectStage(ev, conjuncts, []ProjItem{{Name: "*", Wildcard: true}}, inSchema, 1, true, stats)
+}
+
 func collectBatches(ch <-chan Batch) []Batch {
 	var out []Batch
 	for b := range ch {
@@ -60,9 +81,13 @@ func collectBatches(ch <-chan Batch) []Batch {
 	return out
 }
 
+// The TestToBatches tests pin the batching the engine gives a source
+// that cannot batch itself: asyncop.Chunk, which core calls at the
+// boundary.
+
 func TestToBatchesSplitAndFinalPartial(t *testing.T) {
 	rows := nRows(10)
-	got := collectBatches(ToBatches(4, 0)(context.Background(), feedTuples(rows...)))
+	got := collectBatches(asyncop.Chunk(context.Background(), feedTuples(rows...), 4, 0))
 	if len(got) != 3 || len(got[0]) != 4 || len(got[1]) != 4 || len(got[2]) != 2 {
 		t.Fatalf("batch sizes = %v", batchSizes(got))
 	}
@@ -79,7 +104,7 @@ func TestToBatchesSplitAndFinalPartial(t *testing.T) {
 }
 
 func TestToBatchesEmptyInput(t *testing.T) {
-	got := collectBatches(ToBatches(4, 0)(context.Background(), feedTuples()))
+	got := collectBatches(asyncop.Chunk(context.Background(), feedTuples(), 4, 0))
 	if len(got) != 0 {
 		t.Fatalf("empty input produced %d batches", len(got))
 	}
@@ -89,7 +114,7 @@ func TestToBatchesFlushInterval(t *testing.T) {
 	// A partial batch on a stalled stream must flush after the
 	// interval, not wait for the batch to fill.
 	in := make(chan value.Tuple, 4)
-	out := ToBatches(1000, 5*time.Millisecond)(context.Background(), in)
+	out := asyncop.Chunk(context.Background(), in, 1000, 5*time.Millisecond)
 	in <- nRows(1)[0]
 	select {
 	case b := <-out:
@@ -110,13 +135,14 @@ func profiled() *Stats {
 
 // runTerminal runs Terminal over batches and returns what it delivered.
 func runTerminal(limit int, cancel context.CancelFunc, stats *Stats, batches ...Batch) []Batch {
-	return runTerminalOn(feedBatches(batches...), limit, cancel, stats)
+	return runTerminalOn(nil, feedBatches(batches...), limit, cancel, stats)
 }
 
-// runTerminalOn runs Terminal over in and returns what it delivered.
-func runTerminalOn(in <-chan Batch, limit int, cancel context.CancelFunc, stats *Stats) []Batch {
+// runTerminalOn runs Terminal with op over in and returns what it
+// delivered.
+func runTerminalOn(op Operator, in <-chan Batch, limit int, cancel context.CancelFunc, stats *Stats) []Batch {
 	var got []Batch
-	Terminal(in, limit, cancel, stats, func(b Batch) bool {
+	Terminal(context.Background(), pull(in), op, limit, cancel, stats, func(b Batch) bool {
 		got = append(got, b)
 		return true
 	})
@@ -168,18 +194,25 @@ func TestTerminalLimitZero(t *testing.T) {
 	}
 }
 
+// TestBatchCountStage: the scan read counts every row of every batch it
+// yields toward RowsIn, and times each wait as the "scan" stage.
 func TestBatchCountStage(t *testing.T) {
 	rows := nRows(9)
-	stats := &Stats{}
-	collectBatches(BatchCountStage(stats)(context.Background(), feedBatches(rows[:5], rows[5:])))
+	stats := profiled()
+	next := ScanInput(stats, pull(feedBatches(rows[:5], rows[5:])))
+	for _, ok := next(); ok; _, ok = next() {
+	}
 	if stats.RowsIn.Load() != 9 {
 		t.Errorf("RowsIn = %d", stats.RowsIn.Load())
+	}
+	if st := stats.Profile.Snapshot().Stages; len(st) != 1 || st[0].Kind != "scan" || st[0].RowsIn != 9 {
+		t.Errorf("stages = %+v, want one scan stage over 9 rows", st)
 	}
 }
 
 // TestBatchFilterMatchesTupleFilter runs the same conjuncts through the
-// row-at-a-time oracle and ColFilterStage, fed in batches and in
-// one-row batches, and asserts identical surviving rows in order.
+// row-at-a-time oracle and the fused stage as a filter, fed in batches
+// and in one-row batches, and asserts identical surviving rows in order.
 func TestBatchFilterMatchesTupleFilter(t *testing.T) {
 	rows := make([]value.Tuple, 0, 100)
 	for i := 0; i < 100; i++ {
@@ -196,7 +229,7 @@ func TestBatchFilterMatchesTupleFilter(t *testing.T) {
 	for name, size := range map[string]int{"batches": 33, "one_row_batches": 1} {
 		t.Run(name, func(t *testing.T) {
 			stats := &Stats{}
-			got := collect(ColFilterStage(ev, conjuncts, testSchema(), stats)(context.Background(), chunk(size, rows)))
+			got := collect(runOp(filterStage(ev, conjuncts, testSchema(), stats), chunk(size, rows)))
 			if len(got) != len(want) {
 				t.Fatalf("filter rows = %d, oracle rows = %d", len(got), len(want))
 			}
@@ -221,7 +254,7 @@ func TestBatchProjectMatchesTupleProject(t *testing.T) {
 	ev := NewEvaluator(catalog.New())
 	want := newRowOracle(ev).project(items, testSchema(), rows)
 	for _, workers := range []int{1, 4} {
-		got := collect(ColFilterProjectStage(ev, nil, items, testSchema(), workers, false, &Stats{})(context.Background(), feedBatches(rows[:20], rows[20:])))
+		got := collect(runOp(ColFilterProjectStage(ev, nil, items, testSchema(), workers, false, &Stats{}), feedBatches(rows[:20], rows[20:])))
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: rows %d != %d", workers, len(got), len(want))
 		}
@@ -246,7 +279,7 @@ func TestProjectWildcardSchemaDrift(t *testing.T) {
 
 	t.Run("tuple", func(t *testing.T) {
 		stats := &Stats{}
-		got := collect(ColFilterProjectStage(ev, nil, items, empty, 1, false, stats)(context.Background(), feedRows(rows...)))
+		got := collect(runOp(ColFilterProjectStage(ev, nil, items, empty, 1, false, stats), feedRows(rows...)))
 		if len(got) != 0 {
 			t.Fatalf("drifted rows delivered: %d", len(got))
 		}
@@ -257,7 +290,7 @@ func TestProjectWildcardSchemaDrift(t *testing.T) {
 	t.Run("batch", func(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			stats := &Stats{}
-			out := ColFilterProjectStage(ev, nil, items, empty, workers, false, stats)(context.Background(), feedBatches(rows[:5], rows[5:]))
+			out := runOp(ColFilterProjectStage(ev, nil, items, empty, workers, false, stats), feedBatches(rows[:5], rows[5:]))
 			if got := collect(out); len(got) != 0 {
 				t.Fatalf("workers=%d: drifted rows delivered: %d", workers, len(got))
 			}
@@ -268,7 +301,7 @@ func TestProjectWildcardSchemaDrift(t *testing.T) {
 	})
 	t.Run("async", func(t *testing.T) {
 		stats := &Stats{}
-		got := collect(AsyncProjectStage(ev, items, empty, 4, 0, stats)(context.Background(), feedBatches(rows[:5], rows[5:])))
+		got := collect(AsyncProjectStage(ev, nil, items, empty, 4, 0, stats)(context.Background(), pull(feedBatches(rows[:5], rows[5:]))))
 		if len(got) != 0 {
 			t.Fatalf("drifted rows delivered: %d", len(got))
 		}
@@ -325,7 +358,7 @@ func TestColFilterProjectSharedCells(t *testing.T) {
 		}
 		run := func(share bool, rows []value.Tuple) []value.Tuple {
 			stage := ColFilterProjectStage(ev, conjuncts, items, schema, 1, share, &Stats{})
-			return collect(stage(context.Background(), feedBatches(rows[:25], rows[25:])))
+			return collect(runOp(stage, feedBatches(rows[:25], rows[25:])))
 		}
 		want := run(false, mk())
 		in := mk()
@@ -364,7 +397,7 @@ func TestBatchAggregateMatchesTupleAggregate(t *testing.T) {
 	}
 	ev := NewEvaluator(catalog.New())
 	want := newRowOracle(ev).aggregate(cfg, rows)
-	got := collect(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{})(context.Background(), feedBatches(rows[:100], rows[100:250], rows[250:])))
+	got := collect(runOp(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{}), feedBatches(rows[:100], rows[100:250], rows[250:])))
 	if len(got) != len(want) {
 		t.Fatalf("agg rows: batch %d != oracle %d", len(got), len(want))
 	}
@@ -386,7 +419,7 @@ func TestBatchAggregateCountWindow(t *testing.T) {
 		Window: &lang.WindowSpec{Count: 4},
 	}
 	ev := NewEvaluator(catalog.New())
-	got := collect(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{})(context.Background(), feedBatches(rows[:7], rows[7:])))
+	got := collect(runOp(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{}), feedBatches(rows[:7], rows[7:])))
 	// 10 rows in count-4 windows: 4, 4, final partial 2.
 	if len(got) != 3 {
 		t.Fatalf("count windows = %d", len(got))
@@ -430,7 +463,7 @@ func TestAggregateBatchPerWindowClose(t *testing.T) {
 		win := tc.win
 		cfg := aggCfg(t, "n", "COUNT(*)", &win, nil)
 		cfg.InSchema = testSchema()
-		got := collectBatches(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{})(context.Background(), chunk(len(rows), rows)))
+		got := collectBatches(runOp(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{}), chunk(len(rows), rows)))
 		if len(got) != tc.batches {
 			t.Errorf("%s: %d output batches %v, want %d", tc.name, len(got), batchSizes(got), tc.batches)
 		}

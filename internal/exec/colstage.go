@@ -31,11 +31,13 @@ import (
 // colFilter is the shared filter core: it vectors-up the batch, refines
 // the selection through every conjunct, and accounts drops.
 type colFilter struct {
-	preds []vecPred
-	sp    *obs.Stage
-	stats *Stats
-	cb    ColBatch
-	sel   []uint64
+	preds    []vecPred
+	inSchema *value.Schema
+	sp       *obs.Stage
+	stats    *Stats
+	cb       ColBatch
+	sel      []uint64
+	idxs     []int
 	// rowMajor is set when the conjuncts or the stage's other
 	// expressions call a stateful UDF (see stride).
 	rowMajor bool
@@ -44,8 +46,8 @@ type colFilter struct {
 // newColFilter builds the filter for a stage whose other expressions
 // (select list, group keys, aggregate arguments) are stageExprs.
 func newColFilter(ev *Evaluator, conjuncts []lang.Expr, inSchema *value.Schema, stats *Stats, stageExprs []lang.Expr) *colFilter {
-	f := &colFilter{preds: buildVecPreds(ev, conjuncts, inSchema, stats), stats: stats,
-		rowMajor: hasStateful(ev.cat, conjuncts...) || hasStateful(ev.cat, stageExprs...)}
+	f := &colFilter{preds: buildVecPreds(ev, conjuncts, inSchema, stats), inSchema: inSchema, stats: stats,
+		rowMajor: HasStateful(ev.cat, conjuncts...) || HasStateful(ev.cat, stageExprs...)}
 	if len(conjuncts) > 0 {
 		f.sp = stats.StageProf("filter", filterLabel(len(conjuncts)), "vec")
 	}
@@ -61,68 +63,47 @@ func (f *colFilter) stride(n int) int {
 	return n
 }
 
-// apply filters one batch, returning the selection bitmap (valid until
-// the next call) and the survivor count.
-func (f *colFilter) apply(ctx context.Context, b Batch, inSchema *value.Schema) ([]uint64, int) {
-	f.cb.Reset(b, inSchema)
+// apply filters one batch and returns the indices of the rows that
+// pass, in order (valid until the next call).
+func (f *colFilter) apply(ctx context.Context, b Batch) []int {
+	f.cb.Reset(b, f.inSchema)
 	f.sel = newSel(f.sel, len(b))
-	if len(f.preds) == 0 {
-		return f.sel, len(b)
+	if len(f.preds) > 0 {
+		span := f.sp.Enter()
+		for _, p := range f.preds {
+			p(ctx, &f.cb, f.sel)
+		}
+		kept := selCount(f.sel)
+		f.stats.Dropped.Add(int64(len(b) - kept))
+		span.Exit(len(b), kept)
 	}
-	span := f.sp.Enter()
-	for _, p := range f.preds {
-		p(ctx, &f.cb, f.sel)
-	}
-	kept := selCount(f.sel)
-	f.stats.Dropped.Add(int64(len(b) - kept))
-	span.Exit(len(b), kept)
-	return f.sel, kept
+	f.idxs = appendSel(f.idxs[:0], f.sel)
+	return f.idxs
 }
 
-// ColFilterStage is the standalone vectorized filter: survivors compact
-// in place (the batch is the stage's once received, and no survivor
-// lands after its own slot) and flow on as a row batch. It serves plans
-// whose select list runs on AsyncProjectStage.
-func ColFilterStage(ev *Evaluator, conjuncts []lang.Expr, inSchema *value.Schema, stats *Stats) BatchStage {
-	return func(ctx context.Context, in <-chan Batch) <-chan Batch {
-		out := make(chan Batch, 4)
-		go func() {
-			defer close(out)
-			f := newColFilter(ev, conjuncts, inSchema, stats, nil)
-			var idxs []int
-			for b := range in {
-				if ctx.Err() != nil {
-					return
-				}
-				kept := b[:0]
-				for lo, step := 0, f.stride(len(b)); lo < len(b); lo += step {
-					part := b[lo : lo+step]
-					sel, _ := f.apply(ctx, part, inSchema)
-					idxs = appendSel(idxs[:0], sel)
-					for _, r := range idxs {
-						kept = append(kept, part[r])
-					}
-				}
-				if len(kept) == 0 {
-					continue
-				}
-				select {
-				case out <- kept:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-		return out
+// keep compacts b in place to the rows that pass the conjuncts (no
+// survivor lands after its own slot): the filter an async plan runs
+// ahead of its select list.
+func (f *colFilter) keep(ctx context.Context, b Batch) Batch {
+	kept := b[:0]
+	for lo, step := 0, f.stride(len(b)); lo < len(b); lo += step {
+		part := b[lo : lo+step]
+		for _, r := range f.apply(ctx, part) {
+			kept = append(kept, part[r])
+		}
 	}
+	return kept
 }
 
 // ColFilterProjectStage fuses the vectorized filter with projection:
 // selected lanes evaluate the select list straight out of the original
-// batch into one arena per batch. workers > 1 shards the selected lanes
-// contiguously across a pool (projection may call scalar UDFs — the
-// CPU-bound case worker sharding exists for), except on a row-major
-// stage; output order is stream order either way.
+// batch into one arena per batch, and the stage returns the projected
+// rows (none when nothing passed). workers > 1 shards the selected lanes
+// contiguously across a fork/join pool inside the call (projection may
+// call scalar UDFs — the CPU-bound case worker sharding exists for),
+// except on a row-major stage; output order is stream order either way.
+// The stage keeps scratch state between calls, so one goroutine calls
+// it at a time.
 //
 // shareCells is for callers whose output rows are read, not kept (a
 // table scan read through the cursor): a select list that is a
@@ -131,7 +112,7 @@ func ColFilterStage(ev *Evaluator, conjuncts []lang.Expr, inSchema *value.Schema
 // resliced, instead of copying them, and reuses the batch for the
 // output rows. Cells are never written after they are built, so sharing
 // costs only retention: a kept output row pins its input's arena.
-func ColFilterProjectStage(ev *Evaluator, conjuncts []lang.Expr, items []ProjItem, inSchema *value.Schema, workers int, shareCells bool, stats *Stats) BatchStage {
+func ColFilterProjectStage(ev *Evaluator, conjuncts []lang.Expr, items []ProjItem, inSchema *value.Schema, workers int, shareCells bool, stats *Stats) Map {
 	outSchema := ProjectSchema(items, inSchema)
 	fns := bindItems(ev, items, inSchema)
 	var itemExprs []lang.Expr
@@ -143,101 +124,81 @@ func ColFilterProjectStage(ev *Evaluator, conjuncts []lang.Expr, items []ProjIte
 	runLo, runOK := columnRun(items, inSchema)
 	share := shareCells && runOK
 	runHi := runLo + outSchema.Len()
+	f := newColFilter(ev, conjuncts, inSchema, stats, itemExprs)
 	sp := stats.StageProf("project", strconv.Itoa(len(items))+" items", "vec")
-	return func(ctx context.Context, in <-chan Batch) <-chan Batch {
-		out := make(chan Batch, 4)
-		go func() {
-			defer close(out)
-			f := newColFilter(ev, conjuncts, inSchema, stats, itemExprs)
-			ws := max(workers, 1)
-			if f.rowMajor {
-				ws = 1
+	ws := max(workers, 1)
+	if f.rowMajor {
+		ws = 1
+	}
+	scratch := make([]Batch, ws)
+	// project appends t's projected row to rows and its cells to arena;
+	// a row that fails to evaluate drops with its error noted.
+	project := func(ctx context.Context, rows Batch, arena []value.Value, t value.Tuple) (Batch, []value.Value) {
+		arena, row, err := projectRowAppend(ctx, items, fns, outSchema, t, arena)
+		if err != nil {
+			stats.NoteError(err)
+			return rows, arena
+		}
+		return append(rows, row), arena
+	}
+	return func(ctx context.Context, b Batch) Batch {
+		var rows Batch
+		var arena []value.Value
+		if share {
+			// Output row k reads input row >= k before overwriting slot
+			// k, so the batch serves as both.
+			rows = b[:0]
+		}
+		for lo, step := 0, f.stride(len(b)); lo < len(b); lo += step {
+			part := b[lo : lo+step]
+			idxs := f.apply(ctx, part)
+			if len(idxs) == 0 {
+				continue
 			}
-			// project appends t's projected row to rows and its cells to
-			// arena; a row that fails to evaluate drops with its error
-			// noted.
-			project := func(rows Batch, arena []value.Value, t value.Tuple) (Batch, []value.Value) {
-				arena, row, err := projectRowAppend(ctx, items, fns, outSchema, t, arena)
-				if err != nil {
-					stats.NoteError(err)
-					return rows, arena
-				}
-				return append(rows, row), arena
-			}
-			var idxs []int
-			scratch := make([]Batch, ws)
-			for b := range in {
-				if ctx.Err() != nil {
-					return
-				}
-				var rows Batch
-				var arena []value.Value
-				if share {
-					// Output row k reads input row >= k before
-					// overwriting slot k, so the batch serves as both.
-					rows = b[:0]
-				}
-				for lo, step := 0, f.stride(len(b)); lo < len(b); lo += step {
-					part := b[lo : lo+step]
-					sel, kept := f.apply(ctx, part, inSchema)
-					if kept == 0 {
+			span := sp.Enter()
+			before := len(rows)
+			switch n := len(idxs); {
+			case share:
+				for _, r := range idxs {
+					t := part[r]
+					if t.Schema == inSchema && len(t.Values) >= runHi {
+						rows = append(rows, value.Tuple{Schema: outSchema, Values: t.Values[runLo:runHi:runHi], TS: t.TS})
 						continue
 					}
-					idxs = appendSel(idxs[:0], sel)
-					span := sp.Enter()
-					before := len(rows)
-					switch n := len(idxs); {
-					case share:
-						for _, r := range idxs {
-							t := part[r]
-							if t.Schema == inSchema && len(t.Values) >= runHi {
-								rows = append(rows, value.Tuple{Schema: outSchema, Values: t.Values[runLo:runHi:runHi], TS: t.TS})
-								continue
-							}
-							// A row of another schema resolves by name.
-							rows, arena = project(rows, arena, t)
-						}
-					case ws == 1 || n < 2*ws:
-						if rows == nil {
-							rows = make(Batch, 0, n)
-							arena = make([]value.Value, 0, n*outSchema.Len())
-						}
-						for _, r := range idxs {
-							rows, arena = project(rows, arena, part[r])
-						}
-					default:
-						shards := min(ws, n)
-						var wg sync.WaitGroup
-						for w := 0; w < shards; w++ {
-							wg.Add(1)
-							go func(w int, sh []int) {
-								defer wg.Done()
-								arena := make([]value.Value, 0, len(sh)*outSchema.Len())
-								scratch[w] = scratch[w][:0]
-								for _, r := range sh {
-									scratch[w], arena = project(scratch[w], arena, part[r])
-								}
-							}(w, idxs[w*n/shards:(w+1)*n/shards])
-						}
-						wg.Wait()
-						rows = make(Batch, 0, n)
-						for w := 0; w < shards; w++ {
-							rows = append(rows, scratch[w]...)
-						}
-					}
-					span.Exit(len(idxs), len(rows)-before)
+					// A row of another schema resolves by name.
+					rows, arena = project(ctx, rows, arena, t)
 				}
-				if len(rows) == 0 {
-					continue
+			case ws == 1 || n < 2*ws:
+				if rows == nil {
+					rows = make(Batch, 0, n)
+					arena = make([]value.Value, 0, n*outSchema.Len())
 				}
-				select {
-				case out <- rows:
-				case <-ctx.Done():
-					return
+				for _, r := range idxs {
+					rows, arena = project(ctx, rows, arena, part[r])
+				}
+			default:
+				shards := min(ws, n)
+				var wg sync.WaitGroup
+				for w := 0; w < shards; w++ {
+					wg.Add(1)
+					go func(w int, sh []int) {
+						defer wg.Done()
+						arena := make([]value.Value, 0, len(sh)*outSchema.Len())
+						scratch[w] = scratch[w][:0]
+						for _, r := range sh {
+							scratch[w], arena = project(ctx, scratch[w], arena, part[r])
+						}
+					}(w, idxs[w*n/shards:(w+1)*n/shards])
+				}
+				wg.Wait()
+				rows = make(Batch, 0, n)
+				for w := 0; w < shards; w++ {
+					rows = append(rows, scratch[w]...)
 				}
 			}
-		}()
-		return out
+			span.Exit(len(idxs), len(rows)-before)
+		}
+		return rows
 	}
 }
 
@@ -265,57 +226,58 @@ func columnRun(items []ProjItem, in *value.Schema) (lo int, ok bool) {
 	return lo, len(items) > 0
 }
 
-// ColFilterAggStage fuses the vectorized filter with aggregation: the
-// rows of each input batch that pass conjuncts fold, in stream order,
-// into one folder — the time-window aggState, or the count-window
-// countState for WINDOW n TWEETS — and what it emits leaves through an
-// aggOut. Windows close when event time passes their end, early when
-// the confidence trigger fires, every n rows for a count window, and at
-// stream end.
-func ColFilterAggStage(ev *Evaluator, conjuncts []lang.Expr, cfg AggregateConfig, inSchema *value.Schema, stats *Stats) BatchStage {
+// ColFilterAggStage fuses the vectorized filter with aggregation into a
+// push operator: the rows of each input batch that pass conjuncts fold,
+// in stream order, into one folder — the time-window aggState, or the
+// count-window countState for WINDOW n TWEETS — and what it emits
+// leaves through an aggOut. Windows close when event time passes their
+// end, early when the confidence trigger fires, every n rows for a
+// count window, and at stream end (Flush).
+func ColFilterAggStage(ev *Evaluator, conjuncts []lang.Expr, cfg AggregateConfig, inSchema *value.Schema, stats *Stats) Operator {
 	stageExprs := append([]lang.Expr(nil), cfg.GroupExprs...)
 	for _, a := range cfg.Aggs {
 		if a.Arg != nil {
 			stageExprs = append(stageExprs, a.Arg)
 		}
 	}
-	sp := stats.StageProf("aggregate", aggLabel(cfg), "vec")
-	return func(ctx context.Context, in <-chan Batch) <-chan Batch {
-		out := make(chan Batch, 4)
-		go func() {
-			defer close(out)
-			f := newColFilter(ev, conjuncts, inSchema, stats, stageExprs)
-			st := newFolder(ev, cfg, stats)
-			o := &aggOut{ctx: ctx, out: out}
-			// One method value for the whole stream: passed through the
-			// folder interface it escapes, once instead of once a row.
-			emit := o.emit
-			var idxs []int
-			for b := range in {
-				if ctx.Err() != nil {
-					return
-				}
-				for lo, step := 0, f.stride(len(b)); lo < len(b); lo += step {
-					part := b[lo : lo+step]
-					sel, kept := f.apply(ctx, part, inSchema)
-					span := sp.Enter()
-					o.n = 0
-					idxs = appendSel(idxs[:0], sel)
-					for _, r := range idxs {
-						if !st.observe(ctx, part[r], emit) {
-							return
-						}
-					}
-					span.Exit(kept, o.n)
-				}
-				if !o.send() {
-					return
-				}
+	op := &aggOp{f: newColFilter(ev, conjuncts, inSchema, stats, stageExprs),
+		sp: stats.StageProf("aggregate", aggLabel(cfg), "vec"), st: newFolder(ev, cfg, stats)}
+	// One method value for the whole stream: passed through the folder
+	// interface it escapes, once instead of once a row.
+	op.rowEmit = op.out.emit
+	return op
+}
+
+// aggOp is the operator ColFilterAggStage returns.
+type aggOp struct {
+	sp      *obs.Stage
+	f       *colFilter
+	st      folder
+	out     aggOut
+	rowEmit func(value.Tuple) bool
+}
+
+// Push implements Operator: it filters b and folds its survivors,
+// emitting each window that closes as it goes, then what is pending.
+func (o *aggOp) Push(ctx context.Context, b Batch, emit func(Batch) bool) bool {
+	o.out.to = emit
+	for lo, step := 0, o.f.stride(len(b)); lo < len(b); lo += step {
+		part := b[lo : lo+step]
+		idxs := o.f.apply(ctx, part)
+		span := o.sp.Enter()
+		o.out.n = 0
+		for _, r := range idxs {
+			if !o.st.observe(ctx, part[r], o.rowEmit) {
+				return false
 			}
-			if st.flush(emit) {
-				o.send()
-			}
-		}()
-		return out
+		}
+		span.Exit(len(idxs), o.out.n)
 	}
+	return o.out.send()
+}
+
+// Flush implements Operator: it closes every open window.
+func (o *aggOp) Flush(emit func(Batch) bool) bool {
+	o.out.to = emit
+	return o.st.flush(o.rowEmit) && o.out.send()
 }

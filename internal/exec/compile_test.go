@@ -220,7 +220,7 @@ func TestCompiledFilterAllocFree(t *testing.T) {
 }
 
 // TestCompiledStagesMatchInterpretedStages runs the same rows through
-// compiled and interpreted ColFilterStage/ColFilterProjectStage/
+// compiled and interpreted filter/ColFilterProjectStage/
 // ColFilterAggStage — native vector kernels against interpreted lanes —
 // and requires identical outputs in identical order.
 func TestCompiledStagesMatchInterpretedStages(t *testing.T) {
@@ -246,7 +246,7 @@ func TestCompiledStagesMatchInterpretedStages(t *testing.T) {
 		ev.EnableCompile(compile)
 		var filtered, projected, aggregated []string
 		stats := &Stats{}
-		for _, r := range collect(ColFilterStage(ev, conjuncts, testSchema(), stats)(context.Background(), chunk(90, rows))) {
+		for _, r := range collect(runOp(filterStage(ev, conjuncts, testSchema(), stats), chunk(90, rows))) {
 			filtered = append(filtered, r.String())
 		}
 		items := []ProjItem{
@@ -254,7 +254,7 @@ func TestCompiledStagesMatchInterpretedStages(t *testing.T) {
 			{Name: "m", Expr: expr(t, "n * 2 + 1")},
 			{Name: "w", Wildcard: true},
 		}
-		for _, r := range collect(ColFilterProjectStage(ev, nil, items, testSchema(), 1, false, &Stats{})(context.Background(), chunk(90, rows))) {
+		for _, r := range collect(runOp(ColFilterProjectStage(ev, nil, items, testSchema(), 1, false, &Stats{}), chunk(90, rows))) {
 			projected = append(projected, r.String())
 		}
 		cfg := AggregateConfig{
@@ -271,7 +271,7 @@ func TestCompiledStagesMatchInterpretedStages(t *testing.T) {
 			Window:   &lang.WindowSpec{Size: time.Minute, Every: time.Minute},
 			InSchema: testSchema(),
 		}
-		for _, r := range collect(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{})(context.Background(), chunk(90, rows))) {
+		for _, r := range collect(runOp(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{}), chunk(90, rows))) {
 			aggregated = append(aggregated, r.String())
 		}
 		return filtered, projected, aggregated

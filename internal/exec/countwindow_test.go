@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -25,7 +24,7 @@ func TestCountWindowBatches(t *testing.T) {
 	for i, txt := range texts {
 		rows = append(rows, row(txt, int64(i), value.Null(), value.Null(), base.Add(time.Duration(i)*time.Minute)))
 	}
-	out := collect(ColFilterAggStage(ev, nil, countCfg(t, 3), testSchema(), &Stats{})(context.Background(), feedRows(rows...)))
+	out := collect(runOp(ColFilterAggStage(ev, nil, countCfg(t, 3), testSchema(), &Stats{}), feedRows(rows...)))
 	// Batch 1 → a=2, b=1; batch 2 → a=1, b=2; batch 3 (partial) → a=1.
 	if len(out) != 5 {
 		t.Fatalf("rows = %d: %v", len(out), out)
@@ -62,7 +61,7 @@ func TestCountWindowStalenessShape(t *testing.T) {
 		rows = append(rows, row("dense", 1, value.Null(), value.Null(), base.Add(time.Duration(i)*600*time.Millisecond)))
 	}
 	rows = append(rows, row("sparse", 1, value.Null(), value.Null(), base.Add(6*time.Hour)))
-	out := collect(ColFilterAggStage(ev, nil, countCfg(t, 100), testSchema(), &Stats{})(context.Background(), feedRows(rows...)))
+	out := collect(runOp(ColFilterAggStage(ev, nil, countCfg(t, 100), testSchema(), &Stats{}), feedRows(rows...)))
 	if len(out) != 2 {
 		t.Fatalf("rows = %d", len(out))
 	}
@@ -79,7 +78,7 @@ func TestCountWindowAggregatesValues(t *testing.T) {
 	ev := NewEvaluator(catalog.New())
 	cfg := aggCfg(t, "", "AVG(n)", &lang.WindowSpec{Count: 2}, nil)
 	base := time.Unix(0, 0).UTC()
-	out := collect(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{})(context.Background(), feedRows(
+	out := collect(runOp(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{}), feedRows(
 		row("x", 2, value.Null(), value.Null(), base),
 		row("x", 4, value.Null(), value.Null(), base.Add(time.Second)),
 		row("x", 10, value.Null(), value.Null(), base.Add(2*time.Second)),

@@ -2,8 +2,10 @@
 // evaluation, vectorized filtering fused with projection (with the
 // asynchronous path for high-latency UDFs) or with windowed grouped
 // aggregation (with CONTROL-style confidence triggers), windowed stream
-// joins, and limits. Operators are composable
-// channel-to-channel stages; the core engine assembles them into plans.
+// joins, and limits. Operators are plain calls on batches — a Map or a
+// push Operator — that Terminal runs in the consumer's goroutine; only
+// the join and the async pool run goroutines of their own. The core
+// engine assembles them into plans.
 package exec
 
 import (
@@ -625,7 +627,7 @@ func HasHighLatency(cat *catalog.Catalog, exprs ...lang.Expr) bool {
 
 // hasStateful reports whether any expression calls a stateful UDF — the
 // trigger for a row-major stage (see colFilter).
-func hasStateful(cat *catalog.Catalog, exprs ...lang.Expr) bool {
+func HasStateful(cat *catalog.Catalog, exprs ...lang.Expr) bool {
 	return callsAny(exprs, func(name string) bool {
 		_, ok := cat.Stateful(name)
 		return ok

@@ -280,8 +280,8 @@ func TestFilterStage(t *testing.T) {
 	ev := NewEvaluator(catalog.New())
 	stats := &Stats{}
 	conjuncts := []lang.Expr{whereExpr(t, "n > 2"), whereExpr(t, "text CONTAINS 'keep'")}
-	stage := ColFilterStage(ev, conjuncts, testSchema(), stats)
-	out := collect(stage(context.Background(), feedRows(
+	stage := filterStage(ev, conjuncts, testSchema(), stats)
+	out := collect(runOp(stage, feedRows(
 		row("keep me", 3, value.Null(), value.Null(), time.Unix(1, 0)),
 		row("keep me", 1, value.Null(), value.Null(), time.Unix(2, 0)),
 		row("drop me", 5, value.Null(), value.Null(), time.Unix(3, 0)),
@@ -316,8 +316,8 @@ func TestProjectStageSyncAsyncAgree(t *testing.T) {
 	for i := int64(0); i < 20; i++ {
 		rows = append(rows, row("r", i, value.Null(), value.Null(), time.Unix(i, 0)))
 	}
-	sync := collect(ColFilterProjectStage(ev, nil, items, testSchema(), 1, false, &Stats{})(context.Background(), feedRows(rows...)))
-	async := collect(AsyncProjectStage(ev, items, testSchema(), 8, 0, &Stats{})(context.Background(), feedRows(rows...)))
+	sync := collect(runOp(ColFilterProjectStage(ev, nil, items, testSchema(), 1, false, &Stats{}), feedRows(rows...)))
+	async := collect(AsyncProjectStage(ev, nil, items, testSchema(), 8, 0, &Stats{})(context.Background(), pull(feedRows(rows...))))
 	if len(sync) != 20 || len(async) != 20 {
 		t.Fatalf("lens: %d %d", len(sync), len(async))
 	}
@@ -331,7 +331,7 @@ func TestProjectStageSyncAsyncAgree(t *testing.T) {
 func TestProjectWildcard(t *testing.T) {
 	ev := NewEvaluator(catalog.New())
 	items := []ProjItem{{Wildcard: true}, {Name: "n2", Expr: expr(t, "n * 2")}}
-	out := collect(ColFilterProjectStage(ev, nil, items, testSchema(), 1, false, &Stats{})(context.Background(), feedRows(
+	out := collect(runOp(ColFilterProjectStage(ev, nil, items, testSchema(), 1, false, &Stats{}), feedRows(
 		row("a", 2, value.Null(), value.Null(), time.Unix(0, 0)),
 	)))
 	if len(out) != 1 {
@@ -366,7 +366,7 @@ func TestAggregateStageTumbling(t *testing.T) {
 	ev := NewEvaluator(catalog.New())
 	cfg := aggCfg(t, "text", "COUNT(*)", &lang.WindowSpec{Size: time.Minute, Every: time.Minute}, nil)
 	base := time.Unix(0, 0).UTC()
-	out := collect(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{})(context.Background(), feedRows(
+	out := collect(runOp(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{}), feedRows(
 		row("a", 1, value.Null(), value.Null(), base.Add(10*time.Second)),
 		row("a", 2, value.Null(), value.Null(), base.Add(20*time.Second)),
 		row("b", 3, value.Null(), value.Null(), base.Add(30*time.Second)),
@@ -396,7 +396,7 @@ func TestAggregateStageTumbling(t *testing.T) {
 func TestAggregateStageWholeStream(t *testing.T) {
 	ev := NewEvaluator(catalog.New())
 	cfg := aggCfg(t, "", "AVG(n)", nil, nil)
-	out := collect(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{})(context.Background(), feedRows(
+	out := collect(runOp(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{}), feedRows(
 		row("a", 2, value.Null(), value.Null(), time.Unix(100, 0)),
 		row("a", 4, value.Null(), value.Null(), time.Unix(200, 0)),
 	)))
@@ -422,7 +422,7 @@ func TestAggregateStageConfidenceEarly(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		rows = append(rows, row("dense", 5, value.Null(), value.Null(), base.Add(time.Duration(i)*time.Second)))
 	}
-	out := collect(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{})(context.Background(), feedRows(rows...)))
+	out := collect(runOp(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{}), feedRows(rows...)))
 	if len(out) != 1 {
 		t.Fatalf("rows = %d", len(out))
 	}
@@ -485,7 +485,7 @@ func TestTerminalOneRowBatchesLimit(t *testing.T) {
 		}
 	}()
 	stats := profiled()
-	got := runTerminalOn(in, 3, cancel, stats)
+	got := runTerminalOn(nil, in, 3, cancel, stats)
 	if len(got) != 3 {
 		t.Errorf("limit delivered %d batches", len(got))
 	}
@@ -497,16 +497,20 @@ func TestTerminalOneRowBatchesLimit(t *testing.T) {
 	}
 }
 
+// TestChainAndCount: the scan read counts every row in, ahead of the
+// filter the query's operator runs.
 func TestChainAndCount(t *testing.T) {
 	ev := NewEvaluator(catalog.New())
 	stats := &Stats{}
-	count := BatchCountStage(stats)
-	filter := ColFilterStage(ev, []lang.Expr{whereExpr(t, "n > 1")}, testSchema(), stats)
-	stage := func(ctx context.Context, in <-chan Batch) <-chan Batch { return filter(ctx, count(ctx, in)) }
-	out := collect(stage(context.Background(), feedRows(
+	next := ScanInput(stats, pull(feedRows(
 		row("a", 1, value.Null(), value.Null(), time.Unix(0, 0)),
 		row("b", 2, value.Null(), value.Null(), time.Unix(1, 0)),
 	)))
+	var out []value.Tuple
+	Terminal(context.Background(), next, filterStage(ev, []lang.Expr{whereExpr(t, "n > 1")}, testSchema(), stats), -1, func() {}, stats, func(b Batch) bool {
+		out = append(out, b...)
+		return true
+	})
 	if len(out) != 1 || stats.RowsIn.Load() != 2 {
 		t.Errorf("out=%d in=%d", len(out), stats.RowsIn.Load())
 	}
@@ -516,8 +520,8 @@ func TestStatsErrors(t *testing.T) {
 	ev := NewEvaluator(catalog.New())
 	stats := &Stats{}
 	// Unknown function inside filter: rows drop, error recorded, stream continues.
-	stage := ColFilterStage(ev, []lang.Expr{whereExpr(t, "nosuchfn(n) > 0")}, testSchema(), stats)
-	out := collect(stage(context.Background(), feedRows(
+	stage := filterStage(ev, []lang.Expr{whereExpr(t, "nosuchfn(n) > 0")}, testSchema(), stats)
+	out := collect(runOp(stage, feedRows(
 		row("a", 1, value.Null(), value.Null(), time.Unix(0, 0)),
 	)))
 	if len(out) != 0 {

@@ -158,19 +158,25 @@ func bindItems(ev *Evaluator, items []ProjItem, inSchema *value.Schema) []Compil
 // in-flight web requests; callTimeout (0 = none) bounds each row's
 // evaluation so a hung web-service call cannot pin a worker slot.
 //
-// Every row of every batch goes through one ordered dispatcher, so rows
-// of the next batch are in flight while the current one finishes:
+// Its feeder goroutine pulls the input through next and filters it by
+// conjuncts, in stream order, before any row reaches the pool. Every
+// surviving row of every batch goes through one ordered dispatcher, so
+// rows of the next batch are in flight while the current one finishes:
 // latency hiding does not stop at batch boundaries. Results regroup per
 // input batch; a row that fails to evaluate drops with its error noted,
 // and a batch none of whose rows survive emits nothing.
-func AsyncProjectStage(ev *Evaluator, items []ProjItem, inSchema *value.Schema, workers int, callTimeout time.Duration, stats *Stats) BatchStage {
+func AsyncProjectStage(ev *Evaluator, conjuncts []lang.Expr, items []ProjItem, inSchema *value.Schema, workers int, callTimeout time.Duration, stats *Stats) func(ctx context.Context, next func() (Batch, bool)) <-chan Batch {
 	outSchema := ProjectSchema(items, inSchema)
 	fns := bindItems(ev, items, inSchema)
+	var f *colFilter
+	if len(conjuncts) > 0 {
+		f = newColFilter(ev, conjuncts, inSchema, stats, nil)
+	}
 	// Each worker call is a full select-list evaluation including the
 	// high-latency web-service UDFs — exactly the latency worth a span
 	// per call.
 	sp := stats.StageProf("async-project", strconv.Itoa(len(items))+" items", "call")
-	return func(ctx context.Context, in <-chan Batch) <-chan Batch {
+	return func(ctx context.Context, next func() (Batch, bool)) <-chan Batch {
 		// The feeder sends each batch's row count ahead of its rows, so
 		// the collector knows where to cut. sizes holds more batches than
 		// the dispatcher can hold rows, so it never holds the feeder back.
@@ -181,7 +187,14 @@ func AsyncProjectStage(ev *Evaluator, items []ProjItem, inSchema *value.Schema, 
 		go func() {
 			defer close(rows)
 			defer close(sizes)
-			for b := range in {
+			for {
+				b, ok := next()
+				if !ok {
+					return
+				}
+				if f != nil {
+					b = f.keep(ctx, b)
+				}
 				if len(b) == 0 {
 					continue
 				}
@@ -497,15 +510,14 @@ func newFolder(ev *Evaluator, cfg AggregateConfig, stats *Stats) folder {
 	return newAggState(ev, cfg, stats)
 }
 
-// aggOut gathers an aggregate stage's output rows into batches, cut
+// aggOut gathers an aggregate operator's output rows into batches, cut
 // wherever the event time changes and after every input batch. A batch
 // thus holds the rows of one window close (or one early emission), so
 // Terminal's per-batch minimum event time is each row's own window end:
 // a batch closing two windows would report the later window's rows as
 // up to one window staler than they are.
 type aggOut struct {
-	ctx  context.Context
-	out  chan<- Batch
+	to   func(Batch) bool // where batches go; set per Push and Flush
 	rows Batch
 	n    int // rows emitted, for the stage's profile
 }
@@ -522,18 +534,14 @@ func (o *aggOut) emit(row value.Tuple) bool {
 	return true
 }
 
-// send hands the pending batch downstream, if there is one.
+// send hands the pending batch on, if there is one.
 func (o *aggOut) send() bool {
 	if len(o.rows) == 0 {
 		return true
 	}
-	select {
-	case o.out <- o.rows:
-		o.rows = nil
-		return true
-	case <-o.ctx.Done():
-		return false
-	}
+	rows := o.rows
+	o.rows = nil
+	return o.to(rows)
 }
 
 // aggLabel names an aggregation stage by its shape.

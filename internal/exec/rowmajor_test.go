@@ -50,25 +50,32 @@ func TestRowMajorStagesMatchRowOracle(t *testing.T) {
 	countCfg := aggCfg(t, "", "COUNT(*)", &lang.WindowSpec{Count: 7}, nil)
 	countCfg.InSchema = testSchema()
 
+	// run drives a stage built on ev over in and returns its output.
+	type run func(ev *Evaluator, stats *Stats, in <-chan Batch) <-chan Batch
+	op := func(mk func(ev *Evaluator, stats *Stats) Operator) run {
+		return func(ev *Evaluator, stats *Stats, in <-chan Batch) <-chan Batch { return runOp(mk(ev, stats), in) }
+	}
+	wildcard := []ProjItem{{Name: "*", Wildcard: true}}
 	shapes := []struct {
 		name   string
-		stage  func(ev *Evaluator, stats *Stats) BatchStage
+		run    run
 		oracle func(o rowOracle) []value.Tuple
 	}{
-		{"filter", func(ev *Evaluator, stats *Stats) BatchStage {
-			return ColFilterStage(ev, conjuncts, testSchema(), stats)
+		// The filter an async plan runs in its feeder, ahead of the pool.
+		{"filter", func(ev *Evaluator, stats *Stats, in <-chan Batch) <-chan Batch {
+			return AsyncProjectStage(ev, conjuncts, wildcard, testSchema(), 4, 0, stats)(context.Background(), pull(in))
 		}, func(o rowOracle) []value.Tuple {
-			return o.filterProject(conjuncts, []ProjItem{{Name: "*", Wildcard: true}}, testSchema(), rows)
+			return o.filterProject(conjuncts, wildcard, testSchema(), rows)
 		}},
-		{"project", func(ev *Evaluator, stats *Stats) BatchStage {
+		{"project", op(func(ev *Evaluator, stats *Stats) Operator {
 			return ColFilterProjectStage(ev, conjuncts, items, testSchema(), 4, false, stats)
-		}, func(o rowOracle) []value.Tuple { return o.filterProject(conjuncts, items, testSchema(), rows) }},
-		{"aggregate", func(ev *Evaluator, stats *Stats) BatchStage {
+		}), func(o rowOracle) []value.Tuple { return o.filterProject(conjuncts, items, testSchema(), rows) }},
+		{"aggregate", op(func(ev *Evaluator, stats *Stats) Operator {
 			return ColFilterAggStage(ev, conjuncts, timeCfg, testSchema(), stats)
-		}, func(o rowOracle) []value.Tuple { return o.filterAggregate(conjuncts, timeCfg, rows) }},
-		{"count_window", func(ev *Evaluator, stats *Stats) BatchStage {
+		}), func(o rowOracle) []value.Tuple { return o.filterAggregate(conjuncts, timeCfg, rows) }},
+		{"count_window", op(func(ev *Evaluator, stats *Stats) Operator {
 			return ColFilterAggStage(ev, conjuncts, countCfg, testSchema(), stats)
-		}, func(o rowOracle) []value.Tuple { return o.filterAggregate(conjuncts, countCfg, rows) }},
+		}), func(o rowOracle) []value.Tuple { return o.filterAggregate(conjuncts, countCfg, rows) }},
 	}
 	for _, sh := range shapes {
 		oracle := newRowOracle(tickEvaluator(t))
@@ -78,7 +85,7 @@ func TestRowMajorStagesMatchRowOracle(t *testing.T) {
 		}
 		for _, size := range []int{1, 7, 256} {
 			stats := &Stats{}
-			got := collect(sh.stage(tickEvaluator(t), stats)(context.Background(), chunk(size, rows)))
+			got := collect(sh.run(tickEvaluator(t), stats, chunk(size, rows)))
 			if len(got) != len(want) {
 				t.Fatalf("%s at batch %d: %d rows, oracle %d", sh.name, size, len(got), len(want))
 			}
@@ -95,11 +102,9 @@ func TestRowMajorStagesMatchRowOracle(t *testing.T) {
 
 	// LIMIT cuts the row-major output at the oracle's first rows.
 	want := newRowOracle(tickEvaluator(t)).filterProject(conjuncts, items, testSchema(), rows)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	stage := ColFilterProjectStage(tickEvaluator(t), conjuncts, items, testSchema(), 4, false, &Stats{})
 	var got []value.Tuple
-	for _, b := range runTerminalOn(stage(ctx, chunk(7, rows)), 10, cancel, &Stats{}) {
+	for _, b := range runTerminalOn(stage, chunk(7, rows), 10, func() {}, &Stats{}) {
 		got = append(got, b...)
 	}
 	if len(got) != 10 {

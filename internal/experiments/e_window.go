@@ -64,7 +64,7 @@ func runE3(seed int64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	replay()
+	go replay()
 
 	// Map 1° cells back to the cities whose uneven density the paper
 	// calls out.
@@ -167,7 +167,7 @@ func e3Ablation(t *Table, lts []*firehose.LabeledTweet) error {
 	if err != nil {
 		return err
 	}
-	replay()
+	go replay()
 	var maxSpan time.Duration
 	batches := 0
 	for row := range cur.Rows() {

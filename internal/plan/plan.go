@@ -255,7 +255,11 @@ func Analyze(stmt *lang.SelectStmt, cat *catalog.Catalog, opts Options) (*Query,
 				exprs = append(exprs, p.Expr)
 			}
 		}
-		q.Async = opts.AsyncUDFs && exec.HasHighLatency(cat, exprs...)
+		// A stateful UDF must see the rows in stream order, which the
+		// pool's overlapping calls would not give it: such a select list
+		// stays on the fused stage, which runs it row-major and calls its
+		// high-latency UDFs inline.
+		q.Async = opts.AsyncUDFs && exec.HasHighLatency(cat, exprs...) && !exec.HasStateful(cat, exprs...)
 	}
 
 	if stmt.Join != nil {

@@ -83,17 +83,33 @@ func TestEmptySample(t *testing.T) {
 func TestSampleFromHub(t *testing.T) {
 	hub := twitterapi.NewHub()
 	lts := firehose.New(firehose.Config{Seed: 1, Duration: 2 * time.Minute, BaseRate: 50}).Generate()
+	// The stream repeats until the sample is taken and only then does the
+	// hub close: SampleFromHub connects at some point during the replay,
+	// and a replay that closed the hub first would refuse the connection.
+	tweets := firehose.Tweets(lts)
+	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		twitterapi.Replay(hub, firehose.Tweets(lts))
+		for {
+			for lo := 0; lo < len(tweets); lo += 256 {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				hub.PublishBatch(tweets[lo:min(lo+256, len(tweets))])
+			}
+		}
 	}()
 	sample, err := SampleFromHub(hub, 0.5, 100)
+	close(done)
+	wg.Wait()
+	hub.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
 	if len(sample) == 0 {
 		t.Fatal("empty sample")
 	}

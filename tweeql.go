@@ -15,6 +15,10 @@
 //	                            WHERE text CONTAINS 'goal' LIMIT 10`)
 //	go stream.Replay()
 //	for row := range cur.Rows() { fmt.Println(row) }
+//
+// The query runs in the loop that reads it: Rows is an iterator, so the
+// replay publishes from another goroutine, and breaking out of the loop
+// stops the query.
 package tweeql
 
 import (
@@ -43,7 +47,8 @@ type (
 	Tuple = value.Tuple
 	// Schema describes result columns.
 	Schema = value.Schema
-	// Cursor is a handle on a running query.
+	// Cursor is a handle on a running query; its Rows and Batches are
+	// iterators that run the query as they are read.
 	Cursor = core.Cursor
 	// Options tune engine behaviour (batching, async workers...).
 	Options = core.Options
@@ -142,9 +147,9 @@ func (e *Engine) RegisterUDF(name string, arity int, highLatency bool,
 // paper's peak detector is such a UDF). Calls run in stream order, one
 // row at a time: each row's WHERE calls, in conjunct order, come before
 // its SELECT (or aggregate) calls, and all of them before any call for
-// the next row, so a query returns the same rows at any batch size. The
-// exception is a select list that also calls a high-latency UDF: it
-// runs on the async worker pool, which overlaps rows.
+// the next row, so a query returns the same rows at any batch size. A
+// select list that also calls a high-latency UDF therefore stays off
+// the async worker pool and calls it inline, row by row.
 func (e *Engine) RegisterStatefulUDF(name string,
 	factory func() func(ctx context.Context, args []Value) (Value, error)) error {
 	return e.inner.Catalog().RegisterStateful(name, func() catalog.ScalarFn {

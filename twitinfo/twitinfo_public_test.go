@@ -97,33 +97,28 @@ func TestPeakDetectUDFPublic(t *testing.T) {
 	// poll (rather than sleep a fixed time) in case that ever becomes
 	// asynchronous, so the test cannot flake on a loaded machine.
 	var cur *tweeql.Cursor
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
 	testutil.WaitFor(t, 10*time.Second, func() bool {
-		cur, err = eng.Query(context.Background(),
+		cur, err = eng.Query(ctx,
 			"SELECT peak_detect(window_end, n) AS flag, n FROM counts")
 		return err == nil
 	}, "derived counts stream to register")
 	go stream.Replay()
 	flags := map[string]bool{}
-	deadline := time.After(60 * time.Second)
-	rows := cur.Rows()
-	for {
-		select {
-		case row, ok := <-rows:
-			if !ok {
-				if len(flags) == 0 {
-					t.Error("no peaks flagged by the stateful UDF")
-				}
-				if !flags["A"] {
-					t.Errorf("first peak flag missing: %v", flags)
-				}
-				return
-			}
-			if f, err := row.Get("flag").StringVal(); err == nil {
-				flags[f] = true
-			}
-		case <-deadline:
-			t.Fatal("query did not finish")
+	for row := range cur.Rows() {
+		if f, err := row.Get("flag").StringVal(); err == nil {
+			flags[f] = true
 		}
+	}
+	if ctx.Err() != nil {
+		t.Fatal("query did not finish")
+	}
+	if len(flags) == 0 {
+		t.Error("no peaks flagged by the stateful UDF")
+	}
+	if !flags["A"] {
+		t.Errorf("first peak flag missing: %v", flags)
 	}
 }
 
