@@ -55,7 +55,7 @@ func main() {
 	loop := flag.Bool("loop", true, "replay the scenario forever (false = one pass, then idle)")
 	dataDir := flag.String("data-dir", "", "root for persistent tables AND the durable query registry (empty = everything in memory)")
 	fsyncPolicy := flag.String("fsync", "seal", "persistent table fsync policy: none, seal, or flush")
-	streamBuffer := flag.Int("stream-buffer", 256, "default per-subscriber ring size for /stream (override per request with ?buffer=)")
+	streamBuffer := flag.Int("stream-buffer", 256, "default per-subscriber row budget for /stream (override per request with ?buffer=)")
 	blockDefault := flag.Bool("stream-block", false, "default /stream backpressure to block instead of drop (override with ?policy=)")
 	maxRestarts := flag.Int("max-restarts", 5, "restart-on-error attempts per query before giving up")
 	withTwitinfo := flag.Bool("twitinfo", true, "track a TwitInfo event for the scenario and mount the dashboard at /twitinfo/")

@@ -1,7 +1,9 @@
 package catalog
 
 import (
+	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,10 +14,12 @@ import (
 // routing one row to every subscriber — at 1, 16, and 256 subscribers,
 // per-tuple Publish vs PublishBatch(256). Drop-policy subscribers with
 // nobody draining: publishers never block, so the numbers isolate the
-// subscriber-set traversal + ring-append cost the serving layer's
-// fan-out pays per row.
+// subscriber-set traversal + queue-append cost the serving layer's
+// fan-out pays per row. The drained case is the serving shape instead:
+// eight Block subscribers, each read by its own goroutine with Recv,
+// fed 256-row batches (bench's isolatedFanout in miniature).
 //
-//	go test ./internal/catalog -bench=Fanout -benchtime=1s
+//	go test ./internal/catalog -run '^$' -bench=Fanout -benchtime=1s
 func BenchmarkFanout(b *testing.B) {
 	schema := value.NewSchema(
 		value.Field{Name: "x", Kind: value.KindInt},
@@ -31,6 +35,7 @@ func BenchmarkFanout(b *testing.B) {
 	for _, subs := range []int{1, 16, 256} {
 		for _, mode := range []string{"tuple", "batch"} {
 			b.Run(fmt.Sprintf("subs=%d/%s", subs, mode), func(b *testing.B) {
+				b.ReportAllocs()
 				d := NewDerivedStream("bench", schema)
 				for i := 0; i < subs; i++ {
 					sub := d.Subscribe(SubOptions{Buffer: 1024, Policy: DropOldest})
@@ -56,4 +61,32 @@ func BenchmarkFanout(b *testing.B) {
 			})
 		}
 	}
+	b.Run("subs=8/drained-block", func(b *testing.B) {
+		const subs = 8
+		b.ReportAllocs()
+		d := NewDerivedStream("bench", schema)
+		var wg sync.WaitGroup
+		for i := 0; i < subs; i++ {
+			sub := d.Subscribe(SubOptions{Buffer: 4096, Policy: Block})
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer sub.Cancel()
+				for {
+					if _, err := sub.Recv(context.Background()); err != nil {
+						return
+					}
+				}
+			}()
+		}
+		b.ResetTimer()
+		for n := 0; n < b.N; n += batchSize {
+			d.PublishBatch(batch)
+		}
+		d.CloseStream()
+		wg.Wait()
+		b.StopTimer()
+		rows := float64((b.N + batchSize - 1) / batchSize * batchSize)
+		b.ReportMetric(rows*subs/b.Elapsed().Seconds(), "deliveries/s")
+	})
 }

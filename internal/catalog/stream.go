@@ -15,15 +15,15 @@ import (
 const streamShards = 8
 
 // BackpressurePolicy decides what a DerivedStream does when a
-// subscriber's ring buffer is full.
+// subscriber's queue is full.
 type BackpressurePolicy int
 
 const (
-	// DropOldest overwrites the oldest buffered row and counts a drop —
+	// DropOldest gives up the oldest queued row and counts a drop —
 	// the streaming-API contract ("receive *most* tweets"): slow readers
 	// lose data, the publisher never stalls.
 	DropOldest BackpressurePolicy = iota
-	// Block makes the publisher wait for ring space. Total delivery at
+	// Block makes the publisher wait for room. Total delivery at
 	// the price of publisher throughput: one blocked subscriber slows
 	// every downstream of the publishing query. Subscribers holding this
 	// policy MUST be cancelled when their reader goes away.
@@ -40,7 +40,8 @@ func (p BackpressurePolicy) String() string {
 
 // SubOptions shape one subscription.
 type SubOptions struct {
-	// Buffer is the subscriber's ring capacity (<= 0 means 256).
+	// Buffer is the most rows the subscriber queues (<= 0 means 256).
+	// Nothing is allocated for it up front.
 	Buffer int
 	// Policy picks the full-ring behaviour.
 	Policy BackpressurePolicy
@@ -49,7 +50,7 @@ type SubOptions struct {
 // SubStats is a snapshot of one subscription's delivery counters.
 type SubStats struct {
 	Delivered int64 // rows handed to the reader
-	Dropped   int64 // rows lost to ring overflow (DropOldest only)
+	Dropped   int64 // rows lost to queue overflow (DropOldest only)
 }
 
 // StreamStats is a snapshot of a DerivedStream's broadcast counters.
@@ -116,7 +117,7 @@ func (d *DerivedStream) Subscribe(opts SubOptions) *Subscription {
 	s := &Subscription{
 		d:      d,
 		policy: opts.Policy,
-		buf:    make([]value.Tuple, buffer),
+		limit:  buffer,
 		notify: make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}
@@ -158,14 +159,19 @@ func (d *DerivedStream) Publish(row value.Tuple) {
 }
 
 // PublishBatch broadcasts rows, in order, to all subscribers that
-// subscribed before it began. The slice is not retained: rows are
-// copied into each subscriber's ring before returning (Block-policy
-// subscribers may make that wait). Publishing to a closed stream is a
+// subscribed before it began, and takes ownership of the slice: each
+// subscriber queues a run of it (rows[:k:k] or a later part), not a
+// copy, so the caller must not write the slice or its rows after the
+// call. Every subscriber reads the same rows. Block-policy subscribers
+// may make the call wait for room. Publishing to a closed stream is a
 // no-op.
 func (d *DerivedStream) PublishBatch(rows []value.Tuple) {
 	if len(rows) == 0 || d.closed.Load() {
 		return
 	}
+	// Capped, so that no run a reader receives can be appended into the
+	// rows after it.
+	rows = rows[:len(rows):len(rows)]
 	d.published.Add(int64(len(rows)))
 	seq := d.seq.Add(1)
 	for i := range d.shards {
@@ -258,8 +264,12 @@ type errStreamClosed struct{}
 
 func (errStreamClosed) Error() string { return "catalog: derived stream closed" }
 
-// Subscription is one subscriber's handle on a DerivedStream: a ring
-// buffer the publisher writes into and the reader drains with Recv.
+// Subscription is one subscriber's handle on a DerivedStream: a
+// bounded queue of runs, each a capped part of a batch the publisher
+// handed to PublishBatch, which the reader drains with Recv. The stream
+// keeps the publisher's slices, so every subscriber reads the same rows
+// and none is copied on the way in. At most limit rows are queued, and
+// so at most limit runs, since a run holds at least one row.
 type Subscription struct {
 	d      *DerivedStream
 	shard  int
@@ -267,10 +277,13 @@ type Subscription struct {
 	// from is the sequence number of the first publish delivered here,
 	// fixed before the subscription joins its shard.
 	from uint64
+	// limit is the row budget, SubOptions.Buffer.
+	limit int
 
-	mu        sync.Mutex
-	space     sync.Cond // Block-policy publishers wait here for ring room
-	buf       []value.Tuple
+	mu    sync.Mutex
+	space sync.Cond // Block-policy publishers wait here for room
+	// runs[head:] are the queued runs, oldest first, holding n rows.
+	runs      [][]value.Tuple
 	head, n   int
 	delivered int64
 	dropped   int64
@@ -280,44 +293,76 @@ type Subscription struct {
 	done   chan struct{} // closed once (Cancel or CloseStream)
 }
 
-// offer appends rows to the ring, applying the backpressure policy.
-// Called by the publisher with no stream-level lock held, so a blocked
-// Block-policy publisher stalls only itself.
+// offer queues rows (capped by PublishBatch), applying the backpressure
+// policy. Called by the publisher with no stream-level lock held, so a
+// blocked Block-policy publisher stalls only itself.
 func (s *Subscription) offer(rows []value.Tuple) {
 	s.mu.Lock()
-	for _, row := range rows {
-		if s.closed {
-			break
-		}
-		if s.n == len(s.buf) {
-			if s.policy == Block {
+	if s.policy == Block {
+		for len(rows) > 0 && !s.closed {
+			if s.n == s.limit {
 				// The reader may be parked on notify from before this
-				// offer; wake it NOW — the ring it must drain is full —
+				// offer; wake it NOW — the queue it must drain is full —
 				// or Wait below deadlocks against a reader that never
 				// learns there is data (the end-of-offer notify hasn't
 				// been sent yet).
 				s.wake()
-				for s.n == len(s.buf) && !s.closed {
+				for s.n == s.limit && !s.closed {
 					s.space.Wait()
 				}
-				if s.closed {
-					break
-				}
-			} else {
-				s.buf[s.head] = value.Tuple{}
-				s.head = (s.head + 1) % len(s.buf)
-				s.n--
-				s.dropped++
-				if s.d != nil {
-					s.d.dropped.Add(1)
-				}
+				continue
 			}
+			k := min(len(rows), s.limit-s.n)
+			s.push(rows[:k:k])
+			rows = rows[k:]
 		}
-		s.buf[(s.head+s.n)%len(s.buf)] = row
-		s.n++
+	} else if !s.closed {
+		s.pushDropping(rows)
 	}
 	s.mu.Unlock()
 	s.wake()
+}
+
+// pushDropping queues rows under DropOldest: the oldest rows, queued or
+// in rows itself, give way one for one to the newest until the queue
+// holds at most limit, and each counts as one drop.
+func (s *Subscription) pushDropping(rows []value.Tuple) {
+	drop := 0
+	if over := len(rows) - s.limit; over > 0 {
+		rows, drop = rows[over:], over
+	}
+	for excess := s.n + len(rows) - s.limit; excess > 0; {
+		r := s.runs[s.head]
+		k := min(len(r), excess)
+		if k == len(r) {
+			s.runs[s.head] = nil
+			s.head++
+		} else {
+			s.runs[s.head] = r[k:]
+		}
+		s.n -= k
+		drop += k
+		excess -= k
+	}
+	if drop > 0 {
+		s.dropped += int64(drop)
+		s.d.dropped.Add(int64(drop))
+	}
+	s.push(rows)
+}
+
+// push queues one non-empty capped run. When the slice is out of room
+// and at least half of it is consumed front, the live runs move down
+// instead of the slice growing: each run is moved O(1) times, and a
+// queue nobody reads holds fewer than 4·limit run headers.
+func (s *Subscription) push(run []value.Tuple) {
+	if s.head == len(s.runs) || len(s.runs) == cap(s.runs) && 2*s.head >= len(s.runs) {
+		live := copy(s.runs, s.runs[s.head:])
+		clear(s.runs[live:])
+		s.runs, s.head = s.runs[:live], 0
+	}
+	s.runs = append(s.runs, run)
+	s.n += len(run)
 }
 
 // wake nudges the reader (non-blocking; the 1-buffered channel makes a
@@ -329,37 +374,49 @@ func (s *Subscription) wake() {
 	}
 }
 
-// Recv blocks until rows are buffered, then pops and returns all of
-// them in a fresh slice the caller owns. It returns ErrStreamClosed once
-// the stream ended or the subscription was cancelled AND the buffer is
+// Recv blocks until rows are queued, then pops and returns all of them.
+// One queued run comes back as it is, with no copy and no allocation;
+// several are joined into a fresh slice. The rows are shared with every
+// other subscriber of the stream: the caller reads them and must not
+// write them or append to the slice. It returns ErrStreamClosed once the
+// stream ended or the subscription was cancelled AND the queue is
 // drained, or ctx.Err() if ctx ends first.
 func (s *Subscription) Recv(ctx context.Context) ([]value.Tuple, error) {
-	return s.RecvInto(ctx, nil)
+	return s.recv(ctx, nil, false)
 }
 
-// RecvInto is Recv into the caller's buffer: the popped rows overwrite
-// dst from its start (dst is reallocated only when the burst exceeds its
-// capacity), so a reader that is done with a burst before it asks for
-// the next one — an SSE pump encoding rows to bytes — receives without
-// allocating. The returned slice aliases dst and is valid only until the
-// next RecvInto with it; on error it is dst[:0], so the buffer survives
-// a timed-out wait.
+// RecvInto is Recv into the caller's buffer: the popped rows are copied
+// over dst from its start (dst is reallocated only when the burst
+// exceeds its capacity), so the result is the caller's to write, and a
+// reader that is done with a burst before it asks for the next one — an
+// SSE pump encoding rows to bytes — receives without allocating. With a
+// nil dst every call returns a fresh slice. The returned slice aliases
+// dst and is valid only until the next RecvInto with it; on error it is
+// dst[:0], so the buffer survives a timed-out wait.
 func (s *Subscription) RecvInto(ctx context.Context, dst []value.Tuple) ([]value.Tuple, error) {
+	return s.recv(ctx, dst, true)
+}
+
+// recv is Recv (private false) and RecvInto (private true).
+func (s *Subscription) recv(ctx context.Context, dst []value.Tuple, private bool) ([]value.Tuple, error) {
 	for {
 		s.mu.Lock()
 		if s.n > 0 {
-			out := dst[:0]
-			if cap(out) < s.n {
-				out = make([]value.Tuple, 0, s.n)
+			queued := s.runs[s.head:]
+			out := queued[0]
+			if private || len(queued) > 1 {
+				out = dst[:0]
+				if cap(out) < s.n {
+					out = make([]value.Tuple, 0, s.n)
+				}
+				for _, r := range queued {
+					out = append(out, r...)
+				}
 			}
-			for s.n > 0 {
-				out = append(out, s.buf[s.head])
-				s.buf[s.head] = value.Tuple{}
-				s.head = (s.head + 1) % len(s.buf)
-				s.n--
-			}
-			s.head = 0
-			s.delivered += int64(len(out))
+			clear(queued)
+			s.runs, s.head = s.runs[:0], 0
+			s.delivered += int64(s.n)
+			s.n = 0
 			if s.policy == Block {
 				s.space.Broadcast()
 			}

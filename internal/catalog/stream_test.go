@@ -108,7 +108,7 @@ func TestSubscriptionBlock(t *testing.T) {
 	// about to enter) its space.Wait — before cancelling out from under it.
 	testutil.WaitFor(t, 5*time.Second, func() bool {
 		sub.mu.Lock()
-		full := sub.n == len(sub.buf)
+		full := sub.n == sub.limit
 		sub.mu.Unlock()
 		return full
 	}, "publisher to fill the ring")

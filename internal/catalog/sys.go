@@ -94,7 +94,8 @@ func (c *Catalog) SysStreams() (metrics, events *DerivedStream) {
 }
 
 // PublishMetrics converts sampled metrics to rows and publishes them
-// on the $sys.metrics stream as one batch.
+// on the $sys.metrics stream as one batch, in a fresh slice the stream
+// keeps.
 func PublishMetrics(d *DerivedStream, ms []obs.Metric) {
 	if d == nil || len(ms) == 0 {
 		return

@@ -95,7 +95,10 @@ func hasTimeColumn(s *value.Schema) bool {
 // routeToStream publishes a query's result batches into a derived
 // stream — one PublishBatch (one subscriber-set traversal) per batch —
 // then closes the stream (subscribers see end-of-stream after draining
-// their buffers) and signals drained.
+// their buffers) and signals drained. The stream keeps each batch:
+// Terminal hands deliver batches nobody writes afterwards (an operator's
+// fresh output, or with no operator the input batch itself, which its
+// source handed over), and Terminal itself only reads it after deliver.
 func routeToStream(cur *Cursor, ds *catalog.DerivedStream) {
 	defer close(cur.drained)
 	defer ds.CloseStream()

@@ -325,6 +325,8 @@ func (s *SharedScan) pumpOnce(batches <-chan exec.Batch, childCancel context.Can
 		}
 		s.rowsIn.Add(int64(len(b)))
 		s.batchesIn.Add(1)
+		// The source hands over each batch (catalog.BatchSource) and
+		// the scan never touches it again: the stream may keep it.
 		s.ds.PublishBatch(b)
 	}
 	childCancel()
@@ -350,7 +352,7 @@ func (s *SharedScan) err() error {
 
 // attach subscribes one query to the scan's fan-out and returns the
 // query's read of the subscription, re-cut to Options.BatchSize. The
-// subscription ring holds Options.SourceBuffer rows with drop-oldest
+// subscription queues up to Options.SourceBuffer rows with drop-oldest
 // backpressure — the same best-effort contract a private streaming
 // connection gives a slow consumer, and what guarantees one stalled
 // query can never block its siblings or the scan. It is the only buffer
@@ -372,8 +374,11 @@ func (s *SharedScan) attach(ctx context.Context, opts Options, stats *exec.Stats
 	var rows exec.Batch
 	return func() (exec.Batch, bool) {
 		if len(rows) == 0 {
+			// A private copy, never Recv's rows: those are shared with
+			// the sibling queries, and a query may write its input in
+			// place (INTO a store table, or the async plan's filter).
 			var err error
-			if rows, err = sub.Recv(ctx); err != nil {
+			if rows, err = sub.RecvInto(ctx, nil); err != nil {
 				if err == catalog.ErrStreamClosed && ctx.Err() == nil {
 					if serr := s.err(); serr != nil {
 						stats.NoteError(serr)
@@ -382,7 +387,7 @@ func (s *SharedScan) attach(ctx context.Context, opts Options, stats *exec.Stats
 				return nil, false
 			}
 		}
-		// Recv drains the whole ring into a fresh slice; its disjoint
+		// The whole queue arrives in one fresh slice; its disjoint
 		// sub-slices pass to the query as batches.
 		n := min(size, len(rows))
 		b := rows[:n:n]

@@ -74,7 +74,10 @@ func ScanInput(stats *Stats, next func() (Batch, bool)) func() (Batch, bool) {
 // inside is trimmed, and only after deliver has returned with it does
 // Terminal call cancel, so producers unwind without racing the last
 // rows. deliver returns false when its consumer has gone, which ends
-// the query.
+// the query. deliver owns each batch it is handed and may keep it (a
+// derived stream does): with op nil that is the input batch itself, so
+// next must hand over batches it does not write again, and Terminal
+// only reads a batch after deliver returns.
 func Terminal(ctx context.Context, next func() (Batch, bool), op Operator, limit int, cancel context.CancelFunc, stats *Stats, deliver func(Batch) bool) {
 	if limit == 0 {
 		cancel()

@@ -501,7 +501,8 @@ func (a *alert) observe(row value.Tuple) {
 	a.mu.Unlock()
 
 	// Publish the transition outside the lock: the log, the event
-	// stream, and the SSE fan-out can all involve I/O.
+	// stream, and the SSE fan-out can all involve I/O. The row is fresh;
+	// the fan-out stream keeps it.
 	a.mgr.log.Info("alert transition", "alert", name, "state", transition,
 		"value", v, "at", ts)
 	a.mgr.events.Emit("alert_"+transition, name, fmt.Sprintf("value=%g", v))

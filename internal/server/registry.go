@@ -617,6 +617,8 @@ func (q *Query) pump(epoch int, cur *core.Cursor, routed bool, bcast *catalog.De
 		// backpressure), closing the ingest→delivery span the profile's
 		// lag histogram measures.
 		sp := cur.Profile().Stage("deliver", "subscribers", "batch")
+		// Each batch of Batches belongs to the receiver, so the fan-out
+		// stream may keep it: subscribers queue it without a copy.
 		for batch := range cur.Batches() {
 			span := sp.Enter()
 			bcast.PublishBatch(batch)

@@ -26,7 +26,7 @@ type Options struct {
 	DataDir string
 	// Restart bounds error-triggered restarts of Restart-flagged queries.
 	Restart RestartPolicy
-	// StreamBuffer is the default per-subscriber ring capacity for
+	// StreamBuffer is the default per-subscriber row budget for
 	// /stream endpoints (0 = 256). Clients override with ?buffer=.
 	StreamBuffer int
 	// BlockDefault makes /stream subscribers block the publisher instead

@@ -21,7 +21,7 @@ const heartbeatEvery = 15 * time.Second
 //
 //	GET /api/queries/{name}/stream?format=sse|ndjson&buffer=64&policy=drop|block
 //
-// Each connection gets its own ring buffer of `buffer` rows. Policy
+// Each connection gets its own queue of at most `buffer` rows. Policy
 // "drop" (default) drops the oldest buffered rows when the client lags
 // — drops are counted and surfaced in the query status and /metrics —
 // while "block" applies backpressure to the query's fan-out (total
@@ -80,7 +80,7 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamSpec is what distinguishes one streaming connection from
-// another: the name its SSE preamble announces, its framing, its ring,
+// another: the name its SSE preamble announces, its framing, its queue,
 // and how long it may sit idle before a ping.
 type streamSpec struct {
 	name      string

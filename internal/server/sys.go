@@ -58,7 +58,8 @@ func newSysObserver(s *Server) *sysObserver {
 	// Every emitted event lands in the bounded ring (debug bundle) and
 	// on the $sys.events stream. The sink publishes outside the ring
 	// lock; DerivedStream publishes never block DropOldest subscribers,
-	// which is what engine-opened subscriptions use.
+	// which is what engine-opened subscriptions use. Each event is a
+	// fresh row the stream keeps.
 	o.eventLog = obs.NewEventLog(0, nil, func(ev obs.SysEvent) {
 		estream.Publish(catalog.EventTuple(ev))
 	})
