@@ -1,10 +1,11 @@
 // Differential testing for the engine's production mechanisms: every
-// examples/ query and the representative engine shapes run end-to-end,
-// compiled and interpreted, at 256-row and one-row batches, and must
-// produce identical rows in identical order — including NULL
-// propagation and per-row error drops — both to each other and to the
-// rows the deleted row-batch pipeline returned, which
-// testdata/diff_rows_seed42.sha256 keeps as one hash per query.
+// examples/ query and the representative engine shapes run end-to-end
+// at 256-row and one-row batches, and must produce the rows the deleted
+// row-batch pipeline returned, in its order — including NULL
+// propagation and per-row error drops — which
+// testdata/diff_rows_seed42.sha256 keeps as one hash per query. The
+// expression-level oracle, the test-only tree-walking interpreter, is
+// checked against the compiled closures in internal/exec.
 package core_test
 
 import (
@@ -108,12 +109,11 @@ func diffEngine(t *testing.T, opts core.Options, abl core.Ablation) (*core.Engin
 	return core.NewAblatedEngine(cat, opts, abl), func() { twitterapi.Replay(hub, all) }
 }
 
-// runForDiff replays the soccer prefix through one query under opts,
-// with abl's mechanisms ablated, and returns the rendered result rows
-// in emission order.
-func runForDiff(t *testing.T, sql string, opts core.Options, abl core.Ablation) []string {
+// runForDiff replays the soccer prefix through one query under opts
+// and returns the rendered result rows in emission order.
+func runForDiff(t *testing.T, sql string, opts core.Options) []string {
 	t.Helper()
-	eng, replay := diffEngine(t, opts, abl)
+	eng, replay := diffEngine(t, opts, core.Ablation{})
 	cur, err := eng.Query(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
@@ -155,9 +155,10 @@ func diffManifest(t *testing.T) map[string]string {
 	return want
 }
 
-// matchManifest runs every diffQueries entry under abl at 256-row and
-// one-row batches and checks its rows against the manifest.
-func matchManifest(t *testing.T, abl core.Ablation) {
+// TestColumnarMatchesRow: production (compiled, columnar) returns the
+// row-batch pipeline's rows, byte for byte, in its order, at 256-row
+// and at one-row batches.
+func TestColumnarMatchesRow(t *testing.T) {
 	want := diffManifest(t)
 	for _, q := range diffQueries {
 		t.Run(q.name, func(t *testing.T) {
@@ -166,7 +167,7 @@ func matchManifest(t *testing.T, abl core.Ablation) {
 					opts := core.DefaultOptions()
 					opts.BatchSize = size
 					opts.Seed = 42
-					rows := runForDiff(t, q.sql, opts, abl)
+					rows := runForDiff(t, q.sql, opts)
 					if len(rows) == 0 {
 						t.Fatal("differential query produced no rows; test is vacuous")
 					}
@@ -177,56 +178,5 @@ func matchManifest(t *testing.T, abl core.Ablation) {
 				})
 			}
 		})
-	}
-}
-
-// TestColumnarMatchesRow: production (compiled, columnar) returns the
-// row-batch pipeline's rows, byte for byte, in its order.
-func TestColumnarMatchesRow(t *testing.T) {
-	matchManifest(t, core.Ablation{})
-}
-
-// TestColumnarInterpretedMatchesRow closes the oracle square: with
-// compilation off (every vector lane evaluated by the AST interpreter
-// closure) the columnar stages still return the row-batch pipeline's
-// rows.
-func TestColumnarInterpretedMatchesRow(t *testing.T) {
-	matchManifest(t, core.Ablation{Interpret: true})
-}
-
-// TestCompiledEngineMatchesInterpreted is the engine-level differential
-// test: compiled vs interpreted execution over identical replays, at
-// 256-row and at one-row batches.
-func TestCompiledEngineMatchesInterpreted(t *testing.T) {
-	pipelines := []struct {
-		name      string
-		batchSize int
-	}{
-		{"batched", 256},
-		{"one_row_batches", 1},
-	}
-	for _, q := range diffQueries {
-		for _, p := range pipelines {
-			t.Run(q.name+"/"+p.name, func(t *testing.T) {
-				opts := core.DefaultOptions()
-				opts.BatchSize = p.batchSize
-				opts.Seed = 42
-
-				want := runForDiff(t, q.sql, opts, core.Ablation{Interpret: true})
-				got := runForDiff(t, q.sql, opts, core.Ablation{})
-
-				if len(want) != len(got) {
-					t.Fatalf("row count: interpreted=%d compiled=%d", len(want), len(got))
-				}
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("row %d:\n interpreted %s\n compiled    %s", i, want[i], got[i])
-					}
-				}
-				if len(want) == 0 {
-					t.Fatal("differential query produced no rows; test is vacuous")
-				}
-			})
-		}
 	}
 }

@@ -172,9 +172,6 @@ func DefaultOptions() Options {
 // byte-identical. The zero value is production; only tests set it
 // (export_test.go).
 type ablation struct {
-	// Interpret evaluates expressions with the tree-walking AST
-	// interpreter instead of closures compiled at query start.
-	Interpret bool
 	// RowSegments makes persistent tables seal v1 row segments instead
 	// of v2 column blocks.
 	RowSegments bool

@@ -18,11 +18,6 @@ import (
 // execute assembles and starts the operator pipeline for a plan.
 func (e *Engine) execute(ctx context.Context, cancel context.CancelFunc, stmt *lang.SelectStmt, p *plan.Query) (*Cursor, error) {
 	ev := exec.NewEvaluator(e.cat)
-	ev.EnableCompile(!e.abl.Interpret)
-	// Pre-compile every literal MATCHES pattern before evaluation
-	// starts, so the interpreter path never compiles (or locks) on the
-	// hot path either.
-	ev.PrepareRegexes(planExprs(stmt, p)...)
 	stats := &exec.Stats{}
 	if e.opts.Profiling {
 		// One profile per query run: stages register themselves on it as
@@ -273,10 +268,8 @@ func (e *Engine) openSingle(ctx context.Context, ev *exec.Evaluator, stmt *lang.
 	cur.next, cur.limit = next, stmt.Limit
 
 	if p.IsAggregate {
-		agg := p.Agg
-		agg.InSchema = inSchema
-		cur.op = exec.ColFilterAggStage(ev, residual, agg, inSchema, stats)
-		cur.schema = exec.AggSchema(agg)
+		cur.op = exec.ColFilterAggStage(ev, residual, p.Agg, inSchema, stats)
+		cur.schema = exec.AggSchema(p.Agg)
 		return nil
 	}
 
@@ -320,28 +313,6 @@ func (e *Engine) pipeline(p *plan.Query) string {
 		return "async"
 	}
 	return "columnar"
-}
-
-// planExprs collects every expression the plan can evaluate, for the
-// evaluator's plan-time regex pre-walk.
-func planExprs(stmt *lang.SelectStmt, p *plan.Query) []lang.Expr {
-	var exprs []lang.Expr
-	exprs = append(exprs, p.Conjuncts...)
-	exprs = append(exprs, p.Agg.GroupExprs...)
-	for _, a := range p.Agg.Aggs {
-		if a.Arg != nil {
-			exprs = append(exprs, a.Arg)
-		}
-	}
-	for _, pi := range p.Proj {
-		if pi.Expr != nil {
-			exprs = append(exprs, pi.Expr)
-		}
-	}
-	if stmt.Join != nil {
-		exprs = append(exprs, stmt.Join.On)
-	}
-	return exprs
 }
 
 // openJoin opens both sides of FROM a JOIN b ON ... WINDOW w and

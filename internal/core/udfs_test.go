@@ -28,7 +28,7 @@ func udfEval(t *testing.T, exprSQL, text, loc string) value.Value {
 		t.Fatalf("parse %q: %v", exprSQL, err)
 	}
 	row := catalog.TweetTuple(tweetWith(text, loc))
-	v, err := ev.Eval(context.Background(), stmt.Items[0].Expr, row)
+	v, err := ev.Bind(stmt.Items[0].Expr, row.Schema)(context.Background(), row)
 	if err != nil {
 		t.Fatalf("eval %q: %v", exprSQL, err)
 	}
@@ -133,7 +133,7 @@ func TestRegexExtractErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse: %v", err)
 		}
-		if _, err := ev.Eval(context.Background(), stmt.Items[0].Expr, row); err == nil {
+		if _, err := ev.Bind(stmt.Items[0].Expr, row.Schema)(context.Background(), row); err == nil {
 			t.Errorf("%s should error", q)
 		}
 	}

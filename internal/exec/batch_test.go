@@ -396,7 +396,7 @@ func TestBatchAggregateMatchesTupleAggregate(t *testing.T) {
 		Window: &lang.WindowSpec{Size: time.Minute},
 	}
 	ev := NewEvaluator(catalog.New())
-	want := newRowOracle(ev).aggregate(cfg, rows)
+	want := newRowOracle(ev).aggregate(cfg, testSchema(), rows)
 	got := collect(runOp(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{}), feedBatches(rows[:100], rows[100:250], rows[250:])))
 	if len(got) != len(want) {
 		t.Fatalf("agg rows: batch %d != oracle %d", len(got), len(want))
@@ -462,7 +462,6 @@ func TestAggregateBatchPerWindowClose(t *testing.T) {
 	} {
 		win := tc.win
 		cfg := aggCfg(t, "n", "COUNT(*)", &win, nil)
-		cfg.InSchema = testSchema()
 		got := collectBatches(runOp(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{}), chunk(len(rows), rows)))
 		if len(got) != tc.batches {
 			t.Errorf("%s: %d output batches %v, want %d", tc.name, len(got), batchSizes(got), tc.batches)

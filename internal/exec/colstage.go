@@ -241,7 +241,7 @@ func ColFilterAggStage(ev *Evaluator, conjuncts []lang.Expr, cfg AggregateConfig
 		}
 	}
 	op := &aggOp{f: newColFilter(ev, conjuncts, inSchema, stats, stageExprs),
-		sp: stats.StageProf("aggregate", aggLabel(cfg), "vec"), st: newFolder(ev, cfg, stats)}
+		sp: stats.StageProf("aggregate", aggLabel(cfg), "vec"), st: newFolder(ev, cfg, inSchema, stats)}
 	// One method value for the whole stream: passed through the folder
 	// interface it escapes, once instead of once a row.
 	op.rowEmit = op.out.emit

@@ -18,28 +18,21 @@ import (
 // hash sets, and the common comparisons get kind-specialized fast
 // paths. Closures are safe for concurrent use: they hold no mutable
 // state of their own, and stateful UDF calls serialize through the
-// evaluator lock exactly as interpreted ones do.
+// evaluator lock.
 type CompiledExpr func(ctx context.Context, t value.Tuple) (value.Value, error)
 
-// EnableCompile toggles plan-time compilation for Bind. The engine
-// turns it on before any stage is built; only its test-only ablation
-// leaves the interpreter in place.
-func (e *Evaluator) EnableCompile(on bool) { e.compileOn = on }
-
-// Bind returns the evaluation closure a stage should use for expr over
-// tuples of schema: the compiled form when compilation is enabled and
-// the expression is compilable, otherwise a closure delegating to the
-// interpreter — the documented fallback, and the differential-testing
-// oracle.
+// Bind lowers expr to the closure a stage evaluates it with over tuples
+// of schema. It is the engine's one evaluator, and it is total: every
+// expression the parser builds compiles. Columns whose schema kind is
+// KindNull (dynamic) get the generic closures; only the kind-specialized
+// fast paths require a concrete declared kind. A nil schema compiles
+// against the empty one, so every column resolves per tuple. The
+// test-only tree-walking interpreter (interp_test.go) is the oracle the
+// differential tests hold these closures to: same value, same kind,
+// same error text.
 func (e *Evaluator) Bind(expr lang.Expr, schema *value.Schema) CompiledExpr {
-	if e.compileOn && schema != nil {
-		if fn, err := e.Compile(expr, schema); err == nil {
-			return fn
-		}
-	}
-	return func(ctx context.Context, t value.Tuple) (value.Value, error) {
-		return e.Eval(ctx, expr, t)
-	}
+	fn, _ := newCompiler(e, schema).compile(expr)
+	return fn
 }
 
 // BindAll binds each expression against schema (see Bind).
@@ -51,25 +44,21 @@ func (e *Evaluator) BindAll(exprs []lang.Expr, schema *value.Schema) []CompiledE
 	return fns
 }
 
-// Compile lowers expr into a closure evaluating tuples of schema. The
-// closure produces exactly the interpreter's results, including NULL
-// and error propagation; the differential tests enforce this. Columns
-// whose schema kind is KindNull (dynamic) still compile — they get the
-// generic closures; only the kind-specialized fast paths require a
-// concrete declared kind. Compile errors only on expression node types
-// the compiler does not know, in which case callers fall back to the
-// interpreter.
-func (e *Evaluator) Compile(expr lang.Expr, schema *value.Schema) (CompiledExpr, error) {
-	c := &compiler{ev: e, schema: schema}
-	fn, _, err := c.compile(expr)
-	return fn, err
-}
-
 // compiler carries compilation context: the evaluator (catalog and
 // stateful-UDF instances) and the input schema indices resolve against.
 type compiler struct {
 	ev     *Evaluator
 	schema *value.Schema
+}
+
+// emptySchema stands in for a nil input schema: no column pre-resolves.
+var emptySchema = value.NewSchema()
+
+func newCompiler(ev *Evaluator, schema *value.Schema) *compiler {
+	if schema == nil {
+		schema = emptySchema
+	}
+	return &compiler{ev: ev, schema: schema}
 }
 
 // exprInfo is what compilation learns statically about a subtree.
@@ -350,25 +339,22 @@ func errExpr(err error) CompiledExpr {
 // closure exactly once at plan time; an erroring pure subtree becomes a
 // closure returning that same error every row, which is what the
 // interpreter would report row by row.
-func (c *compiler) compile(x lang.Expr) (CompiledExpr, exprInfo, error) {
-	fn, info, err := c.lower(x)
-	if err != nil {
-		return nil, info, err
-	}
+func (c *compiler) compile(x lang.Expr) (CompiledExpr, exprInfo) {
+	fn, info := c.lower(x)
 	if info.pure && !info.cok {
 		v, everr := fn(context.Background(), value.Tuple{})
 		if everr != nil {
-			return errExpr(everr), exprInfo{pure: true, kind: value.KindNull}, nil
+			return errExpr(everr), exprInfo{pure: true, kind: value.KindNull}
 		}
-		return constExpr(v), constInfo(v), nil
+		return constExpr(v), constInfo(v)
 	}
-	return fn, info, nil
+	return fn, info
 }
 
-func (c *compiler) lower(x lang.Expr) (CompiledExpr, exprInfo, error) {
+func (c *compiler) lower(x lang.Expr) (CompiledExpr, exprInfo) {
 	switch n := x.(type) {
 	case *lang.Literal:
-		return constExpr(n.Val), constInfo(n.Val), nil
+		return constExpr(n.Val), constInfo(n.Val)
 	case *lang.Ident:
 		return c.lowerIdent(n)
 	case *lang.Unary:
@@ -376,10 +362,7 @@ func (c *compiler) lower(x lang.Expr) (CompiledExpr, exprInfo, error) {
 	case *lang.Binary:
 		return c.lowerBinary(n)
 	case *lang.IsNull:
-		xf, xi, err := c.compile(n.X)
-		if err != nil {
-			return nil, exprInfo{}, err
-		}
+		xf, xi := c.compile(n.X)
 		negate := n.Negate
 		fn := func(ctx context.Context, t value.Tuple) (value.Value, error) {
 			v, err := xf(ctx, t)
@@ -388,7 +371,7 @@ func (c *compiler) lower(x lang.Expr) (CompiledExpr, exprInfo, error) {
 			}
 			return value.Bool(v.IsNull() != negate), nil
 		}
-		return fn, exprInfo{pure: xi.pure, kind: value.KindBool}, nil
+		return fn, exprInfo{pure: xi.pure, kind: value.KindBool}
 	case *lang.InBox:
 		return c.lowerInBox(n)
 	case *lang.InList:
@@ -396,7 +379,9 @@ func (c *compiler) lower(x lang.Expr) (CompiledExpr, exprInfo, error) {
 	case *lang.Call:
 		return c.lowerCall(n)
 	default:
-		return nil, exprInfo{}, fmt.Errorf("tweeql: cannot compile %T", x)
+		// The parser builds a *lang.BoxLit only inside IN, so no other
+		// node reaches here; one that did reports per row.
+		return errExpr(fmt.Errorf("tweeql: cannot evaluate %T", x)), exprInfo{}
 	}
 }
 
@@ -404,7 +389,7 @@ func (c *compiler) lower(x lang.Expr) (CompiledExpr, exprInfo, error) {
 // schema pointer: a tuple carrying a different schema (a source that
 // renamed or re-shaped columns mid-stream) resolves dynamically, so a
 // stale index can never read the wrong cell.
-func (c *compiler) lowerIdent(x *lang.Ident) (CompiledExpr, exprInfo, error) {
+func (c *compiler) lowerIdent(x *lang.Ident) (CompiledExpr, exprInfo) {
 	schema := c.schema
 	idx, ok := resolveIdent(schema, x)
 	if !ok {
@@ -413,20 +398,17 @@ func (c *compiler) lowerIdent(x *lang.Ident) (CompiledExpr, exprInfo, error) {
 		fn := func(_ context.Context, t value.Tuple) (value.Value, error) {
 			return lookupIdent(x, t), nil
 		}
-		return fn, exprInfo{}, nil
+		return fn, exprInfo{}
 	}
 	ia := &identAccess{schema: schema, idx: idx, x: x}
 	fn := func(_ context.Context, t value.Tuple) (value.Value, error) {
 		return ia.load(t), nil
 	}
-	return fn, exprInfo{kind: schema.Field(idx).Kind, ident: ia}, nil
+	return fn, exprInfo{kind: schema.Field(idx).Kind, ident: ia}
 }
 
-func (c *compiler) lowerUnary(x *lang.Unary) (CompiledExpr, exprInfo, error) {
-	xf, xi, err := c.compile(x.X)
-	if err != nil {
-		return nil, exprInfo{}, err
-	}
+func (c *compiler) lowerUnary(x *lang.Unary) (CompiledExpr, exprInfo) {
+	xf, xi := c.compile(x.X)
 	switch x.Op {
 	case "NOT":
 		fn := func(ctx context.Context, t value.Tuple) (value.Value, error) {
@@ -439,7 +421,7 @@ func (c *compiler) lowerUnary(x *lang.Unary) (CompiledExpr, exprInfo, error) {
 			}
 			return value.Bool(!v.Truthy()), nil
 		}
-		return fn, exprInfo{pure: xi.pure, kind: value.KindBool}, nil
+		return fn, exprInfo{pure: xi.pure, kind: value.KindBool}
 	case "-":
 		fn := func(ctx context.Context, t value.Tuple) (value.Value, error) {
 			v, err := xf(ctx, t)
@@ -448,26 +430,20 @@ func (c *compiler) lowerUnary(x *lang.Unary) (CompiledExpr, exprInfo, error) {
 			}
 			return value.Arith("-", value.Int(0), v)
 		}
-		return fn, exprInfo{pure: xi.pure, kind: xi.kind}, nil
+		return fn, exprInfo{pure: xi.pure, kind: xi.kind}
 	default:
 		opErr := fmt.Errorf("tweeql: unknown unary operator %q", x.Op)
-		return errExpr(opErr), exprInfo{pure: xi.pure}, nil
+		return errExpr(opErr), exprInfo{pure: xi.pure}
 	}
 }
 
-func (c *compiler) lowerBinary(x *lang.Binary) (CompiledExpr, exprInfo, error) {
+func (c *compiler) lowerBinary(x *lang.Binary) (CompiledExpr, exprInfo) {
 	switch x.Op {
 	case "AND", "OR":
 		return c.lowerLogic(x)
 	}
-	lf, li, err := c.compile(x.L)
-	if err != nil {
-		return nil, exprInfo{}, err
-	}
-	rf, ri, err := c.compile(x.R)
-	if err != nil {
-		return nil, exprInfo{}, err
-	}
+	lf, li := c.compile(x.L)
+	rf, ri := c.compile(x.R)
 	pure := li.pure && ri.pure
 	switch x.Op {
 	case "+", "-", "*", "/", "%":
@@ -476,9 +452,9 @@ func (c *compiler) lowerBinary(x *lang.Binary) (CompiledExpr, exprInfo, error) {
 		if ri.cok {
 			if ch := extendChain(li, aop, ri.cval); ch != nil {
 				info.chain = ch
-				return chainClosure(ch), info, nil
+				return chainClosure(ch), info
 			}
-			return lowerArithConstRHS(lf, li, aop, ri.cval), info, nil
+			return lowerArithConstRHS(lf, li, aop, ri.cval), info
 		}
 		op := x.Op
 		fn := func(ctx context.Context, t value.Tuple) (value.Value, error) {
@@ -492,7 +468,7 @@ func (c *compiler) lowerBinary(x *lang.Binary) (CompiledExpr, exprInfo, error) {
 			}
 			return value.Arith(op, l, r)
 		}
-		return fn, info, nil
+		return fn, info
 	case "=", "!=", "<", "<=", ">", ">=":
 		return c.lowerCompare(x.Op, lf, li, rf, ri)
 	case "CONTAINS":
@@ -501,7 +477,7 @@ func (c *compiler) lowerBinary(x *lang.Binary) (CompiledExpr, exprInfo, error) {
 		return c.lowerMatches(lf, li, rf, ri)
 	default:
 		opErr := fmt.Errorf("tweeql: unknown operator %q", x.Op)
-		return errExpr(opErr), exprInfo{pure: pure}, nil
+		return errExpr(opErr), exprInfo{pure: pure}
 	}
 }
 
@@ -520,15 +496,9 @@ func numericKind(k value.Kind) bool { return k == value.KindInt || k == value.Ki
 
 // lowerLogic compiles AND/OR with SQL three-valued short-circuit logic,
 // mirroring evalBinary exactly.
-func (c *compiler) lowerLogic(x *lang.Binary) (CompiledExpr, exprInfo, error) {
-	lf, li, err := c.compile(x.L)
-	if err != nil {
-		return nil, exprInfo{}, err
-	}
-	rf, ri, err := c.compile(x.R)
-	if err != nil {
-		return nil, exprInfo{}, err
-	}
+func (c *compiler) lowerLogic(x *lang.Binary) (CompiledExpr, exprInfo) {
+	lf, li := c.compile(x.L)
+	rf, ri := c.compile(x.R)
 	info := exprInfo{pure: li.pure && ri.pure, kind: value.KindBool}
 	if x.Op == "AND" {
 		fn := func(ctx context.Context, t value.Tuple) (value.Value, error) {
@@ -551,7 +521,7 @@ func (c *compiler) lowerLogic(x *lang.Binary) (CompiledExpr, exprInfo, error) {
 			}
 			return value.Bool(true), nil
 		}
-		return fn, info, nil
+		return fn, info
 	}
 	fn := func(ctx context.Context, t value.Tuple) (value.Value, error) {
 		l, err := lf(ctx, t)
@@ -573,7 +543,7 @@ func (c *compiler) lowerLogic(x *lang.Binary) (CompiledExpr, exprInfo, error) {
 		}
 		return value.Bool(false), nil
 	}
-	return fn, info, nil
+	return fn, info
 }
 
 // lowerCompare picks the fastest comparison form available: a fused
@@ -583,22 +553,22 @@ func (c *compiler) lowerLogic(x *lang.Binary) (CompiledExpr, exprInfo, error) {
 // otherwise. Runtime kind checks route mismatching data (dynamic
 // columns drift) back through the generic comparison, so
 // specialization never changes a result.
-func (c *compiler) lowerCompare(op string, lf CompiledExpr, li exprInfo, rf CompiledExpr, ri exprInfo) (CompiledExpr, exprInfo, error) {
+func (c *compiler) lowerCompare(op string, lf CompiledExpr, li exprInfo, rf CompiledExpr, ri exprInfo) (CompiledExpr, exprInfo) {
 	opc := cmpOpOf(op)
 	info := exprInfo{pure: li.pure && ri.pure, kind: value.KindBool}
 	switch {
 	case li.ident != nil && ri.cok:
-		return fusedCmp(li.ident, ri.cval, opc), info, nil
+		return fusedCmp(li.ident, ri.cval, opc), info
 	case ri.ident != nil && li.cok:
-		return fusedCmp(ri.ident, li.cval, opc.flip()), info, nil
+		return fusedCmp(ri.ident, li.cval, opc.flip()), info
 	case li.chain != nil && ri.cok:
-		return fusedChainCmp(li.chain, ri.cval, opc), info, nil
+		return fusedChainCmp(li.chain, ri.cval, opc), info
 	case ri.chain != nil && li.cok:
-		return fusedChainCmp(ri.chain, li.cval, opc.flip()), info, nil
+		return fusedChainCmp(ri.chain, li.cval, opc.flip()), info
 	case ri.cok:
-		return cmpConstRHS(lf, ri.cval, opc), info, nil
+		return cmpConstRHS(lf, ri.cval, opc), info
 	case li.cok:
-		return cmpConstRHS(rf, li.cval, opc.flip()), info, nil
+		return cmpConstRHS(rf, li.cval, opc.flip()), info
 	}
 	switch {
 	case li.kind == value.KindString && ri.kind == value.KindString:
@@ -619,7 +589,7 @@ func (c *compiler) lowerCompare(op string, lf CompiledExpr, li exprInfo, rf Comp
 			}
 			return compareVals(opc.String(), l, r)
 		}
-		return fn, info, nil
+		return fn, info
 	case numericKind(li.kind) && numericKind(ri.kind):
 		fn := func(ctx context.Context, t value.Tuple) (value.Value, error) {
 			l, err := lf(ctx, t)
@@ -640,7 +610,7 @@ func (c *compiler) lowerCompare(op string, lf CompiledExpr, li exprInfo, rf Comp
 			}
 			return compareVals(opc.String(), l, r)
 		}
-		return fn, info, nil
+		return fn, info
 	}
 	fn := func(ctx context.Context, t value.Tuple) (value.Value, error) {
 		l, err := lf(ctx, t)
@@ -656,7 +626,7 @@ func (c *compiler) lowerCompare(op string, lf CompiledExpr, li exprInfo, rf Comp
 		}
 		return compareVals(opc.String(), l, r)
 	}
-	return fn, info, nil
+	return fn, info
 }
 
 func threeWay(a, b float64) int {
@@ -910,7 +880,7 @@ func lowerArithConstRHS(lf CompiledExpr, li exprInfo, aop ariOp, cv value.Value)
 // lowerContains specializes the dominant CONTAINS shape — column
 // against a literal keyword — and keeps the generic closure for
 // computed right-hand sides.
-func (c *compiler) lowerContains(lf CompiledExpr, li exprInfo, rf CompiledExpr, ri exprInfo) (CompiledExpr, exprInfo, error) {
+func (c *compiler) lowerContains(lf CompiledExpr, li exprInfo, rf CompiledExpr, ri exprInfo) (CompiledExpr, exprInfo) {
 	info := exprInfo{pure: li.pure && ri.pure, kind: value.KindBool}
 	if ri.cok {
 		kwVal := ri.cval
@@ -922,7 +892,7 @@ func (c *compiler) lowerContains(lf CompiledExpr, li exprInfo, rf CompiledExpr, 
 				}
 				return value.Null(), nil
 			}
-			return fn, info, nil
+			return fn, info
 		case kwVal.Kind() == value.KindString:
 			kw, _ := kwVal.StringVal()
 			if li.ident != nil {
@@ -938,7 +908,7 @@ func (c *compiler) lowerContains(lf CompiledExpr, li exprInfo, rf CompiledExpr, 
 					ls, _ := l.StringVal()
 					return value.Bool(tweet.ContainsWord(ls, kw)), nil
 				}
-				return fn, info, nil
+				return fn, info
 			}
 			fn := func(ctx context.Context, t value.Tuple) (value.Value, error) {
 				l, err := lf(ctx, t)
@@ -953,7 +923,7 @@ func (c *compiler) lowerContains(lf CompiledExpr, li exprInfo, rf CompiledExpr, 
 				}
 				return value.Bool(tweet.ContainsWord(l.Str(), kw)), nil
 			}
-			return fn, info, nil
+			return fn, info
 		default: // constant non-string keyword never matches
 			fn := func(ctx context.Context, t value.Tuple) (value.Value, error) {
 				l, err := lf(ctx, t)
@@ -965,7 +935,7 @@ func (c *compiler) lowerContains(lf CompiledExpr, li exprInfo, rf CompiledExpr, 
 				}
 				return value.Bool(false), nil
 			}
-			return fn, info, nil
+			return fn, info
 		}
 	}
 	fn := func(ctx context.Context, t value.Tuple) (value.Value, error) {
@@ -987,13 +957,13 @@ func (c *compiler) lowerContains(lf CompiledExpr, li exprInfo, rf CompiledExpr, 
 		}
 		return value.Bool(tweet.ContainsWord(ls, rs)), nil
 	}
-	return fn, info, nil
+	return fn, info
 }
 
 // lowerMatches compiles literal patterns at plan time — no per-row
 // cache lookup, no lock. Dynamic patterns go through the evaluator's
-// cache (prepared map first, mutex cache for the rest).
-func (c *compiler) lowerMatches(lf CompiledExpr, li exprInfo, rf CompiledExpr, ri exprInfo) (CompiledExpr, exprInfo, error) {
+// cache.
+func (c *compiler) lowerMatches(lf CompiledExpr, li exprInfo, rf CompiledExpr, ri exprInfo) (CompiledExpr, exprInfo) {
 	info := exprInfo{pure: li.pure && ri.pure, kind: value.KindBool}
 	if ri.cok {
 		patVal := ri.cval
@@ -1005,7 +975,7 @@ func (c *compiler) lowerMatches(lf CompiledExpr, li exprInfo, rf CompiledExpr, r
 				}
 				return value.Null(), nil
 			}
-			return fn, info, nil
+			return fn, info
 		case patVal.Kind() == value.KindString:
 			pat, _ := patVal.StringVal()
 			re, reErr := compilePattern(pat)
@@ -1022,7 +992,7 @@ func (c *compiler) lowerMatches(lf CompiledExpr, li exprInfo, rf CompiledExpr, r
 					ls, _ := l.StringVal()
 					return value.Bool(re.MatchString(ls)), nil
 				}
-				return fn, info, nil
+				return fn, info
 			}
 			fn := func(ctx context.Context, t value.Tuple) (value.Value, error) {
 				l, err := lf(ctx, t)
@@ -1041,7 +1011,7 @@ func (c *compiler) lowerMatches(lf CompiledExpr, li exprInfo, rf CompiledExpr, r
 				ls, _ := l.StringVal()
 				return value.Bool(re.MatchString(ls)), nil
 			}
-			return fn, info, nil
+			return fn, info
 		default: // constant non-string pattern never matches
 			fn := func(ctx context.Context, t value.Tuple) (value.Value, error) {
 				l, err := lf(ctx, t)
@@ -1053,7 +1023,7 @@ func (c *compiler) lowerMatches(lf CompiledExpr, li exprInfo, rf CompiledExpr, r
 				}
 				return value.Bool(false), nil
 			}
-			return fn, info, nil
+			return fn, info
 		}
 	}
 	ev := c.ev
@@ -1080,16 +1050,16 @@ func (c *compiler) lowerMatches(lf CompiledExpr, li exprInfo, rf CompiledExpr, r
 		}
 		return value.Bool(re.MatchString(ls)), nil
 	}
-	return fn, info, nil
+	return fn, info
 }
 
 // lowerInBox resolves the bounding box (and gazetteer city) once at
 // plan time and pre-resolves the GPS columns for the geo-ident form.
-func (c *compiler) lowerInBox(x *lang.InBox) (CompiledExpr, exprInfo, error) {
+func (c *compiler) lowerInBox(x *lang.InBox) (CompiledExpr, exprInfo) {
 	box, boxErr := ResolveBox(x.Box)
 	if boxErr != nil {
 		// The interpreter reports the unresolvable box per row.
-		return errExpr(boxErr), exprInfo{pure: true}, nil
+		return errExpr(boxErr), exprInfo{pure: true}
 	}
 	info := exprInfo{kind: value.KindBool}
 	if id, ok := x.Loc.(*lang.Ident); ok && isGeoIdent(id.Name) {
@@ -1105,12 +1075,9 @@ func (c *compiler) lowerInBox(x *lang.InBox) (CompiledExpr, exprInfo, error) {
 			}
 			return boxContains(box, lat, lon), nil
 		}
-		return fn, info, nil
+		return fn, info
 	}
-	locf, loci, err := c.compile(x.Loc)
-	if err != nil {
-		return nil, exprInfo{}, err
-	}
+	locf, loci := c.compile(x.Loc)
 	info.pure = loci.pure
 	fn := func(ctx context.Context, t value.Tuple) (value.Value, error) {
 		v, err := locf(ctx, t)
@@ -1123,7 +1090,7 @@ func (c *compiler) lowerInBox(x *lang.InBox) (CompiledExpr, exprInfo, error) {
 		}
 		return boxContains(box, lst[0], lst[1]), nil
 	}
-	return fn, info, nil
+	return fn, info
 }
 
 func boxContains(box twitterapi.Box, lat, lon value.Value) value.Value {
@@ -1143,19 +1110,13 @@ func boxContains(box twitterapi.Box, lat, lon value.Value) value.Value {
 // numeric lists key on the float64 widening value.Compare uses, so int
 // 1 still matches literal 1.0. Mixed-kind lists (and non-literal
 // items) keep the interpreter's sequential scan semantics.
-func (c *compiler) lowerInList(x *lang.InList) (CompiledExpr, exprInfo, error) {
-	xf, xi, err := c.compile(x.X)
-	if err != nil {
-		return nil, exprInfo{}, err
-	}
+func (c *compiler) lowerInList(x *lang.InList) (CompiledExpr, exprInfo) {
+	xf, xi := c.compile(x.X)
 	itemFns := make([]CompiledExpr, len(x.Items))
 	itemInfos := make([]exprInfo, len(x.Items))
 	allConst := true
 	for i, item := range x.Items {
-		itemFns[i], itemInfos[i], err = c.compile(item)
-		if err != nil {
-			return nil, exprInfo{}, err
-		}
+		itemFns[i], itemInfos[i] = c.compile(item)
 		if !itemInfos[i].cok {
 			allConst = false
 		}
@@ -1198,7 +1159,7 @@ func (c *compiler) lowerInList(x *lang.InList) (CompiledExpr, exprInfo, error) {
 				_, ok := set[v.Str()]
 				return value.Bool(ok), nil
 			}
-			return fn, info, nil
+			return fn, info
 		case allNum && !hasNaN && len(consts) > 0:
 			set := make(map[float64]struct{}, len(consts))
 			for _, cv := range consts {
@@ -1227,7 +1188,7 @@ func (c *compiler) lowerInList(x *lang.InList) (CompiledExpr, exprInfo, error) {
 				_, ok := set[f]
 				return value.Bool(ok), nil
 			}
-			return fn, info, nil
+			return fn, info
 		default:
 			scan := constListScan(consts)
 			fn := func(ctx context.Context, t value.Tuple) (value.Value, error) {
@@ -1240,7 +1201,7 @@ func (c *compiler) lowerInList(x *lang.InList) (CompiledExpr, exprInfo, error) {
 				}
 				return scan(v), nil
 			}
-			return fn, info, nil
+			return fn, info
 		}
 	}
 
@@ -1263,7 +1224,7 @@ func (c *compiler) lowerInList(x *lang.InList) (CompiledExpr, exprInfo, error) {
 		}
 		return value.Bool(false), nil
 	}
-	return fn, info, nil
+	return fn, info
 }
 
 func constListScan(consts []value.Value) func(value.Value) value.Value {
@@ -1283,13 +1244,10 @@ func constListScan(consts []value.Value) func(value.Value) value.Value {
 // never folded. Argument slices are allocated per invocation, as the
 // interpreter does, because closures may run concurrently from batch
 // and async workers.
-func (c *compiler) lowerCall(x *lang.Call) (CompiledExpr, exprInfo, error) {
+func (c *compiler) lowerCall(x *lang.Call) (CompiledExpr, exprInfo) {
 	argFns := make([]CompiledExpr, len(x.Args))
 	for i, a := range x.Args {
-		fn, _, err := c.compile(a)
-		if err != nil {
-			return nil, exprInfo{}, err
-		}
+		fn, _ := c.compile(a)
 		argFns[i] = fn
 	}
 	evalArgs := func(ctx context.Context, t value.Tuple) ([]value.Value, error) {
@@ -1313,7 +1271,7 @@ func (c *compiler) lowerCall(x *lang.Call) (CompiledExpr, exprInfo, error) {
 			}
 			return fn(args)
 		}
-		return call, info, nil
+		return call, info
 	}
 	if udf, ok := c.ev.cat.Scalar(name); ok {
 		if udf.Arity >= 0 && len(x.Args) != udf.Arity {
@@ -1326,7 +1284,7 @@ func (c *compiler) lowerCall(x *lang.Call) (CompiledExpr, exprInfo, error) {
 				}
 				return value.Null(), arityErr
 			}
-			return call, info, nil
+			return call, info
 		}
 		udfFn := udf.Fn
 		call := func(ctx context.Context, t value.Tuple) (value.Value, error) {
@@ -1336,7 +1294,7 @@ func (c *compiler) lowerCall(x *lang.Call) (CompiledExpr, exprInfo, error) {
 			}
 			return udfFn(ctx, args)
 		}
-		return call, info, nil
+		return call, info
 	}
 	if factory, ok := c.ev.cat.Stateful(name); ok {
 		ev := c.ev
@@ -1347,7 +1305,7 @@ func (c *compiler) lowerCall(x *lang.Call) (CompiledExpr, exprInfo, error) {
 			}
 			return ev.callStateful(ctx, name, factory, args)
 		}
-		return call, info, nil
+		return call, info
 	}
 	unknownErr := fmt.Errorf("tweeql: unknown function %q", x.Name)
 	call := func(ctx context.Context, t value.Tuple) (value.Value, error) {
@@ -1356,5 +1314,5 @@ func (c *compiler) lowerCall(x *lang.Call) (CompiledExpr, exprInfo, error) {
 		}
 		return value.Null(), unknownErr
 	}
-	return call, info, nil
+	return call, info
 }

@@ -79,17 +79,19 @@ func diffCatalog(t *testing.T) *catalog.Catalog {
 	return cat
 }
 
-// diffExprs is the generated expression table: every operator, every
-// specialization trigger, NULL and error propagation, constant folding,
-// and the interpreter-fallback shapes.
+// diffExprs is the hand-written expression table, and the seed corpus
+// of FuzzCompiledMatchesInterpreter: every operator, every
+// specialization trigger, NULL and error propagation, and constant
+// folding.
 var diffExprs = []string{
 	// Idents and literals, qualified and missing.
 	"text", "n", "f", "ok", "dyn", "missing_col", "a.text", "b.text", "42", "'lit'", "3.5",
-	// Arithmetic, folding, division by zero.
-	"n + 1", "n * f", "f / 0", "1 + 2 * 3", "n % 2", "-n", "-f", "'a' + 'b'", "text + 'x'",
+	// Arithmetic, int chains, folding, division by zero.
+	"n + 1", "n * f", "f / 0", "1 + 2 * 3", "n % 2", "n % 3", "n * 2 + 1", "-n", "-f",
+	"'a' + 'b'", "text + 'x'",
 	// Comparisons: specialized string/numeric, generic, kind mismatch.
 	"text = 'GOAL by Tevez #soccer'", "text != 'x'", "text < 'm'", "n = 7", "n != 7",
-	"n < 10", "n <= 7", "n > 0", "n >= 8", "f > 1.5", "n = f", "text = n", "dyn = 7",
+	"n < 10", "n <= 7", "n > 0", "n >= 8", "f > 1.5", "lat >= 0", "n = f", "text = n", "dyn = 7",
 	"dyn = 'dyn-str'", "ok = 1", "ts > ts", "lst = lst", "1 < 2", "'b' >= 'a'",
 	// Logic with three-valued semantics.
 	"n > 0 AND f > 0", "n > 0 OR f > 0", "f > 0 AND n = 7", "f > 0 OR n = 7",
@@ -120,39 +122,62 @@ var diffExprs = []string{
 }
 
 // TestCompiledMatchesInterpreter is the expression-level differential
-// test: every generated expression over every row must produce the
+// test: every expression of diffExprs over every row must produce the
 // identical value — kind included — and the identical error through the
-// compiled closures and the tree-walking interpreter.
+// compiled closures and the test-only tree-walking interpreter.
 func TestCompiledMatchesInterpreter(t *testing.T) {
-	schema := diffSchema()
-	rows := diffRows()
 	// Separate evaluators so each path owns its stateful-UDF instances;
 	// both see the same call sequence, so running state stays aligned.
 	interp := NewEvaluator(diffCatalog(t))
 	comp := NewEvaluator(diffCatalog(t))
-	ctx := context.Background()
-
 	for _, src := range diffExprs {
-		x := whereExpr(t, src)
-		fn, err := comp.Compile(x, schema)
-		if err != nil {
-			t.Errorf("%s: did not compile: %v", src, err)
+		matchInterpreter(t, src, whereExpr(t, src), interp, comp)
+	}
+	// The parser builds a box literal only inside IN; on its own it is
+	// the one node neither path can evaluate, and both say so per row.
+	matchInterpreter(t, "bare box literal", &lang.BoxLit{City: "nyc"}, interp, comp)
+}
+
+// FuzzCompiledMatchesInterpreter generalizes TestCompiledMatchesInterpreter
+// to any WHERE clause the parser accepts, seeded with diffExprs: the
+// compiler is total, so no expression may need the interpreter to
+// answer it differently.
+func FuzzCompiledMatchesInterpreter(f *testing.F) {
+	for _, src := range diffExprs {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 256 {
+			return
+		}
+		stmt, err := lang.Parse("SELECT x FROM t WHERE " + src)
+		if err != nil || stmt.Where == nil {
+			return
+		}
+		matchInterpreter(t, src, stmt.Where, NewEvaluator(diffCatalog(t)), NewEvaluator(diffCatalog(t)))
+	})
+}
+
+// matchInterpreter evaluates x over every diffRows row through comp's
+// compiled closure and interp's interpreter, and reports each row whose
+// value, kind or error text differs.
+func matchInterpreter(t *testing.T, src string, x lang.Expr, interp, comp *Evaluator) {
+	t.Helper()
+	ctx := context.Background()
+	fn := comp.Bind(x, diffSchema())
+	for ri, row := range diffRows() {
+		wantV, wantErr := interp.Eval(ctx, x, row)
+		gotV, gotErr := fn(ctx, row)
+		if (wantErr != nil) != (gotErr != nil) {
+			t.Errorf("%s row %d: err mismatch: interp=%v compiled=%v", src, ri, wantErr, gotErr)
 			continue
 		}
-		for ri, row := range rows {
-			wantV, wantErr := interp.Eval(ctx, x, row)
-			gotV, gotErr := fn(ctx, row)
-			if (wantErr != nil) != (gotErr != nil) {
-				t.Errorf("%s row %d: err mismatch: interp=%v compiled=%v", src, ri, wantErr, gotErr)
-				continue
-			}
-			if wantErr != nil && wantErr.Error() != gotErr.Error() {
-				t.Errorf("%s row %d: err text: interp=%q compiled=%q", src, ri, wantErr, gotErr)
-			}
-			if wantErr == nil && (wantV.Kind() != gotV.Kind() || wantV.String() != gotV.String()) {
-				t.Errorf("%s row %d: interp=%s(%s) compiled=%s(%s)",
-					src, ri, wantV, wantV.Kind(), gotV, gotV.Kind())
-			}
+		if wantErr != nil && wantErr.Error() != gotErr.Error() {
+			t.Errorf("%s row %d: err text: interp=%q compiled=%q", src, ri, wantErr, gotErr)
+		}
+		if wantErr == nil && (wantV.Kind() != gotV.Kind() || wantV.String() != gotV.String()) {
+			t.Errorf("%s row %d: interp=%s(%s) compiled=%s(%s)",
+				src, ri, wantV, wantV.Kind(), gotV, gotV.Kind())
 		}
 	}
 }
@@ -174,10 +199,7 @@ func TestCompiledAgainstForeignSchema(t *testing.T) {
 	ctx := context.Background()
 	for _, src := range []string{"text", "n + 1", "text CONTAINS 'goal'", "n = 7", "f IS NULL"} {
 		x := whereExpr(t, src)
-		fn, err := ev.Compile(x, planSchema)
-		if err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
+		fn := ev.Bind(x, planSchema)
 		wantV, wantErr := ev.Eval(ctx, x, row)
 		gotV, gotErr := fn(ctx, row)
 		if (wantErr != nil) != (gotErr != nil) || wantV.String() != gotV.String() {
@@ -204,10 +226,7 @@ func TestCompiledFilterAllocFree(t *testing.T) {
 		"ts >= '2011-06-12 13:00:00'", // the time literal is parsed at compile time, not per row
 	} {
 		x := whereExpr(t, src)
-		fn, err := ev.Compile(x, schema)
-		if err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
+		fn := ev.Bind(x, schema)
 		allocs := testing.AllocsPerRun(200, func() {
 			if _, err := fn(ctx, row); err != nil {
 				t.Fatal(err)
@@ -215,81 +234,6 @@ func TestCompiledFilterAllocFree(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", src, allocs)
-		}
-	}
-}
-
-// TestCompiledStagesMatchInterpretedStages runs the same rows through
-// compiled and interpreted filter/ColFilterProjectStage/
-// ColFilterAggStage — native vector kernels against interpreted lanes —
-// and requires identical outputs in identical order.
-func TestCompiledStagesMatchInterpretedStages(t *testing.T) {
-	rows := make([]value.Tuple, 0, 200)
-	base := time.Date(2011, 6, 12, 15, 0, 0, 0, time.UTC)
-	for i := 0; i < 200; i++ {
-		txt := "plain chatter"
-		if i%3 == 0 {
-			txt = "goal scored"
-		}
-		rows = append(rows, value.NewTuple(testSchema(), []value.Value{
-			value.String(txt), value.Int(int64(i % 10)), value.Float(float64(i)), value.Float(-74),
-		}, base.Add(time.Duration(i)*time.Second)))
-	}
-	conjuncts := []lang.Expr{
-		whereExpr(t, "text CONTAINS 'goal'"),
-		whereExpr(t, "n < 8"),
-		whereExpr(t, "lat >= 0"),
-	}
-
-	run := func(compile bool) ([]string, []string, []string) {
-		ev := NewEvaluator(catalog.New())
-		ev.EnableCompile(compile)
-		var filtered, projected, aggregated []string
-		stats := &Stats{}
-		for _, r := range collect(runOp(filterStage(ev, conjuncts, testSchema(), stats), chunk(90, rows))) {
-			filtered = append(filtered, r.String())
-		}
-		items := []ProjItem{
-			{Name: "u", Expr: expr(t, "upper(text)")},
-			{Name: "m", Expr: expr(t, "n * 2 + 1")},
-			{Name: "w", Wildcard: true},
-		}
-		for _, r := range collect(runOp(ColFilterProjectStage(ev, nil, items, testSchema(), 1, false, &Stats{}), chunk(90, rows))) {
-			projected = append(projected, r.String())
-		}
-		cfg := AggregateConfig{
-			GroupExprs: []lang.Expr{expr(t, "n % 3")},
-			Aggs: []AggItem{
-				{Name: "c", AggName: "COUNT", Star: true},
-				{Name: "s", AggName: "SUM", Arg: expr(t, "lat")},
-			},
-			Out: []OutCol{
-				{Name: "g", Index: 0},
-				{Name: "c", IsAgg: true, Index: 0},
-				{Name: "s", IsAgg: true, Index: 1},
-			},
-			Window:   &lang.WindowSpec{Size: time.Minute, Every: time.Minute},
-			InSchema: testSchema(),
-		}
-		for _, r := range collect(runOp(ColFilterAggStage(ev, nil, cfg, testSchema(), &Stats{}), chunk(90, rows))) {
-			aggregated = append(aggregated, r.String())
-		}
-		return filtered, projected, aggregated
-	}
-
-	f1, p1, a1 := run(false)
-	f2, p2, a2 := run(true)
-	for name, pair := range map[string][2][]string{
-		"filter": {f1, f2}, "project": {p1, p2}, "aggregate": {a1, a2},
-	} {
-		want, got := pair[0], pair[1]
-		if len(want) != len(got) {
-			t.Fatalf("%s: %d interpreted rows vs %d compiled", name, len(want), len(got))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Errorf("%s row %d:\n interp  %s\n compile %s", name, i, want[i], got[i])
-			}
 		}
 	}
 }

@@ -36,9 +36,9 @@ type countBucket struct {
 	aggs      []agg.Func
 }
 
-func newCountState(ev *Evaluator, cfg AggregateConfig, stats *Stats) *countState {
+func newCountState(ev *Evaluator, cfg AggregateConfig, inSchema *value.Schema, stats *Stats) *countState {
 	s := &countState{cfg: cfg, stats: stats, outSchema: AggSchema(cfg), buckets: make(map[window.Key]*countBucket)}
-	s.groupFns, s.argFns = bindAggExprs(ev, cfg)
+	s.groupFns, s.argFns = bindAggExprs(ev, cfg, inSchema)
 	return s
 }
 

@@ -20,26 +20,20 @@ import (
 	"tweeql/internal/catalog"
 	"tweeql/internal/gazetteer"
 	"tweeql/internal/lang"
-	"tweeql/internal/tweet"
 	"tweeql/internal/twitterapi"
 	"tweeql/internal/value"
 )
 
-// Evaluator evaluates TweeQL expressions against tuples. It resolves
-// UDFs through the catalog and instantiates stateful UDFs once per
-// query. Eval is safe for concurrent use (the async projection path
-// evaluates from worker goroutines); stateful UDF calls serialize on an
-// internal lock since their whole point is shared running state.
+// Evaluator is one query's expression context: Bind (compile.go)
+// lowers its expressions to closures that resolve UDFs through the
+// catalog and share the query's stateful-UDF instances, created once
+// per query. The closures are safe for concurrent use (the async
+// projection path evaluates from worker goroutines); stateful UDF calls
+// serialize on an internal lock since their whole point is shared
+// running state, and MATCHES patterns computed per row share a
+// mutex-guarded cache.
 type Evaluator struct {
 	cat *catalog.Catalog
-
-	// compileOn makes Bind lower expressions to closures (see
-	// compile.go); off, Bind delegates every call to Eval.
-	compileOn bool
-	// prepared holds regexes compiled by PrepareRegexes before
-	// evaluation starts. It is read-only once evaluation begins, so the
-	// hot path consults it without taking mu.
-	prepared map[string]*regexp.Regexp
 
 	mu        sync.Mutex
 	statefuls map[string]catalog.ScalarFn
@@ -55,82 +49,9 @@ func NewEvaluator(cat *catalog.Catalog) *Evaluator {
 	}
 }
 
-// PrepareRegexes walks the expressions and compiles every literal
-// MATCHES pattern into a read-only map consulted lock-free at eval
-// time. Call it before evaluation starts (the engine does, at plan
-// time); patterns that fail to compile are skipped here and report
-// their error per row exactly as before. Only dynamically computed
-// patterns fall back to the mutex-guarded cache.
-func (e *Evaluator) PrepareRegexes(exprs ...lang.Expr) {
-	for _, expr := range exprs {
-		if expr == nil {
-			continue
-		}
-		lang.Walk(expr, func(n lang.Expr) bool {
-			b, ok := n.(*lang.Binary)
-			if !ok || b.Op != "MATCHES" {
-				return true
-			}
-			lit, ok := b.R.(*lang.Literal)
-			if !ok {
-				return true
-			}
-			pat, err := lit.Val.StringVal()
-			if err != nil {
-				return true
-			}
-			if _, done := e.prepared[pat]; done {
-				return true
-			}
-			re, err := compilePattern(pat)
-			if err != nil {
-				return true
-			}
-			if e.prepared == nil {
-				e.prepared = make(map[string]*regexp.Regexp)
-			}
-			e.prepared[pat] = re
-			return true
-		})
-	}
-}
-
-// Eval computes the value of expr for the tuple.
-func (e *Evaluator) Eval(ctx context.Context, expr lang.Expr, t value.Tuple) (value.Value, error) {
-	switch x := expr.(type) {
-	case *lang.Literal:
-		return x.Val, nil
-	case *lang.Ident:
-		return e.evalIdent(x, t), nil
-	case *lang.Unary:
-		return e.evalUnary(ctx, x, t)
-	case *lang.Binary:
-		return e.evalBinary(ctx, x, t)
-	case *lang.IsNull:
-		v, err := e.Eval(ctx, x.X, t)
-		if err != nil {
-			return value.Null(), err
-		}
-		return value.Bool(v.IsNull() != x.Negate), nil
-	case *lang.InBox:
-		return e.evalInBox(ctx, x, t)
-	case *lang.InList:
-		return e.evalInList(ctx, x, t)
-	case *lang.Call:
-		return e.evalCall(ctx, x, t)
-	default:
-		return value.Null(), fmt.Errorf("tweeql: cannot evaluate %T", expr)
-	}
-}
-
-// evalIdent resolves a column, preferring the qualified name in join
-// outputs ("a.text"), then the bare name.
-func (e *Evaluator) evalIdent(x *lang.Ident, t value.Tuple) value.Value {
-	return lookupIdent(x, t)
-}
-
-// lookupIdent is the dynamic (per-tuple) column resolution shared by
-// the interpreter and the compiled path's schema-mismatch fallback.
+// lookupIdent is the dynamic (per-tuple) column resolution: the
+// compiled path's schema-mismatch fallback and its form for columns the
+// plan schema lacks.
 func lookupIdent(x *lang.Ident, t value.Tuple) value.Value {
 	if i, ok := resolveIdent(t.Schema, x); ok {
 		return t.Values[i]
@@ -160,118 +81,12 @@ func resolveIdent(schema *value.Schema, x *lang.Ident) (int, bool) {
 	return 0, false
 }
 
-func (e *Evaluator) evalUnary(ctx context.Context, x *lang.Unary, t value.Tuple) (value.Value, error) {
-	v, err := e.Eval(ctx, x.X, t)
-	if err != nil {
-		return value.Null(), err
-	}
-	switch x.Op {
-	case "NOT":
-		if v.IsNull() {
-			return value.Null(), nil
-		}
-		return value.Bool(!v.Truthy()), nil
-	case "-":
-		return value.Arith("-", value.Int(0), v)
-	default:
-		return value.Null(), fmt.Errorf("tweeql: unknown unary operator %q", x.Op)
-	}
-}
-
-func (e *Evaluator) evalBinary(ctx context.Context, x *lang.Binary, t value.Tuple) (value.Value, error) {
-	// AND/OR: three-valued logic with short circuit.
-	switch x.Op {
-	case "AND":
-		l, err := e.Eval(ctx, x.L, t)
-		if err != nil {
-			return value.Null(), err
-		}
-		if !l.IsNull() && !l.Truthy() {
-			return value.Bool(false), nil
-		}
-		r, err := e.Eval(ctx, x.R, t)
-		if err != nil {
-			return value.Null(), err
-		}
-		if !r.IsNull() && !r.Truthy() {
-			return value.Bool(false), nil
-		}
-		if l.IsNull() || r.IsNull() {
-			return value.Null(), nil
-		}
-		return value.Bool(true), nil
-	case "OR":
-		l, err := e.Eval(ctx, x.L, t)
-		if err != nil {
-			return value.Null(), err
-		}
-		if !l.IsNull() && l.Truthy() {
-			return value.Bool(true), nil
-		}
-		r, err := e.Eval(ctx, x.R, t)
-		if err != nil {
-			return value.Null(), err
-		}
-		if !r.IsNull() && r.Truthy() {
-			return value.Bool(true), nil
-		}
-		if l.IsNull() || r.IsNull() {
-			return value.Null(), nil
-		}
-		return value.Bool(false), nil
-	}
-
-	l, err := e.Eval(ctx, x.L, t)
-	if err != nil {
-		return value.Null(), err
-	}
-	r, err := e.Eval(ctx, x.R, t)
-	if err != nil {
-		return value.Null(), err
-	}
-	switch x.Op {
-	case "+", "-", "*", "/", "%":
-		return value.Arith(x.Op, l, r)
-	case "=", "!=", "<", "<=", ">", ">=":
-		if l.IsNull() || r.IsNull() {
-			return value.Null(), nil // SQL: comparisons with NULL are UNKNOWN
-		}
-		return compareVals(x.Op, l, r)
-	case "CONTAINS":
-		if l.IsNull() || r.IsNull() {
-			return value.Null(), nil
-		}
-		ls, err1 := l.StringVal()
-		rs, err2 := r.StringVal()
-		if err1 != nil || err2 != nil {
-			return value.Bool(false), nil
-		}
-		return value.Bool(tweet.ContainsWord(ls, rs)), nil
-	case "MATCHES":
-		if l.IsNull() || r.IsNull() {
-			return value.Null(), nil
-		}
-		ls, err1 := l.StringVal()
-		pat, err2 := r.StringVal()
-		if err1 != nil || err2 != nil {
-			return value.Bool(false), nil
-		}
-		re, err := e.compiled(pat)
-		if err != nil {
-			return value.Null(), err
-		}
-		return value.Bool(re.MatchString(ls)), nil
-	}
-	return value.Null(), fmt.Errorf("tweeql: unknown operator %q", x.Op)
-}
-
 // compareVals applies a non-NULL comparison with the engine's lax
 // typing: a time compared with a parseable time-literal string
 // compares chronologically (so `created_at > '2011-02-01'` works
 // against the KindTime column), and otherwise incomparable kinds are
-// simply unequal, matching the loose typing of tweet fields. Shared by
-// the interpreter and the compiled path's generic comparison closure,
-// so the two cannot diverge.
+// simply unequal, matching the loose typing of tweet fields. Every
+// compiled comparison off its kind fast path ends here.
 func compareVals(op string, l, r value.Value) (value.Value, error) {
 	c, err := value.Compare(l, r)
 	if err != nil {
@@ -357,12 +172,10 @@ func ParseTimeLiteral(s string) (time.Time, bool) {
 	return time.Time{}, false
 }
 
+// compiled returns the regex for a MATCHES pattern computed per row,
+// compiling each distinct pattern once. Literal patterns never come
+// here: lowerMatches compiles them at plan time.
 func (e *Evaluator) compiled(pat string) (*regexp.Regexp, error) {
-	// Patterns known at plan time live in the read-only prepared map:
-	// no lock on the hot path.
-	if re, ok := e.prepared[pat]; ok {
-		return re, nil
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if re, ok := e.regexes[pat]; ok {
@@ -377,49 +190,14 @@ func (e *Evaluator) compiled(pat string) (*regexp.Regexp, error) {
 }
 
 // compilePattern is the single place MATCHES patterns become regexes —
-// case-insensitive, with the user-facing error text — shared by the
-// compiled path, the plan-time pre-walk, and the dynamic cache.
+// case-insensitive, with the user-facing error text — shared by
+// lowerMatches' plan-time literals and the dynamic cache.
 func compilePattern(pat string) (*regexp.Regexp, error) {
 	re, err := regexp.Compile("(?i)" + pat)
 	if err != nil {
 		return nil, fmt.Errorf("tweeql: bad regex %q: %w", pat, err)
 	}
 	return re, nil
-}
-
-// evalInBox implements "location IN <box>". Two location forms work:
-// the special geo idents (location/loc/geo) read the tuple's GPS lat/lon
-// columns; any other expression must evaluate to a [lat, lon] list (as
-// the geocode UDF returns). Tweets without coordinates are not in any
-// box.
-func (e *Evaluator) evalInBox(ctx context.Context, x *lang.InBox, t value.Tuple) (value.Value, error) {
-	box, err := ResolveBox(x.Box)
-	if err != nil {
-		return value.Null(), err
-	}
-	var lat, lon value.Value
-	if id, ok := x.Loc.(*lang.Ident); ok && isGeoIdent(id.Name) {
-		lat, lon = t.Get("lat"), t.Get("lon")
-	} else {
-		v, err := e.Eval(ctx, x.Loc, t)
-		if err != nil {
-			return value.Null(), err
-		}
-		lst, err := v.ListVal()
-		if err != nil || len(lst) != 2 {
-			return value.Bool(false), nil
-		}
-		lat, lon = lst[0], lst[1]
-	}
-	if lat.IsNull() || lon.IsNull() {
-		return value.Bool(false), nil
-	}
-	la, err1 := lat.FloatVal()
-	lo, err2 := lon.FloatVal()
-	if err1 != nil || err2 != nil {
-		return value.Bool(false), nil
-	}
-	return value.Bool(box.Contains(la, lo)), nil
 }
 
 func isGeoIdent(name string) bool {
@@ -448,51 +226,6 @@ func ResolveBox(b *lang.BoxLit) (twitterapi.Box, error) {
 		MinLat: b.Coords[0], MinLon: b.Coords[1],
 		MaxLat: b.Coords[2], MaxLon: b.Coords[3],
 	}, nil
-}
-
-func (e *Evaluator) evalInList(ctx context.Context, x *lang.InList, t value.Tuple) (value.Value, error) {
-	v, err := e.Eval(ctx, x.X, t)
-	if err != nil {
-		return value.Null(), err
-	}
-	if v.IsNull() {
-		return value.Null(), nil
-	}
-	for _, item := range x.Items {
-		iv, err := e.Eval(ctx, item, t)
-		if err != nil {
-			return value.Null(), err
-		}
-		if value.Equal(v, iv) {
-			return value.Bool(true), nil
-		}
-	}
-	return value.Bool(false), nil
-}
-
-func (e *Evaluator) evalCall(ctx context.Context, x *lang.Call, t value.Tuple) (value.Value, error) {
-	name := strings.ToLower(x.Name)
-	args := make([]value.Value, len(x.Args))
-	for i, a := range x.Args {
-		v, err := e.Eval(ctx, a, t)
-		if err != nil {
-			return value.Null(), err
-		}
-		args[i] = v
-	}
-	if fn, ok := builtins[name]; ok {
-		return fn(args)
-	}
-	if udf, ok := e.cat.Scalar(name); ok {
-		if udf.Arity >= 0 && len(args) != udf.Arity {
-			return value.Null(), fmt.Errorf("tweeql: %s takes %d arguments, got %d", udf.Name, udf.Arity, len(args))
-		}
-		return udf.Fn(ctx, args)
-	}
-	if factory, ok := e.cat.Stateful(name); ok {
-		return e.callStateful(ctx, name, factory, args)
-	}
-	return value.Null(), fmt.Errorf("tweeql: unknown function %q", x.Name)
 }
 
 // callStateful invokes a stateful UDF, instantiating it once per query

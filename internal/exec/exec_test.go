@@ -42,10 +42,16 @@ func whereExpr(t *testing.T, s string) lang.Expr {
 	return stmt.Where
 }
 
+// evalWith evaluates e over tup the way a stage does: through the
+// closure Bind compiles against the tuple's schema.
+func evalWith(ev *Evaluator, e lang.Expr, tup value.Tuple) (value.Value, error) {
+	return ev.Bind(e, tup.Schema)(context.Background(), tup)
+}
+
 func evalOn(t *testing.T, e lang.Expr, tup value.Tuple) value.Value {
 	t.Helper()
 	ev := NewEvaluator(catalog.New())
-	v, err := ev.Eval(context.Background(), e, tup)
+	v, err := evalWith(ev, e, tup)
 	if err != nil {
 		t.Fatalf("eval %s: %v", e, err)
 	}
@@ -75,12 +81,12 @@ func TestEvalQualifiedIdent(t *testing.T) {
 	)
 	tup := value.NewTuple(schema, []value.Value{value.String("left"), value.String("right")}, time.Time{})
 	ev := NewEvaluator(catalog.New())
-	v, err := ev.Eval(context.Background(), &lang.Ident{Qualifier: "b", Name: "text"}, tup)
+	v, err := evalWith(ev, &lang.Ident{Qualifier: "b", Name: "text"}, tup)
 	if err != nil || v.String() != "right" {
 		t.Errorf("b.text = %v, %v", v, err)
 	}
 	// Unqualified falls back to the first qualified match.
-	v, _ = ev.Eval(context.Background(), &lang.Ident{Name: "text"}, tup)
+	v, _ = evalWith(ev, &lang.Ident{Name: "text"}, tup)
 	if v.String() != "left" {
 		t.Errorf("text = %v", v)
 	}
@@ -159,7 +165,7 @@ func TestEvalInBoxListExpr(t *testing.T) {
 	}
 	ev := NewEvaluator(cat)
 	e := whereExpr(t, "fixedgeo() IN BOX(40.4, -74.3, 41.0, -73.7)")
-	v, err := ev.Eval(context.Background(), e, row("x", 1, value.Null(), value.Null(), time.Time{}))
+	v, err := evalWith(ev, e, row("x", 1, value.Null(), value.Null(), time.Time{}))
 	if err != nil || v.String() != "true" {
 		t.Errorf("list in box = %v, %v", v, err)
 	}
@@ -168,7 +174,7 @@ func TestEvalInBoxListExpr(t *testing.T) {
 func TestEvalUnknownCityBox(t *testing.T) {
 	ev := NewEvaluator(catalog.New())
 	e := whereExpr(t, "location IN [BOUNDING BOX FOR atlantis]")
-	_, err := ev.Eval(context.Background(), e, row("x", 1, value.Null(), value.Null(), time.Time{}))
+	_, err := evalWith(ev, e, row("x", 1, value.Null(), value.Null(), time.Time{}))
 	if err == nil {
 		t.Error("unknown city should error")
 	}
@@ -202,7 +208,7 @@ func TestEvalTimeBuiltins(t *testing.T) {
 	ev := NewEvaluator(catalog.New())
 	for e, want := range map[string]string{"hour(created_at)": "15", "minute(created_at)": "30", "day(created_at)": "14"} {
 		stmt, _ := lang.Parse("SELECT " + e + " FROM t")
-		v, err := ev.Eval(context.Background(), stmt.Items[0].Expr, tup)
+		v, err := evalWith(ev, stmt.Items[0].Expr, tup)
 		if err != nil || v.String() != want {
 			t.Errorf("%s = %v, %v", e, v, err)
 		}
@@ -217,10 +223,10 @@ func TestEvalUDFArityAndUnknown(t *testing.T) {
 	})
 	ev := NewEvaluator(cat)
 	tup := row("x", 1, value.Null(), value.Null(), time.Time{})
-	if _, err := ev.Eval(context.Background(), expr(t, "one(1, 2)"), tup); err == nil {
+	if _, err := evalWith(ev, expr(t, "one(1, 2)"), tup); err == nil {
 		t.Error("wrong arity should error")
 	}
-	if _, err := ev.Eval(context.Background(), expr(t, "nosuchfn(1)"), tup); err == nil {
+	if _, err := evalWith(ev, expr(t, "nosuchfn(1)"), tup); err == nil {
 		t.Error("unknown function should error")
 	}
 }
@@ -240,7 +246,7 @@ func TestEvalStatefulUDF(t *testing.T) {
 	ev := NewEvaluator(cat)
 	tup := row("x", 1, value.Null(), value.Null(), time.Time{})
 	for want := int64(1); want <= 3; want++ {
-		v, err := ev.Eval(context.Background(), expr(t, "row_number()"), tup)
+		v, err := evalWith(ev, expr(t, "row_number()"), tup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +257,7 @@ func TestEvalStatefulUDF(t *testing.T) {
 	}
 	// A second evaluator gets fresh state.
 	ev2 := NewEvaluator(cat)
-	v, _ := ev2.Eval(context.Background(), expr(t, "row_number()"), tup)
+	v, _ := evalWith(ev2, expr(t, "row_number()"), tup)
 	if got, _ := v.IntVal(); got != 1 {
 		t.Errorf("fresh evaluator row_number = %d", got)
 	}

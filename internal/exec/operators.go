@@ -326,10 +326,6 @@ type AggregateConfig struct {
 	Window *lang.WindowSpec
 	// Confidence enables CONTROL-style early emission.
 	Confidence *lang.ConfidenceSpec
-	// InSchema is the schema of the stage's input tuples; when set, the
-	// group keys and aggregate arguments compile against it (see Bind).
-	// nil keeps the interpreter.
-	InSchema *value.Schema
 }
 
 // AggSchema computes the output schema: the mapped columns, plus
@@ -365,9 +361,9 @@ type aggState struct {
 	argFns   []CompiledExpr
 }
 
-func newAggState(ev *Evaluator, cfg AggregateConfig, stats *Stats) *aggState {
+func newAggState(ev *Evaluator, cfg AggregateConfig, inSchema *value.Schema, stats *Stats) *aggState {
 	s := &aggState{ev: ev, cfg: cfg, stats: stats, outSchema: AggSchema(cfg)}
-	s.groupFns, s.argFns = bindAggExprs(ev, cfg)
+	s.groupFns, s.argFns = bindAggExprs(ev, cfg, inSchema)
 	if cfg.Window != nil {
 		s.mgr = window.NewManager(cfg.Window.Size, cfg.Window.Every)
 	} else {
@@ -382,14 +378,14 @@ func newAggState(ev *Evaluator, cfg AggregateConfig, stats *Stats) *aggState {
 }
 
 // bindAggExprs binds the group keys and aggregate arguments against
-// cfg.InSchema, shared by the time-window aggState and the count-window
-// operator so both evaluate through the same closures.
-func bindAggExprs(ev *Evaluator, cfg AggregateConfig) (groupFns, argFns []CompiledExpr) {
-	groupFns = ev.BindAll(cfg.GroupExprs, cfg.InSchema)
+// the stage's input schema, shared by the time-window aggState and the
+// count-window operator so both evaluate through the same closures.
+func bindAggExprs(ev *Evaluator, cfg AggregateConfig, inSchema *value.Schema) (groupFns, argFns []CompiledExpr) {
+	groupFns = ev.BindAll(cfg.GroupExprs, inSchema)
 	argFns = make([]CompiledExpr, len(cfg.Aggs))
 	for i, a := range cfg.Aggs {
 		if !a.Star && a.Arg != nil {
-			argFns[i] = ev.Bind(a.Arg, cfg.InSchema)
+			argFns[i] = ev.Bind(a.Arg, inSchema)
 		}
 	}
 	return groupFns, argFns
@@ -502,12 +498,13 @@ type folder interface {
 }
 
 // newFolder is the count-window state for WINDOW n TWEETS and the
-// time-window state for any other aggregation.
-func newFolder(ev *Evaluator, cfg AggregateConfig, stats *Stats) folder {
+// time-window state for any other aggregation, its expressions bound
+// against inSchema.
+func newFolder(ev *Evaluator, cfg AggregateConfig, inSchema *value.Schema, stats *Stats) folder {
 	if cfg.Window != nil && cfg.Window.Count > 0 {
-		return newCountState(ev, cfg, stats)
+		return newCountState(ev, cfg, inSchema, stats)
 	}
-	return newAggState(ev, cfg, stats)
+	return newAggState(ev, cfg, inSchema, stats)
 }
 
 // aggOut gathers an aggregate operator's output rows into batches, cut

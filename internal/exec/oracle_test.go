@@ -69,21 +69,21 @@ func (o rowOracle) filterProject(conjuncts []lang.Expr, items []ProjItem, schema
 }
 
 // aggregate folds every row into one folder and flushes it at the end.
-func (o rowOracle) aggregate(cfg AggregateConfig, rows []value.Tuple) []value.Tuple {
-	return o.filterAggregate(nil, cfg, rows)
+func (o rowOracle) aggregate(cfg AggregateConfig, schema *value.Schema, rows []value.Tuple) []value.Tuple {
+	return o.filterAggregate(nil, cfg, schema, rows)
 }
 
 // filterAggregate runs each row through the conjuncts and, if it
 // passes, folds it before the next row starts.
-func (o rowOracle) filterAggregate(conjuncts []lang.Expr, cfg AggregateConfig, rows []value.Tuple) []value.Tuple {
-	st := newFolder(o.ev, cfg, o.stats)
+func (o rowOracle) filterAggregate(conjuncts []lang.Expr, cfg AggregateConfig, schema *value.Schema, rows []value.Tuple) []value.Tuple {
+	st := newFolder(o.ev, cfg, schema, o.stats)
 	var out []value.Tuple
 	emit := func(t value.Tuple) bool {
 		out = append(out, t)
 		return true
 	}
 	for _, t := range rows {
-		for _, k := range o.filter(conjuncts, cfg.InSchema, []value.Tuple{t}) {
+		for _, k := range o.filter(conjuncts, schema, []value.Tuple{t}) {
 			st.observe(context.Background(), k, emit)
 		}
 	}

@@ -46,9 +46,7 @@ func TestRowMajorStagesMatchRowOracle(t *testing.T) {
 	conjuncts := []lang.Expr{whereExpr(t, "tick(n) % 2 = 0"), whereExpr(t, "n % 3 != 0"), whereExpr(t, "tick(text) % 3 != 0")}
 	items := []ProjItem{{Name: "k", Expr: expr(t, "tick(n)")}, {Name: "text", Expr: expr(t, "text")}}
 	timeCfg := aggCfg(t, "n % 2", "SUM(tick(n))", &lang.WindowSpec{Size: time.Minute, Every: time.Minute}, nil)
-	timeCfg.InSchema = testSchema()
 	countCfg := aggCfg(t, "", "COUNT(*)", &lang.WindowSpec{Count: 7}, nil)
-	countCfg.InSchema = testSchema()
 
 	// run drives a stage built on ev over in and returns its output.
 	type run func(ev *Evaluator, stats *Stats, in <-chan Batch) <-chan Batch
@@ -72,10 +70,10 @@ func TestRowMajorStagesMatchRowOracle(t *testing.T) {
 		}), func(o rowOracle) []value.Tuple { return o.filterProject(conjuncts, items, testSchema(), rows) }},
 		{"aggregate", op(func(ev *Evaluator, stats *Stats) Operator {
 			return ColFilterAggStage(ev, conjuncts, timeCfg, testSchema(), stats)
-		}), func(o rowOracle) []value.Tuple { return o.filterAggregate(conjuncts, timeCfg, rows) }},
+		}), func(o rowOracle) []value.Tuple { return o.filterAggregate(conjuncts, timeCfg, testSchema(), rows) }},
 		{"count_window", op(func(ev *Evaluator, stats *Stats) Operator {
 			return ColFilterAggStage(ev, conjuncts, countCfg, testSchema(), stats)
-		}), func(o rowOracle) []value.Tuple { return o.filterAggregate(conjuncts, countCfg, rows) }},
+		}), func(o rowOracle) []value.Tuple { return o.filterAggregate(conjuncts, countCfg, testSchema(), rows) }},
 	}
 	for _, sh := range shapes {
 		oracle := newRowOracle(tickEvaluator(t))

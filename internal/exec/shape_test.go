@@ -21,26 +21,7 @@ var channelStages = map[string]bool{"JoinStage": true, "AsyncProjectStage": true
 // a func it takes or returns (a named func type of the package
 // included), except channelStages.
 func TestNoTupleStreamStages(t *testing.T) {
-	fset := token.NewFileSet()
-	entries, err := os.ReadDir(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		t.Fatal("no package files parsed")
-	}
+	fset, files := packageFiles(t)
 	funcTypes := map[string]*ast.FuncType{}
 	for _, f := range files {
 		for _, d := range f.Decls {
@@ -101,4 +82,74 @@ func TestNoTupleStreamStages(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no exported functions found")
 	}
+}
+
+// packageFiles parses the package's non-test files.
+func packageFiles(t *testing.T) (*token.FileSet, []*ast.File) {
+	t.Helper()
+	fset := token.NewFileSet()
+	entries, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	if len(files) == 0 {
+		t.Fatal("no package files parsed")
+	}
+	return fset, files
+}
+
+// TestOneEvaluator pins the compiler as the package's one expression
+// evaluator: no non-test file declares Eval or an eval* method on
+// *Evaluator. The tree-walking interpreter lives in interp_test.go, as
+// the oracle the compiled closures are held to; the check must find it
+// there, so it cannot pass by looking for the wrong shape.
+func TestOneEvaluator(t *testing.T) {
+	fset, files := packageFiles(t)
+	for _, f := range files {
+		for _, fd := range interpreterMethods(f) {
+			t.Errorf("%s: production declares interpreter method (*Evaluator).%s", fset.Position(fd.Pos()), fd.Name.Name)
+		}
+	}
+	oracle, err := parser.ParseFile(fset, "interp_test.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(interpreterMethods(oracle)) == 0 {
+		t.Fatal("interp_test.go declares no interpreter method: the check finds nothing")
+	}
+}
+
+// interpreterMethods returns f's declarations of Eval and eval* methods
+// on *Evaluator.
+func interpreterMethods(f *ast.File) []*ast.FuncDecl {
+	var out []*ast.FuncDecl
+	for _, d := range f.Decls {
+		fd, ok := d.(*ast.FuncDecl)
+		if !ok || fd.Recv == nil || len(fd.Recv.List) != 1 {
+			continue
+		}
+		star, ok := fd.Recv.List[0].Type.(*ast.StarExpr)
+		if !ok {
+			continue
+		}
+		if id, ok := star.X.(*ast.Ident); !ok || id.Name != "Evaluator" {
+			continue
+		}
+		if name := fd.Name.Name; name == "Eval" || strings.HasPrefix(name, "eval") {
+			out = append(out, fd)
+		}
+	}
+	return out
 }

@@ -79,10 +79,7 @@ func TestTimeStringComparisonBothPaths(t *testing.T) {
 		}
 		x := stmt.Where
 		evC := NewEvaluator(catalog.New())
-		fn, err := evC.Compile(x, catalog.TweetSchema)
-		if err != nil {
-			t.Fatalf("%s: compile: %v", src, err)
-		}
+		fn := evC.Bind(x, catalog.TweetSchema)
 		evI := NewEvaluator(catalog.New())
 		// The vectorized kernel keeps exactly the lanes the interpreter
 		// finds true — over the all-time batch (the homogeneous loop the

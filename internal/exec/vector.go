@@ -9,8 +9,7 @@
 // same expressions fusedCmp/fusedChainCmp/lowerContains/lowerInList
 // inline after their kind checks, and every lane whose kind is off the
 // fast path evaluates the full row-path closure for the conjunct — the
-// identical closure ev.Bind returns, which is also the interpreter
-// fallback when compilation is off. A vectorized filter therefore
+// identical closure ev.Bind returns. A vectorized filter therefore
 // keeps exactly the rows the row filter keeps.
 package exec
 
@@ -56,10 +55,8 @@ func buildVecPred(ev *Evaluator, x lang.Expr, schema *value.Schema, stats *Stats
 		}
 		return !v.IsNull() && v.Truthy()
 	}
-	if ev.compileOn && schema != nil {
-		if k := compileVecKernel(ev, x, schema, lane); k != nil {
-			return k
-		}
+	if k := compileVecKernel(ev, x, schema, lane); k != nil {
+		return k
 	}
 	return fallbackVecPred(lane)
 }
@@ -79,19 +76,13 @@ func fallbackVecPred(lane lanePred) vecPred {
 // re-running the compiler's subtree analysis, mirroring lowerCompare's
 // fused-form dispatch. nil means "no native kernel".
 func compileVecKernel(ev *Evaluator, x lang.Expr, schema *value.Schema, lane lanePred) vecPred {
-	c := &compiler{ev: ev, schema: schema}
+	c := newCompiler(ev, schema)
 	switch n := x.(type) {
 	case *lang.Binary:
 		switch n.Op {
 		case "=", "!=", "<", "<=", ">", ">=":
-			_, li, err := c.compile(n.L)
-			if err != nil {
-				return nil
-			}
-			_, ri, err := c.compile(n.R)
-			if err != nil {
-				return nil
-			}
+			_, li := c.compile(n.L)
+			_, ri := c.compile(n.R)
 			opc := cmpOpOf(n.Op)
 			switch {
 			case li.ident != nil && ri.cok:
@@ -104,27 +95,21 @@ func compileVecKernel(ev *Evaluator, x lang.Expr, schema *value.Schema, lane lan
 				return vecChainCmp(ri.chain, li.cval, opc.flip(), lane)
 			}
 		case "CONTAINS":
-			_, li, err := c.compile(n.L)
-			if err != nil {
-				return nil
-			}
-			_, ri, err := c.compile(n.R)
-			if err != nil {
-				return nil
-			}
+			_, li := c.compile(n.L)
+			_, ri := c.compile(n.R)
 			if li.ident != nil && ri.cok && ri.cval.Kind() == value.KindString {
 				return vecContains(li.ident, ri.cval.Str(), lane)
 			}
 		}
 	case *lang.InList:
-		_, xi, err := c.compile(n.X)
-		if err != nil || xi.ident == nil {
+		_, xi := c.compile(n.X)
+		if xi.ident == nil {
 			return nil
 		}
 		consts := make([]value.Value, 0, len(n.Items))
 		for _, item := range n.Items {
-			_, ii, err := c.compile(item)
-			if err != nil || !ii.cok {
+			_, ii := c.compile(item)
+			if !ii.cok {
 				return nil
 			}
 			consts = append(consts, ii.cval)

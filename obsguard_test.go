@@ -26,6 +26,7 @@ import (
 	"tweeql/internal/firehose"
 	"tweeql/internal/obs"
 	"tweeql/internal/store"
+	"tweeql/internal/tweet"
 	"tweeql/internal/twitterapi"
 	"tweeql/internal/value"
 )
@@ -91,85 +92,73 @@ func skipIfNoisy(t *testing.T) {
 	}
 }
 
-// TestObsOverheadSharedScan guards the streaming pipeline: 8 queries
-// on one shared scan ingesting a 2000-tweet replay — the
-// BenchmarkSharedScan shape — with engine profiling on vs off.
+// sharedScanQuery is the BenchmarkSharedScan query.
+const sharedScanQuery = `SELECT text FROM twitter WHERE followers > 1000000`
+
+// sharedScanRound times one round of the shared-scan guard workload —
+// the BenchmarkSharedScan shape: 8 copies of query on one shared scan
+// ingesting a replay of all, on an engine with opts. arm, when set,
+// runs once the engine is built and returns what stops it.
+func sharedScanRound(t *testing.T, all []*tweet.Tweet, query string, opts core.Options, arm func(*catalog.Catalog, *core.Engine) func()) time.Duration {
+	t.Helper()
+	hub := twitterapi.NewHub()
+	cat := catalog.New()
+	cat.RegisterSource("twitter", catalog.NewTwitterSource(hub, nil))
+	opts.SourceBuffer = len(all) + 16
+	eng := core.NewEngine(cat, opts)
+	if arm != nil {
+		defer arm(cat, eng)()
+	}
+	var wg sync.WaitGroup
+	for q := 0; q < 8; q++ {
+		cur, err := eng.Query(context.Background(), query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range cur.Rows() {
+			}
+		}()
+	}
+	start := time.Now()
+	twitterapi.Replay(hub, all)
+	wg.Wait()
+	return time.Since(start)
+}
+
+// TestObsOverheadSharedScan guards the streaming pipeline on the
+// shared-scan workload, with engine profiling on vs off.
 func TestObsOverheadSharedScan(t *testing.T) {
 	skipIfNoisy(t)
 	all := firehose.Tweets(soccerStream()[:2000])
-	const queries = 8
-
 	run := func(profiling bool) time.Duration {
-		hub := twitterapi.NewHub()
-		cat := catalog.New()
-		cat.RegisterSource("twitter", catalog.NewTwitterSource(hub, nil))
 		opts := core.DefaultOptions()
-		opts.SourceBuffer = len(all) + 16
 		opts.Profiling = profiling
-		eng := core.NewEngine(cat, opts)
-		var wg sync.WaitGroup
-		for q := 0; q < queries; q++ {
-			cur, err := eng.Query(context.Background(),
-				`SELECT text FROM twitter WHERE followers > 1000000`)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for range cur.Rows() {
-				}
-			}()
-		}
-		start := time.Now()
-		twitterapi.Replay(hub, all)
-		wg.Wait()
-		return time.Since(start)
+		return sharedScanRound(t, all, sharedScanQuery, opts, nil)
 	}
-
 	assertOverhead(t, "profiling overhead on the shared-scan pipeline",
 		func() time.Duration { return run(false) },
 		func() time.Duration { return run(true) })
 }
 
-// TestObsOverheadColumnar guards the vectorized pipeline (PR 10): the
-// shared-scan workload on the columnar pipeline, per-stage
-// profiling on vs off. The columnar stages report per-batch "vec"
-// samples through the same obs path as the row stages, and that
-// instrumentation must fit the same 3% budget.
+// TestObsOverheadColumnar guards the columnar stages' per-batch "vec"
+// samples, which report through the same obs path as the scan: the
+// shared-scan workload with a string filter and a two-column
+// projection, so most of each round is spent in the vector kernels,
+// with per-stage profiling on vs off. The filter passes few rows, so
+// the replay is longer than the other guards' to keep a round well
+// above scheduler jitter.
 func TestObsOverheadColumnar(t *testing.T) {
 	skipIfNoisy(t)
-	all := firehose.Tweets(soccerStream()[:2000])
-	const queries = 8
-
+	all := firehose.Tweets(soccerStream()[:8000])
+	const query = `SELECT text, username FROM twitter WHERE text CONTAINS 'liverpool'`
 	run := func(profiling bool) time.Duration {
-		hub := twitterapi.NewHub()
-		cat := catalog.New()
-		cat.RegisterSource("twitter", catalog.NewTwitterSource(hub, nil))
 		opts := core.DefaultOptions()
-		opts.SourceBuffer = len(all) + 16
 		opts.Profiling = profiling
-		eng := core.NewEngine(cat, opts)
-		var wg sync.WaitGroup
-		for q := 0; q < queries; q++ {
-			cur, err := eng.Query(context.Background(),
-				`SELECT text FROM twitter WHERE followers > 1000000`)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for range cur.Rows() {
-				}
-			}()
-		}
-		start := time.Now()
-		twitterapi.Replay(hub, all)
-		wg.Wait()
-		return time.Since(start)
+		return sharedScanRound(t, all, query, opts, nil)
 	}
-
 	assertOverhead(t, "profiling overhead on the columnar pipeline",
 		func() time.Duration { return run(false) },
 		func() time.Duration { return run(true) })
@@ -232,56 +221,33 @@ func TestObsOverheadTableStore(t *testing.T) {
 func TestObsOverheadSysSampler(t *testing.T) {
 	skipIfNoisy(t)
 	all := firehose.Tweets(soccerStream()[:2000])
-	const queries = 8
-
-	run := func(sys bool) time.Duration {
-		hub := twitterapi.NewHub()
-		cat := catalog.New()
-		cat.RegisterSource("twitter", catalog.NewTwitterSource(hub, nil))
-		opts := core.DefaultOptions()
-		opts.SourceBuffer = len(all) + 16
-		opts.SysStreams = sys
-		eng := core.NewEngine(cat, opts)
-		var sampler *obs.Sampler
-		if sys {
-			mstream, _ := cat.SysStreams()
-			sampler = obs.NewSampler(10*time.Millisecond, nil,
-				func(now time.Time) []obs.Metric {
-					var ms []obs.Metric
-					for _, sc := range eng.Scans() {
-						ms = append(ms, obs.Metric{
-							Name:   "scan_rows_in",
-							Labels: obs.RenderLabels("source", sc.Source),
-							Value:  float64(sc.RowsIn),
-							At:     now,
-						})
-					}
-					return ms
-				},
-				func(ms []obs.Metric) { catalog.PublishMetrics(mstream, ms) })
-			sampler.Start()
-			defer sampler.Close()
-		}
-		var wg sync.WaitGroup
-		for q := 0; q < queries; q++ {
-			cur, err := eng.Query(context.Background(),
-				`SELECT text FROM twitter WHERE followers > 1000000`)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for range cur.Rows() {
+	sample := func(cat *catalog.Catalog, eng *core.Engine) func() {
+		mstream, _ := cat.SysStreams()
+		sampler := obs.NewSampler(10*time.Millisecond, nil,
+			func(now time.Time) []obs.Metric {
+				var ms []obs.Metric
+				for _, sc := range eng.Scans() {
+					ms = append(ms, obs.Metric{
+						Name:   "scan_rows_in",
+						Labels: obs.RenderLabels("source", sc.Source),
+						Value:  float64(sc.RowsIn),
+						At:     now,
+					})
 				}
-			}()
-		}
-		start := time.Now()
-		twitterapi.Replay(hub, all)
-		wg.Wait()
-		return time.Since(start)
+				return ms
+			},
+			func(ms []obs.Metric) { catalog.PublishMetrics(mstream, ms) })
+		sampler.Start()
+		return sampler.Close
 	}
-
+	run := func(sys bool) time.Duration {
+		opts := core.DefaultOptions()
+		opts.SysStreams = sys
+		if !sys {
+			return sharedScanRound(t, all, sharedScanQuery, opts, nil)
+		}
+		return sharedScanRound(t, all, sharedScanQuery, opts, sample)
+	}
 	assertOverhead(t, "sampler overhead on the shared-scan pipeline",
 		func() time.Duration { return run(false) },
 		func() time.Duration { return run(true) })
