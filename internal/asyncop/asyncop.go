@@ -241,22 +241,16 @@ func Map[I, O any](ctx context.Context, items []I, workers int, fn func(context.
 	return outs, nil
 }
 
-// Chunk groups a channel's items into slices of up to size, the shared
-// accumulate/flush loop behind the engine's batched stages and batched
-// sources. flushEvery bounds how long a partial chunk may wait before
-// being delivered (0 = deliver only full chunks and the final partial
-// chunk when in closes). Chunks are never empty, item order is
-// preserved, and ownership of each delivered chunk passes to the
-// receiver. The returned channel closes when in closes or ctx is
-// cancelled.
-func Chunk[T any](ctx context.Context, in <-chan T, size int, flushEvery time.Duration) <-chan []T {
-	return ChunkAcked(ctx, in, size, flushEvery, nil)
-}
-
-// ChunkAcked is Chunk calling ack (when non-nil) after every receive
-// from in: how a producer that bounds its queue by the consumer's
-// progress — a no-loss twitterapi connection — learns of it receive by
-// receive, not chunk by chunk.
+// ChunkAcked groups a channel's items into slices of up to size, the
+// accumulate/flush loop behind a batching source. flushEvery bounds
+// how long a partial chunk may wait before being delivered (0 =
+// deliver only full chunks and the final partial chunk when in
+// closes). Chunks are never empty, item order is preserved, and
+// ownership of each delivered chunk passes to the receiver. ack, when
+// non-nil, is called after every receive from in: how a producer that
+// bounds its queue by the consumer's progress — a no-loss twitterapi
+// connection — learns of it receive by receive, not chunk by chunk.
+// The returned channel closes when in closes or ctx is cancelled.
 func ChunkAcked[T any](ctx context.Context, in <-chan T, size int, flushEvery time.Duration, ack func()) <-chan []T {
 	if size < 1 {
 		size = 1

@@ -276,3 +276,52 @@ func TestPerCallTimeoutDisabledByDefault(t *testing.T) {
 		}
 	}
 }
+
+// collectChunks drains ChunkAcked's output with a nil ack.
+func collectChunks(in <-chan int, size int, flushEvery time.Duration) [][]int {
+	var out [][]int
+	for c := range ChunkAcked(context.Background(), in, size, flushEvery, nil) {
+		out = append(out, c)
+	}
+	return out
+}
+
+func TestChunkSplitAndFinalPartial(t *testing.T) {
+	got := collectChunks(feed(10), 4, 0)
+	if len(got) != 3 || len(got[0]) != 4 || len(got[1]) != 4 || len(got[2]) != 2 {
+		t.Fatalf("chunks = %v", got)
+	}
+	// Order is preserved across the split.
+	i := 0
+	for _, c := range got {
+		for _, v := range c {
+			if v != i {
+				t.Fatalf("item %d out of order: %d", i, v)
+			}
+			i++
+		}
+	}
+}
+
+func TestChunkEmptyInput(t *testing.T) {
+	if got := collectChunks(feed(0), 4, 0); len(got) != 0 {
+		t.Fatalf("empty input produced %d chunks", len(got))
+	}
+}
+
+func TestChunkFlushInterval(t *testing.T) {
+	// A partial chunk on a stalled stream must flush after the
+	// interval, not wait for the chunk to fill.
+	in := make(chan int, 4)
+	out := ChunkAcked(context.Background(), in, 1000, 5*time.Millisecond, nil)
+	in <- 7
+	select {
+	case c := <-out:
+		if len(c) != 1 || c[0] != 7 {
+			t.Fatalf("flushed chunk = %v", c)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("partial chunk never flushed")
+	}
+	close(in)
+}

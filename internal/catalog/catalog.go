@@ -43,7 +43,7 @@ type ScalarUDF struct {
 type StatefulFactory func() ScalarFn
 
 // OpenRequest carries the planner's pushdown decision inputs to a
-// source.
+// source, and the shape of the batches it asks for.
 type OpenRequest struct {
 	// Candidates are the API-eligible filters extracted from the WHERE
 	// clause. The source picks one (sampling for selectivity) since the
@@ -63,6 +63,23 @@ type OpenRequest struct {
 	// engine wires it to the query's stats so a silently truncated
 	// stream is never mistaken for a complete one.
 	OnError func(error)
+	// Size is the maximum tuples per batch (< 1 means 1).
+	Size int
+	// FlushEvery bounds how long a partial batch may wait before being
+	// delivered downstream; 0 means only full batches are delivered
+	// (plus the final partial batch at end of stream).
+	FlushEvery time.Duration
+	// Workers parallelizes any CPU-bound per-batch conversion the
+	// source performs (batch order and intra-batch order are preserved
+	// regardless). 0 or 1 converts on a single goroutine.
+	Workers int
+	// Columns, when non-nil, lists the only columns the plan
+	// references: the source MAY prune its tuples to (a superset of)
+	// them, in its own schema order. Pruning is invisible to
+	// evaluation — columns resolve by name — but skips materializing
+	// values nothing will read, which dominates conversion cost for
+	// narrow queries. nil means all columns.
+	Columns []string
 }
 
 // OpenInfo reports what the source actually did, for EXPLAIN output and
@@ -83,37 +100,23 @@ type OpenInfo struct {
 	Estimates []selectivity.Estimate
 	// Schema is the exact schema object the delivered tuples carry —
 	// the source's declared schema, or the pruned one when the source
-	// honored BatchOptions.Columns. The engine compiles expressions
-	// against this pointer so pre-resolved column indices hit the fast
-	// path on every row. nil means Source.Schema().
+	// honored OpenRequest.Columns. Every open sets it. The engine
+	// compiles expressions against this pointer so pre-resolved column
+	// indices hit the fast path on every row.
 	Schema *value.Schema
 }
 
-// Source produces a tuple stream for FROM.
+// Source produces the tuple stream a FROM clause reads, as batches.
+// Open returns a channel of batches of at most req.Size tuples that
+// closes at end of stream or when ctx ends. Tuple order inside and
+// across batches is the stream order; batches are never empty.
+// Ownership of each delivered batch passes to the receiver, which may
+// mutate it in place (the filter stage compacts survivors into it) —
+// sources must not retain, reuse, or alias delivered batches. The
+// returned OpenInfo is never nil and its Schema is always set.
 type Source interface {
 	Schema() *value.Schema
-	Open(ctx context.Context, req OpenRequest) (<-chan value.Tuple, *OpenInfo, error)
-}
-
-// BatchOptions shapes a batched source subscription.
-type BatchOptions struct {
-	// Size is the maximum tuples per batch.
-	Size int
-	// FlushEvery bounds how long a partial batch may wait before being
-	// delivered downstream; 0 means only full batches are delivered
-	// (plus the final partial batch at end of stream).
-	FlushEvery time.Duration
-	// Workers parallelizes any CPU-bound per-batch conversion the
-	// source performs (batch order and intra-batch order are preserved
-	// regardless). 0 or 1 converts on a single goroutine.
-	Workers int
-	// Columns, when non-nil, lists the only columns the plan
-	// references: the source MAY prune its tuples to (a superset of)
-	// them, in its own schema order. Pruning is invisible to
-	// evaluation — columns resolve by name — but skips materializing
-	// values nothing will read, which dominates conversion cost for
-	// narrow queries. nil means all columns.
-	Columns []string
+	Open(ctx context.Context, req OpenRequest) (<-chan []value.Tuple, *OpenInfo, error)
 }
 
 // LiveSource is implemented by sources with attach-time semantics: an
@@ -126,18 +129,6 @@ type LiveSource interface {
 	Source
 	// LiveStream reports that Open attaches to a live stream.
 	LiveStream() bool
-}
-
-// BatchSource is implemented by sources that can emit pre-batched
-// tuples, saving the engine one channel transfer per tuple at the
-// source boundary. Tuple order inside and across batches is the stream
-// order; batches are never empty. Ownership of each delivered batch
-// passes to the receiver, which may mutate it in place (the filter
-// stage compacts survivors into it) — sources must not retain, reuse,
-// or alias delivered batches.
-type BatchSource interface {
-	Source
-	OpenBatches(ctx context.Context, req OpenRequest, bo BatchOptions) (<-chan []value.Tuple, *OpenInfo, error)
 }
 
 // Catalog is the engine's namespace. Safe for concurrent use.
@@ -453,7 +444,7 @@ func (c *Catalog) CloseTables() error {
 
 // Table is a named result table fed by INTO TABLE and readable from a
 // FROM clause. Storage is delegated to a TableBackend; the Table layer
-// adds the catalog identity and the Source/BatchSource adaptation.
+// adds the catalog identity and the Source adaptation.
 type Table struct {
 	Name    string
 	backend TableBackend
@@ -512,30 +503,7 @@ func (t *Table) Schema() *value.Schema {
 	return emptySchema
 }
 
-// Open implements Source: a snapshot scan of the table's rows within
-// the request's time range, closing at the end — historical replay,
-// not a live tail. A scan error ends the stream early and is reported
-// through req.OnError (cancellation is not an error).
-func (t *Table) Open(ctx context.Context, req OpenRequest) (<-chan value.Tuple, *OpenInfo, error) {
-	out := make(chan value.Tuple, 64)
-	go func() {
-		defer close(out)
-		err := t.backend.Scan(req.From, req.To, 64, func(batch []value.Tuple) error {
-			for _, row := range batch {
-				select {
-				case out <- row:
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-			return nil
-		})
-		reportScanErr(req, err)
-	}()
-	return out, &OpenInfo{Schema: t.Schema()}, nil
-}
-
-// ScanSchema reports the schema object the rows of a batched scan for
+// ScanSchema reports the schema object the rows of a scan for
 // cols carry: the pruned schema when the backend prunes, the table's
 // full schema otherwise (nil cols, or a backend that ignores them).
 func (t *Table) ScanSchema(cols []string) *value.Schema {
@@ -547,15 +515,18 @@ func (t *Table) ScanSchema(cols []string) *value.Schema {
 	return t.Schema()
 }
 
-// OpenBatches implements BatchSource: the same snapshot scan, one
-// channel transfer per batch, reading only bo.Columns when the backend
-// can prune. Each delivered batch is freshly allocated by the backend,
-// so ownership passes cleanly.
-func (t *Table) OpenBatches(ctx context.Context, req OpenRequest, bo BatchOptions) (<-chan []value.Tuple, *OpenInfo, error) {
-	if bo.Size < 1 {
-		bo.Size = 1
+// Open implements Source: a snapshot scan of the table's rows within
+// the request's time range, closing at the end — historical replay,
+// not a live tail — one channel transfer per batch, reading only
+// req.Columns when the backend can prune. Each delivered batch is
+// freshly allocated by the backend, so ownership passes cleanly. A
+// scan error ends the stream early and is reported through req.OnError
+// (cancellation is not an error).
+func (t *Table) Open(ctx context.Context, req OpenRequest) (<-chan []value.Tuple, *OpenInfo, error) {
+	if req.Size < 1 {
+		req.Size = 1
 	}
-	info := &OpenInfo{Schema: t.ScanSchema(bo.Columns)}
+	info := &OpenInfo{Schema: t.ScanSchema(req.Columns)}
 	// The store decodes a column block at a time (4 096 rows, sixteen
 	// 256-row batches, by default) and the query reads this channel in
 	// its consumer's goroutine: room for a block's batches lets the
@@ -574,9 +545,9 @@ func (t *Table) OpenBatches(ctx context.Context, req OpenRequest, bo BatchOption
 		}
 		var err error
 		if cs, ok := t.backend.(ColumnScanner); ok {
-			err = cs.ScanColumns(req.From, req.To, bo.Size, bo.Columns, deliver)
+			err = cs.ScanColumns(req.From, req.To, req.Size, req.Columns, deliver)
 		} else {
-			err = t.backend.Scan(req.From, req.To, bo.Size, deliver)
+			err = t.backend.Scan(req.From, req.To, req.Size, deliver)
 		}
 		reportScanErr(req, err)
 	}()
@@ -848,16 +819,15 @@ func (s *TwitterSource) Hub() *twitterapi.Hub { return s.hub }
 // queries with one scan signature can share one API connection.
 func (s *TwitterSource) LiveStream() bool { return true }
 
-// connect applies the §2 pushdown decision shared by Open and
-// OpenBatches — choose the lowest-selectivity candidate (if any) by
-// sampling, and open the streaming connection with it — so the batched
-// and tuple paths can never pick different pushed filters.
-//
-// A consumer that acknowledges each tweet it takes (Connection.Took)
-// passes opts with twitterapi.WithWatermark; Open's per-tweet reader
-// does not, and stays best-effort.
-func (s *TwitterSource) connect(req OpenRequest, opts ...twitterapi.ConnectOpt) (*twitterapi.Connection, *OpenInfo, error) {
-	info := &OpenInfo{Schema: TweetSchema}
+// Open implements Source: choose the lowest-selectivity candidate (if
+// any) by sampling (§2), connect with it, and group arriving tweets
+// into batches of up to req.Size tuples, partial batches flushed every
+// req.FlushEvery.
+func (s *TwitterSource) Open(ctx context.Context, req OpenRequest) (<-chan []value.Tuple, *OpenInfo, error) {
+	if req.Size < 1 {
+		req.Size = 1
+	}
+	info := &OpenInfo{}
 	filter := twitterapi.Filter{SampleRate: 1} // full stream by default
 	if len(req.Candidates) > 0 {
 		sample := s.sample
@@ -871,58 +841,19 @@ func (s *TwitterSource) connect(req OpenRequest, opts ...twitterapi.ConnectOpt) 
 		info.Pushed = true
 		filter = req.Candidates[best]
 	}
+	// The connection is no-loss: the chunker acknowledges each tweet it
+	// takes (Connection.Took), and the hand-off to it is bounded at one
+	// batch. With a buffer larger than that (replays size it to the
+	// whole stream), the publisher waits for this scan instead of
+	// queueing the stream in front of it, which only turns throughput
+	// into lag. A stalled reader would park the publisher, which is why
+	// the engine reads a live source only through its shared scan,
+	// whose supervisor never blocks.
+	opts := []twitterapi.ConnectOpt{twitterapi.WithWatermark(req.Size)}
 	if req.Buffer > 0 {
 		opts = append(opts, twitterapi.WithBuffer(req.Buffer))
 	}
 	conn, err := s.hub.Connect(filter, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return conn, info, nil
-}
-
-// Open implements Source: choose the lowest-selectivity candidate (if
-// any), connect with it, and convert tweets to tuples.
-func (s *TwitterSource) Open(ctx context.Context, req OpenRequest) (<-chan value.Tuple, *OpenInfo, error) {
-	conn, info, err := s.connect(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make(chan value.Tuple, 64)
-	go func() {
-		defer close(out)
-		defer conn.Close()
-		for {
-			select {
-			case t, ok := <-conn.C():
-				if !ok {
-					return
-				}
-				select {
-				case out <- TweetTuple(t):
-				case <-ctx.Done():
-					return
-				}
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return out, info, nil
-}
-
-// OpenBatches implements BatchSource: the same pushdown decision as
-// Open, with arriving tweets grouped into batches of up to bo.Size
-// tuples and partial batches flushed every bo.FlushEvery.
-func (s *TwitterSource) OpenBatches(ctx context.Context, req OpenRequest, bo BatchOptions) (<-chan []value.Tuple, *OpenInfo, error) {
-	if bo.Size < 1 {
-		bo.Size = 1
-	}
-	// The hand-off to the chunker is bounded at one batch: with a buffer
-	// larger than that (replays size it to the whole stream), the
-	// publisher waits for this scan instead of queueing the stream in
-	// front of it, which only turns throughput into lag.
-	conn, info, err := s.connect(req, twitterapi.WithWatermark(bo.Size))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -932,16 +863,16 @@ func (s *TwitterSource) OpenBatches(ctx context.Context, req OpenRequest, bo Bat
 	// Ingestion and conversion pipeline: stage 1 only accumulates tweet
 	// pointers off the connection (so the stream-facing goroutine is
 	// never behind on a burst), stage 2 converts whole chunks to tuple
-	// batches — on a worker pool when bo.Workers > 1, reassembled in
+	// batches — on a worker pool when req.Workers > 1, reassembled in
 	// order — with one value-cell arena per batch, so conversion costs
 	// two allocations per batch instead of one per tweet.
-	raw := asyncop.ChunkAcked(ctx, conn.C(), bo.Size, bo.FlushEvery, conn.Took)
+	raw := asyncop.ChunkAcked(ctx, conn.C(), req.Size, req.FlushEvery, conn.Took)
 
-	workers := bo.Workers
+	workers := req.Workers
 	if workers < 1 {
 		workers = 1
 	}
-	schema, colIdx := TweetSchema.Prune(bo.Columns)
+	schema, colIdx := TweetSchema.Prune(req.Columns)
 	info.Schema = schema
 	convert := func(_ context.Context, ts []*tweet.Tweet) ([]value.Tuple, error) {
 		arena := make([]value.Value, 0, len(ts)*len(colIdx))
@@ -1021,42 +952,20 @@ func NewSliceSource(schema *value.Schema, rows []value.Tuple) *SliceSource {
 // Schema implements Source.
 func (s *SliceSource) Schema() *value.Schema { return s.schema }
 
-// Open implements Source; candidates are ignored (nothing to push down).
-func (s *SliceSource) Open(ctx context.Context, _ OpenRequest) (<-chan value.Tuple, *OpenInfo, error) {
-	out := make(chan value.Tuple, 64)
-	go func() {
-		defer close(out)
-		for _, r := range s.rows {
-			// Check cancellation before the send: with buffer available
-			// and ctx already done, the select below picks a ready case
-			// at random and could leak rows past cancellation.
-			if ctx.Err() != nil {
-				return
-			}
-			select {
-			case out <- r:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return out, &OpenInfo{Schema: s.schema}, nil
-}
-
-// OpenBatches implements BatchSource: the fixed rows are pre-chunked,
-// so replay costs one channel transfer per bo.Size tuples. Each chunk
-// is copied out of s.rows — batch ownership passes to the receiver,
-// which may compact batches in place, and the source's stored rows
-// must survive for the next query.
-func (s *SliceSource) OpenBatches(ctx context.Context, _ OpenRequest, bo BatchOptions) (<-chan []value.Tuple, *OpenInfo, error) {
-	if bo.Size < 1 {
-		bo.Size = 1
+// Open implements Source; candidates are ignored (nothing to push
+// down). The fixed rows are pre-chunked, so replay costs one channel
+// transfer per req.Size tuples. Each chunk is copied out of s.rows —
+// batch ownership passes to the receiver, which may compact batches in
+// place, and the source's stored rows must survive for the next query.
+func (s *SliceSource) Open(ctx context.Context, req OpenRequest) (<-chan []value.Tuple, *OpenInfo, error) {
+	if req.Size < 1 {
+		req.Size = 1
 	}
 	out := make(chan []value.Tuple, 4)
 	go func() {
 		defer close(out)
-		for lo := 0; lo < len(s.rows); lo += bo.Size {
-			hi := min(lo+bo.Size, len(s.rows))
+		for lo := 0; lo < len(s.rows); lo += req.Size {
+			hi := min(lo+req.Size, len(s.rows))
 			if ctx.Err() != nil {
 				return
 			}

@@ -143,7 +143,7 @@ func TestTableAsSource(t *testing.T) {
 	if src.Schema() != s {
 		t.Errorf("table source schema = %s", src.Schema())
 	}
-	rows, info, err := src.Open(context.Background(), OpenRequest{From: time.Unix(3, 0), To: time.Unix(6, 0)})
+	batches, info, err := src.Open(context.Background(), OpenRequest{From: time.Unix(3, 0), To: time.Unix(6, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,30 +151,18 @@ func TestTableAsSource(t *testing.T) {
 		t.Error("OpenInfo schema mismatch")
 	}
 	var got []int64
-	for r := range rows {
+	for _, r := range drain(t, batches, 1) {
 		v, _ := r.Get("x").IntVal()
 		got = append(got, v)
 	}
 	if len(got) != 4 || got[0] != 3 || got[3] != 6 {
 		t.Fatalf("ranged table scan = %v", got)
 	}
-	// Batched path too.
-	bs, ok := Source(src).(BatchSource)
-	if !ok {
-		t.Fatal("table is not a BatchSource")
-	}
-	batches, _, err := bs.OpenBatches(context.Background(), OpenRequest{}, BatchOptions{Size: 3})
+	batches, _, err = src.Open(context.Background(), OpenRequest{Size: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for b := range batches {
-		if len(b) > 3 {
-			t.Fatalf("batch size %d > hint", len(b))
-		}
-		n += len(b)
-	}
-	if n != 10 {
+	if n := len(drain(t, batches, 3)); n != 10 {
 		t.Fatalf("batched rows = %d", n)
 	}
 	// A registered stream source shadows a table of the same name.
@@ -182,6 +170,20 @@ func TestTableAsSource(t *testing.T) {
 	if got, _ := c.Source("t"); got == Source(tab) {
 		t.Error("stream source should shadow the table")
 	}
+}
+
+// drain reads an open source to its end, checking the Source contract
+// on the way: no batch is empty or holds more than size rows.
+func drain(t *testing.T, batches <-chan []value.Tuple, size int) []value.Tuple {
+	t.Helper()
+	var rows []value.Tuple
+	for b := range batches {
+		if len(b) == 0 || len(b) > size {
+			t.Fatalf("batch of %d rows, want 1..%d", len(b), size)
+		}
+		rows = append(rows, b...)
+	}
+	return rows
 }
 
 func TestTableFactory(t *testing.T) {
@@ -260,7 +262,7 @@ func TestTwitterSourcePushdown(t *testing.T) {
 	}
 	common := twitterapi.Filter{Track: []string{"obama"}}
 	rare := twitterapi.Filter{Track: []string{"gem"}}
-	rows, info, err := src.Open(context.Background(), OpenRequest{Candidates: []twitterapi.Filter{common, rare}})
+	batches, info, err := src.Open(context.Background(), OpenRequest{Candidates: []twitterapi.Filter{common, rare}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,10 +274,7 @@ func TestTwitterSourcePushdown(t *testing.T) {
 		hub.Publish(&tweet.Tweet{ID: 11, Text: "obama", CreatedAt: time.Unix(11, 0)})
 		hub.Close()
 	}()
-	var got []value.Tuple
-	for r := range rows {
-		got = append(got, r)
-	}
+	got := drain(t, batches, 1)
 	if len(got) != 1 || got[0].Get("id").String() != "10" {
 		t.Errorf("rows = %v", got)
 	}
@@ -284,22 +283,18 @@ func TestTwitterSourcePushdown(t *testing.T) {
 func TestTwitterSourceNoCandidates(t *testing.T) {
 	hub := twitterapi.NewHub()
 	src := NewTwitterSource(hub, nil)
-	rows, info, err := src.Open(context.Background(), OpenRequest{})
+	batches, info, err := src.Open(context.Background(), OpenRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Pushed {
-		t.Error("nothing should be pushed")
+	if info.Pushed || info.Schema != TweetSchema {
+		t.Errorf("full-stream open info = %+v", info)
 	}
 	go func() {
 		hub.Publish(&tweet.Tweet{ID: 1, Text: "anything", CreatedAt: time.Unix(0, 0)})
 		hub.Close()
 	}()
-	n := 0
-	for range rows {
-		n++
-	}
-	if n != 1 {
+	if n := len(drain(t, batches, 1)); n != 1 {
 		t.Errorf("full-stream rows = %d", n)
 	}
 }
@@ -315,11 +310,7 @@ func TestSliceSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for range out {
-		n++
-	}
-	if n != 2 {
+	if n := len(drain(t, out, 1)); n != 2 {
 		t.Errorf("rows = %d", n)
 	}
 	// Cancellation stops emission: a source opened with an already
@@ -328,11 +319,7 @@ func TestSliceSource(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	out, _, _ = src.Open(ctx, OpenRequest{})
-	n = 0
-	for range out {
-		n++
-	}
-	if n != 0 {
+	if n := len(drain(t, out, 1)); n != 0 {
 		t.Errorf("cancelled source emitted %d rows", n)
 	}
 }
@@ -343,18 +330,18 @@ func TestDerivedStream(t *testing.T) {
 	if d.Schema() != s {
 		t.Error("schema lost")
 	}
-	out, _, err := d.Open(context.Background(), OpenRequest{})
+	out, _, err := d.Open(context.Background(), OpenRequest{Size: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Publish(value.NewTuple(s, []value.Value{value.Int(1)}, time.Unix(0, 0)))
+	d.PublishBatch([]value.Tuple{
+		value.NewTuple(s, []value.Value{value.Int(1)}, time.Unix(0, 0)),
+		value.NewTuple(s, []value.Value{value.Int(2)}, time.Unix(1, 0)),
+		value.NewTuple(s, []value.Value{value.Int(3)}, time.Unix(2, 0)),
+	})
 	d.CloseStream()
 	d.CloseStream() // double close is safe
-	n := 0
-	for range out {
-		n++
-	}
-	if n != 1 {
+	if n := len(drain(t, out, 2)); n != 3 {
 		t.Errorf("subscriber got %d rows", n)
 	}
 	// Opening after close yields an empty, closed stream.

@@ -232,25 +232,33 @@ func (d *DerivedStream) Stats() StreamStats {
 }
 
 // Open implements Source: a drop-policy subscription with the historic
-// 256-row buffer, bridged onto a tuple channel.
-func (d *DerivedStream) Open(ctx context.Context, _ OpenRequest) (<-chan value.Tuple, *OpenInfo, error) {
+// 256-row buffer, each burst it receives handed on as it arrives, cut
+// into batches of at most req.Size rows. A partial batch waits for
+// nothing: a reader sees a row as soon as the subscription has it.
+func (d *DerivedStream) Open(ctx context.Context, req OpenRequest) (<-chan []value.Tuple, *OpenInfo, error) {
+	size := max(req.Size, 1)
 	sub := d.Subscribe(SubOptions{Buffer: 256, Policy: DropOldest})
-	out := make(chan value.Tuple, 64)
+	// The subscription is the buffer; room for a few batches lets one
+	// burst's cuts pass on while the reader finishes the last.
+	out := make(chan []value.Tuple, 4)
 	go func() {
 		defer close(out)
 		defer sub.Cancel()
-		var rows []value.Tuple // reused: each tuple is copied into out
-		var err error
 		for {
-			if rows, err = sub.RecvInto(ctx, rows); err != nil {
+			// A fresh slice per burst: its disjoint parts pass to the
+			// receiver as batches.
+			rows, err := sub.RecvInto(ctx, nil)
+			if err != nil {
 				return
 			}
-			for _, row := range rows {
+			for len(rows) > 0 {
+				n := min(size, len(rows))
 				select {
-				case out <- row:
+				case out <- rows[:n:n]:
 				case <-ctx.Done():
 					return
 				}
+				rows = rows[n:]
 			}
 		}
 	}()

@@ -5,11 +5,12 @@
 // canonical scan signature — then assembles the operator pipeline
 // (fused columnar filter+project or filter+aggregate stages, async
 // projection for high-latency UDFs, confidence-triggered windowed
-// aggregation, windowed joins) over either a private
-// source scan or a ref-counted shared scan serving every query with
-// the same signature, and exposes results as a cursor whose iterators
-// run the query as they are read, or routes them INTO derived streams
-// and tables.
+// aggregation, windowed joins) over batches from the sources' one open
+// (catalog.Source). A live source is read only through a ref-counted
+// shared scan serving every query with the same signature, join sides
+// included; a finite one (a table) through a private scan. Results come
+// out of a cursor whose iterators run the query as they are read, or
+// are routed INTO derived streams and tables.
 package core
 
 import (
@@ -312,7 +313,7 @@ type Cursor struct {
 	info    *catalog.OpenInfo
 	stmt    *lang.SelectStmt
 	plan    *plan.Query
-	scan    *SharedScan // nil when the query opened a private scan
+	scan    *SharedScan // nil when the query reads private scans only
 	cancel  context.CancelFunc
 	drained chan struct{}
 }
@@ -507,16 +508,13 @@ func (e *Engine) explainColumns(p *plan.Query) string {
 
 // explainSharing renders the sharing status EXPLAIN reports: whether
 // this statement would attach to a shared scan, and whether one with
-// its signature is live right now. Only registered stream sources are
-// consulted — EXPLAIN must stay side-effect free, and resolving a
-// durable table here would open it (running recovery against files a
-// live writer may hold).
+// its signature (a join's: its left side's) is live right now. Only
+// registered stream sources are consulted — EXPLAIN must stay
+// side-effect free, and resolving a durable table here would open it
+// (running recovery against files a live writer may hold).
 func (e *Engine) explainSharing(p *plan.Query) string {
-	switch {
-	case e.abl.PrivateScans:
+	if e.abl.PrivateScans {
 		return "off (private scans)"
-	case p.Join != nil:
-		return "off (joins open private scans)"
 	}
 	src, ok := e.cat.RegisteredSource(p.Source)
 	if !ok || !isLiveSource(src) {

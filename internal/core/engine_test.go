@@ -389,6 +389,54 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// TestExplainJoinSharing: a join on a live source reads it through the
+// shared scan of the bare source, one reference per side, and EXPLAIN
+// says so.
+func TestExplainJoinSharing(t *testing.T) {
+	eng, _ := testEngine(t, firehose.Config{Seed: 1, Duration: time.Minute, BaseRate: 5})
+	const join = `SELECT a.text FROM twitter AS a JOIN twitter AS b ON a.id = b.id WINDOW 1 MINUTE`
+	line := func(sql, prefix string) string {
+		t.Helper()
+		out, err := eng.Explain(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range strings.Split(out, "\n") {
+			if rest, ok := strings.CutPrefix(l, prefix); ok {
+				return rest
+			}
+		}
+		t.Fatalf("no %q line:\n%s", prefix, out)
+		return ""
+	}
+	sharing := func(sql string) string { return line(sql, "shared scan: ") }
+	if got := line(join, "scan signature: "); got != "src=twitter" {
+		t.Errorf("join scan signature: %q", got)
+	}
+	if got := sharing(join); got != "on (would open the shared scan)" {
+		t.Errorf("join before any scan: %q", got)
+	}
+	plain, err := eng.Query(context.Background(), "SELECT text FROM twitter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Stop()
+	if got := sharing(join); got != "on (would join live scan serving 1 queries)" {
+		t.Errorf("join beside a full-stream query: %q", got)
+	}
+	cur, err := eng.Query(context.Background(), join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Stop()
+	if !cur.ScanShared() {
+		t.Error("join did not attach to the shared scan")
+	}
+	if got := sharing("SELECT id FROM twitter"); got != "on (would join live scan serving 3 queries)" {
+		t.Errorf("full-stream query beside a join: %q", got)
+	}
+}
+
 // TestExplainPipeline pins EXPLAIN's pipeline= line to the shape
 // openSingle/openJoin actually build, not to engine defaults: an async
 // UDF projection leaves the columnar path, a stateful UDF stays on it

@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 
-	"tweeql/internal/asyncop"
 	"tweeql/internal/catalog"
 	"tweeql/internal/exec"
 	"tweeql/internal/lang"
@@ -143,11 +143,11 @@ func routeToTable(cur *Cursor, table *catalog.Table, name string) {
 	}
 }
 
-// openScanStream opens the physical (or shared) scan for a
-// single-source plan: the query's read of it, the open info, and the
-// stable key of the conjunct the scan's pushed filter already enforces
-// (""= nothing pushed).
-func (e *Engine) openScanStream(ctx context.Context, src catalog.Source, p *plan.Query, stats *exec.Stats, cur *Cursor) (next func() (exec.Batch, bool), info *catalog.OpenInfo, pushedKey string, err error) {
+// openScanStream opens the scan of src for a single-source plan or one
+// side of a join: the query's read of it, the open info, and the stable
+// key of the conjunct the scan's pushed filter already enforces (""=
+// nothing pushed).
+func (e *Engine) openScanStream(ctx context.Context, src catalog.Source, p *plan.Query, stats *exec.Stats, cur *Cursor) (next func() (exec.Batch, bool), info *catalog.OpenInfo, pushed string, err error) {
 	// Shared path: live sources join (or open) the ref-counted scan for
 	// the plan's signature. One physical subscription and one
 	// conversion pipeline serve every attached query.
@@ -160,9 +160,29 @@ func (e *Engine) openScanStream(ctx context.Context, src catalog.Source, p *plan
 		return next, i, scan.pushedKey, nil
 	}
 
-	// Private path: this query owns the source subscription.
-	req := catalog.OpenRequest{SampleSize: e.opts.SampleSize, Buffer: e.opts.SourceBuffer,
-		OnError: stats.NoteError}
+	// Private path: this query owns the source subscription, pruned to
+	// the columns the plan references.
+	req := e.openRequest(src, p, stats.NoteError)
+	req.Columns = p.Columns
+	batches, info, err := src.Open(ctx, req)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	return recv(ctx, batches), info, pushedKey(p, info), nil
+}
+
+// openRequest builds the request a scan of src for plan p opens with:
+// the plan's pushdown candidates and time range, and batches of
+// Options.BatchSize rows. Columns stays nil (every column).
+func (e *Engine) openRequest(src catalog.Source, p *plan.Query, onError func(error)) catalog.OpenRequest {
+	req := catalog.OpenRequest{
+		SampleSize: e.opts.SampleSize,
+		Buffer:     e.opts.SourceBuffer,
+		OnError:    onError,
+		Size:       e.opts.BatchSize,
+		FlushEvery: e.opts.BatchFlushEvery,
+		Workers:    e.opts.BatchWorkers,
+	}
 	// Time-range pushdown is sound only when the created_at column IS
 	// the event timestamp rows are partitioned on. The schema gate
 	// enforces it: only a source declaring created_at as KindTime gets
@@ -175,14 +195,16 @@ func (e *Engine) openScanStream(ctx context.Context, src catalog.Source, p *plan
 	for _, c := range p.Candidates {
 		req.Candidates = append(req.Candidates, c.Filter)
 	}
-	batches, info, err := e.openBatches(ctx, src, req, p.Columns)
-	if err != nil {
-		return nil, nil, "", err
+	return req
+}
+
+// pushedKey is the stable key of the conjunct the filter info reports
+// pushed already enforces, "" when nothing was pushed.
+func pushedKey(p *plan.Query, info *catalog.OpenInfo) string {
+	if info.Pushed && info.ChosenIdx >= 0 && info.ChosenIdx < len(p.Candidates) {
+		return p.CandidateKey(info.ChosenIdx)
 	}
-	if info != nil && info.Pushed && info.ChosenIdx >= 0 && info.ChosenIdx < len(p.Candidates) {
-		pushedKey = p.CandidateKey(info.ChosenIdx)
-	}
-	return recv(ctx, batches), info, pushedKey, nil
+	return ""
 }
 
 // recv is the read of a producer goroutine's batch channel: the next
@@ -196,31 +218,6 @@ func recv(ctx context.Context, ch <-chan exec.Batch) func() (exec.Batch, bool) {
 			return nil, false
 		}
 	}
-}
-
-// openBatches opens one private subscription of src as batches of up to
-// Options.BatchSize rows. A source that can batch itself does, pruned
-// to cols (nil = every column); any other source's tuples are batched at
-// the boundary.
-func (e *Engine) openBatches(ctx context.Context, src catalog.Source, req catalog.OpenRequest, cols []string) (<-chan exec.Batch, *catalog.OpenInfo, error) {
-	if bs, ok := src.(catalog.BatchSource); ok {
-		return bs.OpenBatches(ctx, req, catalog.BatchOptions{
-			Size:       e.opts.BatchSize,
-			FlushEvery: e.opts.BatchFlushEvery,
-			Workers:    e.opts.BatchWorkers,
-			Columns:    cols,
-		})
-	}
-	return e.openChunked(ctx, src, req)
-}
-
-// openChunked opens src's tuple stream and batches it at the boundary.
-func (e *Engine) openChunked(ctx context.Context, src catalog.Source, req catalog.OpenRequest) (<-chan exec.Batch, *catalog.OpenInfo, error) {
-	in, info, err := src.Open(ctx, req)
-	if err != nil {
-		return nil, nil, err
-	}
-	return asyncop.Chunk(ctx, in, e.opts.BatchSize, e.opts.BatchFlushEvery), info, nil
 }
 
 // openSingle builds the query the cursor runs: its input (the scan, or
@@ -247,22 +244,19 @@ func (e *Engine) openSingle(ctx context.Context, ev *exec.Evaluator, stmt *lang.
 		if err != nil {
 			return err
 		}
-		var pushedKey string
-		next, cur.info, pushedKey, err = e.openScanStream(ctx, src, p, stats, cur)
+		var pushed string
+		next, cur.info, pushed, err = e.openScanStream(ctx, src, p, stats, cur)
 		if err != nil {
 			return err
 		}
 		next = exec.ScanInput(stats, next)
 		// The schema expressions compile against must be the exact
 		// object the delivered tuples carry — the pruned one when the
-		// batched source honored column pruning — so pre-resolved
-		// indices hit the compiled fast path on every row.
-		inSchema = src.Schema()
-		if cur.info != nil && cur.info.Schema != nil {
-			inSchema = cur.info.Schema
-		}
+		// source honored column pruning — so pre-resolved indices hit
+		// the compiled fast path on every row.
+		inSchema = cur.info.Schema
 		// Residual filter: every conjunct except the one the scan pushed.
-		residual = p.Residual(pushedKey)
+		residual = p.Residual(pushed)
 		_, tableScan = src.(*catalog.Table)
 	}
 	cur.next, cur.limit = next, stmt.Limit
@@ -317,12 +311,7 @@ func (e *Engine) pipeline(p *plan.Query) string {
 
 // openJoin opens both sides of FROM a JOIN b ON ... WINDOW w and
 // returns the read of the joined stream with its schema; openSingle
-// adds the filter and projection. Both sides are private scans (a
-// shared fan-out has no pairing between the two sides' attach times),
-// never pruned, and batched at the boundary rather than by the source:
-// a batching live source parks the hub's publisher on a connection a
-// batch behind, so a join stalled on its consumer would stall every
-// other scan of the hub.
+// adds the filter and projection.
 func (e *Engine) openJoin(ctx context.Context, ev *exec.Evaluator, stmt *lang.SelectStmt, p *plan.Query, stats *exec.Stats, cur *Cursor) (func() (exec.Batch, bool), *value.Schema, error) {
 	leftSrc, err := e.cat.Source(stmt.From.Name)
 	if err != nil {
@@ -332,13 +321,11 @@ func (e *Engine) openJoin(ctx context.Context, ev *exec.Evaluator, stmt *lang.Se
 	if err != nil {
 		return nil, nil, err
 	}
-
-	req := catalog.OpenRequest{Buffer: e.opts.SourceBuffer, OnError: stats.NoteError}
-	left, info, err := e.openChunked(ctx, leftSrc, req)
+	left, info, err := e.openSide(ctx, leftSrc, stmt.From.Name, stats, cur)
 	if err != nil {
 		return nil, nil, err
 	}
-	right, _, err := e.openChunked(ctx, rightSrc, req)
+	right, _, err := e.openSide(ctx, rightSrc, p.Join.Right, stats, cur)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -356,4 +343,38 @@ func (e *Engine) openJoin(ctx context.Context, ev *exec.Evaluator, stmt *lang.Se
 	// fast path because output tuples carry this exact pointer.
 	cfg.OutSchema = exec.JoinSchema(leftSrc.Schema(), rightSrc.Schema(), cfg)
 	return recv(ctx, exec.JoinStage(ctx, ev, left, right, leftSrc.Schema(), rightSrc.Schema(), cfg, stats)), cfg.OutSchema, nil
+}
+
+// openSide opens one side of a join as a bare scan of its source
+// (plan.ScanOf: no pushdown, no time range, every column), read on a
+// goroutine of its own because the join selects over both sides. A
+// live source's side attaches to its shared scan like any other live
+// query, reading a drop-oldest subscription, so a join stalled on its
+// consumer loses rows instead of parking the scan; a finite source's
+// side opens privately.
+func (e *Engine) openSide(ctx context.Context, src catalog.Source, name string, stats *exec.Stats, cur *Cursor) (<-chan exec.Batch, *catalog.OpenInfo, error) {
+	next, info, _, err := e.openScanStream(ctx, src, plan.ScanOf(name), stats, cur)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make(chan exec.Batch)
+	go func() {
+		defer close(out)
+		for b, ok := next(); ok; b, ok = next() {
+			select {
+			case out <- b:
+			case <-ctx.Done():
+				return
+			}
+			// Let the other side's reader run. A side's input is often a
+			// burst already in memory, so without the yield this reader
+			// and the join hand batches back and forth on one P (the
+			// runtime runs the goroutine a channel operation wakes next)
+			// while the other reader waits out the time slice: the join
+			// then runs one side thousands of rows ahead of the other and
+			// buffers them all.
+			runtime.Gosched()
+		}
+	}()
+	return out, info, nil
 }

@@ -29,7 +29,9 @@ func settledGoroutines(t *testing.T) int {
 // reads its cursor. A query attached to a live shared scan starts no
 // goroutine of its own at Query, runs in its one consumer while read,
 // and Stop — read or never read — returns the count to where it was and
-// detaches the query from the scan.
+// detaches the query from the scan. A self-join attaches both sides to
+// that scan and starts at most three: its two side readers and the
+// join.
 func TestQueryGoroutines(t *testing.T) {
 	opts := DefaultOptions()
 	opts.BatchFlushEvery = time.Millisecond
@@ -94,4 +96,14 @@ func TestQueryGoroutines(t *testing.T) {
 	never.Stop()
 	atMost("count back to baseline after Stop of an unread query", base)
 	eventually(t, "unread query detached", attached(1))
+
+	join, err := eng.Query(context.Background(), "SELECT a.text FROM live AS a JOIN live AS b ON a.n = b.n WINDOW 1 MINUTE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "join sides attached", attached(3))
+	atMost("two side readers and the join", base+3)
+	join.Stop()
+	atMost("count back to baseline after Stop of a join", base)
+	eventually(t, "join sides detached", attached(1))
 }

@@ -163,7 +163,7 @@ func (e *Engine) Scans() []ScanStatus {
 			Subscribers: ss.Subscribers,
 			Dropped:     ss.Dropped,
 		}
-		if s.info != nil && s.info.Pushed {
+		if s.info.Pushed {
 			st.Pushed = true
 			st.Filter = s.info.Chosen.String()
 		}
@@ -211,30 +211,19 @@ func (e *Engine) attachShared(ctx context.Context, src catalog.Source, p *plan.Q
 func (e *Engine) openScan(p *plan.Query, src catalog.Source) (*SharedScan, error) {
 	sctx, cancel := context.WithCancel(context.Background())
 	s := &SharedScan{sig: p.Signature, source: p.Source, mgr: e.scans, ctx: sctx, cancel: cancel}
-	req := catalog.OpenRequest{
-		SampleSize: e.opts.SampleSize,
-		Buffer:     e.opts.SourceBuffer,
-		OnError:    s.noteErr,
-	}
-	if hasTimeColumn(src.Schema()) {
-		req.From, req.To = p.TimeFrom, p.TimeTo
-	}
-	for _, c := range p.Candidates {
-		req.Candidates = append(req.Candidates, c.Filter)
-	}
-	var firstInfo *catalog.OpenInfo
+	// No column pruning: the scan serves every query shape with this
+	// signature, including ones registered later, so the source must
+	// materialize full rows. Pruning is a private-scan optimization.
+	req := e.openRequest(src, p, s.noteErr)
 	s.reopen = func() (<-chan exec.Batch, context.CancelFunc, error) {
 		cctx, ccancel := context.WithCancel(sctx)
-		// No column pruning: the scan serves every query shape with this
-		// signature, including ones registered later, so the source must
-		// materialize full rows. Pruning is a private-scan optimization.
-		batches, info, err := e.openBatches(cctx, src, req, nil)
+		batches, info, err := src.Open(cctx, req)
 		if err != nil {
 			ccancel()
 			return nil, nil, err
 		}
-		if firstInfo == nil {
-			firstInfo = info
+		if s.info == nil {
+			s.info = info
 		}
 		return batches, ccancel, nil
 	}
@@ -244,19 +233,8 @@ func (e *Engine) openScan(p *plan.Query, src catalog.Source) (*SharedScan, error
 		cancel()
 		return nil, err
 	}
-	schema := src.Schema()
-	info := firstInfo
-	if info == nil {
-		info = &catalog.OpenInfo{Schema: schema}
-	}
-	if info.Schema != nil {
-		schema = info.Schema
-	}
-	s.info = info
-	if info.Pushed && info.ChosenIdx >= 0 && info.ChosenIdx < len(p.Candidates) {
-		s.pushedKey = p.CandidateKey(info.ChosenIdx)
-	}
-	s.ds = catalog.NewDerivedStream("scan:"+p.Signature, schema)
+	s.pushedKey = pushedKey(p, s.info)
+	s.ds = catalog.NewDerivedStream("scan:"+p.Signature, s.info.Schema)
 	go s.supervise(batches, childCancel, scanPolicyFrom(e.opts))
 	return s, nil
 }
@@ -325,8 +303,8 @@ func (s *SharedScan) pumpOnce(batches <-chan exec.Batch, childCancel context.Can
 		}
 		s.rowsIn.Add(int64(len(b)))
 		s.batchesIn.Add(1)
-		// The source hands over each batch (catalog.BatchSource) and
-		// the scan never touches it again: the stream may keep it.
+		// The source hands over each batch (catalog.Source) and the
+		// scan never touches it again: the stream may keep it.
 		s.ds.PublishBatch(b)
 	}
 	childCancel()
@@ -353,9 +331,9 @@ func (s *SharedScan) err() error {
 // attach subscribes one query to the scan's fan-out and returns the
 // query's read of the subscription, re-cut to Options.BatchSize. The
 // subscription queues up to Options.SourceBuffer rows with drop-oldest
-// backpressure — the same best-effort contract a private streaming
-// connection gives a slow consumer, and what guarantees one stalled
-// query can never block its siblings or the scan. It is the only buffer
+// backpressure — the streaming API's best-effort contract for a slow
+// consumer, and what guarantees one stalled query (or join side) can
+// never block its siblings or the scan. It is the only buffer
 // between the scan and the query, which reads it in its consumer's
 // goroutine. The query's scan reference ends with ctx (Stop, a LIMIT
 // cut, the end of its cursor, or the caller's context), read or not:

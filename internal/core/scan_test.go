@@ -37,19 +37,19 @@ func newCountingLiveSource() *countingLiveSource {
 func (s *countingLiveSource) Schema() *value.Schema { return liveSchema }
 func (s *countingLiveSource) LiveStream() bool      { return true }
 
-func (s *countingLiveSource) Open(ctx context.Context, req catalog.OpenRequest) (<-chan value.Tuple, *catalog.OpenInfo, error) {
+func (s *countingLiveSource) Open(ctx context.Context, req catalog.OpenRequest) (<-chan []value.Tuple, *catalog.OpenInfo, error) {
 	s.opens.Add(1)
 	in, info, err := s.ds.Open(ctx, req)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make(chan value.Tuple, 64)
+	out := make(chan []value.Tuple, 4)
 	go func() {
 		defer s.closes.Add(1)
 		defer close(out)
-		for t := range in {
+		for b := range in {
 			select {
-			case out <- t:
+			case out <- b:
 			case <-ctx.Done():
 				return
 			}
@@ -364,4 +364,50 @@ func TestSharedScanAttachDetachRace(t *testing.T) {
 	if src.opens.Load() != src.closes.Load() {
 		eventually(t, "opens == closes", func() bool { return src.opens.Load() == src.closes.Load() })
 	}
+}
+
+// TestDerivedStreamReadDeliversWithoutFlush: a query FROM a derived
+// stream (an INTO STREAM target, $sys.metrics) receives each burst the
+// stream hands on as it arrives. No flush timer stands between them:
+// with BatchFlushEvery at an hour, ten rows reach the reader while the
+// stream is still open.
+func TestDerivedStreamReadDeliversWithoutFlush(t *testing.T) {
+	opts := DefaultOptions()
+	opts.BatchFlushEvery = time.Hour
+	cat := catalog.New()
+	ds := catalog.NewDerivedStream("d", liveSchema)
+	cat.RegisterSource("d", ds)
+	eng := NewEngine(cat, opts)
+	cur, err := eng.Query(context.Background(), "SELECT text, n FROM d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Stop()
+	got, done := make(chan int64, 10), make(chan struct{})
+	go func() {
+		defer close(done)
+		for r := range cur.Rows() {
+			n, _ := r.Get("n").IntVal()
+			got <- n
+		}
+	}()
+	rows := make([]value.Tuple, 10)
+	for i := range rows {
+		rows[i] = value.NewTuple(liveSchema, []value.Value{
+			value.String(fmt.Sprintf("row %d", i)), value.Int(int64(i)),
+		}, time.Unix(int64(1000+i), 0).UTC())
+	}
+	ds.PublishBatch(rows)
+	for i := int64(0); i < 10; i++ {
+		select {
+		case n := <-got:
+			if n != i {
+				t.Fatalf("row %d: n=%d", i, n)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("row %d did not arrive while the stream was open", i)
+		}
+	}
+	ds.CloseStream()
+	<-done
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tweeql/internal/catalog"
 	"tweeql/internal/core"
@@ -32,11 +33,12 @@ func runAllForDiff(t *testing.T, shared bool) map[string][]string {
 	results := make(map[string][]string, len(diffQueries))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	// A join opens a private scan for each side: it attaches to no
-	// shared scan.
+	// Each side of a join attaches to the source's shared scan as a
+	// query of its own.
 	attached := 0
 	for _, q := range diffQueries {
-		if !strings.Contains(q.sql, " JOIN ") {
+		attached++
+		if strings.Contains(q.sql, " JOIN ") {
 			attached++
 		}
 		cur, err := eng.Query(context.Background(), q.sql)
@@ -158,5 +160,91 @@ func BenchmarkSharedScan(b *testing.B) {
 				b.ReportMetric(float64(len(all))*float64(b.N)/b.Elapsed().Seconds(), "tweets/sec")
 			})
 		}
+	}
+}
+
+// TestStalledJoinDoesNotParkHub: a self-join nobody reads runs beside a
+// query that is read, over one hub. The join's sides read the shared
+// scan's drop-oldest subscriptions, so the stalled join parks neither
+// the scan nor the hub's publisher: the replay finishes and the read
+// query gets every row. Small batches make the join's own buffering
+// far smaller than the replay.
+func TestStalledJoinDoesNotParkHub(t *testing.T) {
+	all := firehose.Tweets(soccerStream()[:2000])
+	hub := twitterapi.NewHub()
+	cat := catalog.New()
+	cat.RegisterSource("twitter", catalog.NewTwitterSource(hub, nil))
+	opts := core.DefaultOptions()
+	opts.BatchSize = 16
+	opts.SourceBuffer = len(all) + 16
+	eng := core.NewEngine(cat, opts)
+
+	join, err := eng.Query(context.Background(),
+		`SELECT a.text FROM twitter AS a JOIN twitter AS b ON a.id = b.id WINDOW 1 MINUTE`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer join.Stop()
+	read, err := eng.Query(context.Background(), `SELECT id FROM twitter`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := make(chan int, 1)
+	go func() {
+		rows := 0
+		for range read.Rows() {
+			rows++
+		}
+		n <- rows
+	}()
+
+	replayed := make(chan struct{})
+	go func() {
+		defer close(replayed)
+		twitterapi.Replay(hub, all)
+	}()
+	select {
+	case <-replayed:
+	case <-time.After(10 * time.Second):
+		join.Stop() // unpark the hub so the replay goroutine ends
+		<-replayed
+		t.Fatal("replay parked behind the unread join")
+	}
+	if got := <-n; got != len(all) {
+		t.Fatalf("read query got %d rows, want %d", got, len(all))
+	}
+}
+
+// TestSelfJoinReadsSidesEvenly: the two sides of a self-join read one
+// shared scan, each on its own reader, and the join takes batches from
+// whichever is ready. Neither reader may run ahead of the other: at
+// one-row batches a LIMIT on the join's output is reached after about
+// as many rows per side as it returns, not after one side has read the
+// stream while the other waits.
+func TestSelfJoinReadsSidesEvenly(t *testing.T) {
+	all := firehose.Tweets(soccerStream()[:20000])
+	hub := twitterapi.NewHub()
+	cat := catalog.New()
+	cat.RegisterSource("twitter", catalog.NewTwitterSource(hub, nil))
+	opts := core.DefaultOptions()
+	opts.BatchSize = 1
+	opts.SourceBuffer = len(all) + 16
+	eng := core.NewEngine(cat, opts)
+	const limit = 300
+	cur, err := eng.Query(context.Background(),
+		fmt.Sprintf(`SELECT a.id FROM twitter AS a JOIN twitter AS b ON a.id = b.id WINDOW 1 MINUTE LIMIT %d`, limit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	go twitterapi.Replay(hub, all)
+	n := 0
+	for range cur.Rows() {
+		n++
+	}
+	if n != limit {
+		t.Fatalf("join returned %d rows, want %d", n, limit)
+	}
+	if in := cur.Stats().RowsIn.Load(); in > 5*limit {
+		t.Fatalf("join read %d rows for %d matches: one side ran ahead", in, limit)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"tweeql/internal/asyncop"
 	"tweeql/internal/catalog"
 	"tweeql/internal/lang"
 	"tweeql/internal/obs"
@@ -18,16 +17,6 @@ func feedBatches(bs ...Batch) <-chan Batch {
 	ch := make(chan Batch, len(bs))
 	for _, b := range bs {
 		ch <- b
-	}
-	close(ch)
-	return ch
-}
-
-// feedTuples pushes tuples on a channel and closes it.
-func feedTuples(ts ...value.Tuple) <-chan value.Tuple {
-	ch := make(chan value.Tuple, len(ts))
-	for _, t := range ts {
-		ch <- t
 	}
 	close(ch)
 	return ch
@@ -79,52 +68,6 @@ func collectBatches(ch <-chan Batch) []Batch {
 		out = append(out, b)
 	}
 	return out
-}
-
-// The TestToBatches tests pin the batching the engine gives a source
-// that cannot batch itself: asyncop.Chunk, which core calls at the
-// boundary.
-
-func TestToBatchesSplitAndFinalPartial(t *testing.T) {
-	rows := nRows(10)
-	got := collectBatches(asyncop.Chunk(context.Background(), feedTuples(rows...), 4, 0))
-	if len(got) != 3 || len(got[0]) != 4 || len(got[1]) != 4 || len(got[2]) != 2 {
-		t.Fatalf("batch sizes = %v", batchSizes(got))
-	}
-	// Order is preserved across the split.
-	i := 0
-	for _, b := range got {
-		for _, tup := range b {
-			if n, _ := tup.Get("n").IntVal(); n != int64(i) {
-				t.Fatalf("row %d out of order: %s", i, tup)
-			}
-			i++
-		}
-	}
-}
-
-func TestToBatchesEmptyInput(t *testing.T) {
-	got := collectBatches(asyncop.Chunk(context.Background(), feedTuples(), 4, 0))
-	if len(got) != 0 {
-		t.Fatalf("empty input produced %d batches", len(got))
-	}
-}
-
-func TestToBatchesFlushInterval(t *testing.T) {
-	// A partial batch on a stalled stream must flush after the
-	// interval, not wait for the batch to fill.
-	in := make(chan value.Tuple, 4)
-	out := asyncop.Chunk(context.Background(), in, 1000, 5*time.Millisecond)
-	in <- nRows(1)[0]
-	select {
-	case b := <-out:
-		if len(b) != 1 {
-			t.Fatalf("flushed batch size = %d", len(b))
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("partial batch never flushed")
-	}
-	close(in)
 }
 
 // profiled returns stats carrying a profile, so lag observations can

@@ -94,7 +94,8 @@ type Query struct {
 	// Signature is the canonical identity of the physical scan this
 	// query needs: source name + merged pushdown candidate set + pushed
 	// time range. Queries with equal signatures ask the source for the
-	// same physical stream and may share one scan.
+	// same physical stream and may share one scan. A join's is its left
+	// side's bare scan (ScanOf), since its sides push nothing down.
 	Signature string
 }
 
@@ -129,6 +130,15 @@ func (q *Query) Residual(pushedKey string) []lang.Expr {
 		return conj
 	}
 	return q.Conjuncts
+}
+
+// ScanOf is the plan of a bare scan of source: no pushdown, no time
+// range, every column. Each side of a join reads one; its signature is
+// src=<source>, the one a plain full-stream query over source has.
+func ScanOf(source string) *Query {
+	q := &Query{Source: source}
+	q.Signature = q.computeSignature()
+	return q
 }
 
 // computeSignature builds the canonical scan signature. Candidate
@@ -276,7 +286,12 @@ func Analyze(stmt *lang.SelectStmt, cat *catalog.Catalog, opts Options) (*Query,
 		q.Join = j
 	}
 	q.Columns = referencedColumns(q)
-	q.Signature = q.computeSignature()
+	if q.Join != nil {
+		// Each side of a join reads a bare scan of its source.
+		q.Signature = ScanOf(q.Source).Signature
+	} else {
+		q.Signature = q.computeSignature()
+	}
 	return q, nil
 }
 
