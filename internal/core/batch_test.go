@@ -119,8 +119,8 @@ func TestBatchedIntoTable(t *testing.T) {
 	}
 }
 
-// TestBatchedSliceSource exercises the BatchSource fast path end to
-// end (SliceSource pre-chunks its rows).
+// TestBatchedSliceSource runs a filter end to end over a SliceSource,
+// which hands the engine its rows in pre-cut batches.
 func TestBatchedSliceSource(t *testing.T) {
 	schema := value.NewSchema(value.Field{Name: "x", Kind: value.KindInt})
 	var rows []value.Tuple
@@ -168,6 +168,40 @@ func TestBatchedSliceSource(t *testing.T) {
 	for i, v := range again {
 		if v != int64(2*i) {
 			t.Fatalf("second run row %d = %d, want %d", i, v, 2*i)
+		}
+	}
+}
+
+// TestGroupsWithSeparatorStayApart: two groups whose cells render to the
+// same "\x1f"-joined string — ("x\x1fstring:y", "z") and ("x",
+// "y\x1fstring:z") — are two groups in a windowed GROUP BY and in a
+// count window, emitted in arrival order.
+func TestGroupsWithSeparatorStayApart(t *testing.T) {
+	schema := value.NewSchema(value.Field{Name: "a", Kind: value.KindString}, value.Field{Name: "b", Kind: value.KindString})
+	base := time.Date(2011, 6, 12, 15, 0, 0, 0, time.UTC)
+	rows := []value.Tuple{
+		value.NewTuple(schema, []value.Value{value.String("x\x1fstring:y"), value.String("z")}, base),
+		value.NewTuple(schema, []value.Value{value.String("x"), value.String("y\x1fstring:z")}, base.Add(time.Second)),
+		value.NewTuple(schema, []value.Value{value.String("x\x1fstring:y"), value.String("z")}, base.Add(2*time.Second)),
+	}
+	cat := catalog.New()
+	cat.RegisterSource("s", catalog.NewSliceSource(schema, rows))
+	eng := NewEngine(cat, DefaultOptions())
+	for _, sql := range []string{
+		"SELECT a, b, COUNT(*) AS n FROM s GROUP BY a, b WINDOW 1 HOUR",
+		"SELECT a, b, COUNT(*) AS n FROM s GROUP BY a, b WINDOW 10 TWEETS",
+	} {
+		cur, err := eng.Query(context.Background(), sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for row := range cur.Rows() {
+			got = append(got, fmt.Sprintf("%q %q %s", row.Get("a").String(), row.Get("b").String(), row.Get("n")))
+		}
+		want := []string{`"x\x1fstring:y" "z" 2`, `"x" "y\x1fstring:z" 1`}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s:\n got %q\nwant %q", sql, got, want)
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"tweeql/internal/agg"
@@ -23,7 +25,15 @@ type countState struct {
 	// groupFns/argFns are the bound group keys and aggregate arguments
 	// (argFns slots are nil for COUNT(*)).
 	groupFns, argFns []CompiledExpr
-	buckets          map[window.Key]*countBucket
+	// groupVals holds the current row's group keys; a new bucket copies
+	// them.
+	groupVals []value.Value
+	hasher    value.Hasher
+	// buckets holds the open batch's groups by group-value hash, chained
+	// through countBucket.next.
+	buckets map[uint64]*countBucket
+	// seq numbers buckets in creation order.
+	seq uint64
 	// rows counts the open batch's rows; first and last are its first
 	// and last event times.
 	rows        int64
@@ -31,35 +41,48 @@ type countState struct {
 }
 
 type countBucket struct {
+	// key is the rendered group values, the output order.
 	key       window.Key
+	seq       uint64
 	groupVals []value.Value
 	aggs      []agg.Func
+	next      *countBucket
 }
 
 func newCountState(ev *Evaluator, cfg AggregateConfig, inSchema *value.Schema, stats *Stats) *countState {
-	s := &countState{cfg: cfg, stats: stats, outSchema: AggSchema(cfg), buckets: make(map[window.Key]*countBucket)}
+	s := &countState{cfg: cfg, stats: stats, outSchema: AggSchema(cfg), hasher: value.NewHasher(), buckets: make(map[uint64]*countBucket)}
 	s.groupFns, s.argFns = bindAggExprs(ev, cfg, inSchema)
+	s.groupVals = make([]value.Value, len(cfg.GroupExprs))
 	return s
+}
+
+// bucket returns the open batch's bucket for the row's group values,
+// opening it if the group is new.
+func (s *countState) bucket() *countBucket {
+	h := s.hasher.Cells(s.groupVals)
+	for b := s.buckets[h]; b != nil; b = b.next {
+		if value.SameKey(b.groupVals, s.groupVals) {
+			return b
+		}
+	}
+	s.seq++
+	b := &countBucket{key: window.Encode(s.groupVals), seq: s.seq, groupVals: slices.Clone(s.groupVals), aggs: newAggs(s.cfg.Aggs), next: s.buckets[h]}
+	s.buckets[h] = b
+	return b
 }
 
 // observe adds one row to its group's bucket, emitting the batch when
 // it holds n rows.
 func (s *countState) observe(ctx context.Context, t value.Tuple, emit func(value.Tuple) bool) bool {
-	groupVals := make([]value.Value, len(s.cfg.GroupExprs))
 	for i, fn := range s.groupFns {
 		v, err := fn(ctx, t)
 		if err != nil {
 			s.stats.NoteError(err)
 			return true
 		}
-		groupVals[i] = v
+		s.groupVals[i] = v
 	}
-	key := window.Encode(groupVals)
-	b := s.buckets[key]
-	if b == nil {
-		b = &countBucket{key: key, groupVals: groupVals, aggs: newAggs(s.cfg.Aggs)}
-		s.buckets[key] = b
-	}
+	b := s.bucket()
 	for i, fn := range s.argFns {
 		if fn == nil { // COUNT(*)
 			b.aggs[i].Add(value.Int(1))
@@ -80,17 +103,24 @@ func (s *countState) observe(ctx context.Context, t value.Tuple, emit func(value
 	return s.rows < s.cfg.Window.Count || s.flush(emit)
 }
 
-// flush emits the open batch's groups in key order and starts the next
-// batch.
+// flush emits the open batch's groups in key order (creation order
+// among equal keys) and starts the next batch.
 func (s *countState) flush(emit func(value.Tuple) bool) bool {
 	if s.rows == 0 {
 		return true
 	}
-	ordered := make([]*countBucket, 0, len(s.buckets))
+	var ordered []*countBucket
 	for _, b := range s.buckets {
-		ordered = append(ordered, b)
+		for ; b != nil; b = b.next {
+			ordered = append(ordered, b)
+		}
 	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].key < ordered[j].key })
+	slices.SortFunc(ordered, func(a, b *countBucket) int {
+		if c := strings.Compare(string(a.key), string(b.key)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
 	for _, b := range ordered {
 		vals := make([]value.Value, 0, s.outSchema.Len())
 		for _, oc := range s.cfg.Out {
@@ -105,7 +135,7 @@ func (s *countState) flush(emit func(value.Tuple) bool) bool {
 			return false
 		}
 	}
-	s.buckets = make(map[window.Key]*countBucket)
+	clear(s.buckets)
 	s.rows = 0
 	return true
 }

@@ -359,11 +359,26 @@ type aggState struct {
 	// keys and aggregate arguments (argFns slots are nil for COUNT(*)).
 	groupFns []CompiledExpr
 	argFns   []CompiledExpr
+	// groupVals/argVals hold the current row's group keys and aggregate
+	// arguments: the manager copies group values into a bucket it opens,
+	// and fold reads the arguments before observe returns.
+	groupVals, argVals []value.Value
+	// mkAggs and fold are built once, not per row.
+	mkAggs func() []agg.Func
+	fold   func(*window.Bucket)
 }
 
 func newAggState(ev *Evaluator, cfg AggregateConfig, inSchema *value.Schema, stats *Stats) *aggState {
 	s := &aggState{ev: ev, cfg: cfg, stats: stats, outSchema: AggSchema(cfg)}
 	s.groupFns, s.argFns = bindAggExprs(ev, cfg, inSchema)
+	s.groupVals = make([]value.Value, len(cfg.GroupExprs))
+	s.argVals = make([]value.Value, len(cfg.Aggs))
+	s.mkAggs = func() []agg.Func { return newAggs(cfg.Aggs) }
+	s.fold = func(b *window.Bucket) {
+		for i := range b.Aggs {
+			b.Aggs[i].Add(s.argVals[i])
+		}
+	}
 	if cfg.Window != nil {
 		s.mgr = window.NewManager(cfg.Window.Size, cfg.Window.Every)
 	} else {
@@ -390,8 +405,6 @@ func bindAggExprs(ev *Evaluator, cfg AggregateConfig, inSchema *value.Schema) (g
 	}
 	return groupFns, argFns
 }
-
-func (s *aggState) mkAggs() []agg.Func { return newAggs(s.cfg.Aggs) }
 
 // newAggs makes one fresh accumulator per aggregate item.
 func newAggs(items []AggItem) []agg.Func {
@@ -436,21 +449,19 @@ func (s *aggState) row(b *window.Bucket, early bool) value.Tuple {
 // early) through emit. It returns false when emit reports the query is
 // done and folding should stop.
 func (s *aggState) observe(ctx context.Context, t value.Tuple, emit func(value.Tuple) bool) bool {
-	groupVals := make([]value.Value, len(s.cfg.GroupExprs))
 	for i, fn := range s.groupFns {
 		v, err := fn(ctx, t)
 		if err != nil {
 			s.stats.NoteError(err)
 			return true
 		}
-		groupVals[i] = v
+		s.groupVals[i] = v
 	}
 	// Evaluate aggregate arguments once per tuple; fold adds them to
 	// every containing window's bucket.
-	argVals := make([]value.Value, len(s.cfg.Aggs))
 	for i, fn := range s.argFns {
 		if fn == nil { // COUNT(*)
-			argVals[i] = value.Int(1)
+			s.argVals[i] = value.Int(1)
 			continue
 		}
 		v, err := fn(ctx, t)
@@ -458,13 +469,9 @@ func (s *aggState) observe(ctx context.Context, t value.Tuple, emit func(value.T
 			s.stats.NoteError(err)
 			v = value.Null()
 		}
-		argVals[i] = v
+		s.argVals[i] = v
 	}
-	early := s.mgr.Observe(t.TS, groupVals, s.mkAggs, func(b *window.Bucket) {
-		for i := range b.Aggs {
-			b.Aggs[i].Add(argVals[i])
-		}
-	})
+	early := s.mgr.Observe(t.TS, s.groupVals, s.mkAggs, s.fold)
 	for _, b := range early {
 		if !emit(s.row(b, true)) {
 			return false
@@ -609,11 +616,14 @@ func JoinStage(ctx context.Context, ev *Evaluator, left, right <-chan Batch, lef
 	}
 	go func() {
 		defer close(out)
-		leftBuf := make(map[string][]buffered)
-		rightBuf := make(map[string][]buffered)
+		// Buffers are keyed by the key cell's hash; a list may hold
+		// several keys that share a hash, so matching checks the cell.
+		hasher := value.NewHasher()
+		leftBuf := make(map[uint64][]buffered)
+		rightBuf := make(map[uint64][]buffered)
 		var leftWM, rightWM time.Time
 
-		evict := func(buf map[string][]buffered, wm time.Time) {
+		evict := func(buf map[uint64][]buffered, wm time.Time) {
 			cutoff := wm.Add(-cfg.Window)
 			for k, list := range buf {
 				kept := list[:0]
@@ -639,7 +649,7 @@ func JoinStage(ctx context.Context, ev *Evaluator, left, right <-chan Batch, lef
 			}
 			return value.NewTuple(outSchema, vals, ts)
 		}
-		process := func(t value.Tuple, keyFn CompiledExpr, own, other map[string][]buffered, isLeft bool, rows Batch) Batch {
+		process := func(t value.Tuple, keyFn CompiledExpr, own, other map[uint64][]buffered, isLeft bool, rows Batch) Batch {
 			kv, err := keyFn(ctx, t)
 			if err != nil {
 				stats.NoteError(err)
@@ -648,10 +658,10 @@ func JoinStage(ctx context.Context, ev *Evaluator, left, right <-chan Batch, lef
 			if kv.IsNull() {
 				return rows // NULL keys never join
 			}
-			k := kv.Kind().String() + ":" + kv.String()
+			k := hasher.Cell(kv)
 			own[k] = append(own[k], buffered{key: kv, t: t})
 			for _, m := range other[k] {
-				if d := t.TS.Sub(m.t.TS); d < 0 && -d > cfg.Window || d > cfg.Window {
+				if d := t.TS.Sub(m.t.TS); d < 0 && -d > cfg.Window || d > cfg.Window || !value.SameCell(m.key, kv) {
 					continue
 				}
 				if isLeft {
@@ -665,7 +675,7 @@ func JoinStage(ctx context.Context, ev *Evaluator, left, right <-chan Batch, lef
 		// join folds one input batch into its side, evicts what its
 		// watermark moved out of the other side's window, and sends its
 		// matches; false means the query ended.
-		join := func(b Batch, keyFn CompiledExpr, own, other map[string][]buffered, wm *time.Time, isLeft bool) bool {
+		join := func(b Batch, keyFn CompiledExpr, own, other map[uint64][]buffered, wm *time.Time, isLeft bool) bool {
 			stats.RowsIn.Add(int64(len(b)))
 			span := sp.Enter()
 			var rows Batch

@@ -187,8 +187,10 @@ func Analyze(stmt *lang.SelectStmt, cat *catalog.Catalog, opts Options) (*Query,
 
 	if stmt.Where != nil {
 		q.Conjuncts = SplitConjuncts(stmt.Where)
+		// Each side of a join reads a bare scan of its source (ScanOf),
+		// so a join plan pushes nothing and has no candidates.
 		for i, c := range q.Conjuncts {
-			if f, ok := ConjunctToFilter(c); ok {
+			if f, ok := ConjunctToFilter(c); ok && stmt.Join == nil {
 				q.Candidates = append(q.Candidates, Candidate{Filter: f, ConjunctIdx: i})
 			}
 		}
@@ -528,9 +530,13 @@ func referencedColumns(q *Query) []string {
 	}
 	for _, x := range exprs {
 		lang.Walk(x, func(n lang.Expr) bool {
-			if id, ok := n.(*lang.Ident); ok {
-				add(id.Name)
-				if isGeoName(id.Name) {
+			switch x := n.(type) {
+			case *lang.Ident:
+				add(x.Name)
+			case *lang.InBox:
+				// A geo name in a bounding-box test reads the GPS
+				// columns; anywhere else it is just its own column.
+				if id, ok := x.Loc.(*lang.Ident); ok && isGeoName(id.Name) {
 					add("lat")
 					add("lon")
 				}

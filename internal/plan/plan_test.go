@@ -121,6 +121,18 @@ func TestAnalyzeJoinShape(t *testing.T) {
 	}
 }
 
+// TestAnalyzeJoinHasNoCandidates: no join side pushes a filter to its
+// source, so a one-side conjunct the API could take is no candidate.
+func TestAnalyzeJoinHasNoCandidates(t *testing.T) {
+	q := analyze(t, "SELECT a.text FROM twitter a JOIN twitter b ON a.username = b.username WHERE a.text CONTAINS 'goal' WINDOW 1 MINUTE")
+	if len(q.Candidates) != 0 {
+		t.Fatalf("join plan has %d pushdown candidates: %+v", len(q.Candidates), q.Candidates)
+	}
+	if len(q.Conjuncts) != 1 {
+		t.Fatalf("conjuncts = %d, want the WHERE kept as 1 residual", len(q.Conjuncts))
+	}
+}
+
 func TestAnalyzeErrors(t *testing.T) {
 	for _, sql := range []string{
 		"SELECT COUNT(*) FROM t WHERE COUNT(*) > 1",                              // aggregate in WHERE
@@ -150,6 +162,12 @@ func TestReferencedColumns(t *testing.T) {
 		if !want[c] {
 			t.Fatalf("unexpected column %q in %v", c, q.Columns)
 		}
+	}
+	// Grouping by a geo-named column reads that column alone: the GPS
+	// columns belong to bounding-box tests.
+	grouped := analyze(t, "SELECT COUNT(*) AS n FROM twitter GROUP BY loc WINDOW 5 MINUTES")
+	if len(grouped.Columns) != 1 || grouped.Columns[0] != "loc" {
+		t.Fatalf("GROUP BY loc columns = %v, want [loc]", grouped.Columns)
 	}
 	star := analyze(t, "SELECT * FROM twitter WHERE followers > 10")
 	if star.Columns != nil {

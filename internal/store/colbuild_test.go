@@ -336,13 +336,17 @@ func (r *fuzzReader) next() byte {
 func (r *fuzzReader) more() bool { return len(r.p) > 0 }
 
 func (r *fuzzReader) time() time.Time {
-	switch b := r.next(); b % 5 {
+	switch b := r.next(); b % 6 {
 	case 0:
 		return time.Time{}
 	case 1:
 		return epoch
 	case 2:
 		return time.Unix(1307880000+int64(b), int64(r.next())*1e6).In(berlin)
+	case 3:
+		// 1970-01-01T00:00:00Z and its nanosecond neighbours on both
+		// sides: present times whose UnixNano is 0 or near it.
+		return time.Unix(0, int64(int8(r.next()))).UTC()
 	default:
 		return time.Unix(1307880000+int64(b)*int64(r.next()), 0).UTC()
 	}

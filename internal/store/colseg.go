@@ -56,7 +56,7 @@ const (
 	// chunkInts: one varint per row, delta-coded from the previous row
 	// (the first delta is from zero).
 	chunkInts = 2
-	// chunkTimes: a presence bitmap (bit set = non-zero time), then one
+	// chunkTimes: a presence bitmap (bit set = not the zero time), then one
 	// delta-of-delta varint per present row over UnixNano — steady
 	// arrival cadence makes second differences near zero. Zero times
 	// have no defined UnixNano, so they live only in the bitmap.
@@ -195,10 +195,12 @@ func (e *colEncoder) appendTimeChunk(dst []byte, rows []value.Tuple) []byte {
 	payload := zeroed(e.payload, (len(rows)+7)/8)
 	var prev, prevDelta int64
 	for i := range rows {
-		ns := tsNano(rows[i].TS)
-		if ns == 0 {
+		// Presence is the zero time's absence: 1970-01-01 is a present
+		// time whose UnixNano happens to be 0.
+		if rows[i].TS.IsZero() {
 			continue
 		}
+		ns := rows[i].TS.UnixNano()
 		payload[i/8] |= 1 << uint(i%8)
 		d := ns - prev
 		payload = binary.AppendVarint(payload, d-prevDelta)
@@ -289,10 +291,11 @@ func (e *colEncoder) appendTimeColChunk(dst []byte, rows []value.Tuple, col int)
 	for i := range rows {
 		v := &rows[i].Values[col]
 		// kernel: kind pre-proven
-		ns := tsNano(v.TimeRef())
-		if ns == 0 {
+		ts := v.TimeRef()
+		if ts.IsZero() {
 			continue
 		}
+		ns := ts.UnixNano()
 		payload[i/8] |= 1 << uint(i%8)
 		d := ns - prev
 		payload = binary.AppendVarint(payload, d-prevDelta)

@@ -170,6 +170,40 @@ func TestColumnarRoundTripOddKinds(t *testing.T) {
 	}
 }
 
+// TestColumnarRoundTripEpochTimes: a time at 1970-01-01T00:00:00Z has
+// UnixNano 0 but is a time, not the zero time, in the event time and in
+// a time column alike; both formats read each back as written.
+func TestColumnarRoundTripEpochTimes(t *testing.T) {
+	schema := value.NewSchema(value.Field{Name: "at", Kind: value.KindTime})
+	epoch := time.Unix(0, 0).UTC()
+	times := []time.Time{epoch, {}, epoch.Add(-5), time.Unix(1307890800, 0).UTC(), epoch, {}, epoch.Add(3 * time.Second)}
+	var rows []value.Tuple
+	for i := 0; i < 200; i++ {
+		rows = append(rows, value.NewTuple(schema, []value.Value{value.Time(times[(i+3)%len(times)])}, times[i%len(times)]))
+	}
+	for _, columnar := range []bool{false, true} {
+		tab := mustOpen(t, Options{Dir: t.TempDir(), Columnar: columnar, ColBlockRows: 64})
+		if err := tab.AppendBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+		sealNow(t, tab)
+		got := collect(t, tab, time.Time{}, time.Time{})
+		if len(got) != len(rows) {
+			t.Fatalf("columnar=%v: rows = %d, want %d", columnar, len(got), len(rows))
+		}
+		for i := range rows {
+			wantAt, _ := rows[i].Values[0].TimeVal()
+			gotAt, err := got[i].Values[0].TimeVal()
+			if err != nil || !gotAt.Equal(wantAt) || gotAt.IsZero() != wantAt.IsZero() {
+				t.Fatalf("columnar=%v row %d: at = %v, want %v", columnar, i, got[i].Values[0], rows[i].Values[0])
+			}
+			if !got[i].TS.Equal(rows[i].TS) || got[i].TS.IsZero() != rows[i].TS.IsZero() {
+				t.Fatalf("columnar=%v row %d: event time %v, want %v", columnar, i, got[i].TS, rows[i].TS)
+			}
+		}
+	}
+}
+
 // TestColumnarDensity is the compression acceptance gate: the canned
 // firehose table must take at least 3x fewer on-disk bytes in v2
 // column blocks than in v1 row segments.

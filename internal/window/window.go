@@ -6,10 +6,18 @@
 // (CONTROL-style online aggregation). Dense groups (Tokyo) reach the
 // confidence bar quickly and emit early; sparse groups (Cape Town) keep
 // accumulating until their window closes.
+//
+// Buckets are found by their group values themselves: each open span
+// holds its buckets under the values' hash (value.Hasher) and resolves
+// collisions by typed equality (value.SameKey). A bucket's Key — its
+// rendered group values — is built once, when the bucket opens, and
+// serves display and output ordering only; it never decides which
+// bucket a row belongs to.
 package window
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 	"time"
 
@@ -55,10 +63,13 @@ func Sliding(ts time.Time, size, every time.Duration) []Span {
 	return spans
 }
 
-// Key is an encoded group-by key. Encode builds it from group values.
+// Key is a bucket's rendered group values, its display and sort key.
+// Encode builds it from group values. Distinct groups can share a Key
+// (a string cell may contain the separator); bucket identity is typed
+// (value.SameKey), and buckets with equal Keys order by creation.
 type Key string
 
-// Encode renders group values into a canonical bucket key.
+// Encode renders group values into a bucket's display and sort key.
 func Encode(vals []value.Value) Key {
 	parts := make([]string, len(vals))
 	for i, v := range vals {
@@ -82,6 +93,11 @@ type Bucket struct {
 	// EarlyAt records when the confidence bar was met.
 	EmittedEarly bool
 	EarlyAt      time.Time
+
+	// seq orders buckets with equal Keys by creation.
+	seq uint64
+	// next chains buckets whose group values share a hash.
+	next *Bucket
 }
 
 // withinCI reports whether every CI-capable aggregate in the bucket is
@@ -114,8 +130,45 @@ type Manager struct {
 	confMinN      int64
 	confEnabled   bool
 
-	buckets   map[Span]map[Key]*Bucket
+	hasher value.Hasher
+	spans  map[Span]*spanBuckets
+	// last is the span an observation found most recently, tried before
+	// the map: a tumbling window's rows arrive span after span.
+	last *spanBuckets
+	// minEnd is the earliest End of an open span (meaningful while spans
+	// is non-empty): until the watermark reaches it, nothing closes.
+	minEnd    time.Time
+	seq       uint64
 	watermark time.Time
+}
+
+// spanBuckets holds one span's buckets by group-value hash.
+type spanBuckets struct {
+	span    Span
+	buckets map[uint64]*Bucket
+	n       int
+}
+
+// find returns the span's bucket for groupVals, or nil.
+func (sb *spanBuckets) find(h uint64, groupVals []value.Value) *Bucket {
+	for b := sb.buckets[h]; b != nil; b = b.next {
+		if value.SameKey(b.GroupVals, groupVals) {
+			return b
+		}
+	}
+	return nil
+}
+
+// appendOpen appends the span's buckets not emitted early.
+func (sb *spanBuckets) appendOpen(out []*Bucket) []*Bucket {
+	for _, b := range sb.buckets {
+		for ; b != nil; b = b.next {
+			if !b.EmittedEarly {
+				out = append(out, b)
+			}
+		}
+	}
+	return out
 }
 
 // NewManager builds a manager for WINDOW size EVERY every. every <= 0
@@ -124,7 +177,7 @@ func NewManager(size, every time.Duration) *Manager {
 	if every <= 0 {
 		every = size
 	}
-	return &Manager{size: size, every: every, buckets: make(map[Span]map[Key]*Bucket)}
+	return &Manager{size: size, every: every, hasher: value.NewHasher(), spans: make(map[Span]*spanBuckets)}
 }
 
 // EnableConfidence switches on CONTROL-style early emission: a bucket
@@ -153,14 +206,15 @@ func (m *Manager) Watermark() time.Time { return m.watermark }
 // OpenBuckets reports the number of buckets currently held.
 func (m *Manager) OpenBuckets() int {
 	n := 0
-	for _, g := range m.buckets {
-		n += len(g)
+	for _, sb := range m.spans {
+		n += sb.n
 	}
 	return n
 }
 
 // Observe folds one tuple into every window it belongs to. groupVals
-// identify the bucket; mkAggs constructs fresh aggregate state for new
+// identify the bucket and are copied when one opens, so the caller may
+// reuse the slice; mkAggs constructs fresh aggregate state for new
 // buckets; fold applies the tuple's values to the bucket's aggregates.
 // It returns any buckets the observation pushed over the confidence bar
 // (at most one per containing span), already marked emitted.
@@ -168,20 +222,25 @@ func (m *Manager) Observe(ts time.Time, groupVals []value.Value, mkAggs func() [
 	if ts.After(m.watermark) {
 		m.watermark = ts
 	}
-	key := Encode(groupVals)
+	h := m.hasher.Cells(groupVals)
+	// A new bucket's key and values are built once per row and shared by
+	// every span it opens in.
+	var key Key
+	var vals []value.Value
+	opened := false
 	var early []*Bucket
-	for _, span := range Sliding(ts, m.size, m.every) {
-		group := m.buckets[span]
-		if group == nil {
-			group = make(map[Key]*Bucket)
-			m.buckets[span] = group
-		}
-		b := group[key]
+	start, n := m.spansOf(ts)
+	for i := 0; i < n; i, start = i+1, start.Add(m.every) {
+		sb := m.spanFor(Span{Start: start, End: start.Add(m.size)})
+		b := sb.find(h, groupVals)
 		if b == nil {
-			vals := make([]value.Value, len(groupVals))
-			copy(vals, groupVals)
-			b = &Bucket{Span: span, Key: key, GroupVals: vals, Aggs: mkAggs()}
-			group[key] = b
+			if !opened {
+				key, vals, opened = Encode(groupVals), slices.Clone(groupVals), true
+			}
+			m.seq++
+			b = &Bucket{Span: sb.span, Key: key, GroupVals: vals, Aggs: mkAggs(), seq: m.seq, next: sb.buckets[h]}
+			sb.buckets[h] = b
+			sb.n++
 		}
 		b.Rows++
 		fold(b)
@@ -194,24 +253,60 @@ func (m *Manager) Observe(ts time.Time, groupVals []value.Value, mkAggs func() [
 	return early
 }
 
+// spansOf returns the start of the earliest window containing ts and
+// the number of windows containing it: the spans Sliding lists, without
+// building the slice.
+func (m *Manager) spansOf(ts time.Time) (time.Time, int) {
+	if m.every == m.size {
+		return ts.Truncate(m.size), 1
+	}
+	last, n := ts.Truncate(m.every), 0
+	for s := last; ts.Sub(s) < m.size; s = s.Add(-m.every) {
+		n++
+	}
+	return last.Add(-time.Duration(n-1) * m.every), n
+}
+
+// spanFor returns span's buckets, opening the span if it is new.
+func (m *Manager) spanFor(span Span) *spanBuckets {
+	if m.last != nil && m.last.span == span {
+		return m.last
+	}
+	sb := m.spans[span]
+	if sb == nil {
+		sb = &spanBuckets{span: span, buckets: make(map[uint64]*Bucket)}
+		m.spans[span] = sb
+		if len(m.spans) == 1 || span.End.Before(m.minEnd) {
+			m.minEnd = span.End
+		}
+	}
+	m.last = sb
+	return sb
+}
+
 // Advance moves the watermark and returns the buckets of every window
 // whose end has passed, excluding ones already emitted early, ordered by
-// (window start, key). Closed windows are dropped from state.
+// (window start, key, creation). Closed windows are dropped from state.
+// While the watermark is before every open window's end it returns at
+// once.
 func (m *Manager) Advance(watermark time.Time) []*Bucket {
 	if watermark.After(m.watermark) {
 		m.watermark = watermark
 	}
+	if len(m.spans) == 0 || m.minEnd.After(m.watermark) {
+		return nil
+	}
 	var closed []*Bucket
-	for span, group := range m.buckets {
+	open := false
+	for span, sb := range m.spans {
 		if span.End.After(m.watermark) {
+			if !open || span.End.Before(m.minEnd) {
+				m.minEnd, open = span.End, true
+			}
 			continue
 		}
-		for _, b := range group {
-			if !b.EmittedEarly {
-				closed = append(closed, b)
-			}
-		}
-		delete(m.buckets, span)
+		closed = sb.appendOpen(closed)
+		m.drop(span, sb)
 	}
 	sortBuckets(closed)
 	return closed
@@ -221,23 +316,29 @@ func (m *Manager) Advance(watermark time.Time) []*Bucket {
 // of stream), again excluding early-emitted buckets.
 func (m *Manager) Flush() []*Bucket {
 	var out []*Bucket
-	for span, group := range m.buckets {
-		for _, b := range group {
-			if !b.EmittedEarly {
-				out = append(out, b)
-			}
-		}
-		delete(m.buckets, span)
+	for span, sb := range m.spans {
+		out = sb.appendOpen(out)
+		m.drop(span, sb)
 	}
 	sortBuckets(out)
 	return out
 }
 
+func (m *Manager) drop(span Span, sb *spanBuckets) {
+	delete(m.spans, span)
+	if m.last == sb {
+		m.last = nil
+	}
+}
+
 func sortBuckets(bs []*Bucket) {
-	sort.Slice(bs, func(i, j int) bool {
-		if !bs[i].Span.Start.Equal(bs[j].Span.Start) {
-			return bs[i].Span.Start.Before(bs[j].Span.Start)
+	slices.SortFunc(bs, func(a, b *Bucket) int {
+		if c := a.Span.Start.Compare(b.Span.Start); c != 0 {
+			return c
 		}
-		return bs[i].Key < bs[j].Key
+		if c := strings.Compare(string(a.Key), string(b.Key)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
 	})
 }

@@ -42,6 +42,21 @@ func TestSliding(t *testing.T) {
 	if len(one) != 1 || one[0] != Tumbling(ts, size) {
 		t.Errorf("degenerate sliding = %+v", one)
 	}
+	// The manager walks the same spans without building the slice,
+	// gaps between hopping windows included.
+	for _, c := range []struct{ size, every time.Duration }{
+		{size, every}, {size, 0}, {time.Minute, 5 * time.Minute}, {7 * time.Minute, 3 * time.Minute},
+	} {
+		m := NewManager(c.size, c.every)
+		for i := 0; i < 50; i++ {
+			at := ts.Add(time.Duration(i) * 37 * time.Second)
+			want := Sliding(at, c.size, c.every)
+			start, n := m.spansOf(at)
+			if n != len(want) || n > 0 && start != want[0].Start {
+				t.Fatalf("size %v every %v at %v: spansOf = %v, %d; Sliding = %+v", c.size, c.every, at, start, n, want)
+			}
+		}
+	}
 }
 
 func TestEncodeKeys(t *testing.T) {
