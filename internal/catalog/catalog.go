@@ -235,17 +235,6 @@ func (c *Catalog) Scalar(name string) (*ScalarUDF, bool) {
 	return u, ok
 }
 
-// ScalarNames lists registered scalar UDFs.
-func (c *Catalog) ScalarNames() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	names := make([]string, 0, len(c.scalars))
-	for n := range c.scalars {
-		names = append(names, n)
-	}
-	return names
-}
-
 // RegisterStateful adds a stateful UDF factory.
 func (c *Catalog) RegisterStateful(name string, f StatefulFactory) error {
 	c.mu.Lock()
@@ -706,13 +695,6 @@ func AppendTweetTuple(arena []value.Value, t *tweet.Tweet) ([]value.Value, value
 	// The three-index slice caps the row at its own cells, so later
 	// arena appends cannot alias it.
 	return arena, value.NewTuple(TweetSchema, arena[start:len(arena):len(arena)], t.CreatedAt)
-}
-
-// TweetFromTuple reconstructs a Tweet from a TweetSchema row (or any
-// row carrying the same column names), the inverse of TweetTuple.
-// Applications like TwitInfo consume TweeQL query output as tweets.
-func TweetFromTuple(row value.Tuple) *tweet.Tweet {
-	return ResolveTweetColumns(row.Schema).Tweet(row)
 }
 
 // TweetColumns is where one schema keeps the tweet columns (-1 where it

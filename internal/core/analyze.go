@@ -108,9 +108,9 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, sql string, opts AnalyzeOpt
 	}
 	b.WriteString(prof.Snapshot().Table())
 	st := cur.Stats()
-	fmt.Fprintf(&b, "counters: rows in=%d out=%d filtered=%d eval errors=%d degraded=%d\n",
+	fmt.Fprintf(&b, "counters: rows in=%d out=%d filtered=%d eval errors=%d degraded=%d late=%d\n",
 		st.RowsIn.Load(), st.RowsOut.Load(), st.Dropped.Load(),
-		st.EvalErrors.Load(), st.Degraded.Load())
+		st.EvalErrors.Load(), st.Degraded.Load(), st.LateRows.Load())
 	if tr := prof.Tracer(); tr != nil {
 		fmt.Fprintf(&b, "trace: %d sampled spans retained (%d overwritten)\n",
 			len(tr.Events()), tr.Dropped())

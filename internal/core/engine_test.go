@@ -389,9 +389,9 @@ func TestExplain(t *testing.T) {
 	}
 }
 
-// TestExplainJoinSharing: a join on a live source reads it through the
-// shared scan of the bare source, one reference per side, and EXPLAIN
-// says so.
+// TestExplainJoinSharing: a self-join on a live source reads it through
+// the shared scan of the bare source, one reference for both sides, and
+// EXPLAIN says so.
 func TestExplainJoinSharing(t *testing.T) {
 	eng, _ := testEngine(t, firehose.Config{Seed: 1, Duration: time.Minute, BaseRate: 5})
 	const join = `SELECT a.text FROM twitter AS a JOIN twitter AS b ON a.id = b.id WINDOW 1 MINUTE`
@@ -432,7 +432,7 @@ func TestExplainJoinSharing(t *testing.T) {
 	if !cur.ScanShared() {
 		t.Error("join did not attach to the shared scan")
 	}
-	if got := sharing("SELECT id FROM twitter"); got != "on (would join live scan serving 3 queries)" {
+	if got := sharing("SELECT id FROM twitter"); got != "on (would join live scan serving 2 queries)" {
 		t.Errorf("full-stream query beside a join: %q", got)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"strings"
 
 	"tweeql/internal/catalog"
 	"tweeql/internal/exec"
@@ -143,21 +143,27 @@ func routeToTable(cur *Cursor, table *catalog.Table, name string) {
 	}
 }
 
+// scanRead is a query's read of its scan: the next batch, false at the
+// end. Without wait a shared scan's read returns an empty batch when
+// nothing is queued; a private scan's read always waits.
+type scanRead func(wait bool) (exec.Batch, bool)
+
 // openScanStream opens the scan of src for a single-source plan or one
-// side of a join: the query's read of it, the open info, and the stable
-// key of the conjunct the scan's pushed filter already enforces (""=
-// nothing pushed).
-func (e *Engine) openScanStream(ctx context.Context, src catalog.Source, p *plan.Query, stats *exec.Stats, cur *Cursor) (next func() (exec.Batch, bool), info *catalog.OpenInfo, pushed string, err error) {
+// side of a join: the query's read of it, a shared scan's wake channel,
+// the open info, and the stable key of the conjunct the scan's pushed
+// filter already enforces (""= nothing pushed).
+func (e *Engine) openScanStream(ctx context.Context, src catalog.Source, p *plan.Query, stats *exec.Stats, cur *Cursor) (read scanRead, wake <-chan struct{}, info *catalog.OpenInfo, pushed string, err error) {
 	// Shared path: live sources join (or open) the ref-counted scan for
 	// the plan's signature. One physical subscription and one
 	// conversion pipeline serve every attached query.
 	if !e.abl.PrivateScans && isLiveSource(src) {
-		next, i, scan, err := e.attachShared(ctx, src, p, stats)
+		scan, err := e.attachShared(src, p)
 		if err != nil {
-			return nil, nil, "", err
+			return nil, nil, nil, "", err
 		}
 		cur.scan = scan
-		return next, i, scan.pushedKey, nil
+		read, wake := scan.attach(ctx, e.opts, stats)
+		return read, wake, scan.info, scan.pushedKey, nil
 	}
 
 	// Private path: this query owns the source subscription, pruned to
@@ -166,9 +172,10 @@ func (e *Engine) openScanStream(ctx context.Context, src catalog.Source, p *plan
 	req.Columns = p.Columns
 	batches, info, err := src.Open(ctx, req)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, nil, nil, "", err
 	}
-	return recv(ctx, batches), info, pushedKey(p, info), nil
+	next := recv(ctx, batches)
+	return func(bool) (exec.Batch, bool) { return next() }, nil, info, pushedKey(p, info), nil
 }
 
 // openRequest builds the request a scan of src for plan p opens with:
@@ -230,7 +237,7 @@ func (e *Engine) openSingle(ctx context.Context, ev *exec.Evaluator, stmt *lang.
 	var (
 		next      func() (exec.Batch, bool)
 		inSchema  *value.Schema
-		residual  []lang.Expr
+		pushed    string
 		tableScan bool
 	)
 	if p.Join != nil {
@@ -238,28 +245,26 @@ func (e *Engine) openSingle(ctx context.Context, ev *exec.Evaluator, stmt *lang.
 		if next, inSchema, err = e.openJoin(ctx, ev, stmt, p, stats, cur); err != nil {
 			return err
 		}
-		residual = p.Conjuncts
 	} else {
 		src, err := e.cat.Source(stmt.From.Name)
 		if err != nil {
 			return err
 		}
-		var pushed string
-		next, cur.info, pushed, err = e.openScanStream(ctx, src, p, stats, cur)
-		if err != nil {
+		var read scanRead
+		if read, _, cur.info, pushed, err = e.openScanStream(ctx, src, p, stats, cur); err != nil {
 			return err
 		}
-		next = exec.ScanInput(stats, next)
+		next = exec.ScanInput(stats, func() (exec.Batch, bool) { return read(true) })
 		// The schema expressions compile against must be the exact
 		// object the delivered tuples carry — the pruned one when the
 		// source honored column pruning — so pre-resolved indices hit
 		// the compiled fast path on every row.
 		inSchema = cur.info.Schema
-		// Residual filter: every conjunct except the one the scan pushed.
-		residual = p.Residual(pushed)
 		_, tableScan = src.(*catalog.Table)
 	}
 	cur.next, cur.limit = next, stmt.Limit
+	// Residual filter: every conjunct except the one the scan pushed.
+	residual := p.Residual(pushed)
 
 	if p.IsAggregate {
 		cur.op = exec.ColFilterAggStage(ev, residual, p.Agg, inSchema, stats)
@@ -309,72 +314,78 @@ func (e *Engine) pipeline(p *plan.Query) string {
 	return "columnar"
 }
 
-// openJoin opens both sides of FROM a JOIN b ON ... WINDOW w and
-// returns the read of the joined stream with its schema; openSingle
-// adds the filter and projection.
+// openJoin opens both sides of FROM a JOIN b ON ... WINDOW w, each a
+// bare scan of its source (plan.ScanOf: no pushdown, no time range,
+// every column), and returns the read of the joined stream with its
+// schema; openSingle adds the filter and projection.
 func (e *Engine) openJoin(ctx context.Context, ev *exec.Evaluator, stmt *lang.SelectStmt, p *plan.Query, stats *exec.Stats, cur *Cursor) (func() (exec.Batch, bool), *value.Schema, error) {
-	leftSrc, err := e.cat.Source(stmt.From.Name)
-	if err != nil {
-		return nil, nil, err
+	names := []string{stmt.From.Name, p.Join.Right}
+	self := strings.EqualFold(names[0], names[1])
+	if self {
+		names = names[:1]
 	}
-	rightSrc, err := e.cat.Source(p.Join.Right)
-	if err != nil {
-		return nil, nil, err
+	var reads [2]scanRead
+	var wakes [2]<-chan struct{}
+	var schemas [2]*value.Schema
+	for i, name := range names {
+		src, err := e.cat.Source(name)
+		if err != nil {
+			return nil, nil, err
+		}
+		var info *catalog.OpenInfo
+		if reads[i], wakes[i], info, _, err = e.openScanStream(ctx, src, plan.ScanOf(name), stats, cur); err != nil {
+			return nil, nil, err
+		}
+		schemas[i] = info.Schema
+		if i == 0 {
+			cur.info = info
+		}
 	}
-	left, info, err := e.openSide(ctx, leftSrc, stmt.From.Name, stats, cur)
-	if err != nil {
-		return nil, nil, err
+	if self {
+		schemas[1] = schemas[0]
 	}
-	right, _, err := e.openSide(ctx, rightSrc, p.Join.Right, stats, cur)
-	if err != nil {
-		return nil, nil, err
-	}
-	cur.info = info
-
-	cfg := exec.JoinConfig{
-		LeftBinding:  p.Join.LeftBinding,
-		RightBinding: p.Join.RightBinding,
-		LeftKey:      p.Join.LeftKey,
-		RightKey:     p.Join.RightKey,
-		Window:       p.Join.Window,
-	}
-	// Build the joined schema once and hand the same object to the join
-	// and every downstream stage: compiled column indices stay on the
-	// fast path because output tuples carry this exact pointer.
-	cfg.OutSchema = exec.JoinSchema(leftSrc.Schema(), rightSrc.Schema(), cfg)
-	return recv(ctx, exec.JoinStage(ctx, ev, left, right, leftSrc.Schema(), rightSrc.Schema(), cfg, stats)), cfg.OutSchema, nil
+	j := exec.NewJoin(ev, p.Join.JoinConfig, schemas[0], schemas[1], stats)
+	return readJoin(ctx, j, reads, wakes, self), j.Schema(), nil
 }
 
-// openSide opens one side of a join as a bare scan of its source
-// (plan.ScanOf: no pushdown, no time range, every column), read on a
-// goroutine of its own because the join selects over both sides. A
-// live source's side attaches to its shared scan like any other live
-// query, reading a drop-oldest subscription, so a join stalled on its
-// consumer loses rows instead of parking the scan; a finite source's
-// side opens privately.
-func (e *Engine) openSide(ctx context.Context, src catalog.Source, name string, stats *exec.Stats, cur *Cursor) (<-chan exec.Batch, *catalog.OpenInfo, error) {
-	next, info, _, err := e.openScanStream(ctx, src, plan.ScanOf(name), stats, cur)
-	if err != nil {
-		return nil, nil, err
+// readJoin is the read of a join, which pushes what it reads into j. A
+// self-join waits on its one scan and pushes each batch to both sides.
+// Of two sources, the side whose newest row is older comes first: a
+// private (finite) side is waited on, a shared one polled, and if it
+// has nothing the other too, and then the read waits on either's wake
+// channel, so a quiet side never lets the other's subscription overflow.
+func readJoin(ctx context.Context, j *exec.Join, reads [2]scanRead, wakes [2]<-chan struct{}, self bool) func() (exec.Batch, bool) {
+	open := 2
+	if self {
+		open, wakes[0] = 1, nil
 	}
-	out := make(chan exec.Batch)
-	go func() {
-		defer close(out)
-		for b, ok := next(); ok; b, ok = next() {
-			select {
-			case out <- b:
-			case <-ctx.Done():
-				return
+	return func() (exec.Batch, bool) {
+		for open > 0 && ctx.Err() == nil {
+			s := 0
+			if reads[0] == nil || j.RightBehind() && reads[1] != nil {
+				s = 1
 			}
-			// Let the other side's reader run. A side's input is often a
-			// burst already in memory, so without the yield this reader
-			// and the join hand batches back and forth on one P (the
-			// runtime runs the goroutine a channel operation wakes next)
-			// while the other reader waits out the time slice: the join
-			// then runs one side thousands of rows ahead of the other and
-			// buffers them all.
-			runtime.Gosched()
+			b, ok := reads[s](wakes[s] == nil)
+			if ok && len(b) == 0 && wakes[1-s] != nil {
+				s = 1 - s
+				b, ok = reads[s](false)
+			}
+			switch {
+			case !ok:
+				reads[s], wakes[s] = nil, nil
+				open--
+			case len(b) == 0:
+				select {
+				case <-wakes[0]:
+				case <-wakes[1]:
+				case <-ctx.Done():
+				}
+			default:
+				if out := j.Push(ctx, b, s == 0, s == 1 || self); len(out) > 0 {
+					return out, true
+				}
+			}
 		}
-	}()
-	return out, info, nil
+		return nil, false
+	}
 }

@@ -29,9 +29,9 @@ func settledGoroutines(t *testing.T) int {
 // reads its cursor. A query attached to a live shared scan starts no
 // goroutine of its own at Query, runs in its one consumer while read,
 // and Stop — read or never read — returns the count to where it was and
-// detaches the query from the scan. A self-join attaches both sides to
-// that scan and starts at most three: its two side readers and the
-// join.
+// detaches the query from the scan. A self-join is read the same way:
+// it attaches to that scan once, for both sides, and runs in its
+// consumer.
 func TestQueryGoroutines(t *testing.T) {
 	opts := DefaultOptions()
 	opts.BatchFlushEvery = time.Millisecond
@@ -101,9 +101,27 @@ func TestQueryGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eventually(t, "join sides attached", attached(3))
-	atMost("two side readers and the join", base+3)
+	eventually(t, "join attached once", attached(2))
+	atMost("no goroutine started by an unread join", base)
+	joined, done := make(chan struct{}, 1), make(chan struct{})
+	go func() {
+		defer close(done)
+		for range join.Rows() {
+			select {
+			case joined <- struct{}{}:
+			default:
+			}
+		}
+	}()
+	src.feed(100, 150)
+	select {
+	case <-joined:
+	case <-time.After(5 * time.Second):
+		t.Fatal("join reader saw no rows")
+	}
+	atMost("nothing beyond the join's consumer while read", base+1)
 	join.Stop()
+	<-done
 	atMost("count back to baseline after Stop of a join", base)
-	eventually(t, "join sides detached", attached(1))
+	eventually(t, "join detached", attached(1))
 }

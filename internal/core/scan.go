@@ -173,12 +173,10 @@ func (e *Engine) Scans() []ScanStatus {
 	return out
 }
 
-// attachShared resolves the query onto a shared scan: joining the live
-// scan with its plan's signature, or opening a new one. It returns the
-// query's read of its own subscription to the scan's fan-out, the
-// scan's open info (pushdown decision — made once, by whichever query
-// opened the scan), and the scan handle.
-func (e *Engine) attachShared(ctx context.Context, src catalog.Source, p *plan.Query, stats *exec.Stats) (func() (exec.Batch, bool), *catalog.OpenInfo, *SharedScan, error) {
+// attachShared counts a query's reference to the live shared scan with
+// its plan's signature, opening it (and its pushdown decision) first if
+// there is none.
+func (e *Engine) attachShared(src catalog.Source, p *plan.Query) (*SharedScan, error) {
 	m := e.scans
 	m.mu.Lock()
 	s := m.scans[p.Signature]
@@ -194,13 +192,13 @@ func (e *Engine) attachShared(ctx context.Context, src catalog.Source, p *plan.Q
 		s, err = e.openScan(p, src)
 		if err != nil {
 			m.mu.Unlock()
-			return nil, nil, nil, err
+			return nil, err
 		}
 		m.scans[p.Signature] = s
 	}
 	s.refs++
 	m.mu.Unlock()
-	return s.attach(ctx, e.opts, stats), s.info, s, nil
+	return s, nil
 }
 
 // openScan opens the physical source subscription for a new shared
@@ -329,8 +327,8 @@ func (s *SharedScan) err() error {
 }
 
 // attach subscribes one query to the scan's fan-out and returns the
-// query's read of the subscription, re-cut to Options.BatchSize. The
-// subscription queues up to Options.SourceBuffer rows with drop-oldest
+// query's read of the subscription, re-cut to Options.BatchSize, and
+// the subscription's wake channel. The subscription queues up to Options.SourceBuffer rows with drop-oldest
 // backpressure — the streaming API's best-effort contract for a slow
 // consumer, and what guarantees one stalled query (or join side) can
 // never block its siblings or the scan. It is the only buffer
@@ -338,7 +336,7 @@ func (s *SharedScan) err() error {
 // goroutine. The query's scan reference ends with ctx (Stop, a LIMIT
 // cut, the end of its cursor, or the caller's context), read or not:
 // then it detaches and, when it is the last, closes the physical scan.
-func (s *SharedScan) attach(ctx context.Context, opts Options, stats *exec.Stats) func() (exec.Batch, bool) {
+func (s *SharedScan) attach(ctx context.Context, opts Options, stats *exec.Stats) (scanRead, <-chan struct{}) {
 	buffer := opts.SourceBuffer
 	if buffer <= 0 {
 		buffer = 4096
@@ -350,19 +348,27 @@ func (s *SharedScan) attach(ctx context.Context, opts Options, stats *exec.Stats
 		s.mgr.detach(s)
 	})
 	var rows exec.Batch
-	return func() (exec.Batch, bool) {
+	return func(wait bool) (exec.Batch, bool) {
 		if len(rows) == 0 {
 			// A private copy, never Recv's rows: those are shared with
 			// the sibling queries, and a query may write its input in
 			// place (INTO a store table, or the async plan's filter).
 			var err error
-			if rows, err = sub.RecvInto(ctx, nil); err != nil {
+			if wait {
+				rows, err = sub.RecvInto(ctx, nil)
+			} else {
+				rows, err = sub.PollInto(nil)
+			}
+			if err != nil {
 				if err == catalog.ErrStreamClosed && ctx.Err() == nil {
 					if serr := s.err(); serr != nil {
 						stats.NoteError(serr)
 					}
 				}
 				return nil, false
+			}
+			if len(rows) == 0 {
+				return nil, true // nothing queued yet
 			}
 		}
 		// The whole queue arrives in one fresh slice; its disjoint
@@ -371,7 +377,7 @@ func (s *SharedScan) attach(ctx context.Context, opts Options, stats *exec.Stats
 		b := rows[:n:n]
 		rows = rows[n:]
 		return b, true
-	}
+	}, sub.Ready()
 }
 
 // detach drops one query's reference; the last reference closes the

@@ -411,3 +411,47 @@ func TestDerivedStreamReadDeliversWithoutFlush(t *testing.T) {
 	ds.CloseStream()
 	<-done
 }
+
+// TestDerivedStreamChainKeepsBurst: SELECT id, text FROM twitter INTO
+// STREAM s, then SELECT id FROM s, and one 1 000-row PublishBatch into
+// s before the reader runs. The read of s subscribes with the query's
+// SourceBuffer, which covers the burst, so no row is lost on the way.
+func TestDerivedStreamChainKeepsBurst(t *testing.T) {
+	const burst = 1000
+	opts := DefaultOptions()
+	opts.SourceBuffer = 2 * burst
+	cat := catalog.New()
+	cat.RegisterSource("twitter", catalog.NewDerivedStream("twitter", catalog.TweetSchema))
+	eng := NewEngine(cat, opts)
+	into, err := eng.Query(context.Background(), "SELECT id, text FROM twitter INTO STREAM s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer into.Stop()
+	read, err := eng.Query(context.Background(), "SELECT id FROM s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer read.Stop()
+	src, err := cat.Source("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := src.(*catalog.DerivedStream)
+	rows := make([]value.Tuple, burst)
+	for i := range rows {
+		rows[i] = value.NewTuple(s.Schema(), []value.Value{value.Int(int64(i)), value.String("burst")}, time.Unix(int64(1000+i), 0).UTC())
+	}
+	s.PublishBatch(rows)
+	s.CloseStream()
+	n := 0
+	for r := range read.Rows() {
+		if id, _ := r.Get("id").IntVal(); id != int64(n) {
+			t.Fatalf("row %d: id %d", n, id)
+		}
+		n++
+	}
+	if n != burst {
+		t.Fatalf("read %d of %d rows (stream dropped %d)", n, burst, s.Stats().Dropped)
+	}
+}

@@ -8,7 +8,6 @@ package core_test
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -37,10 +36,7 @@ func runAllForDiff(t *testing.T, shared bool) map[string][]string {
 	// query of its own.
 	attached := 0
 	for _, q := range diffQueries {
-		attached++
-		if strings.Contains(q.sql, " JOIN ") {
-			attached++
-		}
+		attached++ // a self-join too: it reads its one scan once
 		cur, err := eng.Query(context.Background(), q.sql)
 		if err != nil {
 			t.Fatal(err)
@@ -164,11 +160,10 @@ func BenchmarkSharedScan(b *testing.B) {
 }
 
 // TestStalledJoinDoesNotParkHub: a self-join nobody reads runs beside a
-// query that is read, over one hub. The join's sides read the shared
-// scan's drop-oldest subscriptions, so the stalled join parks neither
-// the scan nor the hub's publisher: the replay finishes and the read
-// query gets every row. Small batches make the join's own buffering
-// far smaller than the replay.
+// query that is read, over one hub. The join reads the shared scan's
+// drop-oldest subscription, so the stalled join parks neither the scan
+// nor the hub's publisher: the replay finishes and the read query gets
+// every row.
 func TestStalledJoinDoesNotParkHub(t *testing.T) {
 	all := firehose.Tweets(soccerStream()[:2000])
 	hub := twitterapi.NewHub()
@@ -215,12 +210,11 @@ func TestStalledJoinDoesNotParkHub(t *testing.T) {
 	}
 }
 
-// TestSelfJoinReadsSidesEvenly: the two sides of a self-join read one
-// shared scan, each on its own reader, and the join takes batches from
-// whichever is ready. Neither reader may run ahead of the other: at
-// one-row batches a LIMIT on the join's output is reached after about
-// as many rows per side as it returns, not after one side has read the
-// stream while the other waits.
+// TestSelfJoinReadsSidesEvenly: a self-join reads its one shared scan
+// and joins each batch to both sides, so neither side runs ahead of the
+// other: at one-row batches a LIMIT on the join's output is reached
+// after about as many rows as it returns, not after one side has read
+// the stream while the other waits.
 func TestSelfJoinReadsSidesEvenly(t *testing.T) {
 	all := firehose.Tweets(soccerStream()[:20000])
 	hub := twitterapi.NewHub()

@@ -29,7 +29,7 @@ func TestSharedScanSiblingsReadPrivateBatches(t *testing.T) {
 		scan := &SharedScan{mgr: newScanManager(), ds: ds, refs: 1, cancel: func() {}}
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		next := scan.attach(ctx, Options{BatchSize: 16, SourceBuffer: 1024}, &exec.Stats{})
+		read, _ := scan.attach(ctx, Options{BatchSize: 16, SourceBuffer: 1024}, &exec.Stats{})
 		peer := ds.Subscribe(catalog.SubOptions{Buffer: 1024})
 		defer peer.Cancel()
 
@@ -43,7 +43,7 @@ func TestSharedScanSiblingsReadPrivateBatches(t *testing.T) {
 			t.Fatalf("sibling Recv = %d rows, %v", len(run), err)
 		}
 		for got := 0; got < len(batch); {
-			b, ok := next()
+			b, ok := read(true)
 			if !ok {
 				t.Fatalf("attach ended after %d of %d rows", got, len(batch))
 			}

@@ -14,8 +14,8 @@ import (
 // Batches are the only stream between operators: a single row travels
 // as a batch of one. Tuple order within a batch is the stream order and
 // every single-input operator preserves it, so such a pipeline emits
-// the same rows, in the same order, at any batch size (JoinStage
-// documents its own order). That holds for plans calling a stateful UDF
+// the same rows, in the same order, at any batch size (Join documents
+// its own order). That holds for plans calling a stateful UDF
 // too: their operators take each batch one row at a time (see
 // colFilter).
 type Batch = []value.Tuple
@@ -48,7 +48,7 @@ func (Map) Flush(func(Batch) bool) bool { return true }
 // ScanInput wraps next, a query's read of its scan, so that each batch
 // it yields counts toward RowsIn and each wait is timed as the query's
 // one "scan" stage: a scan-dominated profile thus reads as ingest-bound
-// rather than CPU-bound. A join counts its own two inputs instead.
+// rather than CPU-bound. A join counts its own inputs instead.
 func ScanInput(stats *Stats, next func() (Batch, bool)) func() (Batch, bool) {
 	sp := stats.StageProf("scan", "source", "batch")
 	return func() (Batch, bool) {

@@ -3,8 +3,8 @@
 // asynchronous path for high-latency UDFs) or with windowed grouped
 // aggregation (with CONTROL-style confidence triggers), windowed stream
 // joins, and limits. Operators are plain calls on batches — a Map or a
-// push Operator — that Terminal runs in the consumer's goroutine; only
-// the join and the async pool run goroutines of their own. The core
+// push Operator — that Terminal runs in the consumer's goroutine, as it
+// does the join; only the async pool runs goroutines of its own. The core
 // engine assembles them into plans.
 package exec
 

@@ -458,9 +458,10 @@ func TestJoinStage(t *testing.T) {
 		RightKey: &lang.Ident{Name: "k"},
 		Window:   30 * time.Second,
 	}
-	left := feedRows(mkL(1, "l1", 0), mkL(2, "l2", 5), mkL(1, "l3", 100))
-	right := feedRows(mkR(1, "r1", 10), mkR(3, "r3", 11), mkR(1, "r4", 200))
-	out := collect(JoinStage(context.Background(), ev, left, right, ls, rs, cfg, &Stats{}))
+	left := []value.Tuple{mkL(1, "l1", 0), mkL(2, "l2", 5), mkL(1, "l3", 100)}
+	right := []value.Tuple{mkR(1, "r1", 10), mkR(3, "r3", 11), mkR(1, "r4", 200)}
+	j := NewJoin(ev, cfg, ls, rs, &Stats{})
+	out := runJoin(j, left, right, 1, 1, func() bool { return !j.RightBehind() })
 	// Matches: (l1,r1) within 10s; l3 vs r1 is 90s apart (out of window);
 	// r4 vs l3 is 100s apart (out). So exactly 1 row.
 	if len(out) != 1 {

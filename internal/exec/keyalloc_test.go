@@ -64,7 +64,6 @@ func TestKeyingAllocatesNothingPerRow(t *testing.T) {
 func TestJoinKeyingAllocs(t *testing.T) {
 	schema := value.NewSchema(value.Field{Name: "k", Kind: value.KindNull})
 	cfg := JoinConfig{LeftBinding: "a", RightBinding: "b", LeftKey: &lang.Ident{Name: "k"}, RightKey: &lang.Ident{Name: "k"}, Window: time.Hour}
-	cfg.OutSchema = JoinSchema(schema, schema, cfg)
 	ev := NewEvaluator(catalog.New())
 	const n = 8192
 	base := time.Date(2011, 6, 12, 15, 0, 0, 0, time.UTC)
@@ -73,20 +72,12 @@ func TestJoinKeyingAllocs(t *testing.T) {
 	for i := range rows {
 		rows[i] = value.NewTuple(schema, []value.Value{keys[i%len(keys)]}, base.Add(time.Duration(i)*time.Millisecond))
 	}
-	batches := make([]Batch, 0, n/256)
-	for i := 0; i < n; i += 256 {
-		batches = append(batches, rows[i:i+256])
-	}
 	allocs := testing.AllocsPerRun(5, func() {
-		left := make(chan Batch, len(batches))
-		for _, b := range batches {
-			left <- b
-		}
-		close(left)
-		right := make(chan Batch)
-		close(right)
-		for range JoinStage(context.Background(), ev, left, right, schema, schema, cfg, &Stats{}) {
-			t.Error("rows matched an empty side")
+		j := NewJoin(ev, cfg, schema, schema, &Stats{})
+		for i := 0; i < n; i += 256 {
+			if out := j.Push(context.Background(), rows[i:i+256], true, false); len(out) > 0 {
+				t.Error("rows matched an empty side")
+			}
 		}
 	})
 	if perRow := allocs / n; perRow > 0.05 {
@@ -101,7 +92,7 @@ func TestJoinKeyingAllocs(t *testing.T) {
 func TestJoinOddKeysMatchNestedLoop(t *testing.T) {
 	ls := value.NewSchema(value.Field{Name: "k", Kind: value.KindNull}, value.Field{Name: "v", Kind: value.KindString})
 	cfg := JoinConfig{LeftBinding: "a", RightBinding: "b", LeftKey: &lang.Ident{Name: "k"}, RightKey: &lang.Ident{Name: "k"}, Window: 10 * time.Second}
-	cfg.OutSchema = JoinSchema(ls, ls, cfg)
+	out := JoinSchema(ls, ls, cfg)
 	at := time.Date(2011, 6, 12, 15, 0, 0, 0, time.UTC)
 	pool := []value.Value{
 		value.Float(math.NaN()), value.Float(math.Float64frombits(0x7ff8000000000002)),
@@ -123,8 +114,9 @@ func TestJoinOddKeysMatchNestedLoop(t *testing.T) {
 	ev := NewEvaluator(catalog.New())
 	rng := rand.New(rand.NewSource(7))
 	left, right := stream(rng, "l", 300), stream(rng, "r", 300)
-	want := sortedStrings(nestedLoopJoin(left, right, key, cfg.Window, cfg.OutSchema))
-	got := sortedStrings(collect(JoinStage(context.Background(), ev, chunk(16, left), chunk(16, right), ls, ls, cfg, &Stats{})))
+	want := sortedStrings(nestedLoopJoin(left, right, key, cfg.Window, out))
+	j := NewJoin(ev, cfg, ls, ls, &Stats{})
+	got := sortedStrings(runJoin(j, left, right, 16, 16, func() bool { return !j.RightBehind() }))
 	if len(want) == 0 {
 		t.Fatal("reference join is empty; the test is vacuous")
 	}

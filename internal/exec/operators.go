@@ -25,6 +25,9 @@ type Stats struct {
 	RowsOut    atomic.Int64
 	Dropped    atomic.Int64 // rows removed by filters
 	EvalErrors atomic.Int64
+	// LateRows counts join rows that may have lost matches to eviction
+	// (see Join).
+	LateRows atomic.Int64
 	// Degraded counts values the resilience layer replaced with NULL
 	// (UDF retries exhausted, breaker open) and rows routed to an
 	// unhealthy sink. The row survives; the counter is the only trace.
@@ -310,11 +313,9 @@ type AggItem struct {
 // OutCol maps one output column of an aggregate query to its source:
 // either the i-th group expression or the i-th aggregate.
 type OutCol struct {
-	Name     string
-	IsAgg    bool
-	Index    int
-	FromEnd  bool // window metadata columns, filled by the operator
-	MetaKind string
+	Name  string
+	IsAgg bool
+	Index int
 }
 
 // AggregateConfig drives the aggregate stage (ColFilterAggStage).
@@ -555,168 +556,6 @@ func aggLabel(cfg AggregateConfig) string {
 		l += ", windowed"
 	}
 	return l
-}
-
-// JoinConfig drives JoinStage: a windowed stream-stream equi-join.
-type JoinConfig struct {
-	LeftBinding, RightBinding string
-	LeftKey, RightKey         lang.Expr
-	// Window bounds how far apart in event time two tuples may be and
-	// still join.
-	Window time.Duration
-	// OutSchema, when set, is used for combined tuples instead of a
-	// freshly built JoinSchema — the engine passes the same pointer to
-	// downstream stages so their compiled column indices hit the fast
-	// path on join output.
-	OutSchema *value.Schema
-}
-
-// JoinSchema prefixes both sides' columns with their binding.
-func JoinSchema(left, right *value.Schema, cfg JoinConfig) *value.Schema {
-	var fields []value.Field
-	for _, f := range left.Fields() {
-		fields = append(fields, value.Field{Name: cfg.LeftBinding + "." + f.Name, Kind: f.Kind})
-	}
-	for _, f := range right.Fields() {
-		fields = append(fields, value.Field{Name: cfg.RightBinding + "." + f.Name, Kind: f.Kind})
-	}
-	return value.NewSchema(fields...)
-}
-
-// JoinStage consumes both inputs and emits combined tuples whose keys
-// are equal and whose event times are within the window — a symmetric
-// hash join with time-based eviction. It joins each input batch row by
-// row, in order, and emits that batch's matches as one output batch
-// (none when it matched nothing). Eviction runs once per input batch:
-// a buffered row outside the window never matches anyway, and a pass
-// over the other side's buffer per row would cost that buffer's size
-// for every row.
-//
-// Output order is set at batch granularity. Output batches follow the
-// order the join receives its input batches, which interleaves the two
-// sides as they arrive, not deterministically. Within an output batch,
-// rows follow their input rows' order, and one row's matches follow the
-// other side's buffer (arrival order per key). When each side arrives
-// in event-time order, the output multiset does not depend on the
-// interleaving: of two rows within the window, whichever is joined
-// second finds the other still buffered.
-func JoinStage(ctx context.Context, ev *Evaluator, left, right <-chan Batch, leftSchema, rightSchema *value.Schema, cfg JoinConfig, stats *Stats) <-chan Batch {
-	outSchema := cfg.OutSchema
-	if outSchema == nil {
-		outSchema = JoinSchema(leftSchema, rightSchema, cfg)
-	}
-	leftKeyFn := ev.Bind(cfg.LeftKey, leftSchema)
-	rightKeyFn := ev.Bind(cfg.RightKey, rightSchema)
-	sp := stats.StageProf("join", cfg.LeftBinding+"⋈"+cfg.RightBinding, "batch")
-	out := make(chan Batch, 4)
-
-	type buffered struct {
-		key value.Value
-		t   value.Tuple
-	}
-	go func() {
-		defer close(out)
-		// Buffers are keyed by the key cell's hash; a list may hold
-		// several keys that share a hash, so matching checks the cell.
-		hasher := value.NewHasher()
-		leftBuf := make(map[uint64][]buffered)
-		rightBuf := make(map[uint64][]buffered)
-		var leftWM, rightWM time.Time
-
-		evict := func(buf map[uint64][]buffered, wm time.Time) {
-			cutoff := wm.Add(-cfg.Window)
-			for k, list := range buf {
-				kept := list[:0]
-				for _, b := range list {
-					if !b.t.TS.Before(cutoff) {
-						kept = append(kept, b)
-					}
-				}
-				if len(kept) == 0 {
-					delete(buf, k)
-				} else {
-					buf[k] = kept
-				}
-			}
-		}
-		combine := func(l, r value.Tuple) value.Tuple {
-			vals := make([]value.Value, 0, outSchema.Len())
-			vals = append(vals, l.Values...)
-			vals = append(vals, r.Values...)
-			ts := l.TS
-			if r.TS.After(ts) {
-				ts = r.TS
-			}
-			return value.NewTuple(outSchema, vals, ts)
-		}
-		process := func(t value.Tuple, keyFn CompiledExpr, own, other map[uint64][]buffered, isLeft bool, rows Batch) Batch {
-			kv, err := keyFn(ctx, t)
-			if err != nil {
-				stats.NoteError(err)
-				return rows
-			}
-			if kv.IsNull() {
-				return rows // NULL keys never join
-			}
-			k := hasher.Cell(kv)
-			own[k] = append(own[k], buffered{key: kv, t: t})
-			for _, m := range other[k] {
-				if d := t.TS.Sub(m.t.TS); d < 0 && -d > cfg.Window || d > cfg.Window || !value.SameCell(m.key, kv) {
-					continue
-				}
-				if isLeft {
-					rows = append(rows, combine(t, m.t))
-				} else {
-					rows = append(rows, combine(m.t, t))
-				}
-			}
-			return rows
-		}
-		// join folds one input batch into its side, evicts what its
-		// watermark moved out of the other side's window, and sends its
-		// matches; false means the query ended.
-		join := func(b Batch, keyFn CompiledExpr, own, other map[uint64][]buffered, wm *time.Time, isLeft bool) bool {
-			stats.RowsIn.Add(int64(len(b)))
-			span := sp.Enter()
-			var rows Batch
-			for _, t := range b {
-				if t.TS.After(*wm) {
-					*wm = t.TS
-				}
-				rows = process(t, keyFn, own, other, isLeft, rows)
-			}
-			evict(other, *wm)
-			span.Exit(len(b), len(rows))
-			if len(rows) == 0 {
-				return true
-			}
-			select {
-			case out <- rows:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		}
-
-		l, r := left, right
-		for l != nil || r != nil {
-			select {
-			case b, ok := <-l:
-				if !ok {
-					l = nil
-				} else if !join(b, leftKeyFn, leftBuf, rightBuf, &leftWM, true) {
-					return
-				}
-			case b, ok := <-r:
-				if !ok {
-					r = nil
-				} else if !join(b, rightKeyFn, rightBuf, leftBuf, &rightWM, false) {
-					return
-				}
-			}
-		}
-	}()
-	return out
 }
 
 // NormalizeAggName upper-cases aggregate names for display.

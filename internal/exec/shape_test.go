@@ -12,7 +12,7 @@ import (
 // channelStages are the exported functions allowed a channel in their
 // signature: the stages that run goroutines of their own because a
 // stream forks or merges there.
-var channelStages = map[string]bool{"JoinStage": true, "AsyncProjectStage": true}
+var channelStages = map[string]bool{"AsyncProjectStage": true}
 
 // TestNoTupleStreamStages pins the one shape of the operators between a
 // query's scan and its consumer: plain calls on batches, run by

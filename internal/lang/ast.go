@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -37,9 +38,21 @@ type Literal struct {
 
 func (*Literal) exprNode() {}
 
+// String renders the literal as the parser reads it back: a float in
+// plain decimal with a point (the lexer takes no exponent, and 2.0 must
+// not come back as the int 2).
 func (e *Literal) String() string {
-	if e.Val.Kind() == value.KindString {
+	switch e.Val.Kind() {
+	case value.KindString:
 		return "'" + strings.ReplaceAll(e.Val.String(), "'", "''") + "'"
+	case value.KindFloat:
+		if f, _ := e.Val.FloatVal(); !math.IsInf(f, 0) && !math.IsNaN(f) {
+			s := strconv.FormatFloat(f, 'f', -1, 64)
+			if !strings.Contains(s, ".") {
+				s += ".0"
+			}
+			return s
+		}
 	}
 	return e.Val.String()
 }

@@ -356,17 +356,19 @@ func TestParseLimit(t *testing.T) {
 	}
 }
 
+// roundTripQueries are statements whose canonical rendering must
+// reparse to the same rendering; they also seed FuzzParse.
+var roundTripQueries = []string{
+	"SELECT sentiment(text), latitude(loc) FROM twitter WHERE text CONTAINS 'obama'",
+	"SELECT AVG(s) AS avg_s, lat FROM twitter GROUP BY lat WINDOW 3 HOURS EVERY 1 HOURS WITH CONFIDENCE 0.95 WITHIN 0.1",
+	"SELECT * FROM twitter LIMIT 5 INTO STREAM out",
+	"SELECT a.x FROM s1 AS a JOIN s2 AS b ON a.u = b.u WHERE (a.x + 1) > 2 WINDOW 60 SECONDS",
+	"SELECT text FROM t WHERE loc IN [BOUNDING BOX FOR tokyo] OR loc IN BOX(1, 2, 3, 4)",
+	"SELECT text FROM t WHERE lang IN ('en', 'es') AND x IS NOT NULL",
+}
+
 func TestStringRoundTrip(t *testing.T) {
-	// Canonical rendering must itself reparse to the same rendering.
-	queries := []string{
-		"SELECT sentiment(text), latitude(loc) FROM twitter WHERE text CONTAINS 'obama'",
-		"SELECT AVG(s) AS avg_s, lat FROM twitter GROUP BY lat WINDOW 3 HOURS EVERY 1 HOURS WITH CONFIDENCE 0.95 WITHIN 0.1",
-		"SELECT * FROM twitter LIMIT 5 INTO STREAM out",
-		"SELECT a.x FROM s1 AS a JOIN s2 AS b ON a.u = b.u WHERE (a.x + 1) > 2 WINDOW 60 SECONDS",
-		"SELECT text FROM t WHERE loc IN [BOUNDING BOX FOR tokyo] OR loc IN BOX(1, 2, 3, 4)",
-		"SELECT text FROM t WHERE lang IN ('en', 'es') AND x IS NOT NULL",
-	}
-	for _, q := range queries {
+	for _, q := range roundTripQueries {
 		s1, err := Parse(q)
 		if err != nil {
 			t.Errorf("Parse(%q): %v", q, err)

@@ -35,6 +35,30 @@ func TestParseNeverPanics(t *testing.T) {
 	}
 }
 
+// FuzzParse: Parse never panics, and every statement that parses
+// renders to a string that reparses to the same rendering.
+func FuzzParse(f *testing.F) {
+	for _, q := range roundTripQueries {
+		f.Add(q)
+	}
+	f.Add("SELECT COUNT(*) AS n, MIN(followers) AS lo FROM twitter GROUP BY retweet WINDOW 500 TWEETS")
+	f.Add("SELECT a.text, b.followers FROM twitter AS a JOIN twitter AS b ON a.id = b.id WHERE a.followers > 100 WINDOW 1 MINUTE")
+	f.Fuzz(func(t *testing.T, s string) {
+		stmt, err := Parse(s)
+		if err != nil {
+			return
+		}
+		first := stmt.String()
+		again, err := Parse(first)
+		if err != nil {
+			t.Fatalf("Parse(%q) renders %q, which does not parse: %v", s, first, err)
+		}
+		if second := again.String(); second != first {
+			t.Fatalf("Parse(%q) renders %q, which renders %q", s, first, second)
+		}
+	})
+}
+
 // TestLexTokenPositions checks offsets are non-decreasing and within
 // bounds, so parser errors always point into the query.
 func TestLexTokenPositions(t *testing.T) {

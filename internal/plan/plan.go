@@ -40,19 +40,11 @@ type Candidate struct {
 	ConjunctIdx int
 }
 
-// Join is the planned shape of FROM a JOIN b ON a.x = b.y WINDOW w.
+// Join is the planned shape of FROM a JOIN b ON a.x = b.y WINDOW w:
+// the right-hand source and the join's configuration.
 type Join struct {
-	// Right is the right-hand source name.
 	Right string
-	// LeftBinding/RightBinding are the FROM aliases (or source names)
-	// ON-clause qualifiers resolve against.
-	LeftBinding, RightBinding string
-	// LeftKey/RightKey are the equality key expressions with their
-	// qualifiers stripped, ready to evaluate against the unprefixed
-	// per-side schemas.
-	LeftKey, RightKey lang.Expr
-	// Window is the join's time window.
-	Window time.Duration
+	exec.JoinConfig
 }
 
 // Query is the analyzed form of a statement — the plan IR the engine
@@ -63,7 +55,8 @@ type Query struct {
 	// Source is the FROM source name.
 	Source string
 
-	// Conjuncts are all WHERE conjuncts, pre-pushdown, in query order.
+	// Conjuncts are the WHERE conjuncts, pre-pushdown, in query order:
+	// all of them, except the ones a join moved to its sides.
 	Conjuncts []lang.Expr
 	// Candidates are the API-eligible pushdown filters.
 	Candidates []Candidate
@@ -187,10 +180,12 @@ func Analyze(stmt *lang.SelectStmt, cat *catalog.Catalog, opts Options) (*Query,
 
 	if stmt.Where != nil {
 		q.Conjuncts = SplitConjuncts(stmt.Where)
-		// Each side of a join reads a bare scan of its source (ScanOf),
-		// so a join plan pushes nothing and has no candidates.
+	}
+	// Each side of a join reads a bare scan of its source (ScanOf), so a
+	// join plan pushes nothing: no candidates, no time range.
+	if stmt.Join == nil {
 		for i, c := range q.Conjuncts {
-			if f, ok := ConjunctToFilter(c); ok && stmt.Join == nil {
+			if f, ok := ConjunctToFilter(c); ok {
 				q.Candidates = append(q.Candidates, Candidate{Filter: f, ConjunctIdx: i})
 			}
 		}
@@ -286,14 +281,10 @@ func Analyze(stmt *lang.SelectStmt, cat *catalog.Catalog, opts Options) (*Query,
 			return nil, err
 		}
 		q.Join = j
+		q.Conjuncts = j.splitSides(q.Conjuncts, cat)
 	}
 	q.Columns = referencedColumns(q)
-	if q.Join != nil {
-		// Each side of a join reads a bare scan of its source.
-		q.Signature = ScanOf(q.Source).Signature
-	} else {
-		q.Signature = q.computeSignature()
-	}
+	q.Signature = q.computeSignature()
 	return q, nil
 }
 
@@ -310,34 +301,46 @@ func analyzeJoin(stmt *lang.SelectStmt) (*Join, error) {
 		return nil, fmt.Errorf("tweeql: JOIN ON must compare two columns")
 	}
 	lb, rb := stmt.From.Binding(), stmt.Join.Right.Binding()
-	j := &Join{
-		Right:        stmt.Join.Right.Name,
-		LeftBinding:  lb,
-		RightBinding: rb,
-		Window:       stmt.Window.Size,
-	}
+	j := &Join{Right: stmt.Join.Right.Name, JoinConfig: exec.JoinConfig{LeftBinding: lb, RightBinding: rb, Window: stmt.Window.Size}}
 	switch {
 	case matchesBinding(lIdent, lb) && matchesBinding(rIdent, rb):
-		j.LeftKey, j.RightKey = stripQualifier(lIdent), stripQualifier(rIdent)
+		j.LeftKey, j.RightKey = lIdent, rIdent
 	case matchesBinding(lIdent, rb) && matchesBinding(rIdent, lb):
-		j.LeftKey, j.RightKey = stripQualifier(rIdent), stripQualifier(lIdent)
+		j.LeftKey, j.RightKey = rIdent, lIdent
 	default:
 		return nil, fmt.Errorf("tweeql: JOIN ON columns must be qualified with %q and %q", lb, rb)
 	}
 	return j, nil
 }
 
-func matchesBinding(id *lang.Ident, binding string) bool {
-	return id.Qualifier != "" && strings.EqualFold(id.Qualifier, binding)
+// splitSides moves each stateless conjunct whose columns all carry one
+// binding to that side and returns the rest, which filter the joined
+// rows.
+func (j *Join) splitSides(conjuncts []lang.Expr, cat *catalog.Catalog) (rest []lang.Expr) {
+	for _, c := range conjuncts {
+		qualifiers := map[string]bool{}
+		lang.Walk(c, func(n lang.Expr) bool {
+			if id, ok := n.(*lang.Ident); ok {
+				qualifiers[strings.ToLower(id.Qualifier)] = true
+			}
+			return true
+		})
+		switch {
+		case len(qualifiers) != 1 || exec.HasStateful(cat, c):
+			rest = append(rest, c)
+		case qualifiers[strings.ToLower(j.LeftBinding)]:
+			j.LeftWhere = append(j.LeftWhere, c)
+		case qualifiers[strings.ToLower(j.RightBinding)]:
+			j.RightWhere = append(j.RightWhere, c)
+		default:
+			rest = append(rest, c)
+		}
+	}
+	return rest
 }
 
-// stripQualifier rewrites a.x to x for evaluation against the pre-join
-// side schemas (which are unprefixed).
-func stripQualifier(e lang.Expr) lang.Expr {
-	if id, ok := e.(*lang.Ident); ok && id.Qualifier != "" {
-		return &lang.Ident{Name: id.Name}
-	}
-	return e
+func matchesBinding(id *lang.Ident, binding string) bool {
+	return id.Qualifier != "" && strings.EqualFold(id.Qualifier, binding)
 }
 
 // analyzeAggregate fills q.Agg: group expressions (with alias

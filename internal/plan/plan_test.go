@@ -1,12 +1,14 @@
 package plan
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 
 	"tweeql/internal/catalog"
 	"tweeql/internal/lang"
+	"tweeql/internal/value"
 )
 
 func analyze(t *testing.T, sql string) *Query {
@@ -110,8 +112,8 @@ func TestAnalyzeJoinShape(t *testing.T) {
 	}
 	// ON sides were given right-first; the plan must still resolve the
 	// left key to the left binding's column.
-	if lk, ok := q.Join.LeftKey.(*lang.Ident); !ok || lk.Qualifier != "" || lk.Name != "id" {
-		t.Fatalf("left key = %#v, want unqualified id", q.Join.LeftKey)
+	if lk, ok := q.Join.LeftKey.(*lang.Ident); !ok || lk.Qualifier != "a" || lk.Name != "id" {
+		t.Fatalf("left key = %#v, want a.id", q.Join.LeftKey)
 	}
 	if q.Join.Window != 30*time.Second {
 		t.Fatalf("window = %v", q.Join.Window)
@@ -128,8 +130,48 @@ func TestAnalyzeJoinHasNoCandidates(t *testing.T) {
 	if len(q.Candidates) != 0 {
 		t.Fatalf("join plan has %d pushdown candidates: %+v", len(q.Candidates), q.Candidates)
 	}
-	if len(q.Conjuncts) != 1 {
-		t.Fatalf("conjuncts = %d, want the WHERE kept as 1 residual", len(q.Conjuncts))
+	if len(q.Conjuncts) != 0 || len(q.Join.LeftWhere) != 1 {
+		t.Fatalf("conjuncts = %d, left side %d: want the WHERE moved to the left side", len(q.Conjuncts), len(q.Join.LeftWhere))
+	}
+}
+
+// TestAnalyzeJoinSplitsSideConjuncts: a stateless conjunct whose
+// columns all carry one binding moves to that side; one naming both
+// bindings, an unqualified column, no column, or calling a stateful UDF
+// stays to filter the joined rows.
+func TestAnalyzeJoinSplitsSideConjuncts(t *testing.T) {
+	cat := catalog.New()
+	if err := cat.RegisterStateful("running", func() catalog.ScalarFn {
+		return func(context.Context, []value.Value) (value.Value, error) { return value.Bool(true), nil }
+	}); err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := lang.Parse(`SELECT a.text FROM twitter AS a JOIN twitter AS b ON a.username = b.username
+		WHERE a.followers > 10 AND B.text CONTAINS 'goal' AND upper(b.username) = b.username
+		AND a.followers > b.followers AND followers > 3 AND 1 = 1 AND running(a.text) AND a.x + y > 0
+		WINDOW 1 MINUTE`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := Analyze(stmt, cat, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := func(es []lang.Expr) string {
+		var out []string
+		for _, e := range es {
+			out = append(out, e.String())
+		}
+		return strings.Join(out, " | ")
+	}
+	if got, want := keys(q.Join.LeftWhere), "(a.followers > 10)"; got != want {
+		t.Errorf("left side: %s, want %s", got, want)
+	}
+	if got, want := keys(q.Join.RightWhere), "(B.text CONTAINS 'goal') | (upper(b.username) = b.username)"; got != want {
+		t.Errorf("right side: %s, want %s", got, want)
+	}
+	if got, want := len(q.Conjuncts), 5; got != want {
+		t.Errorf("residual: %s (%d), want %d conjuncts", keys(q.Conjuncts), got, want)
 	}
 }
 

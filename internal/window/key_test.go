@@ -95,17 +95,21 @@ func TestManagerMatchesOracle(t *testing.T) {
 		size, every time.Duration
 		groups      int // group cells per row; 0 = no GROUP BY
 		conf        bool
-		// zone, when set, is every row's event-time zone. Spans of one
-		// instant in two zones are distinct map keys that tie in the
-		// oracle's sort, so a run keeps to one zone.
-		zone *time.Location
+		// zones, when set, are the manager's event-time zones, row i
+		// in zones[i%len(zones)]. The oracle, whose spans are keyed by
+		// time.Time, sees the same instants in UTC, and the manager
+		// must emit what it emits: one window per instant, in UTC.
+		zones []*time.Location
 	}
+	est, ist := time.FixedZone("EST", -5*3600), time.FixedZone("IST", 5*3600+1800)
 	configs := []config{
 		{"tumbling", 5 * time.Minute, 0, 1, false, nil},
 		{"tumbling two cells", 5 * time.Minute, 0, 2, false, nil},
-		{"tumbling zoned event times", 5 * time.Minute, 0, 1, false, time.FixedZone("EST", -5*3600)},
+		{"tumbling zoned event times", 5 * time.Minute, 0, 1, false, []*time.Location{est}},
+		{"tumbling mixed zones", time.Minute, 0, 1, false, []*time.Location{est, time.UTC, ist}},
 		{"sliding", 10 * time.Minute, 2 * time.Minute, 1, false, nil},
-		{"sliding zoned event times", 10 * time.Minute, 2 * time.Minute, 1, false, time.FixedZone("IST", 5*3600+1800)},
+		{"sliding zoned event times", 10 * time.Minute, 2 * time.Minute, 1, false, []*time.Location{ist}},
+		{"sliding mixed zones", 10 * time.Minute, 2 * time.Minute, 1, false, []*time.Location{ist, est}},
 		{"sliding with gaps", 2 * time.Minute, 5 * time.Minute, 1, false, nil},
 		{"no group by", 5 * time.Minute, 0, 0, false, nil},
 		{"no group by sliding", 6 * time.Minute, 3 * time.Minute, 0, false, nil},
@@ -138,8 +142,8 @@ func TestManagerMatchesOracle(t *testing.T) {
 					// Mostly forward in event time, sometimes late.
 					ts = ts.Add(time.Duration(rng.Intn(4000)-500) * time.Millisecond)
 					rowTS := ts
-					if cfg.zone != nil {
-						rowTS = ts.In(cfg.zone)
+					if len(cfg.zones) > 0 {
+						rowTS = ts.In(cfg.zones[i%len(cfg.zones)])
 					}
 					for j := range scratch {
 						scratch[j] = cells[rng.Intn(len(cells))]
@@ -154,7 +158,11 @@ func TestManagerMatchesOracle(t *testing.T) {
 					}
 					var out [2]string
 					for k, m := range ms {
-						out[k] = renderBuckets(m.Observe(rowTS, scratch, mkAggs, fold)) + "|" + renderBuckets(m.Advance(rowTS))
+						at := rowTS
+						if k == 1 {
+							at = rowTS.UTC()
+						}
+						out[k] = renderBuckets(m.Observe(at, scratch, mkAggs, fold)) + "|" + renderBuckets(m.Advance(at))
 					}
 					if out[0] != out[1] {
 						t.Fatalf("row %d: manager\n%s\noracle\n%s", i, out[0], out[1])

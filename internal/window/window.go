@@ -131,7 +131,9 @@ type Manager struct {
 	confEnabled   bool
 
 	hasher value.Hasher
-	spans  map[Span]*spanBuckets
+	// spans holds the open spans by start instant (UnixNano), so one
+	// instant in two zones is one span.
+	spans map[int64]*spanBuckets
 	// last is the span an observation found most recently, tried before
 	// the map: a tumbling window's rows arrive span after span.
 	last *spanBuckets
@@ -142,8 +144,10 @@ type Manager struct {
 	watermark time.Time
 }
 
-// spanBuckets holds one span's buckets by group-value hash.
+// spanBuckets holds one span's buckets by group-value hash. Its span is
+// in UTC.
 type spanBuckets struct {
+	start   int64 // span.Start.UnixNano()
 	span    Span
 	buckets map[uint64]*Bucket
 	n       int
@@ -177,7 +181,7 @@ func NewManager(size, every time.Duration) *Manager {
 	if every <= 0 {
 		every = size
 	}
-	return &Manager{size: size, every: every, hasher: value.NewHasher(), spans: make(map[Span]*spanBuckets)}
+	return &Manager{size: size, every: every, hasher: value.NewHasher(), spans: make(map[int64]*spanBuckets)}
 }
 
 // EnableConfidence switches on CONTROL-style early emission: a bucket
@@ -231,7 +235,7 @@ func (m *Manager) Observe(ts time.Time, groupVals []value.Value, mkAggs func() [
 	var early []*Bucket
 	start, n := m.spansOf(ts)
 	for i := 0; i < n; i, start = i+1, start.Add(m.every) {
-		sb := m.spanFor(Span{Start: start, End: start.Add(m.size)})
+		sb := m.spanFor(start)
 		b := sb.find(h, groupVals)
 		if b == nil {
 			if !opened {
@@ -267,17 +271,20 @@ func (m *Manager) spansOf(ts time.Time) (time.Time, int) {
 	return last.Add(-time.Duration(n-1) * m.every), n
 }
 
-// spanFor returns span's buckets, opening the span if it is new.
-func (m *Manager) spanFor(span Span) *spanBuckets {
-	if m.last != nil && m.last.span == span {
+// spanFor returns the buckets of the span that starts at start, opening
+// the span if it is new.
+func (m *Manager) spanFor(start time.Time) *spanBuckets {
+	key := start.UnixNano()
+	if m.last != nil && m.last.start == key {
 		return m.last
 	}
-	sb := m.spans[span]
+	sb := m.spans[key]
 	if sb == nil {
-		sb = &spanBuckets{span: span, buckets: make(map[uint64]*Bucket)}
-		m.spans[span] = sb
-		if len(m.spans) == 1 || span.End.Before(m.minEnd) {
-			m.minEnd = span.End
+		start = start.UTC()
+		sb = &spanBuckets{start: key, span: Span{Start: start, End: start.Add(m.size)}, buckets: make(map[uint64]*Bucket)}
+		m.spans[key] = sb
+		if len(m.spans) == 1 || sb.span.End.Before(m.minEnd) {
+			m.minEnd = sb.span.End
 		}
 	}
 	m.last = sb
@@ -298,15 +305,15 @@ func (m *Manager) Advance(watermark time.Time) []*Bucket {
 	}
 	var closed []*Bucket
 	open := false
-	for span, sb := range m.spans {
-		if span.End.After(m.watermark) {
-			if !open || span.End.Before(m.minEnd) {
-				m.minEnd, open = span.End, true
+	for _, sb := range m.spans {
+		if end := sb.span.End; end.After(m.watermark) {
+			if !open || end.Before(m.minEnd) {
+				m.minEnd, open = end, true
 			}
 			continue
 		}
 		closed = sb.appendOpen(closed)
-		m.drop(span, sb)
+		m.drop(sb)
 	}
 	sortBuckets(closed)
 	return closed
@@ -316,16 +323,16 @@ func (m *Manager) Advance(watermark time.Time) []*Bucket {
 // of stream), again excluding early-emitted buckets.
 func (m *Manager) Flush() []*Bucket {
 	var out []*Bucket
-	for span, sb := range m.spans {
+	for _, sb := range m.spans {
 		out = sb.appendOpen(out)
-		m.drop(span, sb)
+		m.drop(sb)
 	}
 	sortBuckets(out)
 	return out
 }
 
-func (m *Manager) drop(span Span, sb *spanBuckets) {
-	delete(m.spans, span)
+func (m *Manager) drop(sb *spanBuckets) {
+	delete(m.spans, sb.start)
 	if m.last == sb {
 		m.last = nil
 	}

@@ -277,3 +277,21 @@ func TestMinMaxNeverGateConfidence(t *testing.T) {
 		}
 	}
 }
+
+// TestOneInstantOneWindow: rows at 13:00:30 UTC and 13:00:40 UTC, the
+// second written as 15:00:40 +02:00, fall in one one-minute window,
+// which closes once, in UTC.
+func TestOneInstantOneWindow(t *testing.T) {
+	m := NewManager(time.Minute, 0)
+	mk := func() []agg.Func { f, _ := agg.New("COUNT", true); return []agg.Func{f} }
+	fold := func(b *Bucket) { b.Aggs[0].Add(value.Int(1)) }
+	m.Observe(time.Date(2011, 6, 12, 13, 0, 30, 0, time.UTC), nil, mk, fold)
+	m.Observe(time.Date(2011, 6, 12, 15, 0, 40, 0, time.FixedZone("CEST", 2*3600)), nil, mk, fold)
+	closed := m.Advance(time.Date(2011, 6, 12, 13, 2, 0, 0, time.UTC))
+	if len(closed) != 1 || closed[0].Rows != 2 {
+		t.Fatalf("closed %d buckets (%v), want one of 2 rows", len(closed), closed)
+	}
+	if s := closed[0].Span; !s.Start.Equal(time.Date(2011, 6, 12, 13, 0, 0, 0, time.UTC)) || s.End.Location() != time.UTC {
+		t.Fatalf("span %v, want [13:00, 13:01) UTC", s)
+	}
+}
