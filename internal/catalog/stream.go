@@ -232,8 +232,9 @@ func (d *DerivedStream) Stats() StreamStats {
 }
 
 // Open implements Source: a drop-policy subscription of req.Buffer
-// rows, each burst it receives handed on as it arrives, cut into batches of at most req.Size rows. A partial batch waits for
-// nothing: a reader sees a row as soon as the subscription has it.
+// rows, each burst it receives handed on as it arrives, cut into
+// batches of at most req.Size rows. A partial batch waits for nothing:
+// a reader sees a row as soon as the subscription has it.
 func (d *DerivedStream) Open(ctx context.Context, req OpenRequest) (<-chan []value.Tuple, *OpenInfo, error) {
 	size := max(req.Size, 1)
 	sub := d.Subscribe(SubOptions{Buffer: req.Buffer, Policy: DropOldest})
@@ -389,7 +390,7 @@ func (s *Subscription) wake() {
 // stream ended or the subscription was cancelled AND the queue is
 // drained, or ctx.Err() if ctx ends first.
 func (s *Subscription) Recv(ctx context.Context) ([]value.Tuple, error) {
-	return s.recv(ctx, nil, false, true)
+	return s.recv(ctx, nil, false)
 }
 
 // RecvInto is Recv into the caller's buffer: the popped rows are copied
@@ -401,20 +402,14 @@ func (s *Subscription) Recv(ctx context.Context) ([]value.Tuple, error) {
 // dst and is valid only until the next RecvInto with it; on error it is
 // dst[:0], so the buffer survives a timed-out wait.
 func (s *Subscription) RecvInto(ctx context.Context, dst []value.Tuple) ([]value.Tuple, error) {
-	return s.recv(ctx, dst, true, true)
-}
-
-// PollInto is RecvInto that returns dst[:0] and no error at once when
-// nothing is queued.
-func (s *Subscription) PollInto(dst []value.Tuple) ([]value.Tuple, error) {
-	return s.recv(context.Background(), dst, true, false)
+	return s.recv(ctx, dst, true)
 }
 
 // Ready is signalled when rows are queued and when the subscription ends.
 func (s *Subscription) Ready() <-chan struct{} { return s.notify }
 
-// recv is Recv (private false), RecvInto and PollInto (wait false).
-func (s *Subscription) recv(ctx context.Context, dst []value.Tuple, private, wait bool) ([]value.Tuple, error) {
+// recv is Recv (private false) and RecvInto (private true).
+func (s *Subscription) recv(ctx context.Context, dst []value.Tuple, private bool) ([]value.Tuple, error) {
 	for {
 		s.mu.Lock()
 		if s.n > 0 {
@@ -443,9 +438,6 @@ func (s *Subscription) recv(ctx context.Context, dst []value.Tuple, private, wai
 		s.mu.Unlock()
 		if closed {
 			return dst[:0], ErrStreamClosed
-		}
-		if !wait {
-			return dst[:0], nil
 		}
 		select {
 		case <-s.notify:

@@ -144,9 +144,16 @@ func routeToTable(cur *Cursor, table *catalog.Table, name string) {
 }
 
 // scanRead is a query's read of its scan: the next batch, false at the
-// end. Without wait a shared scan's read returns an empty batch when
-// nothing is queued; a private scan's read always waits.
-type scanRead func(wait bool) (exec.Batch, bool)
+// end of the scan or of the query, and an empty batch if wait ends
+// first. Given polled, it returns at once.
+type scanRead func(wait context.Context) (exec.Batch, bool)
+
+// polled is an ended context: the wait of a read that must not block.
+var polled = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
 
 // openScanStream opens the scan of src for a single-source plan or one
 // side of a join: the query's read of it, a shared scan's wake channel,
@@ -174,8 +181,7 @@ func (e *Engine) openScanStream(ctx context.Context, src catalog.Source, p *plan
 	if err != nil {
 		return nil, nil, nil, "", err
 	}
-	next := recv(ctx, batches)
-	return func(bool) (exec.Batch, bool) { return next() }, nil, info, pushedKey(p, info), nil
+	return recv(ctx, batches), nil, info, pushedKey(p, info), nil
 }
 
 // openRequest builds the request a scan of src for plan p opens with:
@@ -214,15 +220,15 @@ func pushedKey(p *plan.Query, info *catalog.OpenInfo) string {
 	return ""
 }
 
-// recv is the read of a producer goroutine's batch channel: the next
-// batch, or false once the channel closes or ctx ends.
-func recv(ctx context.Context, ch <-chan exec.Batch) func() (exec.Batch, bool) {
-	return func() (exec.Batch, bool) {
+// recv is the read of a producer goroutine's batch channel, which ends
+// when the channel closes or ctx ends.
+func recv(ctx context.Context, ch <-chan exec.Batch) scanRead {
+	return func(wait context.Context) (exec.Batch, bool) {
 		select {
 		case b, ok := <-ch:
 			return b, ok
-		case <-ctx.Done():
-			return nil, false
+		case <-wait.Done():
+			return nil, ctx.Err() == nil
 		}
 	}
 }
@@ -254,7 +260,7 @@ func (e *Engine) openSingle(ctx context.Context, ev *exec.Evaluator, stmt *lang.
 		if read, _, cur.info, pushed, err = e.openScanStream(ctx, src, p, stats, cur); err != nil {
 			return err
 		}
-		next = exec.ScanInput(stats, func() (exec.Batch, bool) { return read(true) })
+		next = exec.ScanInput(stats, func() (exec.Batch, bool) { return read(ctx) })
 		// The schema expressions compile against must be the exact
 		// object the delivered tuples carry — the pruned one when the
 		// source honored column pruning — so pre-resolved indices hit
@@ -276,8 +282,8 @@ func (e *Engine) openSingle(ctx context.Context, ev *exec.Evaluator, stmt *lang.
 	if p.Async {
 		// High-latency UDFs run on the asynchronous worker pool: latency
 		// hiding is the win there.
-		out := exec.AsyncProjectStage(ev, residual, p.Proj, inSchema, e.opts.AsyncWorkers, e.opts.AsyncCallTimeout, stats)(ctx, next)
-		cur.next = recv(ctx, out)
+		read := recv(ctx, exec.AsyncProjectStage(ev, residual, p.Proj, inSchema, e.opts.AsyncWorkers, e.opts.AsyncCallTimeout, stats)(ctx, next))
+		cur.next = func() (exec.Batch, bool) { return read(ctx) }
 		return nil
 	}
 	// A shared row pins the cells of every row scanned beside it, so
@@ -327,10 +333,16 @@ func (e *Engine) openJoin(ctx context.Context, ev *exec.Evaluator, stmt *lang.Se
 	var reads [2]scanRead
 	var wakes [2]<-chan struct{}
 	var schemas [2]*value.Schema
+	live := 0
 	for i, name := range names {
 		src, err := e.cat.Source(name)
 		if err != nil {
 			return nil, nil, err
+		}
+		if isLiveSource(src) {
+			if live++; live == 2 && e.abl.PrivateScans {
+				return nil, nil, errors.New("tweeql: a join of two live sources needs shared scans: a private scan cannot be polled, so the join would stall one source reading the other")
+			}
 		}
 		var info *catalog.OpenInfo
 		if reads[i], wakes[i], info, _, err = e.openScanStream(ctx, src, plan.ScanOf(name), stats, cur); err != nil {
@@ -351,9 +363,10 @@ func (e *Engine) openJoin(ctx context.Context, ev *exec.Evaluator, stmt *lang.Se
 // readJoin is the read of a join, which pushes what it reads into j. A
 // self-join waits on its one scan and pushes each batch to both sides.
 // Of two sources, the side whose newest row is older comes first: a
-// private (finite) side is waited on, a shared one polled, and if it
-// has nothing the other too, and then the read waits on either's wake
-// channel, so a quiet side never lets the other's subscription overflow.
+// private side (a finite source's, or under PrivateScans at most one
+// live one) is waited on, a shared one polled, and if it has nothing
+// the other too, and then the read waits on either's wake channel, so a
+// quiet side never lets the other's subscription overflow.
 func readJoin(ctx context.Context, j *exec.Join, reads [2]scanRead, wakes [2]<-chan struct{}, self bool) func() (exec.Batch, bool) {
 	open := 2
 	if self {
@@ -365,10 +378,14 @@ func readJoin(ctx context.Context, j *exec.Join, reads [2]scanRead, wakes [2]<-c
 			if reads[0] == nil || j.RightBehind() && reads[1] != nil {
 				s = 1
 			}
-			b, ok := reads[s](wakes[s] == nil)
+			wait := ctx
+			if wakes[s] != nil {
+				wait = polled
+			}
+			b, ok := reads[s](wait)
 			if ok && len(b) == 0 && wakes[1-s] != nil {
 				s = 1 - s
-				b, ok = reads[s](false)
+				b, ok = reads[s](polled)
 			}
 			switch {
 			case !ok:

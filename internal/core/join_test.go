@@ -148,16 +148,25 @@ func TestSideConjunctErrorsCountOnce(t *testing.T) {
 // within the subscription's buffer but together five times it. The
 // read polls the quiet side and waits on either, so it drains every
 // left burst as it comes and the left subscription drops nothing; a
-// right row then joins the left rows in its window.
+// right row then joins the left rows in its window. With private scans
+// neither side can be polled, and the join is refused.
 func TestQuietSideDoesNotStallLiveJoin(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.SourceBuffer = 200
+	const sql = `SELECT a.x, b.x FROM l AS a JOIN r AS b ON a.k = b.k WINDOW 10 SECONDS`
 	cat := catalog.New()
+	cat.RegisterSource("l", catalog.NewDerivedStream("l", joinRowSchema))
+	cat.RegisterSource("r", catalog.NewDerivedStream("r", joinRowSchema))
+	if cur, err := core.NewAblatedEngine(cat, opts, core.Ablation{PrivateScans: true}).Query(context.Background(), sql); err == nil {
+		cur.Stop()
+		t.Fatal("a join of two live sources ran on private scans")
+	}
+	cat = catalog.New()
 	left, right := catalog.NewDerivedStream("l", joinRowSchema), catalog.NewDerivedStream("r", joinRowSchema)
 	cat.RegisterSource("l", left)
 	cat.RegisterSource("r", right)
 	eng := core.NewEngine(cat, opts)
-	cur, err := eng.Query(context.Background(), `SELECT a.x, b.x FROM l AS a JOIN r AS b ON a.k = b.k WINDOW 10 SECONDS`)
+	cur, err := eng.Query(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}

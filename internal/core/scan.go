@@ -328,8 +328,8 @@ func (s *SharedScan) err() error {
 
 // attach subscribes one query to the scan's fan-out and returns the
 // query's read of the subscription, re-cut to Options.BatchSize, and
-// the subscription's wake channel. The subscription queues up to Options.SourceBuffer rows with drop-oldest
-// backpressure — the streaming API's best-effort contract for a slow
+// the subscription's wake channel. The subscription queues up to
+// Options.SourceBuffer rows with drop-oldest backpressure — the streaming API's best-effort contract for a slow
 // consumer, and what guarantees one stalled query (or join side) can
 // never block its siblings or the scan. It is the only buffer
 // between the scan and the query, which reads it in its consumer's
@@ -348,27 +348,20 @@ func (s *SharedScan) attach(ctx context.Context, opts Options, stats *exec.Stats
 		s.mgr.detach(s)
 	})
 	var rows exec.Batch
-	return func(wait bool) (exec.Batch, bool) {
+	return func(wait context.Context) (exec.Batch, bool) {
 		if len(rows) == 0 {
 			// A private copy, never Recv's rows: those are shared with
 			// the sibling queries, and a query may write its input in
 			// place (INTO a store table, or the async plan's filter).
 			var err error
-			if wait {
-				rows, err = sub.RecvInto(ctx, nil)
-			} else {
-				rows, err = sub.PollInto(nil)
-			}
-			if err != nil {
-				if err == catalog.ErrStreamClosed && ctx.Err() == nil {
-					if serr := s.err(); serr != nil {
-						stats.NoteError(serr)
-					}
+			if rows, err = sub.RecvInto(wait, nil); err != nil {
+				if err != catalog.ErrStreamClosed {
+					return nil, ctx.Err() == nil // wait ended first
+				}
+				if serr := s.err(); serr != nil && ctx.Err() == nil {
+					stats.NoteError(serr)
 				}
 				return nil, false
-			}
-			if len(rows) == 0 {
-				return nil, true // nothing queued yet
 			}
 		}
 		// The whole queue arrives in one fresh slice; its disjoint

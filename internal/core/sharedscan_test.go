@@ -32,8 +32,6 @@ func runAllForDiff(t *testing.T, shared bool) map[string][]string {
 	results := make(map[string][]string, len(diffQueries))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	// Each side of a join attaches to the source's shared scan as a
-	// query of its own.
 	attached := 0
 	for _, q := range diffQueries {
 		attached++ // a self-join too: it reads its one scan once

@@ -43,7 +43,7 @@ func TestSharedScanSiblingsReadPrivateBatches(t *testing.T) {
 			t.Fatalf("sibling Recv = %d rows, %v", len(run), err)
 		}
 		for got := 0; got < len(batch); {
-			b, ok := read(true)
+			b, ok := read(ctx)
 			if !ok {
 				t.Fatalf("attach ended after %d of %d rows", got, len(batch))
 			}

@@ -40,9 +40,10 @@ func JoinSchema(left, right *value.Schema, cfg JoinConfig) *value.Schema {
 // times are at most the window apart.
 //
 // Each side buffers its rows in arrival order, a FIFO with a hash index
-// into it, evicted from the head. A side may arrive disordered by up to
-// the window, so a row stays until it is more than twice the window
-// behind the other side's newest row. A row further than the window
+// into it, evicted from the head (see evict). A side may arrive
+// disordered by up to the window, so a row stays until it is more than
+// twice the window behind the other side's newest row. A row further
+// than the window
 // behind its own side's newest may have lost matches to eviction, and
 // counts in Stats.LateRows. Unless a row is late, the output multiset
 // does not depend on how the sides' batches interleave; its order is a
@@ -57,17 +58,17 @@ type Join struct {
 }
 
 // joinSide is one side's state. fifo[head:] are its buffered rows,
-// oldest first, and base (from 1) is fifo[0]'s sequence number; index
-// maps a key hash to the newest buffered row with it. Rows before cutoff
-// may have been evicted.
+// in arrival order, and base (from 1) is fifo[0]'s sequence number;
+// index maps a key hash to the newest buffered row with it. Rows before
+// cutoff may have been evicted; swept rows were left by the last sweep.
 type joinSide struct {
-	key            CompiledExpr
-	filter         *colFilter // nil when no conjunct names the side alone
-	kept           Batch      // the rows of a batch that passed filter
-	fifo           []joinRow
-	head, base     int
-	index          map[uint64]int
-	newest, cutoff time.Time
+	key               CompiledExpr
+	filter            *colFilter // nil when no conjunct names the side alone
+	kept              Batch      // the rows of a batch that passed filter
+	fifo              []joinRow
+	head, base, swept int
+	index             map[uint64]int
+	newest, cutoff    time.Time
 }
 
 // joinRow is a buffered row, linked to the previous one whose key has
@@ -166,6 +167,12 @@ func (j *Join) push(ctx context.Context, s int, b Batch, out Batch) Batch {
 
 // evict pops the rows before cutoff off the head, at a cost of the rows
 // it pops, and moves the buffered rows down once half the FIFO is spent.
+// The head stops at a row dated ahead of the rows behind it, which would
+// keep them all as long as the other side's time has not reached it (for
+// ever, for one tweet dated years ahead). So once the FIFO holds twice
+// the rows the last sweep left, a sweep drops every row before cutoff
+// wherever it is and renumbers the rest: at a cost per row pushed that
+// does not grow with the FIFO.
 func (s *joinSide) evict(cutoff time.Time) {
 	s.cutoff = cutoff
 	for ; s.head < len(s.fifo) && s.fifo[s.head].t.TS.Before(cutoff); s.head++ {
@@ -174,7 +181,18 @@ func (s *joinSide) evict(cutoff time.Time) {
 		}
 		s.fifo[s.head] = joinRow{}
 	}
-	if s.head > 0 && 2*s.head >= len(s.fifo) {
+	if len(s.fifo)-s.head > 2*s.swept+64 {
+		clear(s.index)
+		kept := s.fifo[:0]
+		for _, r := range s.fifo[s.head:] {
+			if !r.t.TS.Before(cutoff) {
+				r.prev, s.index[r.hash] = s.index[r.hash], s.base+len(kept)
+				kept = append(kept, r)
+			}
+		}
+		clear(s.fifo[len(kept):])
+		s.fifo, s.head, s.swept = kept, 0, len(kept)
+	} else if s.head > 0 && 2*s.head >= len(s.fifo) {
 		n := copy(s.fifo, s.fifo[s.head:])
 		clear(s.fifo[n:])
 		s.fifo, s.base, s.head = s.fifo[:n], s.base+s.head, 0

@@ -215,6 +215,44 @@ func TestJoinCountsLateRows(t *testing.T) {
 	}
 }
 
+// TestFutureRowDoesNotPinJoinState: one row dated a year ahead, then a
+// long in-order stream. The head of a FIFO stops at that row until the
+// other side's time reaches it; what is buffered must stay bounded all
+// the same, in a self-join (the row is on both sides) and in a join of
+// two streams (on one side).
+func TestFutureRowDoesNotPinJoinState(t *testing.T) {
+	schema := value.NewSchema(value.Field{Name: "k", Kind: value.KindInt})
+	cfg := JoinConfig{LeftBinding: "a", RightBinding: "b", LeftKey: &lang.Ident{Name: "k"}, RightKey: &lang.Ident{Name: "k"}, Window: 10 * time.Second}
+	base := time.Unix(1_300_000_000, 0)
+	row := func(k int64, at time.Time) Batch {
+		return Batch{value.NewTuple(schema, []value.Value{value.Int(k)}, at)}
+	}
+	for _, self := range []bool{true, false} {
+		stats := &Stats{}
+		j := NewJoin(NewEvaluator(catalog.New()), cfg, schema, schema, stats)
+		ctx := context.Background()
+		j.Push(ctx, row(0, base.Add(365*24*time.Hour)), true, self)
+		most := 0
+		for i := 1; i <= 20_000; i++ {
+			at := base.Add(time.Duration(i) * time.Second)
+			j.Push(ctx, row(int64(i), at), true, self)
+			if !self {
+				j.Push(ctx, row(int64(i), at), false, true)
+			}
+			for s := range j.sides {
+				most = max(most, len(j.sides[s].fifo)-j.sides[s].head)
+			}
+		}
+		// What a sweep keeps is two windows at one row a second (ends
+		// included) and the far row; the FIFO grows to twice that and
+		// the sweep's slack before the next. Without the sweep, 20 000
+		// rows stay buffered.
+		if live := 2*10 + 2; most > 2*live+64+1 {
+			t.Errorf("self=%v: a side buffered %d rows", self, most)
+		}
+	}
+}
+
 // TestSelfJoinPushMatchesNestedLoop: pushing each batch of one stream
 // to both sides — a self-join over one scan — joins every pair the
 // reference does, each row with itself included, and counts each row
