@@ -329,13 +329,14 @@ func (s *SharedScan) err() error {
 // attach subscribes one query to the scan's fan-out and returns the
 // query's read of the subscription, re-cut to Options.BatchSize, and
 // the subscription's wake channel. The subscription queues up to
-// Options.SourceBuffer rows with drop-oldest backpressure — the streaming API's best-effort contract for a slow
-// consumer, and what guarantees one stalled query (or join side) can
-// never block its siblings or the scan. It is the only buffer
-// between the scan and the query, which reads it in its consumer's
-// goroutine. The query's scan reference ends with ctx (Stop, a LIMIT
-// cut, the end of its cursor, or the caller's context), read or not:
-// then it detaches and, when it is the last, closes the physical scan.
+// Options.SourceBuffer rows with drop-oldest backpressure — the
+// streaming API's best-effort contract for a slow consumer, and what
+// guarantees one stalled query (or join side) can never block its
+// siblings or the scan. It is the only buffer between the scan and the
+// query, which reads it in its consumer's goroutine. The query's scan
+// reference ends with ctx (Stop, a LIMIT cut, the end of its cursor, or
+// the caller's context), read or not: then it detaches and, when it is
+// the last, closes the physical scan.
 func (s *SharedScan) attach(ctx context.Context, opts Options, stats *exec.Stats) (scanRead, <-chan struct{}) {
 	buffer := opts.SourceBuffer
 	if buffer <= 0 {

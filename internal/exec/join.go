@@ -43,11 +43,10 @@ func JoinSchema(left, right *value.Schema, cfg JoinConfig) *value.Schema {
 // into it, evicted from the head (see evict). A side may arrive
 // disordered by up to the window, so a row stays until it is more than
 // twice the window behind the other side's newest row. A row further
-// than the window
-// behind its own side's newest may have lost matches to eviction, and
-// counts in Stats.LateRows. Unless a row is late, the output multiset
-// does not depend on how the sides' batches interleave; its order is a
-// batch's matches in row order, each row's newest first.
+// than the window behind its own side's newest may have lost matches to
+// eviction, and counts in Stats.LateRows. Unless a row is late, the
+// output multiset does not depend on how the sides' batches interleave;
+// its order is a batch's matches in row order, each row's newest first.
 type Join struct {
 	window time.Duration
 	out    *value.Schema
