@@ -188,6 +188,54 @@ func TestBatchFilterMatchesTupleFilter(t *testing.T) {
 	}
 }
 
+// TestContainsDisjunctionFolds pins where a CONTAINS disjunction folds
+// into one keyword-set probe, and holds the folded vector kernel to the
+// interpreter over text that is a string, NULL or of another kind, in
+// batches whose text column mixes kinds and in homogeneous ones.
+func TestContainsDisjunctionFolds(t *testing.T) {
+	ev := NewEvaluator(diffCatalog(t))
+	for src, folds := range map[string]bool{
+		"text CONTAINS 'goal' OR text CONTAINS 'liverpool'":                         true,
+		"text CONTAINS 'x' OR (text CONTAINS 'wins' OR text CONTAINS 'tevez goal')": true,
+		"dyn CONTAINS 'x' OR dyn CONTAINS 'dyn-str'":                                true,
+		"text CONTAINS 'goal' OR a.text CONTAINS 'x'":                               false,
+		"text CONTAINS 'goal' OR text CONTAINS NULL":                                false,
+		"text CONTAINS 'goal' OR text CONTAINS text":                                false,
+		"text CONTAINS 'goal' AND text CONTAINS 'tevez'":                            false,
+		"missing_col CONTAINS 'a' OR missing_col CONTAINS 'b'":                      false,
+	} {
+		x := whereExpr(t, src)
+		if ia, _ := newCompiler(ev, diffSchema()).containsAny(x.(*lang.Binary)); (ia != nil) != folds {
+			t.Errorf("%s: folded %v, want %v", src, ia != nil, folds)
+		}
+		rows := diffRows()
+		texts := []string{"GOAL!", "Liverpool wins", "by tevez goal", "#Liverpool", "nothing", "dyn-str", "x"}
+		for i, txt := range texts {
+			r := rows[i%len(rows)]
+			vals := append([]value.Value(nil), r.Values...)
+			vals[0], vals[6] = value.String(txt), value.String(texts[len(texts)-1-i])
+			rows = append(rows, value.NewTuple(r.Schema, vals, r.TS))
+		}
+		for _, rs := range [][]value.Tuple{rows, rows[len(rows)-len(texts):]} {
+			var want []value.Tuple
+			for _, r := range rs {
+				if v, err := ev.Eval(context.Background(), x, r); err == nil && !v.IsNull() && v.Truthy() {
+					want = append(want, r)
+				}
+			}
+			got := collect(runOp(filterStage(ev, []lang.Expr{x}, diffSchema(), &Stats{}), chunk(64, rs)))
+			if len(got) != len(want) {
+				t.Fatalf("%s: vector filter kept %d of %d rows, interpreter %d", src, len(got), len(rs), len(want))
+			}
+			for i := range got {
+				if got[i].String() != want[i].String() {
+					t.Fatalf("%s: row %d: vector %s, interpreter %s", src, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestBatchProjectMatchesTupleProject(t *testing.T) {
 	rows := nRows(50)
 	items := []ProjItem{

@@ -495,8 +495,12 @@ func arithKind(l, r value.Kind) value.Kind {
 func numericKind(k value.Kind) bool { return k == value.KindInt || k == value.KindFloat }
 
 // lowerLogic compiles AND/OR with SQL three-valued short-circuit logic,
-// mirroring evalBinary exactly.
+// mirroring evalBinary exactly. A disjunction of CONTAINS over one
+// column folds into one keyword-set probe (containsAny).
 func (c *compiler) lowerLogic(x *lang.Binary) (CompiledExpr, exprInfo) {
+	if ia, kws := c.containsAny(x); ia != nil {
+		return containsKeywords(ia, kws), exprInfo{kind: value.KindBool}
+	}
 	lf, li := c.compile(x.L)
 	rf, ri := c.compile(x.R)
 	info := exprInfo{pure: li.pure && ri.pure, kind: value.KindBool}
@@ -894,21 +898,9 @@ func (c *compiler) lowerContains(lf CompiledExpr, li exprInfo, rf CompiledExpr, 
 			}
 			return fn, info
 		case kwVal.Kind() == value.KindString:
-			kw, _ := kwVal.StringVal()
+			kws := tweet.NewKeywords([]string{kwVal.Str()})
 			if li.ident != nil {
-				ia := li.ident
-				fn := func(_ context.Context, t value.Tuple) (value.Value, error) {
-					l := ia.load(t)
-					if l.IsNull() {
-						return value.Null(), nil
-					}
-					if l.Kind() != value.KindString {
-						return value.Bool(false), nil
-					}
-					ls, _ := l.StringVal()
-					return value.Bool(tweet.ContainsWord(ls, kw)), nil
-				}
-				return fn, info
+				return containsKeywords(li.ident, kws), info
 			}
 			fn := func(ctx context.Context, t value.Tuple) (value.Value, error) {
 				l, err := lf(ctx, t)
@@ -921,7 +913,7 @@ func (c *compiler) lowerContains(lf CompiledExpr, li exprInfo, rf CompiledExpr, 
 				if l.Kind() != value.KindString {
 					return value.Bool(false), nil
 				}
-				return value.Bool(tweet.ContainsWord(l.Str(), kw)), nil
+				return value.Bool(kws.Any(l.Str())), nil
 			}
 			return fn, info
 		default: // constant non-string keyword never matches
@@ -958,6 +950,61 @@ func (c *compiler) lowerContains(lf CompiledExpr, li exprInfo, rf CompiledExpr, 
 		return value.Bool(tweet.ContainsWord(ls, rs)), nil
 	}
 	return fn, info
+}
+
+// containsKeywords is `col CONTAINS 'kw'` with the keywords compiled
+// once, at bind: NULL text is UNKNOWN, non-string text never contains.
+func containsKeywords(ia *identAccess, kws *tweet.Keywords) CompiledExpr {
+	return func(_ context.Context, t value.Tuple) (value.Value, error) {
+		l := ia.load(t)
+		if l.IsNull() {
+			return value.Null(), nil
+		}
+		if l.Kind() != value.KindString {
+			return value.Bool(false), nil
+		}
+		return value.Bool(kws.Any(l.Str())), nil
+	}
+}
+
+// containsAny recognizes `col CONTAINS 'a' OR col CONTAINS 'b' OR …`:
+// CONTAINS of one resolved column against string literals, joined by
+// OR, and returns the column and its keywords compiled as one list, or
+// a nil column for any other shape. The fold is exact under
+// three-valued logic: every disjunct is UNKNOWN on NULL text and false
+// on non-string text, and on a string the disjunction is
+// ContainsAnyWord of the keywords.
+func (c *compiler) containsAny(x *lang.Binary) (*identAccess, *tweet.Keywords) {
+	if x.Op != "OR" {
+		return nil, nil
+	}
+	var col *lang.Ident
+	var kws []string
+	var walk func(lang.Expr) bool
+	walk = func(e lang.Expr) bool {
+		b, ok := e.(*lang.Binary)
+		if !ok {
+			return false
+		}
+		if b.Op == "OR" {
+			return walk(b.L) && walk(b.R)
+		}
+		id, ok := b.L.(*lang.Ident)
+		lit, isLit := b.R.(*lang.Literal)
+		if b.Op != "CONTAINS" || !ok || !isLit || lit.Val.Kind() != value.KindString || col != nil && *id != *col {
+			return false
+		}
+		col, kws = id, append(kws, lit.Val.Str())
+		return true
+	}
+	if !walk(x) {
+		return nil, nil
+	}
+	_, info := c.compile(col)
+	if info.ident == nil {
+		return nil, nil
+	}
+	return info.ident, tweet.NewKeywords(kws)
 }
 
 // lowerMatches compiles literal patterns at plan time — no per-row

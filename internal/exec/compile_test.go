@@ -101,6 +101,17 @@ var diffExprs = []string{
 	// CONTAINS: literal keyword, dynamic keyword, non-string sides.
 	"text CONTAINS 'goal'", "text CONTAINS 'obama'", "text CONTAINS text",
 	"n CONTAINS 'x'", "text CONTAINS n", "text CONTAINS '#soccer'",
+	// CONTAINS disjunctions: folded over one column (phrases, hashtags,
+	// empty keywords, NULL and off-kind text), and the shapes that stay
+	// unfolded (two columns, a NULL or computed keyword).
+	"text CONTAINS 'goal' OR text CONTAINS 'liverpool'",
+	"text CONTAINS 'obama' OR text CONTAINS 'x' OR text CONTAINS '#SOCCER'",
+	"(text CONTAINS 'zzz' OR text CONTAINS 'liverpool wins') OR text CONTAINS 'by tevez'",
+	"text CONTAINS '' OR text CONTAINS ' '", "dyn CONTAINS 'x' OR dyn CONTAINS 'DYN-STR'",
+	"n CONTAINS 'x' OR n CONTAINS 'seven'", "missing_col CONTAINS 'a' OR missing_col CONTAINS 'b'",
+	"a.text CONTAINS 'left' OR a.text CONTAINS 'x'", "text CONTAINS 'goal' OR a.text CONTAINS 'x'",
+	"text CONTAINS 'zzz' OR text CONTAINS NULL", "text CONTAINS 'zzz' OR text CONTAINS text",
+	"text CONTAINS 'goal' OR n > 0",
 	// MATCHES: plan-time regex, bad regex, dynamic pattern, non-strings.
 	"text MATCHES 'go+al'", "text MATCHES '^goal'", "text MATCHES 'zzz'",
 	"text MATCHES '['", "text MATCHES text", "n MATCHES 'x'", "text MATCHES 7",

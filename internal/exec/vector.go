@@ -98,7 +98,11 @@ func compileVecKernel(ev *Evaluator, x lang.Expr, schema *value.Schema, lane lan
 			_, li := c.compile(n.L)
 			_, ri := c.compile(n.R)
 			if li.ident != nil && ri.cok && ri.cval.Kind() == value.KindString {
-				return vecContains(li.ident, ri.cval.Str(), lane)
+				return vecContains(li.ident, tweet.NewKeywords([]string{ri.cval.Str()}), lane)
+			}
+		case "OR":
+			if ia, kws := c.containsAny(n); ia != nil {
+				return vecContains(ia, kws, lane)
 			}
 		}
 	case *lang.InList:
@@ -380,22 +384,23 @@ func vecChainCmp(ch *intChain, cv value.Value, opc cmpOp, lane lanePred) vecPred
 	}
 }
 
-// vecContains is the ...Vec form of lowerContains' const-keyword ident
-// fast path: NULL text is UNKNOWN, non-string text never contains.
-func vecContains(ia *identAccess, kw string, lane lanePred) vecPred {
+// vecContains is the ...Vec form of containsKeywords, a CONTAINS of a
+// column against a literal keyword or a folded disjunction of them:
+// NULL text is UNKNOWN, non-string text never contains.
+func vecContains(ia *identAccess, kws *tweet.Keywords, lane lanePred) vecPred {
 	return func(ctx context.Context, cb *ColBatch, sel []uint64) {
 		col := cb.col(ia)
 		andValid(sel, col.Valid())
 		if col.Homog() == value.KindString {
 			xs := col.Strs()
-			forLanes(sel, func(r int) bool { return tweet.ContainsWord(xs[r], kw) })
+			forLanes(sel, func(r int) bool { return kws.Any(xs[r]) })
 			return
 		}
 		kinds, xs, rows := col.Kinds(), col.Strs(), cb.rows
 		forLanes(sel, func(r int) bool {
 			switch kinds[r] {
 			case value.KindString:
-				return tweet.ContainsWord(xs[r], kw)
+				return kws.Any(xs[r])
 			case kindLaneOdd:
 				return lane(ctx, rows[r])
 			default:

@@ -328,12 +328,13 @@ func lenBit(n int) uint64 { return 1 << min(n, 63) }
 const maxStackWords = 16
 
 // ContainsAnyWord reports whether the text contains any of the words,
-// with ContainsWord semantics, in one pass over the text — the hot path
-// for track filters and event matching. The words are lowered once per
-// call (free when they are already lower-case); each token nextToken
-// yields is then compared in place against all of them, so an all-ASCII
-// text, or a non-ASCII one, allocates nothing. Only a phrase lowers the
-// text, to test it by substring.
+// with ContainsWord semantics, in one pass over the text: a track
+// filter's Filter.Matches, and the oracle Keywords is fuzzed against
+// (FuzzKeywords). The words are lowered once per call (free when they
+// are already lower-case); each token nextToken yields is then compared
+// in place against all of them, so an all-ASCII text, or a non-ASCII
+// one, allocates nothing. Only a phrase lowers the text, to test it by
+// substring.
 func ContainsAnyWord(text string, words []string) bool {
 	var buf [maxStackWords]string
 	single, phrases := buf[:0], false

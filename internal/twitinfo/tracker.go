@@ -89,7 +89,9 @@ type StoredTweet struct {
 type Tracker struct {
 	cfg      EventConfig
 	analyzer *sentiment.Analyzer
-	keywords matcher
+	// keywords is the event's keyword query, compiled; nil when the
+	// event has no keywords and every tweet matches.
+	keywords *tweet.Keywords
 	// binOrigin is the Unix epoch truncated to cfg.Bin, in Unix ns: the
 	// start of bin 0 (see binKey).
 	binOrigin int64
@@ -135,85 +137,42 @@ func NewTracker(cfg EventConfig, analyzer *sentiment.Analyzer) *Tracker {
 	if analyzer == nil {
 		analyzer = sentiment.Default()
 	}
-	return &Tracker{
+	tr := &Tracker{
 		cfg:       cfg,
 		analyzer:  analyzer,
-		keywords:  newMatcher(cfg.Keywords),
 		binOrigin: time.Unix(0, 0).Truncate(cfg.Bin).UnixNano(),
 		detector:  peaks.NewDetector(cfg.Peaks),
 		corpus:    terms.NewCorpus(),
 		links:     links.NewCounter(),
 	}
+	if len(cfg.Keywords) > 0 {
+		tr.keywords = tweet.NewKeywords(cfg.Keywords)
+	}
+	return tr
 }
 
 // Config returns the event definition.
 func (tr *Tracker) Config() EventConfig { return tr.cfg }
 
-// matcher is the event's keyword query with tweet.ContainsAnyWord's
-// semantics, lowered once: single words match a token of the tweet
-// ("#tag" matching "tag" too), phrases match the lowered text by
-// substring.
-type matcher struct {
-	all     bool // no keywords: every tweet matches
-	words   map[string]bool
-	phrases []string
-}
-
-func newMatcher(keywords []string) matcher {
-	m := matcher{all: len(keywords) == 0, words: make(map[string]bool, len(keywords))}
-	for _, w := range keywords {
-		w = strings.ToLower(strings.TrimSpace(w))
-		switch {
-		case w == "":
-		case strings.ContainsRune(w, ' '):
-			m.phrases = append(m.phrases, w)
-		default:
-			m.words[w] = true
-		}
-	}
-	return m
-}
-
-// match tests the tweet text given its tweet.Tokenize tokens.
-func (m matcher) match(text string, toks []string) bool {
-	if m.all {
-		return true
-	}
-	for _, tok := range toks {
-		if m.words[tok] || (tok[0] == '#' && m.words[tok[1:]]) {
-			return true
-		}
-	}
-	if len(m.phrases) > 0 {
-		low := strings.ToLower(text)
-		for _, p := range m.phrases {
-			if strings.Contains(low, p) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Matches reports whether the tweet belongs to the event: inside the
 // time window and containing one of the keywords.
 func (tr *Tracker) Matches(t *tweet.Tweet) bool {
-	return inRange(t.CreatedAt, tr.cfg.Start, tr.cfg.End) &&
-		tr.keywords.match(t.Text, tweet.Tokenize(t.Text))
+	return tr.matches(t.Text, t.CreatedAt)
+}
+
+// matches tests a tweet's window and keywords; the keyword test walks
+// the text in place, so a rejected tweet is never tokenized.
+func (tr *Tracker) matches(text string, createdAt time.Time) bool {
+	return inRange(createdAt, tr.cfg.Start, tr.cfg.End) && (tr.keywords == nil || tr.keywords.Any(text))
 }
 
 // Ingest logs one tweet (skipping non-matching ones) and returns
-// whether it was accepted. The text is tokenized once; the matcher, the
-// sentiment classifier and the term corpus all read those tokens.
+// whether it was accepted.
 func (tr *Tracker) Ingest(t *tweet.Tweet) bool {
-	if !inRange(t.CreatedAt, tr.cfg.Start, tr.cfg.End) {
+	if !tr.matches(t.Text, t.CreatedAt) {
 		return false
 	}
-	toks := tweet.Tokenize(t.Text)
-	if !tr.keywords.match(t.Text, toks) {
-		return false
-	}
-	tr.ingest(t, toks)
+	tr.ingest(t)
 	return true
 }
 
@@ -233,20 +192,17 @@ func (tr *Tracker) IngestTuple(row value.Tuple) bool {
 		tc = &tupleColumns{schema: row.Schema, cols: catalog.ResolveTweetColumns(row.Schema)}
 		tr.tupleCols.Store(tc)
 	}
-	text, createdAt := tc.cols.TextAndTime(row)
-	if !inRange(createdAt, tr.cfg.Start, tr.cfg.End) {
+	if !tr.matches(tc.cols.TextAndTime(row)) {
 		return false
 	}
-	toks := tweet.Tokenize(text)
-	if !tr.keywords.match(text, toks) {
-		return false
-	}
-	tr.ingest(tc.cols.Tweet(row), toks)
+	tr.ingest(tc.cols.Tweet(row))
 	return true
 }
 
-// ingest logs a tweet the event matches, given its tokens.
-func (tr *Tracker) ingest(t *tweet.Tweet, toks []string) {
+// ingest logs a tweet the event matches. Its text is tokenized once;
+// the sentiment classifier and the term corpus both read those tokens.
+func (tr *Tracker) ingest(t *tweet.Tweet) {
+	toks := tweet.Tokenize(t.Text)
 	label, score := tr.analyzer.ClassifyTokens(toks)
 	urls := tweet.URLs(t.Text)
 	st := StoredTweet{

@@ -169,6 +169,9 @@ type Connection struct {
 	hub    *Hub
 	filter Filter
 	ch     chan *tweet.Tweet
+	// list is a track connection's list in hub.track, -1 for the other
+	// filter types. It belongs to the hub, under hub.mu.
+	list int
 
 	// highWater is W on a no-loss connection, 0 on a best-effort one.
 	// sent counts the tweets enqueued on ch and seen the last value of
@@ -306,8 +309,14 @@ func (c *Connection) offer(t *tweet.Tweet) {
 // Hub is the simulated streaming endpoint: publish the firehose into it,
 // open filtered connections out of it.
 type Hub struct {
-	mu        sync.Mutex
-	conns     []*Connection
+	mu    sync.Mutex
+	conns []*Connection
+	// track holds every track connection's words, list i being the
+	// track connection with Connection.list i, and hits is the match of
+	// the tweet being published. Both are rebuilt under mu as the set of
+	// track connections changes.
+	track     *tweet.Keywords
+	hits      []bool
 	published int64
 	delivered atomic.Int64 // rows enqueued across ALL connections, ever
 	waits     atomic.Int64 // publisher parks on full no-loss connections, ever
@@ -348,7 +357,7 @@ func (h *Hub) Connect(f Filter, opts ...ConnectOpt) (*Connection, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Connection{hub: h, filter: f, ch: make(chan *tweet.Tweet, 1024)}
+	c := &Connection{hub: h, filter: f, ch: make(chan *tweet.Tweet, 1024), list: -1}
 	c.space.L = &c.mu
 	for _, opt := range opts {
 		opt(c)
@@ -362,7 +371,26 @@ func (h *Hub) Connect(f Filter, opts ...ConnectOpt) (*Connection, error) {
 		return nil, errors.New("twitterapi: hub closed")
 	}
 	h.conns = append(h.conns, c)
+	if len(f.Track) > 0 {
+		h.reindex()
+	}
 	return c, nil
+}
+
+// reindex rebuilds the track index from the open connections, in
+// connection order. Called with h.mu held.
+func (h *Hub) reindex() {
+	var lists [][]string
+	for _, c := range h.conns {
+		if len(c.filter.Track) > 0 {
+			c.list = len(lists)
+			lists = append(lists, c.filter.Track)
+		}
+	}
+	h.track, h.hits = nil, nil
+	if len(lists) > 0 {
+		h.track, h.hits = tweet.NewKeywords(lists...), make([]bool, len(lists))
+	}
 }
 
 // Publish pushes one firehose tweet through every connection's filter,
@@ -388,9 +416,11 @@ func (h *Hub) PublishBatch(ts []*tweet.Tweet) {
 	}
 }
 
-// publish offers t to every matching connection once each no-loss
-// connection has room for it, and reports false if the hub closed
-// first. Called with h.mu held; it is released while parked.
+// publish offers t to every matching connection, in connection order,
+// once each no-loss connection has room for it, and reports false if
+// the hub closed first. The text is matched against every track
+// connection in one pass over the track index. Called with h.mu held;
+// it is released while parked.
 func (h *Hub) publish(t *tweet.Tweet) bool {
 	for i := 0; i < len(h.conns); {
 		c := h.conns[i]
@@ -412,8 +442,11 @@ func (h *Hub) publish(t *tweet.Tweet) bool {
 		return false
 	}
 	h.published++
+	if h.track != nil {
+		h.track.Match(t.Text, h.hits)
+	}
 	for _, c := range h.conns {
-		if c.filter.Matches(t) {
+		if c.list >= 0 && h.hits[c.list] || c.list < 0 && c.filter.Matches(t) {
 			c.offer(t)
 		}
 	}
@@ -462,6 +495,7 @@ func (h *Hub) Close() {
 		close(c.ch)
 	}
 	h.conns = nil
+	h.reindex()
 }
 
 func (h *Hub) disconnect(c *Connection) {
@@ -474,6 +508,9 @@ func (h *Hub) disconnect(c *Connection) {
 	h.conns = slices.Delete(h.conns, i, i+1)
 	c.markClosed()
 	close(c.ch)
+	if c.list >= 0 {
+		h.reindex()
+	}
 }
 
 // Replay publishes a pre-generated stream through the hub and closes it,
